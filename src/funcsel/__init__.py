@@ -29,15 +29,14 @@ from .inference import (
     test_all,
     test_predictor,
 )
-from .linmodel import (
-    FitResult,
-    RestrictedFit,
-    fit_ols,
-    fit_restricted,
-    noncentrality,
-    projection_rss_identity_check,
+from .linmodel import FitResult, fit_ols, noncentrality
+from .selection import (
+    SelectionResult,
+    default_q,
+    select,
+    select_bonferroni,
+    select_fdr,
 )
-from .selection import SelectionResult, default_q, select_bonferroni, select_fdr
 from .simgen import (
     MonteCarloReport,
     SimScenario,
@@ -69,13 +68,11 @@ __all__ = [
     "test_all",
     "test_predictor",
     "FitResult",
-    "RestrictedFit",
     "fit_ols",
-    "fit_restricted",
     "noncentrality",
-    "projection_rss_identity_check",
     "SelectionResult",
     "default_q",
+    "select",
     "select_bonferroni",
     "select_fdr",
     "MonteCarloReport",

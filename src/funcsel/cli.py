@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -22,9 +23,8 @@ import numpy as np
 from .bspline import BasisSpec, make_uniform_basis, gram_matrix
 from .design import DesignMatrix, build_design
 from .errors import DataError, NumericalError
-from .inference import test_predictor
-from .linmodel import fit_ols
-from .selection import default_q, select_bonferroni, select_fdr
+from .inference import test_all
+from .selection import check_method, default_q, select
 from .simgen import SimScenario, run_monte_carlo
 from .smoothing import RawCurve, build_dataset
 
@@ -100,11 +100,16 @@ class BootstrapReport:
 
 def _parse_float(text: str, path: str, line: int, field_name: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise DataError(
             f"{path} line {line}: field '{field_name}' is not numeric: {text!r}"
         ) from None
+    if not math.isfinite(value):
+        raise DataError(
+            f"{path} line {line}: field '{field_name}' is not finite: {text!r}"
+        )
+    return value
 
 
 def ingest_long_csv(
@@ -235,15 +240,6 @@ def _selection_pipeline(config: JobConfig):
     return design, y, predictor_ids
 
 
-def _select(method: str, tests, q: float):
-    method = method.lower()
-    if method in ("bc", "bonferroni"):
-        return select_bonferroni(tests, q)
-    if method == "fdr":
-        return select_fdr(tests, q)
-    raise ValueError(f"unknown method {method!r}; use 'bc' or 'fdr'")
-
-
 def _print_selection_table(predictor_ids, tests, selected, method, q, stream=None):
     stream = stream or sys.stdout
     width = max(len("predictor"), max(len(p) for p in predictor_ids))
@@ -266,12 +262,9 @@ def _print_selection_table(predictor_ids, tests, selected, method, q, stream=Non
 def run_select(config: JobConfig):
     """Test every predictor, select, print the table, write the record."""
     design, y, predictor_ids = _selection_pipeline(config)
-    full = fit_ols(design, y)
-    tests = [
-        test_predictor(design, y, full, r) for r in range(design.num_predictors)
-    ]
+    tests = test_all(design, y)
     q = config.resolve_q(design.n, design.num_predictors)
-    result = _select(config.method, tests, q)
+    result = select(config.method, tests, q)
     _print_selection_table(predictor_ids, tests, result.selected, result.method, q)
     if config.out:
         with open(config.out, "w", encoding="utf-8") as handle:
@@ -305,8 +298,6 @@ def run_select(config: JobConfig):
 
 def run_bootstrap(config: JobConfig) -> BootstrapReport:
     """Selection ratios over B joint resamples of (curves, response) rows."""
-    if config.bootstrap_b < 1:
-        raise ValueError(f"bootstrap_b must be >= 1, got {config.bootstrap_b}")
     design, y, predictor_ids = _selection_pipeline(config)
     num_predictors = design.num_predictors
     rng = np.random.Generator(
@@ -321,16 +312,11 @@ def run_bootstrap(config: JobConfig) -> BootstrapReport:
             values=design.values[idx], block_offsets=design.block_offsets
         )
         try:
-            full = fit_ols(resampled, y[idx])
-            tests = [
-                test_predictor(resampled, y[idx], full, r)
-                for r in range(num_predictors)
-            ]
+            tests = test_all(resampled, y[idx])
         except NumericalError:
             failed += 1
             continue
-        result = _select(config.method, tests, q)
-        for m in result.selected:
+        for m in select(config.method, tests, q).selected:
             counts[m] += 1
     denom = max(config.bootstrap_b - failed, 1)
     report = BootstrapReport(
@@ -453,8 +439,16 @@ def _build_config(args: argparse.Namespace) -> JobConfig:
     if config.mode in ("select", "bootstrap"):
         if not config.curves or not config.responses:
             raise ValueError(f"mode '{config.mode}' requires --curves and --responses")
-    if config.method.lower() not in ("bc", "bonferroni", "fdr"):
-        raise ValueError(f"unknown method {config.method!r}; use 'bc' or 'fdr'")
+    check_method(config.method)
+    for flag, value, low in (
+        ("--threads", config.threads, 1),
+        ("--reps", config.reps, 1),
+        ("--bootstrap-b", config.bootstrap_b, 1),
+        ("--degree", config.degree, 0),
+        ("--basis-size", config.basis_size, config.degree + 1),
+    ):
+        if value < low:
+            raise ValueError(f"{flag} must be >= {low}, got {value}")
     if config.q != "auto":
         float(config.q)  # fail early on junk
     return config
@@ -504,7 +498,8 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, DataError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except NumericalError as exc:
+    # LinAlgError subclasses ValueError, so it must be caught before it
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

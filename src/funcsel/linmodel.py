@@ -1,9 +1,8 @@
-"""Full and restricted least squares on the assembled design.
+"""Least squares on the assembled design, and noncentrality of the tests.
 
-The full fit uses a QR decomposition. The restricted fit zeroes one
-predictor's coefficient block through the explicit constrained-estimator
-formula b0 = b - (Z'Z)^{-1} A' (A (Z'Z)^{-1} A')^{-1} A b, where A is the
-selector matrix picking that block.
+The full fit uses one QR decomposition Z = QR and keeps R^{-1}, so that
+every block of V = (Z'Z)^{-1} = R^{-1} R^{-T}, which the per-predictor tests
+need, follows without refitting.
 """
 
 from __future__ import annotations
@@ -16,15 +15,7 @@ import scipy.linalg
 from .design import DesignMatrix
 from .errors import NumericalError
 
-__all__ = [
-    "FitResult",
-    "RestrictedFit",
-    "fit_ols",
-    "fit_restricted",
-    "projection_matrices",
-    "projection_rss_identity_check",
-    "noncentrality",
-]
+__all__ = ["FitResult", "fit_ols", "noncentrality"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,9 +23,11 @@ class FitResult:
     """Unrestricted least-squares fit.
 
     ``sigma2_tilde`` is the maximum-likelihood variance estimate RSS/n.
+    ``r_inv`` is the inverse of the upper-triangular QR factor of the design.
     """
 
     coefficients: np.ndarray
+    r_inv: np.ndarray
     rss: float
     sigma2_tilde: float
     fitted: np.ndarray
@@ -51,15 +44,6 @@ class FitResult:
         return self.coefficients[self.block_offsets[m] : self.block_offsets[m + 1]]
 
 
-@dataclass(frozen=True, eq=False)
-class RestrictedFit:
-    """Least-squares fit with one predictor's block constrained to zero."""
-
-    tested_index: int
-    coefficients_0: np.ndarray
-    rss0: float
-
-
 def fit_ols(design: DesignMatrix, y: np.ndarray) -> FitResult:
     """Ordinary least squares via QR."""
     y = np.asarray(y, dtype=float)
@@ -72,12 +56,14 @@ def fit_ols(design: DesignMatrix, y: np.ndarray) -> FitResult:
     diag = np.abs(np.diag(r))
     if diag.min() <= 1e-12 * max(diag.max(), 1.0):
         raise NumericalError("design matrix is rank deficient; cannot fit")
-    coef = scipy.linalg.solve_triangular(r, q.T @ y)
+    r_inv = scipy.linalg.solve_triangular(r, np.eye(k))
+    coef = r_inv @ (q.T @ y)
     fitted = design.values @ coef
     resid = y - fitted
     rss = float(resid @ resid)
     return FitResult(
         coefficients=coef,
+        r_inv=r_inv,
         rss=rss,
         sigma2_tilde=rss / n,
         fitted=fitted,
@@ -85,65 +71,6 @@ def fit_ols(design: DesignMatrix, y: np.ndarray) -> FitResult:
         k=k,
         block_offsets=design.block_offsets,
     )
-
-
-def fit_restricted(
-    design: DesignMatrix, y: np.ndarray, full: FitResult, r: int
-) -> RestrictedFit:
-    """Constrained fit with predictor r's coefficient block forced to zero."""
-    if not 0 <= r < design.num_predictors:
-        raise ValueError(f"predictor index {r} out of range 0..{design.num_predictors - 1}")
-    y = np.asarray(y, dtype=float)
-    z = design.values
-    sl = design.block_slice(r)
-    gram = z.T @ z
-    # columns of (Z'Z)^{-1} selected by A', i.e. those of block r
-    rhs = np.zeros((design.k, sl.stop - sl.start))
-    rhs[sl] = np.eye(sl.stop - sl.start)
-    try:
-        ginv_cols = np.linalg.solve(gram, rhs)
-        middle = ginv_cols[sl]
-        correction = ginv_cols @ np.linalg.solve(middle, full.coefficients[sl])
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"singular constrained system while testing predictor {r}: {exc}"
-        ) from exc
-    coef0 = full.coefficients - correction
-    coef0[sl] = 0.0
-    resid0 = y - z @ coef0
-    rss0 = float(resid0 @ resid0)
-    return RestrictedFit(tested_index=r, coefficients_0=coef0, rss0=rss0)
-
-
-def _column_basis(matrix: np.ndarray) -> np.ndarray:
-    q, _ = np.linalg.qr(matrix)
-    return q
-
-
-def projection_matrices(design: DesignMatrix, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Explicit projections onto the full and the restricted column spaces.
-
-    O(n^2) memory; intended for validation on small instances only.
-    """
-    z = design.values
-    sl = design.block_slice(r)
-    keep = np.ones(design.k, dtype=bool)
-    keep[sl] = False
-    q_full = _column_basis(z)
-    q_restr = _column_basis(z[:, keep])
-    return q_full @ q_full.T, q_restr @ q_restr.T
-
-
-def projection_rss_identity_check(
-    design: DesignMatrix, y: np.ndarray, r: int
-) -> tuple[float, float]:
-    """(RSS0 - RSS, y'(P - P0)y) computed independently; test helper."""
-    y = np.asarray(y, dtype=float)
-    full = fit_ols(design, y)
-    restricted = fit_restricted(design, y, full, r)
-    p_full, p_restr = projection_matrices(design, r)
-    quad = float(y @ ((p_full - p_restr) @ y))
-    return restricted.rss0 - full.rss, quad
 
 
 def noncentrality(

@@ -14,7 +14,14 @@ from typing import Sequence
 
 from .inference import HypothesisTest
 
-__all__ = ["SelectionResult", "select_bonferroni", "select_fdr", "default_q"]
+__all__ = [
+    "SelectionResult",
+    "check_method",
+    "select",
+    "select_bonferroni",
+    "select_fdr",
+    "default_q",
+]
 
 
 @dataclass(frozen=True)
@@ -71,6 +78,21 @@ def select_fdr(tests: Sequence[HypothesisTest], q: float) -> SelectionResult:
             break
     selected = tuple(sorted(t.predictor_index for t in order[:s]))
     return SelectionResult(method="fdr", q=q, tests=tests, selected=selected, s=s)
+
+
+def check_method(method: str) -> str:
+    """Lower-cased selection method name: 'bc', 'bonferroni' or 'fdr'."""
+    name = method.lower()
+    if name not in ("bc", "bonferroni", "fdr"):
+        raise ValueError(f"unknown method {method!r}; use 'bc' or 'fdr'")
+    return name
+
+
+def select(method: str, tests: Sequence[HypothesisTest], q: float) -> SelectionResult:
+    """Apply the rule named by ``method`` ('bc'/'bonferroni' or 'fdr')."""
+    if check_method(method) == "fdr":
+        return select_fdr(tests, q)
+    return select_bonferroni(tests, q)
 
 
 def default_q(n: int, num_predictors: int) -> float:

@@ -26,9 +26,8 @@ import numpy as np
 from .bspline import make_uniform_basis, gram_matrix
 from .design import build_design
 from .errors import ConditionWarning, DataError, NumericalError
-from .inference import test_predictor
-from .linmodel import fit_ols
-from .selection import select_bonferroni, select_fdr
+from .inference import test_all
+from .selection import check_method, select
 from .smoothing import RawCurve, build_dataset
 
 __all__ = [
@@ -237,15 +236,6 @@ def generate_replication(
     return curves, responses, truth
 
 
-def _select(method: str, tests, q: float):
-    method = method.lower()
-    if method in ("bc", "bonferroni"):
-        return select_bonferroni(tests, q)
-    if method == "fdr":
-        return select_fdr(tests, q)
-    raise ValueError(f"unknown method {method!r}; use 'bc' or 'fdr'")
-
-
 def _reduced_prediction(
     z_train: np.ndarray,
     y_train: np.ndarray,
@@ -260,11 +250,7 @@ def _run_one_replication(scenario: SimScenario, method: str, q: float, rep: int,
     curves, y, truth = generate_replication(scenario, rep)
     data = build_dataset(curves, y, bases)
     design = build_design(data, grams)
-    full = fit_ols(design, y)
-    tests = [
-        test_predictor(design, y, full, r) for r in range(NUM_PREDICTORS)
-    ]
-    result = _select(method, tests, q)
+    result = select(method, test_all(design, y), q)
     correct = set(result.selected) == set(truth.true_indices)
 
     # out-of-sample MSE of the model refit on the selected predictors only
@@ -298,8 +284,7 @@ def run_monte_carlo(
     """
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
-    if method.lower() not in ("bc", "bonferroni", "fdr"):
-        raise ValueError(f"unknown method {method!r}; use 'bc' or 'fdr'")
+    method = check_method(method)
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must lie in (0, 1), got {q}")
     bases = tuple(make_uniform_basis(lo, hi, degree=3, num_basis=6) for lo, hi in DOMAINS)
@@ -331,7 +316,7 @@ def run_monte_carlo(
         mse_sum += mse
     denom = max(len(succeeded), 1)
     return MonteCarloReport(
-        method=method.lower(),
+        method=method,
         q=q,
         c=scenario.c,
         n=scenario.n,

@@ -15,17 +15,16 @@ from scipy.special import gammaincc
 
 from funcsel import (
     fit_ols,
-    fit_restricted,
     gram_matrix,
     make_uniform_basis,
     noncentral_chisq_cdf,
     noncentrality,
-    projection_rss_identity_check,
     select_bonferroni,
     select_fdr,
 )
 from funcsel import HypothesisTest
 from funcsel.cli import main
+from funcsel.inference import test_predictor as run_test_predictor
 from funcsel.simgen import SimScenario, coefficient_functions, run_monte_carlo
 
 from conftest import (
@@ -35,6 +34,7 @@ from conftest import (
     standard_bases,
     synthetic_design,
 )
+from oracles import column_deletion_rss, projection_matrices
 from test_bspline import trapezoid_gram
 from test_selection import brute_force_bonferroni, brute_force_fdr
 
@@ -208,8 +208,8 @@ class TestCriterion3NoncentralityIdentity:
             for col in range(2):
                 y = mu + sigma * g[:, col]
                 full = fit_ols(design, y)
-                restricted = fit_restricted(design, y, full, r)
-                direct = (restricted.rss0 - full.rss) / sigma**2
+                statistic = run_test_predictor(full, r).statistic
+                direct = statistic * full.sigma2_tilde / sigma**2
                 assert batch[col] == pytest.approx(direct, rel=1e-8)
 
         worst = 0.0
@@ -267,13 +267,9 @@ class TestCriterion5OracleEquivalences:
             design, y = random_design(rng, 30 + int(rng.integers(0, 40)), sizes)
             full = fit_ols(design, y)
             r = int(rng.integers(0, len(sizes)))
-            restricted = fit_restricted(design, y, full, r)
-            keep = np.ones(design.k, dtype=bool)
-            keep[design.block_slice(r)] = False
-            coef, *_ = np.linalg.lstsq(design.values[:, keep], y, rcond=None)
-            resid = y - design.values[:, keep] @ coef
-            oracle = float(resid @ resid)
-            worst = max(worst, abs(restricted.rss0 - oracle) / oracle)
+            rss0 = full.rss + run_test_predictor(full, r).statistic * full.sigma2_tilde
+            oracle = column_deletion_rss(design, y, r)
+            worst = max(worst, abs(rss0 - oracle) / oracle)
         ok = worst < 1e-8
         report(
             "criterion 5a: restricted RSS vs column-deleted refit",
@@ -288,7 +284,11 @@ class TestCriterion5OracleEquivalences:
         for trial in range(60):
             n = 30 + int(rng.integers(0, 171))  # n <= 200
             design, y = random_design(rng, n, (4, 5))
-            diff, quad = projection_rss_identity_check(design, y, trial % 2)
+            r = trial % 2
+            full = fit_ols(design, y)
+            diff = run_test_predictor(full, r).statistic * full.sigma2_tilde
+            p_full, p_restr = projection_matrices(design, r)
+            quad = float(y @ ((p_full - p_restr) @ y))
             worst = max(worst, abs(diff - quad) / max(abs(quad), 1e-12))
         ok = worst < 1e-6
         report(

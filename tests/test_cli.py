@@ -9,7 +9,6 @@ from funcsel import (
     DataError,
     build_dataset,
     build_design,
-    fit_ols,
     gram_matrix,
     make_uniform_basis,
     select_bonferroni,
@@ -17,7 +16,7 @@ from funcsel import (
 )
 from funcsel.cli import JobConfig, ingest_long_csv, main
 from funcsel.design import DesignMatrix
-from funcsel.inference import test_predictor as run_test_predictor
+from funcsel.inference import test_all as run_test_all
 from funcsel.simgen import SimScenario, generate_replication
 from funcsel.smoothing import FunctionalDataset, RawCurve
 
@@ -130,6 +129,33 @@ class TestIngest:
         with pytest.raises(DataError, match="line 2.*'value'"):
             ingest_long_csv(str(curves_path), str(responses_path), JobConfig(mode="select"))
 
+    @pytest.mark.parametrize(
+        "target, row",
+        [
+            ("curves", ("a", "x", 0.5, "nan")),
+            ("curves", ("a", "x", "inf", 1.0)),
+            ("responses", ("b", "inf")),
+        ],
+    )
+    def test_non_finite_field_is_data_error(self, tmp_path, capsys, target, row):
+        curves_path = tmp_path / "c.csv"
+        responses_path = tmp_path / "r.csv"
+        curves = [("a", "x", 0.0, 1.0), ("b", "x", 0.0, 2.0)]
+        responses = [("a", 1.0), ("b", 2.0)]
+        if target == "curves":
+            curves.insert(1, row)
+        else:
+            responses[1] = row
+        write_curves(curves_path, curves)
+        write_responses(responses_path, responses)
+        code = main(
+            ["--mode", "select", "--curves", str(curves_path),
+             "--responses", str(responses_path)]
+        )
+        assert code == 2
+        path = curves_path if target == "curves" else responses_path
+        assert f"{path} line 3: field" in capsys.readouterr().err
+
     def test_orphan_response(self, tmp_path):
         curves_path = tmp_path / "c.csv"
         responses_path = tmp_path / "r.csv"
@@ -211,8 +237,7 @@ class TestRunSelect:
         data = build_dataset(curves, y, bases)
         grams = tuple(gram_matrix(spec) for spec in bases)
         design = quiet(build_design, data, grams)
-        full = fit_ols(design, y)
-        expected = [run_test_predictor(design, y, full, r) for r in range(6)]
+        expected = run_test_all(design, y)
 
         lines = [json.loads(line) for line in out.read_text().splitlines()]
         assert lines[-1]["selected"] == ["p0", "p1", "p2", "p3", "p4"]
@@ -271,8 +296,7 @@ class TestRunSelect:
                 responses=rng.normal(size=n),
             )
             design = quiet(build_design, data, grams)
-            full = fit_ols(design, data.responses)
-            tests = [run_test_predictor(design, data.responses, full, r) for r in range(2)]
+            tests = run_test_all(design, data.responses)
             if not select_bonferroni(tests, q).selected:
                 empty += 1
         assert empty / runs >= 1 - q * 2
@@ -305,8 +329,7 @@ class TestRunBootstrap:
         rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
         idx = rng.integers(0, design.n, size=design.n)
         resampled = DesignMatrix(values=design.values[idx], block_offsets=design.block_offsets)
-        full = fit_ols(resampled, y[idx])
-        tests = [run_test_predictor(resampled, y[idx], full, r) for r in range(6)]
+        tests = run_test_all(resampled, y[idx])
         from funcsel import select_fdr
 
         expected = select_fdr(tests, 0.01).selected
@@ -416,6 +439,37 @@ class TestExitCodes:
     def test_invalid_q_is_usage_error(self):
         assert main(["--mode", "simulate", "--q", "1.5", "--reps", "1",
                      "--n", "100", "--method", "bc"]) == 1
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--threads", "-3"],
+            ["--threads", "0"],
+            ["--reps", "0"],
+            ["--bootstrap-b", "0"],
+            ["--degree", "-1"],
+            ["--basis-size", "3"],
+            ["--basis-size", "2", "--degree", "2"],
+        ],
+    )
+    def test_out_of_range_option_is_usage_error(self, tmp_path, capsys, flags):
+        # the files do not exist: exit 1 rather than 2 shows that the option
+        # is rejected before any input is read
+        for mode in ("simulate", "bootstrap"):
+            code = main(
+                ["--mode", mode, "--curves", str(tmp_path / "nope.csv"),
+                 "--responses", str(tmp_path / "nope2.csv"), *flags]
+            )
+            assert code == 1
+            assert f"{flags[0]} must be >=" in capsys.readouterr().err
+
+    def test_escaping_linalg_error_is_numerical_error(self, monkeypatch):
+        # numpy's LinAlgError subclasses ValueError, the usage-error type
+        def fail(config):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr("funcsel.cli.run_simulate", fail)
+        assert main(["--mode", "simulate", "--reps", "1"]) == 3
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(

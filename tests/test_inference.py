@@ -1,15 +1,18 @@
 """Chi-square reference distributions and the per-predictor tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from funcsel import chisq_cdf, fit_ols, fit_restricted, noncentral_chisq_cdf
+from funcsel import NumericalError, chisq_cdf, fit_ols, noncentral_chisq_cdf
 from funcsel.inference import test_all as run_test_all
 from funcsel.inference import test_predictor as run_test_predictor
 from funcsel.design import DesignMatrix
 from funcsel.inference import P_VALUE_FLOOR
 
 from conftest import random_design
+from oracles import fit_restricted
 
 
 def empirical_cdf(sample, probes):
@@ -106,7 +109,7 @@ class TestTestPredictor:
         block = design.values[:, sl]
         y = y - block @ (block.T @ y)
         full = fit_ols(design, y)
-        result = run_test_predictor(design, y, full, 1)
+        result = run_test_predictor(full, 1)
         assert result.statistic == pytest.approx(0.0, abs=1e-8)
         assert result.p_value == pytest.approx(1.0, abs=1e-8)
         assert result.dof == 4
@@ -115,8 +118,7 @@ class TestTestPredictor:
         rng = np.random.default_rng(13)
         design, y = random_design(rng, 70, (4, 5))
         full = fit_ols(design, y)
-        for r in range(2):
-            result = run_test_predictor(design, y, full, r)
+        for r, result in enumerate(run_test_all(design, y)):
             restricted = fit_restricted(design, y, full, r)
             expected = (restricted.rss0 - full.rss) / full.sigma2_tilde
             assert result.statistic == pytest.approx(expected, rel=1e-8)
@@ -133,8 +135,22 @@ class TestTestPredictor:
         b[design.block_slice(0)] = 50.0
         y = design.values @ b + 1e-6 * rng.normal(size=design.n)
         full = fit_ols(design, y)
-        result = run_test_predictor(design, y, full, 0)
+        result = run_test_predictor(full, 0)
         assert result.p_value == P_VALUE_FLOOR
+
+    def test_singular_covariance_block_is_numerical_error(self):
+        # a resample can make a block's covariance factor singular; the
+        # bootstrap counts that as a failed resample, so it must not escape
+        # as numpy's LinAlgError
+        rng = np.random.default_rng(18)
+        design, y = random_design(rng, 40, (4, 5))
+        full = fit_ols(design, y)
+        r_inv = full.r_inv.copy()
+        r_inv[design.block_slice(1)] = 0.0
+        degenerate = dataclasses.replace(full, r_inv=r_inv)
+        assert run_test_predictor(degenerate, 0).statistic > 0.0
+        with pytest.raises(NumericalError, match="predictor 1"):
+            run_test_predictor(degenerate, 1)
 
     def test_null_p_values_uniform(self):
         # fixed design, pure-noise responses: p-values follow Uniform(0,1);
@@ -145,7 +161,7 @@ class TestTestPredictor:
         for i in range(2000):
             y = rng.normal(size=design.n)
             full = fit_ols(design, y)
-            p_values[i] = run_test_predictor(design, y, full, 0).p_value
+            p_values[i] = run_test_predictor(full, 0).p_value
         grid = np.sort(p_values)
         positions = np.arange(1, 2001) / 2000
         ks = np.max(np.abs(grid - positions))
@@ -157,7 +173,7 @@ class TestTestAll:
         rng = np.random.default_rng(16)
         design, y = random_design(rng, 40, (5,))
         full = fit_ols(design, y)
-        single = run_test_predictor(design, y, full, 0)
+        single = run_test_predictor(full, 0)
         every = run_test_all(design, y)
         assert len(every) == 1
         assert every[0].statistic == pytest.approx(single.statistic, rel=1e-12)

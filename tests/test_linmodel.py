@@ -1,17 +1,11 @@
-"""Full and restricted least squares, projections, and noncentrality."""
+"""Full least squares, the restricted-fit oracles, and noncentrality."""
 
 import numpy as np
 import pytest
 
-from funcsel import (
-    NumericalError,
-    fit_ols,
-    fit_restricted,
-    noncentrality,
-    projection_rss_identity_check,
-)
+from funcsel import NumericalError, fit_ols, noncentrality
 from funcsel.design import DesignMatrix
-from funcsel.linmodel import projection_matrices
+from funcsel.inference import test_predictor as run_test_predictor
 from funcsel.simgen import SimScenario, coefficient_functions
 from funcsel.bspline import gram_matrix
 
@@ -20,6 +14,12 @@ from conftest import (
     random_design,
     standard_bases,
     synthetic_design,
+)
+from oracles import (
+    column_deletion_rss,
+    fit_restricted,
+    projection_matrices,
+    projection_rss_identity_check,
 )
 
 
@@ -106,25 +106,25 @@ class TestFitRestricted:
         )
 
     def test_column_deletion_oracle(self):
+        # the package's restricted RSS, RSS + statistic * sigma2_tilde
         rng = np.random.default_rng(4)
         for trial in range(20):
             design, y = random_design(rng, 60, (4, 5, 6))
             full = fit_ols(design, y)
             for r in range(3):
-                restricted = fit_restricted(design, y, full, r)
-                keep = np.ones(design.k, dtype=bool)
-                keep[design.block_slice(r)] = False
-                coef, *_ = np.linalg.lstsq(design.values[:, keep], y, rcond=None)
-                resid = y - design.values[:, keep] @ coef
-                oracle = float(resid @ resid)
-                assert abs(restricted.rss0 - oracle) < 1e-8 * oracle
+                statistic = run_test_predictor(full, r).statistic
+                rss0 = full.rss + statistic * full.sigma2_tilde
+                oracle = column_deletion_rss(design, y, r)
+                assert abs(rss0 - oracle) < 1e-8 * oracle
 
     def test_rss_monotone(self):
         rng = np.random.default_rng(5)
         design, y = random_design(rng, 45, (4, 4))
         full = fit_ols(design, y)
         for r in range(2):
-            assert fit_restricted(design, y, full, r).rss0 >= full.rss
+            # strict: the statistic is clamped at 0, which would hide a
+            # restricted RSS below the full one
+            assert run_test_predictor(full, r).statistic > 0.0
 
     def test_index_out_of_range(self):
         rng = np.random.default_rng(5)
@@ -132,6 +132,9 @@ class TestFitRestricted:
         full = fit_ols(design, y)
         with pytest.raises(ValueError, match="out of range"):
             fit_restricted(design, y, full, 1)
+        for r in (1, -1):
+            with pytest.raises(ValueError, match="out of range"):
+                run_test_predictor(full, r)
 
 
 class TestProjections:
