@@ -1,8 +1,9 @@
 """End-to-end selection on one synthetic dataset.
 
-Generates a single replication of the six-predictor synthetic scenario,
-smooths the noisy curves onto cubic bases, fits the functional linear model,
-tests each predictor, and applies both selection rules.
+Generates a single replication of the six-predictor synthetic scenario (one
+shared-grid block of curves per predictor), smooths the noisy curves onto
+cubic bases, fits the functional linear model, tests each predictor, and
+applies both selection rules.
 """
 
 import warnings
@@ -28,6 +29,10 @@ def main() -> None:
     curves, y, truth = generate_replication(scenario, 0)
     print(f"scenario: c={scenario.c}, n={scenario.n}; "
           f"relevant predictors: {sorted(truth.true_indices)}")
+    # one block per predictor: a shared grid and one row of values per sample
+    for m, (block,) in enumerate(curves):
+        print(f"  predictor {m}: {block.num_curves} curves on "
+              f"{block.grid.size} points in [{block.grid[0]:.3f}, {block.grid[-1]:.3f}]")
 
     bases = tuple(
         make_uniform_basis(lo, hi, degree=3, num_basis=6) for lo, hi in DOMAINS

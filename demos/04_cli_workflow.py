@@ -18,9 +18,10 @@ def write_csvs(directory: Path) -> tuple[Path, Path]:
     responses_path = directory / "responses.csv"
     with open(curves_path, "w", encoding="utf-8") as handle:
         handle.write("sample_id,predictor_id,t,value\n")
-        for i, row in enumerate(curves):
-            for m, curve in enumerate(row):
-                for t, v in zip(curve.grid, curve.values):
+        # curves[m] holds predictor m's single block: one row per sample
+        for m, (block,) in enumerate(curves):
+            for i, values in enumerate(block.values):
+                for t, v in zip(block.grid, values):
                     handle.write(f"s{i:03d},p{m},{float(t)!r},{float(v)!r}\n")
     with open(responses_path, "w", encoding="utf-8") as handle:
         handle.write("sample_id,y\n")

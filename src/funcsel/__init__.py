@@ -44,7 +44,7 @@ from .simgen import (
     generate_replication,
     run_monte_carlo,
 )
-from .smoothing import FunctionalDataset, RawCurve, build_dataset, smooth_curve
+from .smoothing import CurveBlock, FunctionalDataset, build_dataset, smooth_block
 
 __version__ = "0.1.0"
 
@@ -80,8 +80,8 @@ __all__ = [
     "SimTruth",
     "generate_replication",
     "run_monte_carlo",
+    "CurveBlock",
     "FunctionalDataset",
-    "RawCurve",
     "build_dataset",
-    "smooth_curve",
+    "smooth_block",
 ]

@@ -1,10 +1,10 @@
 """B-spline bases: clamped knot construction, evaluation, and Gram matrices.
 
 A basis is described by an immutable :class:`BasisSpec`. Evaluation uses the
-Cox-de Boor triangular scheme; the Gram matrix of pairwise basis integrals is
-computed with Gauss-Legendre quadrature per knot span, which is exact for the
-piecewise-polynomial integrand (degree+1 nodes integrate polynomials of degree
-2*degree exactly).
+Cox-de Boor triangular scheme, run on all points of a call at once; the Gram
+matrix of pairwise basis integrals is computed with Gauss-Legendre quadrature
+per knot span, which is exact for the piecewise-polynomial integrand (degree+1
+nodes integrate polynomials of degree 2*degree exactly).
 """
 
 from __future__ import annotations
@@ -110,59 +110,48 @@ def make_uniform_basis(
     return BasisSpec(float(domain_lo), float(domain_hi), degree, num_basis, knots)
 
 
-def _find_span(spec: BasisSpec, t: float) -> int:
-    """Index j with knots[j] <= t < knots[j+1], clamped so the span is nonempty.
-
-    At t == domain_hi the last nonempty span is returned, which realizes the
-    left-limit convention at the right endpoint.
-    """
-    kn = spec.knot_array
-    j = int(np.searchsorted(kn, t, side="right")) - 1
-    return min(max(j, spec.degree), spec.num_basis - 1)
-
-
-def _basis_funs(kn: np.ndarray, degree: int, span: int, t: float) -> np.ndarray:
-    """Values of the degree+1 basis functions that are nonzero on the span."""
-    values = np.empty(degree + 1)
-    left = np.empty(degree + 1)
-    right = np.empty(degree + 1)
-    values[0] = 1.0
-    for j in range(1, degree + 1):
-        left[j] = t - kn[span + 1 - j]
-        right[j] = kn[span + j] - t
-        saved = 0.0
-        for r in range(j):
-            tmp = values[r] / (right[r + 1] + left[j - r])
-            values[r] = saved + right[r + 1] * tmp
-            saved = left[j - r] * tmp
-        values[j] = saved
-    return values
-
-
 def evaluate_basis(spec: BasisSpec, t: float) -> np.ndarray:
     """All ``num_basis`` basis values at t; nonnegative and summing to 1."""
-    if not (spec.domain_lo <= t <= spec.domain_hi):
-        raise ValueError(
-            f"t={t} outside the basis domain [{spec.domain_lo}, {spec.domain_hi}]"
-        )
-    span = _find_span(spec, t)
-    out = np.zeros(spec.num_basis)
-    out[span - spec.degree : span + 1] = _basis_funs(spec.knot_array, spec.degree, span, t)
-    return out
+    return evaluate_basis_matrix(spec, np.array([t], dtype=float))[0]
 
 
 def evaluate_basis_matrix(spec: BasisSpec, ts: np.ndarray) -> np.ndarray:
-    """Stack of basis evaluations, shape (len(ts), num_basis)."""
-    ts = np.asarray(ts, dtype=float)
-    out = np.zeros((ts.size, spec.num_basis))
+    """Stack of basis evaluations, shape (len(ts), num_basis).
+
+    Each point's knot span j satisfies knots[j] <= t < knots[j+1], clamped so
+    the span is nonempty; at t == domain_hi the last nonempty span is used,
+    which realizes the left-limit convention at the right endpoint. The
+    degree+1 basis functions nonzero on each span come from the triangular
+    Cox-de Boor recurrence, run for all points at once.
+    """
+    ts = np.asarray(ts, dtype=float).ravel()
+    outside = ~((ts >= spec.domain_lo) & (ts <= spec.domain_hi))
+    if np.any(outside):
+        t = ts[np.argmax(outside)]
+        raise ValueError(
+            f"t={t} outside the basis domain [{spec.domain_lo}, {spec.domain_hi}]"
+        )
+    degree = spec.degree
     kn = spec.knot_array
-    for i, t in enumerate(ts.ravel()):
-        if not (spec.domain_lo <= t <= spec.domain_hi):
-            raise ValueError(
-                f"t={t} outside the basis domain [{spec.domain_lo}, {spec.domain_hi}]"
-            )
-        span = _find_span(spec, t)
-        out[i, span - spec.degree : span + 1] = _basis_funs(kn, spec.degree, span, t)
+    spans = np.searchsorted(kn, ts, side="right") - 1
+    np.clip(spans, degree, spec.num_basis - 1, out=spans)
+    # row j holds t - knots[span+1-j] and knots[span+j] - t; row 0 is unused
+    steps = np.arange(degree + 1)[:, None]
+    left = ts - kn[spans + 1 - steps]
+    right = kn[spans + steps] - ts
+    # values[r] is the r-th nonzero function on each point's span; level j
+    # of the triangle splits each value of level j-1 between two neighbours
+    values = np.empty((degree + 1, ts.size))
+    values[0] = 1.0
+    for j in range(1, degree + 1):
+        tmp = values[:j] / (right[1 : j + 1] + left[j:0:-1])
+        up = right[1 : j + 1] * tmp
+        down = left[j:0:-1] * tmp
+        values[j] = down[j - 1]
+        values[1:j] = down[: j - 1] + up[1:j]
+        values[0] = up[0]
+    out = np.zeros((ts.size, spec.num_basis))
+    out[np.arange(ts.size)[:, None], spans[:, None] + np.arange(-degree, 1)] = values.T
     return out
 
 

@@ -26,7 +26,7 @@ from .errors import DataError, NumericalError
 from .inference import test_all
 from .selection import check_method, default_q, select
 from .simgen import SimScenario, run_monte_carlo
-from .smoothing import RawCurve, build_dataset
+from .smoothing import CurveBlock, build_dataset
 
 __all__ = [
     "JobConfig",
@@ -114,12 +114,15 @@ def _parse_float(text: str, path: str, line: int, field_name: str) -> float:
 
 def ingest_long_csv(
     curves_path: str, responses_path: str, config: JobConfig
-) -> tuple[list[list[RawCurve]], np.ndarray, list[str], list[str]]:
+) -> tuple[list[list[CurveBlock]], np.ndarray, list[str], list[str]]:
     """Read curves and responses; returns (curves, y, sample_ids, predictor_ids).
 
     Samples and predictors are ordered by their (string) ids. Every sample
     must appear in both files and every (sample, predictor) pair must have
-    enough distinct grid points for the configured basis.
+    enough distinct grid points for the configured basis. ``curves[m]`` lists
+    predictor m's blocks: each run of consecutive samples observed on an
+    identical grid forms one :class:`CurveBlock`, so a CSV on one regular
+    grid gives one block per predictor.
     """
     points: dict[tuple[str, str], list[tuple[float, float]]] = {}
     seen: set[tuple[str, str, float]] = set()
@@ -191,10 +194,11 @@ def ingest_long_csv(
             f"{responses_path}: sample_id '{extra[0]}' has no curves in {curves_path}"
         )
 
-    curves: list[list[RawCurve]] = []
-    for sample in sample_ids:
-        row_curves = []
-        for predictor in predictor_ids:
+    curves: list[list[CurveBlock]] = []
+    for predictor in predictor_ids:
+        blocks: list[CurveBlock] = []
+        grid, rows = None, []
+        for sample in sample_ids:
             pts = points.get((sample, predictor))
             if pts is None:
                 raise DataError(
@@ -202,10 +206,14 @@ def ingest_long_csv(
                     f"'{predictor}'"
                 )
             pts.sort()
-            grid = np.array([t for t, _ in pts])
-            values = np.array([v for _, v in pts])
-            row_curves.append(RawCurve(grid=grid, values=values))
-        curves.append(row_curves)
+            t, values = np.array(pts).T
+            if grid is None or not np.array_equal(t, grid):
+                if rows:
+                    blocks.append(CurveBlock(grid=grid, values=np.array(rows)))
+                grid, rows = t, []
+            rows.append(values)
+        blocks.append(CurveBlock(grid=grid, values=np.array(rows)))
+        curves.append(blocks)
     y = np.array([responses[s] for s in sample_ids])
     return curves, y, sample_ids, predictor_ids
 
@@ -213,16 +221,16 @@ def ingest_long_csv(
 def _bases_for(
     config: JobConfig,
     predictor_ids: list[str],
-    curves: list[list[RawCurve]],
+    curves: list[list[CurveBlock]],
 ) -> tuple[BasisSpec, ...]:
     bases = []
-    for m, predictor in enumerate(predictor_ids):
+    for predictor, blocks in zip(predictor_ids, curves):
         degree = config.degree_overrides.get(predictor, config.degree)
         num_basis = config.basis_size_overrides.get(predictor, config.basis_size)
         domain = config.domain_overrides.get(predictor)
         if domain is None:
-            lo = min(row[m].grid[0] for row in curves)
-            hi = max(row[m].grid[-1] for row in curves)
+            lo = min(block.grid[0] for block in blocks)
+            hi = max(block.grid[-1] for block in blocks)
         else:
             lo, hi = domain
         bases.append(make_uniform_basis(lo, hi, degree=degree, num_basis=num_basis))
@@ -382,7 +390,10 @@ def _read_config_file(path: str) -> dict[str, str]:
                         f"{path} line {lineno}: expected 'key = value', got {line!r}"
                     )
                 key, _, value = line.partition("=")
-                values[key.strip().replace("-", "_")] = value.strip()
+                # the option name may use '-' or '_'; a predictor id after
+                # the first '.' is kept as written
+                name, dot, predictor = key.strip().partition(".")
+                values[name.replace("-", "_") + dot + predictor] = value.strip()
     except OSError as exc:
         raise ValueError(f"cannot read config file {path}: {exc}") from exc
     return values
@@ -449,6 +460,21 @@ def _build_config(args: argparse.Namespace) -> JobConfig:
     ):
         if value < low:
             raise ValueError(f"{flag} must be >= {low}, got {value}")
+    overridden = config.degree_overrides.keys() | config.basis_size_overrides.keys()
+    for predictor in sorted(overridden):
+        degree = config.degree_overrides.get(predictor, config.degree)
+        num_basis = config.basis_size_overrides.get(predictor, config.basis_size)
+        if degree < 0:
+            raise ValueError(f"degree.{predictor} must be >= 0, got {degree}")
+        if num_basis <= degree:
+            raise ValueError(
+                f"basis_size.{predictor} must be >= {degree + 1}, got {num_basis}"
+            )
+    for predictor, (lo, hi) in config.domain_overrides.items():
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ValueError(
+                f"domain.{predictor} must be finite with lo < hi, got {lo}:{hi}"
+            )
     if config.q != "auto":
         float(config.q)  # fail early on junk
     return config

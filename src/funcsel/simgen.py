@@ -1,7 +1,9 @@
 """Synthetic-data generators and the Monte Carlo selection experiment.
 
 Six functional predictors are generated from closed-form random curves on
-fixed domains, observed with noise on an equally spaced grid, and the scalar
+fixed domains, observed with noise on an equally spaced grid per predictor,
+and emitted as one :class:`~funcsel.smoothing.CurveBlock` per predictor: the
+grid plus an (n, G) value matrix, so no object is built per curve. The scalar
 response is a sum of integrals of the true curves against closed-form
 coefficient functions plus noise. The Monte Carlo driver runs the full
 smoothing / design / testing / selection pipeline per replication and reports
@@ -28,7 +30,7 @@ from .design import build_design
 from .errors import ConditionWarning, DataError, NumericalError
 from .inference import test_all
 from .selection import check_method, select
-from .smoothing import RawCurve, build_dataset
+from .smoothing import CurveBlock, build_dataset
 
 __all__ = [
     "NUM_PREDICTORS",
@@ -195,8 +197,12 @@ def _rng_for(scenario: SimScenario, stream: int) -> np.random.Generator:
 
 def generate_replication(
     scenario: SimScenario, rep_index: int
-) -> tuple[list[list[RawCurve]], np.ndarray, SimTruth]:
+) -> tuple[tuple[tuple[CurveBlock], ...], np.ndarray, SimTruth]:
     """One synthetic dataset: noisy gridded curves, responses, and the truth.
+
+    ``curves[m]`` is a one-element tuple holding predictor m's block: all n
+    curves on that predictor's equally spaced grid of ``grid_size`` points,
+    in the layout :func:`~funcsel.smoothing.build_dataset` takes.
 
     The response is built from exact integrals of the noise-free curves
     against the coefficient functions (Gauss-Legendre, accurate to well below
@@ -211,7 +217,7 @@ def generate_replication(
     grids = [
         np.linspace(lo, hi, scenario.grid_size) for lo, hi in DOMAINS
     ]
-    observed = []
+    curves = []
     integrals = np.zeros(n)
     for m in range(NUM_PREDICTORS):
         true_on_grid = _curve_values(params, m, grids[m])
@@ -219,7 +225,7 @@ def generate_replication(
         noisy = true_on_grid + rng.normal(
             0.0, scenario.noise_x_mult * signal_range, size=true_on_grid.shape
         )
-        observed.append(noisy)
+        curves.append((CurveBlock(grid=grids[m], values=noisy),))
         nodes, weights = _quad_rule(*DOMAINS[m], _QUAD_ORDER)
         integrals += _curve_values(params, m, nodes) @ (weights * betas[m](nodes))
 
@@ -228,12 +234,8 @@ def generate_replication(
         0.0, scenario.noise_y_mult * response_range, size=n
     )
 
-    curves = [
-        [RawCurve(grid=grids[m], values=observed[m][i]) for m in range(NUM_PREDICTORS)]
-        for i in range(n)
-    ]
     truth = SimTruth(true_indices=true_index_set(scenario.c), betas=betas)
-    return curves, responses, truth
+    return tuple(curves), responses, truth
 
 
 def _reduced_prediction(

@@ -1,14 +1,19 @@
 """Least-squares smoothing of gridded curves onto a B-spline basis.
 
-Each raw curve (grid, values) is converted into a coefficient vector by
-ordinary least squares against the basis evaluated at the grid points. A
-dataset bundles the per-sample, per-predictor coefficient vectors together
+Curves of one predictor that are observed on the same grid form a
+:class:`CurveBlock`: one strictly increasing grid, checked once, and an
+(r, G) matrix with one row of values per curve. A block is smoothed with a
+single product ``values @ pinv.T`` against the pseudoinverse of the basis
+evaluated at its grid, so each row becomes the ordinary least-squares
+coefficient vector of that curve. Curves on their own grids are one-row
+blocks. A dataset bundles the per-predictor coefficient matrices together
 with the scalar responses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -16,12 +21,16 @@ import numpy as np
 from .bspline import BasisSpec, evaluate_basis_matrix
 from .errors import DataError, RankDeficiencyError, SampleSizeError
 
-__all__ = ["RawCurve", "FunctionalDataset", "smooth_curve", "build_dataset"]
+__all__ = ["CurveBlock", "FunctionalDataset", "smooth_block", "build_dataset"]
 
 
 @dataclass(frozen=True, eq=False)
-class RawCurve:
-    """One observed curve: strictly increasing grid and matching values."""
+class CurveBlock:
+    """Curves of one predictor on a shared grid.
+
+    ``grid`` is strictly increasing with G points; ``values`` is (r, G), one
+    row per curve.
+    """
 
     grid: np.ndarray
     values: np.ndarray
@@ -29,16 +38,22 @@ class RawCurve:
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
         values = np.asarray(self.values, dtype=float)
-        if grid.ndim != 1 or values.ndim != 1:
-            raise DataError("grid and values must be one-dimensional")
-        if grid.size != values.size:
+        if grid.ndim != 1 or values.ndim != 2:
             raise DataError(
-                f"grid length {grid.size} != values length {values.size}"
+                "grid must be one-dimensional and values two-dimensional (curves x points)"
+            )
+        if values.shape[1] != grid.size:
+            raise DataError(
+                f"grid length {grid.size} != values length {values.shape[1]}"
             )
         if grid.size and np.any(np.diff(grid) <= 0):
             raise DataError("grid must be strictly increasing (no duplicate points)")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
+
+    @property
+    def num_curves(self) -> int:
+        return self.values.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,29 +77,22 @@ class FunctionalDataset:
         return len(self.bases)
 
 
-# Cache of pseudoinverses keyed by (spec, grid bytes); smoothing many curves
-# observed on a shared grid then reduces to one matrix product per curve.
-_PINV_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-_PINV_CACHE_MAX = 128
-
-
-def _basis_pinv(spec: BasisSpec, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    key = (spec, grid.tobytes())
-    hit = _PINV_CACHE.get(key)
-    if hit is not None:
-        return hit
+# Keyed by the grid's bytes: curves observed on a grid seen before (the
+# synthetic scenario's fixed grids, for instance) skip the SVD.
+@lru_cache(maxsize=128)
+def _basis_pinv(spec: BasisSpec, grid_bytes: bytes) -> np.ndarray:
+    grid = np.frombuffer(grid_bytes)
     basis = evaluate_basis_matrix(spec, grid)
-    sv = np.linalg.svd(basis, compute_uv=False)
+    u, sv, vt = np.linalg.svd(basis, full_matrices=False)
     if sv[0] == 0.0 or sv[-1] / sv[0] < 1e-10:
         raise RankDeficiencyError(
             "basis matrix at the grid points is rank deficient; "
             + _describe_empty_spans(spec, grid)
         )
-    pinv = np.linalg.pinv(basis)
-    if len(_PINV_CACHE) >= _PINV_CACHE_MAX:
-        _PINV_CACHE.pop(next(iter(_PINV_CACHE)))
-    _PINV_CACHE[key] = (basis, pinv)
-    return basis, pinv
+    # the pseudoinverse from the same SVD, formed as numpy.linalg.pinv does
+    pinv = vt.T @ ((1.0 / sv)[:, None] * u.T)
+    pinv.setflags(write=False)
+    return pinv
 
 
 def _describe_empty_spans(spec: BasisSpec, grid: np.ndarray) -> str:
@@ -99,44 +107,46 @@ def _describe_empty_spans(spec: BasisSpec, grid: np.ndarray) -> str:
     return "no single knot span is empty; grid points are too few or degenerate"
 
 
-def smooth_curve(curve: RawCurve, spec: BasisSpec) -> np.ndarray:
-    """Least-squares basis coefficients for one curve."""
-    if curve.grid.size < spec.num_basis:
+def smooth_block(block: CurveBlock, spec: BasisSpec) -> np.ndarray:
+    """Least-squares basis coefficients of every curve, shape (r, num_basis)."""
+    grid = block.grid
+    if grid.size < spec.num_basis:
         raise DataError(
-            f"grid has {curve.grid.size} points; need at least num_basis = {spec.num_basis}"
+            f"grid has {grid.size} points; need at least num_basis = {spec.num_basis}"
         )
-    if curve.grid[0] < spec.domain_lo or curve.grid[-1] > spec.domain_hi:
+    if grid[0] < spec.domain_lo or grid[-1] > spec.domain_hi:
         raise DataError(
-            f"grid range [{curve.grid[0]}, {curve.grid[-1]}] exceeds basis domain "
+            f"grid range [{grid[0]}, {grid[-1]}] exceeds basis domain "
             f"[{spec.domain_lo}, {spec.domain_hi}]"
         )
-    _, pinv = _basis_pinv(spec, curve.grid)
-    return pinv @ curve.values
+    return block.values @ _basis_pinv(spec, grid.tobytes()).T
 
 
 def build_dataset(
-    curves: Sequence[Sequence[RawCurve]],
+    curves: Sequence[Sequence[CurveBlock]],
     responses: np.ndarray,
     bases: Sequence[BasisSpec],
 ) -> FunctionalDataset:
-    """Smooth every curve and assemble a dataset.
+    """Smooth every block and assemble a dataset.
 
-    ``curves[i][m]`` is sample i's observation of predictor m. Raises
-    :class:`SampleSizeError` when n does not exceed the total parameter
-    count k = 1 + sum(p_m).
+    ``curves[m]`` holds predictor m's blocks; stacked in order, their rows
+    are samples 0 .. n-1. Raises :class:`SampleSizeError` when n does not
+    exceed the total parameter count k = 1 + sum(p_m).
     """
     responses = np.asarray(responses, dtype=float)
-    n = len(curves)
-    if responses.ndim != 1 or responses.size != n:
-        raise DataError(
-            f"responses length {responses.size} does not match sample count {n}"
-        )
+    n = responses.size
+    if responses.ndim != 1:
+        raise DataError("responses must be one-dimensional")
     bases = tuple(bases)
-    num_pred = len(bases)
-    for i, row in enumerate(curves):
-        if len(row) != num_pred:
+    if len(curves) != len(bases):
+        raise DataError(
+            f"got curves for {len(curves)} predictors; expected {len(bases)}"
+        )
+    for m, blocks in enumerate(curves):
+        rows = sum(block.num_curves for block in blocks)
+        if rows != n:
             raise DataError(
-                f"sample {i} has {len(row)} curves; expected {num_pred} predictors"
+                f"predictor {m} has {rows} curves; responses length is {n}"
             )
     k = 1 + sum(spec.num_basis for spec in bases)
     if n <= k:
@@ -144,12 +154,16 @@ def build_dataset(
             f"need n > k = 1 + sum(p_m): got n={n}, k={k}"
         )
     coefs = []
-    for m, spec in enumerate(bases):
-        block = np.empty((n, spec.num_basis))
-        for i in range(n):
+    for m, (blocks, spec) in enumerate(zip(curves, bases)):
+        parts = []
+        first = 0
+        for block in blocks:
             try:
-                block[i] = smooth_curve(curves[i][m], spec)
+                parts.append(smooth_block(block, spec))
             except (DataError, RankDeficiencyError) as exc:
-                raise type(exc)(f"sample {i}, predictor {m}: {exc}") from exc
-        coefs.append(block)
+                last = first + block.num_curves - 1
+                shared = f" (grid shared by samples {first}-{last})" if last > first else ""
+                raise type(exc)(f"sample {first}, predictor {m}{shared}: {exc}") from exc
+            first += block.num_curves
+        coefs.append(np.concatenate(parts))
     return FunctionalDataset(bases=bases, coefs=tuple(coefs), responses=responses)

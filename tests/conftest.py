@@ -8,7 +8,7 @@ import numpy as np
 
 from funcsel import (
     ConditionWarning,
-    RawCurve,
+    CurveBlock,
     build_dataset,
     build_design,
     evaluate_basis_matrix,
@@ -66,14 +66,13 @@ def random_design(rng: np.random.Generator, n: int, block_sizes: tuple[int, ...]
     )
     grams = tuple(gram_matrix(spec) for spec in bases)
     grid = np.linspace(0.0, 1.0, 24)
-    curves = []
-    for _ in range(n):
-        row = []
-        for spec in bases:
-            coef = rng.normal(0.0, 1.0, spec.num_basis)
-            values = evaluate_basis_matrix(spec, grid) @ coef
-            row.append(RawCurve(grid=grid, values=values))
-        curves.append(row)
+    # drawn sample by sample, then predictor by predictor
+    draws = [[rng.normal(0.0, 1.0, spec.num_basis) for spec in bases] for _ in range(n)]
+    curves = [
+        (CurveBlock(grid=grid, values=np.array([row[m] for row in draws])
+                    @ evaluate_basis_matrix(spec, grid).T),)
+        for m, spec in enumerate(bases)
+    ]
     y = rng.normal(0.0, 1.0, n)
     data = build_dataset(curves, y, bases)
     design = quiet(build_design, data, grams)

@@ -8,6 +8,10 @@ long way, so the tests can check the package against them:
   b0 = b - (Z'Z)^{-1} A' (A (Z'Z)^{-1} A')^{-1} A b, where A selects one block;
 - ``projection_matrices``: explicit projections onto the full and the
   restricted column spaces, O(n^2) memory, for small instances only.
+
+``smooth_lstsq`` is the reference for the smoothing layer: one curve at a
+time, scipy's B-spline design matrix and ``lstsq``, sharing no code with the
+package's block smoother.
 """
 
 from __future__ import annotations
@@ -15,8 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.interpolate import BSpline
 
-from funcsel import NumericalError, fit_ols
+from funcsel import BasisSpec, NumericalError, fit_ols
 from funcsel.design import DesignMatrix
 from funcsel.linmodel import FitResult
 
@@ -96,3 +101,10 @@ def column_deletion_rss(design: DesignMatrix, y: np.ndarray, r: int) -> float:
     coef, *_ = np.linalg.lstsq(design.values[:, keep], y, rcond=None)
     resid = y - design.values[:, keep] @ coef
     return float(resid @ resid)
+
+
+def smooth_lstsq(grid: np.ndarray, values: np.ndarray, spec: BasisSpec) -> np.ndarray:
+    """Least-squares basis coefficients of one curve."""
+    basis = BSpline.design_matrix(grid, spec.knot_array, spec.degree).toarray()
+    coef, *_ = np.linalg.lstsq(basis, values, rcond=None)
+    return coef

@@ -366,9 +366,9 @@ class TestCriterion6Determinism:
         responses_path = tmp_path / "responses.csv"
         with open(curves_path, "w", encoding="utf-8") as handle:
             handle.write("sample_id,predictor_id,t,value\n")
-            for i, row in enumerate(curves):
-                for m, curve in enumerate(row):
-                    for t, v in zip(curve.grid, curve.values):
+            for i in range(y.size):
+                for m, (block,) in enumerate(curves):
+                    for t, v in zip(block.grid, block.values[i]):
                         handle.write(f"s{i:02d},p{m},{float(t)!r},{float(v)!r}\n")
         with open(responses_path, "w", encoding="utf-8") as handle:
             handle.write("sample_id,y\n")

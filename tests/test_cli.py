@@ -12,15 +12,16 @@ from funcsel import (
     gram_matrix,
     make_uniform_basis,
     select_bonferroni,
-    smooth_curve,
+    smooth_block,
 )
-from funcsel.cli import JobConfig, ingest_long_csv, main
+from funcsel.cli import JobConfig, _build_config, _make_parser, ingest_long_csv, main
 from funcsel.design import DesignMatrix
 from funcsel.inference import test_all as run_test_all
 from funcsel.simgen import SimScenario, generate_replication
-from funcsel.smoothing import FunctionalDataset, RawCurve
+from funcsel.smoothing import CurveBlock, FunctionalDataset
 
 from conftest import quiet, standard_bases
+from oracles import smooth_lstsq
 
 
 def write_curves(path, rows):
@@ -44,10 +45,10 @@ def sim_files(tmp_path_factory):
     scenario = SimScenario(c=0.8, n=300, seed=0)
     curves, y, _ = generate_replication(scenario, 0)
     curve_rows = []
-    for i, row in enumerate(curves):
+    for i in range(scenario.n):
         sid = f"s{i:03d}"
-        for m, curve in enumerate(row):
-            for t, value in zip(curve.grid, curve.values):
+        for m, (block,) in enumerate(curves):
+            for t, value in zip(block.grid, block.values[i]):
                 curve_rows.append((sid, f"p{m}", repr(float(t)), repr(float(value))))
     curves_path = directory / "curves.csv"
     responses_path = directory / "responses.csv"
@@ -80,8 +81,11 @@ class TestIngest:
         )
         assert sample_ids == ["a", "b"]
         assert predictor_ids == ["x"]
-        assert len(curves) == 2 and len(curves[0]) == 1
+        # one predictor; both samples share a grid, so one two-row block
+        assert len(curves) == 1 and len(curves[0]) == 1
         assert curves[0][0].grid == pytest.approx([0.0, 0.5, 1.0])
+        assert curves[0][0].values.shape == (2, 3)
+        assert curves[0][0].values[1] == pytest.approx([4.0, 5.0, 6.0])
         assert y == pytest.approx([1.5, 2.5])
 
     def test_rows_sorted_by_t(self, tmp_path):
@@ -95,7 +99,8 @@ class TestIngest:
         curves, _, _, _ = ingest_long_csv(
             str(curves_path), str(responses_path), JobConfig(mode="select")
         )
-        assert curves[0][0].values == pytest.approx([1.0, 2.0, 3.0])
+        assert curves[0][0].values.shape == (1, 3)
+        assert curves[0][0].values[0] == pytest.approx([1.0, 2.0, 3.0])
 
     def test_missing_response_names_sample(self, tmp_path):
         curves_path = tmp_path / "c.csv"
@@ -175,6 +180,83 @@ class TestIngest:
         with pytest.raises(DataError, match="sample 'b' has no rows for predictor 'w'"):
             ingest_long_csv(str(curves_path), str(responses_path), JobConfig(mode="select"))
 
+    @pytest.mark.parametrize(
+        "layout, run_lengths",
+        [
+            ("shared", [40]),
+            ("ragged", [1] * 40),
+            # runs of the regular grid interrupted by one other shared grid
+            # (sample 10) and by five curves on grids of their own (20-24)
+            ("mixed", [10, 1, 9, 1, 1, 1, 1, 1, 15]),
+        ],
+    )
+    def test_grouped_smoothing_matches_per_curve_oracle(self, tmp_path, layout, run_lengths):
+        # predictor p0 follows the layout, p1 is always on the regular grid
+        rng = np.random.default_rng(34)
+        n = 40
+        regular = np.linspace(0.0, 1.0, 15)
+        other = np.linspace(0.0, 1.0, 18)
+
+        def jittered():
+            grid = regular.copy()
+            grid[1:-1] += rng.uniform(-0.02, 0.02, grid.size - 2)
+            return grid
+
+        if layout == "shared":
+            grids = [regular] * n
+        elif layout == "ragged":
+            grids = [jittered() for _ in range(n)]
+        else:
+            grids = [regular] * n
+            grids[10] = other
+            grids[20:25] = [jittered() for _ in range(5)]
+        observed = {}
+        rows = []
+        for i in range(n):
+            for pid, grid in (("p0", grids[i]), ("p1", regular)):
+                values = rng.normal(size=grid.size)
+                observed[i, pid] = (grid, values)
+                for t, v in zip(grid, values):
+                    rows.append((f"s{i:02d}", pid, repr(float(t)), repr(float(v))))
+        curves_path = tmp_path / "c.csv"
+        responses_path = tmp_path / "r.csv"
+        write_curves(curves_path, rows)
+        write_responses(responses_path, [(f"s{i:02d}", 0.0) for i in range(n)])
+
+        curves, y, _, predictor_ids = ingest_long_csv(
+            str(curves_path), str(responses_path), JobConfig(mode="select")
+        )
+        assert predictor_ids == ["p0", "p1"]
+        assert [block.num_curves for block in curves[0]] == run_lengths
+        assert [block.num_curves for block in curves[1]] == [n]
+        basis = make_uniform_basis(0.0, 1.0, degree=3, num_basis=6)
+        data = build_dataset(curves, y, [basis, basis])
+        for m, pid in enumerate(predictor_ids):
+            for i in range(n):
+                oracle = smooth_lstsq(*observed[i, pid], basis)
+                gap = np.max(np.abs(data.coefs[m][i] - oracle))
+                assert gap <= 1e-12 * np.max(np.abs(oracle))
+
+    def test_bad_grid_inside_a_run_names_the_sample(self, tmp_path, capsys):
+        # sample 4 of 20 has too few points for the basis; samples 0-3 and
+        # 5-19 share the regular grid
+        rng = np.random.default_rng(35)
+        rows = []
+        for i in range(20):
+            grid = np.linspace(0.0, 1.0, 4 if i == 4 else 12)
+            for t, v in zip(grid, rng.normal(size=grid.size)):
+                rows.append((f"s{i:02d}", "p0", repr(float(t)), repr(float(v))))
+        curves_path = tmp_path / "c.csv"
+        responses_path = tmp_path / "r.csv"
+        write_curves(curves_path, rows)
+        write_responses(responses_path, [(f"s{i:02d}", float(i)) for i in range(20)])
+        code = main(
+            ["--mode", "select", "--curves", str(curves_path),
+             "--responses", str(responses_path), "--method", "bc", "--q", "0.05"]
+        )
+        assert code == 2
+        assert "sample 4, predictor 0: grid has 4 points" in capsys.readouterr().err
+
 
 class TestRoundTrip:
     def test_smoothed_coefficients_survive_the_csv_format(self, tmp_path):
@@ -208,9 +290,9 @@ class TestRoundTrip:
         assert data.n == n
         for i in range(0, n, 13):
             for m in range(num_pred):
-                direct = smooth_curve(
-                    RawCurve(grid=grid, values=np.asarray(originals[i][m])), basis
-                )
+                direct = smooth_block(
+                    CurveBlock(grid=grid, values=np.asarray(originals[i][m])[None, :]), basis
+                )[0]
                 assert np.max(np.abs(data.coefs[m][i] - direct)) < 1e-12
 
 
@@ -420,6 +502,37 @@ class TestConfigFile:
         assert report["method"] == "bc"
         assert report["replications"] == 2
 
+    def test_override_keeps_predictor_id_as_written(self, tmp_path):
+        # '-' in the option name reads as '_', but not in the predictor id
+        rng = np.random.default_rng(36)
+        grid = np.linspace(0.0, 1.0, 9)
+        rows = []
+        for i in range(20):
+            for t, v in zip(grid, rng.normal(size=grid.size)):
+                rows.append((f"s{i:02d}", "TEMP-MAX", repr(float(t)), repr(float(v))))
+        curves_path = tmp_path / "c.csv"
+        responses_path = tmp_path / "r.csv"
+        write_curves(curves_path, rows)
+        write_responses(responses_path, [(f"s{i:02d}", float(i)) for i in range(20)])
+        config_path = tmp_path / "job.cfg"
+        config_path.write_text(
+            "basis-size.TEMP-MAX = 4\n"
+            "degree.TEMP-MAX = 2\n"
+            "domain.TEMP-MAX = 0:1\n"
+            "bootstrap-b = 7\n"
+        )
+        argv = ["--config", str(config_path), "--mode", "select", "--curves",
+                str(curves_path), "--responses", str(responses_path)]
+        config = _build_config(_make_parser().parse_args(argv))
+        assert config.basis_size_overrides == {"TEMP-MAX": 4}
+        assert config.degree_overrides == {"TEMP-MAX": 2}
+        assert config.domain_overrides == {"TEMP-MAX": (0.0, 1.0)}
+        assert config.bootstrap_b == 7
+        out = tmp_path / "select.jsonl"
+        assert main(argv + ["--method", "bc", "--q", "0.05", "--out", str(out)]) == 0
+        record = json.loads(out.read_text().splitlines()[0])
+        assert record["predictor"] == "TEMP-MAX" and record["dof"] == 4
+
     def test_malformed_config_is_usage_error(self, tmp_path):
         config_path = tmp_path / "job.cfg"
         config_path.write_text("mode simulate\n")
@@ -450,18 +563,33 @@ class TestExitCodes:
             ["--degree", "-1"],
             ["--basis-size", "3"],
             ["--basis-size", "2", "--degree", "2"],
+            # per-predictor overrides: config file lines, then the message
+            ["--config", "degree.p0 = -1", "degree.p0 must be >= 0"],
+            ["--config", "basis_size.p0 = 3", "basis_size.p0 must be >= 4"],
+            ["--config", "degree.p0 = 6", "basis_size.p0 must be >= 7"],
+            ["--config", "basis_size.p0 = 3\ndegree.p0 = 3", "basis_size.p0 must be >= 4"],
+            ["--config", "domain.p0 = 1:0", "domain.p0 must be finite with lo < hi"],
+            ["--config", "domain.p0 = 0:inf", "domain.p0 must be finite with lo < hi"],
+            ["--config", "domain.p0 = nan:1", "domain.p0 must be finite with lo < hi"],
         ],
     )
     def test_out_of_range_option_is_usage_error(self, tmp_path, capsys, flags):
         # the files do not exist: exit 1 rather than 2 shows that the option
         # is rejected before any input is read
+        if flags[0] == "--config":
+            config_path = tmp_path / "job.cfg"
+            config_path.write_text(flags[1] + "\n")
+            expected = flags[2]
+            flags = ["--config", str(config_path)]
+        else:
+            expected = f"{flags[0]} must be >="
         for mode in ("simulate", "bootstrap"):
             code = main(
                 ["--mode", mode, "--curves", str(tmp_path / "nope.csv"),
                  "--responses", str(tmp_path / "nope2.csv"), *flags]
             )
             assert code == 1
-            assert f"{flags[0]} must be >=" in capsys.readouterr().err
+            assert expected in capsys.readouterr().err
 
     def test_escaping_linalg_error_is_numerical_error(self, monkeypatch):
         # numpy's LinAlgError subclasses ValueError, the usage-error type

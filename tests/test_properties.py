@@ -1,4 +1,5 @@
-"""Property-based checks of the likelihood-ratio statistics from ``test_all``.
+"""Property-based checks of the likelihood-ratio statistics from ``test_all``
+and of the selection rules.
 
 The statistics are read off the single full fit; these properties hold for
 every design and response, so they are checked on random instances rather
@@ -6,10 +7,13 @@ than at fixed points. ``derandomize=True`` keeps the examples, and so the
 suite, the same from run to run.
 """
 
+import math
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from funcsel import HypothesisTest, select_bonferroni, select_fdr
 from funcsel.design import DesignMatrix
 from funcsel.inference import test_all as run_test_all
 
@@ -97,3 +101,26 @@ def test_invariant_to_invertible_map_within_block(instance, block):
     mapped = DesignMatrix(values=values, block_offsets=design.block_offsets)
     base = _statistics(design, y)
     assert _relative_gap(_statistics(mapped, y), base) < REL_TOL
+
+
+p_value_vectors = st.lists(
+    st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 0.05)), min_size=1, max_size=12
+)
+
+
+@property_settings
+@given(p_value_vectors, st.floats(1e-6, 1.0))
+# Bonferroni at q=0.05 selects {0} here while the FDR rule at the same q
+# selects nothing, so containment needs the level scaled by H_M
+@example([0.0075] + [0.9] * 5, 0.05)
+def test_fdr_at_harmonic_level_contains_bonferroni(p_values, q):
+    num_tests = len(p_values)
+    harmonic = sum(1.0 / l for l in range(1, num_tests + 1))
+    assume(q * harmonic < 1.0)
+    tests = [
+        HypothesisTest(predictor_index=m, statistic=math.nan, dof=1, p_value=p)
+        for m, p in enumerate(p_values)
+    ]
+    bonferroni = set(select_bonferroni(tests, q).selected)
+    fdr = set(select_fdr(tests, q * harmonic).selected)
+    assert bonferroni <= fdr

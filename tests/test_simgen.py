@@ -62,10 +62,10 @@ class TestGenerateReplication:
         betas = coefficient_functions(0.8)
         # observed values equal the true curves exactly
         for m in range(NUM_PREDICTORS):
-            grid = curves[0][m].grid
-            exact = _curve_values(params, m, grid)
+            (block,) = curves[m]
+            exact = _curve_values(params, m, block.grid)
             for i in (0, 17, 59):
-                assert curves[i][m].values == pytest.approx(exact[i], abs=0.0)
+                assert block.values[i] == pytest.approx(exact[i], abs=0.0)
         # responses equal the sum of integrals, via a fine-trapezoid oracle
         oracle = np.zeros(60)
         for m, (lo, hi) in enumerate(DOMAINS):
@@ -110,7 +110,8 @@ class TestGenerateReplication:
         a_curves, a_y, _ = generate_replication(scenario, 3)
         b_curves, b_y, _ = generate_replication(scenario, 3)
         assert np.array_equal(a_y, b_y)
-        assert np.array_equal(a_curves[10][2].values, b_curves[10][2].values)
+        for (a_block,), (b_block,) in zip(a_curves, b_curves):
+            assert np.array_equal(a_block.values, b_block.values)
 
     def test_replications_independent(self):
         scenario = SimScenario(c=0.4, n=60, seed=9)
@@ -121,10 +122,12 @@ class TestGenerateReplication:
     def test_grid_shape(self):
         scenario = SimScenario(c=0.0, n=55, seed=2, grid_size=50)
         curves, y, _ = generate_replication(scenario, 0)
-        assert len(curves) == 55
-        assert len(curves[0]) == NUM_PREDICTORS
+        # one block per predictor, holding all 55 curves on its grid
+        assert len(curves) == NUM_PREDICTORS
         for m, (lo, hi) in enumerate(DOMAINS):
-            grid = curves[0][m].grid
+            (block,) = curves[m]
+            assert block.values.shape == (55, 50)
+            grid = block.grid
             assert grid.size == 50
             assert grid[0] == lo and grid[-1] == hi
 
