@@ -24,9 +24,9 @@ def main() -> None:
 
     gram = gram_matrix(spec)
     print("\nGram matrix J (inner products of basis functions):")
-    for row in gram.values:
+    for row in gram:
         print("  " + "  ".join(f"{v:.5f}" for v in row))
-    print(f"total mass sum(J) = {gram.values.sum():.6f} "
+    print(f"total mass sum(J) = {gram.sum():.6f} "
           f"(equals the domain length {spec.domain_hi - spec.domain_lo})")
 
 

@@ -15,7 +15,6 @@ from funcsel import (
     build_dataset,
     build_design,
     fit_ols,
-    gram_matrix,
     make_uniform_basis,
     select_bonferroni,
     select_fdr,
@@ -37,11 +36,10 @@ def main() -> None:
     bases = tuple(
         make_uniform_basis(lo, hi, degree=3, num_basis=6) for lo, hi in DOMAINS
     )
-    grams = tuple(gram_matrix(spec) for spec in bases)
     data = build_dataset(curves, y, bases)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConditionWarning)
-        design = build_design(data, grams)
+        design = build_design(data)
     print(f"design: n={design.n}, k={design.k} "
           f"(intercept + {design.num_predictors} blocks of 6)")
 

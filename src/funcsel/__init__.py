@@ -8,7 +8,6 @@ Bonferroni or step-up false-discovery-rate corrections.
 
 from .bspline import (
     BasisSpec,
-    GramMatrix,
     evaluate_basis,
     evaluate_basis_matrix,
     gram_matrix,
@@ -29,7 +28,7 @@ from .inference import (
     test_all,
     test_predictor,
 )
-from .linmodel import FitResult, fit_ols, noncentrality
+from .linmodel import FitResult, fit_ols
 from .selection import (
     SelectionResult,
     default_q,
@@ -50,7 +49,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BasisSpec",
-    "GramMatrix",
     "evaluate_basis",
     "evaluate_basis_matrix",
     "gram_matrix",
@@ -69,7 +67,6 @@ __all__ = [
     "test_predictor",
     "FitResult",
     "fit_ols",
-    "noncentrality",
     "SelectionResult",
     "default_q",
     "select",

@@ -4,7 +4,10 @@ A basis is described by an immutable :class:`BasisSpec`. Evaluation uses the
 Cox-de Boor triangular scheme, run on all points of a call at once; the Gram
 matrix of pairwise basis integrals is computed with Gauss-Legendre quadrature
 per knot span, which is exact for the piecewise-polynomial integrand (degree+1
-nodes integrate polynomials of degree 2*degree exactly).
+nodes integrate polynomials of degree 2*degree exactly). It is cached per
+basis, and :func:`~funcsel.design.build_design` reads it there for each
+predictor, so callers never build or pass Gram matrices. The design's rank is
+checked once per fit, in :func:`~funcsel.linmodel.fit_ols`.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import numpy as np
 
 __all__ = [
     "BasisSpec",
-    "GramMatrix",
     "make_uniform_basis",
     "evaluate_basis",
     "evaluate_basis_matrix",
@@ -76,14 +78,6 @@ class BasisSpec:
     def breakpoints(self) -> np.ndarray:
         """Distinct knot values, i.e. the knot-span boundaries."""
         return np.unique(self.knot_array)
-
-
-@dataclass(frozen=True, eq=False)
-class GramMatrix:
-    """Matrix of pairwise basis-function integrals over the domain."""
-
-    values: np.ndarray
-    basis: BasisSpec
 
 
 def make_uniform_basis(
@@ -156,7 +150,11 @@ def evaluate_basis_matrix(spec: BasisSpec, ts: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def _gram_values(spec: BasisSpec) -> np.ndarray:
+def gram_matrix(spec: BasisSpec) -> np.ndarray:
+    """Exact cross-product matrix of the basis, entry (i,j) = integral of phi_i*phi_j.
+
+    Cached per basis; the returned array is read-only and shared by callers.
+    """
     nodes, weights = np.polynomial.legendre.leggauss(spec.degree + 1)
     p = spec.num_basis
     gram = np.zeros((p, p))
@@ -172,8 +170,3 @@ def _gram_values(spec: BasisSpec) -> np.ndarray:
     gram[np.abs(i - j) > spec.degree] = 0.0
     gram.setflags(write=False)
     return gram
-
-
-def gram_matrix(spec: BasisSpec) -> GramMatrix:
-    """Exact cross-product matrix of the basis, entry (i,j) = integral of phi_i*phi_j."""
-    return GramMatrix(values=_gram_values(spec), basis=spec)

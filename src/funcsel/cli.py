@@ -20,11 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bspline import BasisSpec, make_uniform_basis, gram_matrix
+from .bspline import BasisSpec, make_uniform_basis
 from .design import DesignMatrix, build_design
 from .errors import DataError, NumericalError
 from .inference import test_all
-from .selection import check_method, default_q, select
+from .selection import check_method, check_q, default_q, select
 from .simgen import SimScenario, run_monte_carlo
 from .smoothing import CurveBlock, build_dataset
 
@@ -71,10 +71,7 @@ class JobConfig:
     def resolve_q(self, n: int, num_predictors: int) -> float:
         if self.q == "auto":
             return default_q(n, num_predictors)
-        value = float(self.q)
-        if not 0.0 < value < 1.0:
-            raise ValueError(f"q must lie in (0, 1), got {value}")
-        return value
+        return check_q(float(self.q))
 
 
 @dataclass(frozen=True)
@@ -242,9 +239,7 @@ def _selection_pipeline(config: JobConfig):
         config.curves, config.responses, config
     )
     bases = _bases_for(config, predictor_ids, curves)
-    data = build_dataset(curves, y, bases)
-    grams = tuple(gram_matrix(spec) for spec in bases)
-    design = build_design(data, grams)
+    design = build_design(build_dataset(curves, y, bases))
     return design, y, predictor_ids
 
 
@@ -476,7 +471,7 @@ def _build_config(args: argparse.Namespace) -> JobConfig:
                 f"domain.{predictor} must be finite with lo < hi, got {lo}:{hi}"
             )
     if config.q != "auto":
-        float(config.q)  # fail early on junk
+        check_q(float(config.q))
     return config
 
 

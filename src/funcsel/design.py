@@ -2,7 +2,8 @@
 
 Row i of the design is (1, W_i1' J_1, ..., W_iM' J_M): the intercept followed
 by one block per predictor, each block being the coefficient vector multiplied
-by that predictor's basis Gram matrix.
+by the Gram matrix of that predictor's basis. Assembly does not check the
+rank; :func:`~funcsel.linmodel.fit_ols` does, once per fit, from its R factor.
 """
 
 from __future__ import annotations
@@ -10,17 +11,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .bspline import GramMatrix
-from .errors import ConditionWarning, RankDeficiencyError
+from .bspline import gram_matrix
+from .errors import ConditionWarning
 from .smoothing import FunctionalDataset
 
 __all__ = ["DesignMatrix", "build_design"]
-
-_RANK_RTOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,35 +52,19 @@ class DesignMatrix:
         return self.block_offsets[m + 1] - self.block_offsets[m]
 
 
-def build_design(data: FunctionalDataset, grams: Sequence[GramMatrix]) -> DesignMatrix:
-    """Build the design matrix and verify its numerical rank.
+def build_design(data: FunctionalDataset) -> DesignMatrix:
+    """Build the design matrix from the dataset's coefficients and bases.
 
-    Emits :class:`ConditionWarning` when k exceeds sqrt(n)/log(n); raises
-    :class:`RankDeficiencyError` when the relative smallest singular value
-    falls below 1e-10.
+    Emits :class:`ConditionWarning` when k exceeds sqrt(n)/log(n).
     """
-    grams = tuple(grams)
-    if len(grams) != data.num_predictors:
-        raise ValueError(
-            f"got {len(grams)} Gram matrices for {data.num_predictors} predictors"
-        )
-    for m, gram in enumerate(grams):
-        if gram.basis != data.bases[m]:
-            raise ValueError(f"Gram matrix {m} was not built from the dataset's basis {m}")
     n = data.n
     blocks = [np.ones((n, 1))]
     offsets = [1]
-    for m, gram in enumerate(grams):
-        blocks.append(data.coefs[m] @ gram.values)
-        offsets.append(offsets[-1] + gram.values.shape[0])
+    for coefs, spec in zip(data.coefs, data.bases):
+        blocks.append(coefs @ gram_matrix(spec))
+        offsets.append(offsets[-1] + spec.num_basis)
     values = np.hstack(blocks)
     k = values.shape[1]
-    sv = np.linalg.svd(values, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] / sv[0] < _RANK_RTOL:
-        raise RankDeficiencyError(
-            f"design matrix is numerically rank deficient: smallest/largest singular "
-            f"value {sv[-1] / sv[0] if sv[0] else 0.0:.3e} < {_RANK_RTOL:.0e}"
-        )
     if k > math.sqrt(n) / math.log(n):
         warnings.warn(
             f"parameter count k = 1 + sum(p_m) = {k} exceeds sqrt(n)/log(n) = "

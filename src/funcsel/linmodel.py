@@ -1,8 +1,12 @@
-"""Least squares on the assembled design, and noncentrality of the tests.
+"""Least squares on the assembled design, with the one rank check of a design.
 
-The full fit uses one QR decomposition Z = QR and keeps R^{-1}, so that
-every block of V = (Z'Z)^{-1} = R^{-1} R^{-T}, which the per-predictor tests
-need, follows without refitting.
+The fit takes one R-only QR decomposition of the augmented matrix [Z | y]:
+its leading k x k block R_zz is the R factor of Z, its last column holds Q'y
+in the first k rows and the residual norm in row k, so the coefficients are
+R_zz^{-1} (Q'y) and RSS = R[k, k]^2 without forming Q or the fitted values.
+R_zz has the singular values of Z, so the rank check reads them there. The
+inverse R_zz^{-1} is kept, so that every block of V = (Z'Z)^{-1} =
+R^{-1} R^{-T}, which the per-predictor tests need, follows without refitting.
 """
 
 from __future__ import annotations
@@ -13,9 +17,11 @@ import numpy as np
 import scipy.linalg
 
 from .design import DesignMatrix
-from .errors import NumericalError
+from .errors import NumericalError, RankDeficiencyError
 
-__all__ = ["FitResult", "fit_ols", "noncentrality"]
+__all__ = ["FitResult", "fit_ols"]
+
+_RANK_RTOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,7 +36,6 @@ class FitResult:
     r_inv: np.ndarray
     rss: float
     sigma2_tilde: float
-    fitted: np.ndarray
     n: int
     k: int
     block_offsets: tuple[int, ...]
@@ -45,50 +50,32 @@ class FitResult:
 
 
 def fit_ols(design: DesignMatrix, y: np.ndarray) -> FitResult:
-    """Ordinary least squares via QR."""
+    """Ordinary least squares from one QR of [Z | y].
+
+    Raises :class:`RankDeficiencyError` when the relative smallest singular
+    value of the design falls below 1e-10.
+    """
     y = np.asarray(y, dtype=float)
     n, k = design.values.shape
     if y.shape != (n,):
         raise ValueError(f"response shape {y.shape} does not match design rows {n}")
     if n <= k:
         raise NumericalError(f"need n > k, got n={n}, k={k}")
-    q, r = np.linalg.qr(design.values)
-    diag = np.abs(np.diag(r))
-    if diag.min() <= 1e-12 * max(diag.max(), 1.0):
-        raise NumericalError("design matrix is rank deficient; cannot fit")
-    r_inv = scipy.linalg.solve_triangular(r, np.eye(k))
-    coef = r_inv @ (q.T @ y)
-    fitted = design.values @ coef
-    resid = y - fitted
-    rss = float(resid @ resid)
+    r = np.linalg.qr(np.column_stack([design.values, y]), mode="r")
+    sv = np.linalg.svd(r[:k, :k], compute_uv=False)
+    if sv[0] == 0.0 or sv[-1] / sv[0] < _RANK_RTOL:
+        raise RankDeficiencyError(
+            f"design matrix is numerically rank deficient: smallest/largest singular "
+            f"value {sv[-1] / sv[0] if sv[0] else 0.0:.3e} < {_RANK_RTOL:.0e}"
+        )
+    r_inv = scipy.linalg.solve_triangular(r[:k, :k], np.eye(k))
+    rss = float(r[k, k] ** 2)
     return FitResult(
-        coefficients=coef,
+        coefficients=r_inv @ r[:k, k],
         r_inv=r_inv,
         rss=rss,
         sigma2_tilde=rss / n,
-        fitted=fitted,
         n=n,
         k=k,
         block_offsets=design.block_offsets,
     )
-
-
-def noncentrality(
-    design: DesignMatrix, b: np.ndarray, sigma2: float, r: int
-) -> float:
-    """Noncentrality b'Z'(P - P0)Zb / sigma2 for the test of predictor r.
-
-    Computed as the squared residual of projecting Zb onto the restricted
-    column space, which avoids forming the projection matrices.
-    """
-    if sigma2 <= 0:
-        raise ValueError(f"sigma2 must be positive, got {sigma2}")
-    z = design.values
-    mu = z @ np.asarray(b, dtype=float)
-    sl = design.block_slice(r)
-    keep = np.ones(design.k, dtype=bool)
-    keep[sl] = False
-    z0 = z[:, keep]
-    coef0, *_ = np.linalg.lstsq(z0, mu, rcond=None)
-    resid = mu - z0 @ coef0
-    return float(resid @ resid) / sigma2

@@ -17,6 +17,7 @@ from .inference import HypothesisTest
 __all__ = [
     "SelectionResult",
     "check_method",
+    "check_q",
     "select",
     "select_bonferroni",
     "select_fdr",
@@ -39,14 +40,9 @@ class SelectionResult:
     s: int | None
 
 
-def _check_q(q: float) -> None:
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"q must lie in (0, 1), got {q}")
-
-
 def select_bonferroni(tests: Sequence[HypothesisTest], q: float) -> SelectionResult:
     """Select predictors whose p-value is at most q/M."""
-    _check_q(q)
+    check_q(q)
     tests = tuple(tests)
     if not tests:
         raise ValueError("no tests supplied")
@@ -64,7 +60,7 @@ def select_fdr(tests: Sequence[HypothesisTest], q: float) -> SelectionResult:
 
     Ties in the p-value sort are broken by predictor index for determinism.
     """
-    _check_q(q)
+    check_q(q)
     tests = tuple(tests)
     if not tests:
         raise ValueError("no tests supplied")
@@ -86,6 +82,13 @@ def check_method(method: str) -> str:
     if name not in ("bc", "bonferroni", "fdr"):
         raise ValueError(f"unknown method {method!r}; use 'bc' or 'fdr'")
     return name
+
+
+def check_q(q: float) -> float:
+    """The selection level q, which must lie in the open interval (0, 1)."""
+    if not 0.0 < q < 1.0:
+        raise ValueError(f"q must lie in (0, 1), got {q}")
+    return q
 
 
 def select(method: str, tests: Sequence[HypothesisTest], q: float) -> SelectionResult:

@@ -25,11 +25,11 @@ from typing import Callable
 
 import numpy as np
 
-from .bspline import make_uniform_basis, gram_matrix
+from .bspline import make_uniform_basis
 from .design import build_design
 from .errors import ConditionWarning, DataError, NumericalError
 from .inference import test_all
-from .selection import check_method, select
+from .selection import check_method, check_q, select
 from .smoothing import CurveBlock, build_dataset
 
 __all__ = [
@@ -79,6 +79,8 @@ class SimScenario:
             raise ValueError("noise multipliers must be nonnegative")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        if not math.isfinite(self.c):
+            raise ValueError(f"signal strength c must be finite, got {self.c}")
 
 
 @dataclass(frozen=True)
@@ -248,17 +250,15 @@ def _reduced_prediction(
     return z_test[:, columns] @ coef
 
 
-def _run_one_replication(scenario: SimScenario, method: str, q: float, rep: int, bases, grams):
+def _run_one_replication(scenario: SimScenario, method: str, q: float, rep: int, bases):
     curves, y, truth = generate_replication(scenario, rep)
-    data = build_dataset(curves, y, bases)
-    design = build_design(data, grams)
+    design = build_design(build_dataset(curves, y, bases))
     result = select(method, test_all(design, y), q)
     correct = set(result.selected) == set(truth.true_indices)
 
     # out-of-sample MSE of the model refit on the selected predictors only
     curves_test, y_test, _ = generate_replication(scenario, rep + _TEST_STREAM_OFFSET)
-    data_test = build_dataset(curves_test, y_test, bases)
-    design_test = build_design(data_test, grams)
+    design_test = build_design(build_dataset(curves_test, y_test, bases))
     columns = [0]
     for m in result.selected:
         columns.extend(range(*design.block_slice(m).indices(design.k)))
@@ -287,14 +287,12 @@ def run_monte_carlo(
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
     method = check_method(method)
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"q must lie in (0, 1), got {q}")
+    check_q(q)
     bases = tuple(make_uniform_basis(lo, hi, degree=3, num_basis=6) for lo, hi in DOMAINS)
-    grams = tuple(gram_matrix(spec) for spec in bases)
 
     def worker(rep: int):
         try:
-            return _run_one_replication(scenario, method, q, rep, bases, grams)
+            return _run_one_replication(scenario, method, q, rep, bases)
         except (NumericalError, DataError):
             return None
 

@@ -38,23 +38,22 @@ def synthetic_design(scenario, rep: int = 0):
     curves, y, truth = generate_replication(scenario, rep)
     bases = standard_bases()
     data = build_dataset(curves, y, bases)
-    grams = tuple(gram_matrix(spec) for spec in bases)
-    design = quiet(build_design, data, grams)
+    design = quiet(build_design, data)
     return design, y, data, truth
 
 
-def project_coefficients(bases, grams, betas) -> np.ndarray:
+def project_coefficients(bases, betas) -> np.ndarray:
     """Stacked coefficient vector (intercept 0) whose blocks are the
     least-squares basis representations of the given coefficient functions:
     block m solves J_m b_m = integral of phi_m * beta_m."""
     blocks = [np.zeros(1)]
     nodes, weights = np.polynomial.legendre.leggauss(80)
-    for spec, gram, beta in zip(bases, grams, betas):
+    for spec, beta in zip(bases, betas):
         half = 0.5 * (spec.domain_hi - spec.domain_lo)
         ts = 0.5 * (spec.domain_hi + spec.domain_lo) + half * nodes
         phi = evaluate_basis_matrix(spec, ts)
         v = phi.T @ (half * weights * beta(ts))
-        blocks.append(np.linalg.solve(gram.values, v))
+        blocks.append(np.linalg.solve(gram_matrix(spec), v))
     return np.concatenate(blocks)
 
 
@@ -64,7 +63,6 @@ def random_design(rng: np.random.Generator, n: int, block_sizes: tuple[int, ...]
     bases = tuple(
         make_uniform_basis(0.0, 1.0, degree=3, num_basis=p) for p in block_sizes
     )
-    grams = tuple(gram_matrix(spec) for spec in bases)
     grid = np.linspace(0.0, 1.0, 24)
     # drawn sample by sample, then predictor by predictor
     draws = [[rng.normal(0.0, 1.0, spec.num_basis) for spec in bases] for _ in range(n)]
@@ -75,7 +73,7 @@ def random_design(rng: np.random.Generator, n: int, block_sizes: tuple[int, ...]
     ]
     y = rng.normal(0.0, 1.0, n)
     data = build_dataset(curves, y, bases)
-    design = quiet(build_design, data, grams)
+    design = quiet(build_design, data)
     return design, y
 
 

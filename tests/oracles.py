@@ -9,6 +9,9 @@ long way, so the tests can check the package against them:
 - ``projection_matrices``: explicit projections onto the full and the
   restricted column spaces, O(n^2) memory, for small instances only.
 
+``noncentrality`` is the noncentrality of a test under a known truth, from
+an ``lstsq`` projection onto the restricted column space.
+
 ``smooth_lstsq`` is the reference for the smoothing layer: one curve at a
 time, scipy's B-spline design matrix and ``lstsq``, sharing no code with the
 package's block smoother.
@@ -101,6 +104,27 @@ def column_deletion_rss(design: DesignMatrix, y: np.ndarray, r: int) -> float:
     coef, *_ = np.linalg.lstsq(design.values[:, keep], y, rcond=None)
     resid = y - design.values[:, keep] @ coef
     return float(resid @ resid)
+
+
+def noncentrality(
+    design: DesignMatrix, b: np.ndarray, sigma2: float, r: int
+) -> float:
+    """Noncentrality b'Z'(P - P0)Zb / sigma2 for the test of predictor r.
+
+    Computed as the squared residual of projecting Zb onto the restricted
+    column space, which avoids forming the projection matrices.
+    """
+    if sigma2 <= 0:
+        raise ValueError(f"sigma2 must be positive, got {sigma2}")
+    z = design.values
+    mu = z @ np.asarray(b, dtype=float)
+    sl = design.block_slice(r)
+    keep = np.ones(design.k, dtype=bool)
+    keep[sl] = False
+    z0 = z[:, keep]
+    coef0, *_ = np.linalg.lstsq(z0, mu, rcond=None)
+    resid = mu - z0 @ coef0
+    return float(resid @ resid) / sigma2
 
 
 def smooth_lstsq(grid: np.ndarray, values: np.ndarray, spec: BasisSpec) -> np.ndarray:

@@ -18,7 +18,6 @@ from funcsel import (
     gram_matrix,
     make_uniform_basis,
     noncentral_chisq_cdf,
-    noncentrality,
     select_bonferroni,
     select_fdr,
 )
@@ -34,7 +33,7 @@ from conftest import (
     standard_bases,
     synthetic_design,
 )
-from oracles import column_deletion_rss, projection_matrices
+from oracles import column_deletion_rss, noncentrality, projection_matrices
 from test_bspline import trapezoid_gram
 from test_selection import brute_force_bonferroni, brute_force_fdr
 
@@ -176,8 +175,7 @@ def signal_model():
     strong-signal scenario: responses are generated as Z b + noise with b the
     basis projection of the true coefficient functions."""
     bases = standard_bases()
-    grams = tuple(gram_matrix(spec) for spec in bases)
-    b_true = project_coefficients(bases, grams, coefficient_functions(0.8))
+    b_true = project_coefficients(bases, coefficient_functions(0.8))
 
     datasets = []
     scenario = SimScenario(c=0.8, n=300, seed=SEED)
@@ -306,7 +304,7 @@ class TestCriterion5OracleEquivalences:
                 if num_basis <= degree:
                     continue
                 spec = make_uniform_basis(-1.0, 2.0, degree=degree, num_basis=num_basis)
-                gap = np.max(np.abs(gram_matrix(spec).values - trapezoid_gram(spec)))
+                gap = np.max(np.abs(gram_matrix(spec) - trapezoid_gram(spec)))
                 worst = max(worst, float(gap))
         ok = worst < 1e-8
         report(

@@ -157,28 +157,28 @@ class TestEvaluateBasis:
 class TestGramMatrix:
     def test_degree0_halves(self):
         spec = make_uniform_basis(0.0, 1.0, degree=0, num_basis=2)
-        assert gram_matrix(spec).values == pytest.approx(np.diag([0.5, 0.5]))
+        assert gram_matrix(spec) == pytest.approx(np.diag([0.5, 0.5]))
 
     def test_degree1_hats(self):
         spec = make_uniform_basis(0.0, 1.0, degree=1, num_basis=2)
         expected = np.array([[1 / 3, 1 / 6], [1 / 6, 1 / 3]])
-        assert gram_matrix(spec).values == pytest.approx(expected, abs=1e-14)
+        assert gram_matrix(spec) == pytest.approx(expected, abs=1e-14)
 
     def test_cubic_against_trapezoid_oracle(self):
         spec = make_uniform_basis(0.0, 1.0, degree=3, num_basis=6)
-        gap = np.abs(gram_matrix(spec).values - trapezoid_gram(spec))
+        gap = np.abs(gram_matrix(spec) - trapezoid_gram(spec))
         assert gap.max() < 1e-8
 
     @pytest.mark.parametrize("degree,num_basis", [(0, 5), (1, 7), (2, 9), (3, 12)])
     def test_trapezoid_oracle_various_sizes(self, degree, num_basis):
         spec = make_uniform_basis(-2.0, 1.0, degree=degree, num_basis=num_basis)
-        gap = np.abs(gram_matrix(spec).values - trapezoid_gram(spec))
+        gap = np.abs(gram_matrix(spec) - trapezoid_gram(spec))
         assert gap.max() < 1e-8
 
     def test_symmetric_psd_banded(self):
         for degree in range(4):
             spec = make_uniform_basis(0.0, 2.5, degree=degree, num_basis=degree + 5)
-            values = gram_matrix(spec).values
+            values = gram_matrix(spec)
             assert np.max(np.abs(values - values.T)) <= 1e-12
             assert np.linalg.eigvalsh(values).min() >= -1e-10
             i, j = np.indices(values.shape)
@@ -186,8 +186,11 @@ class TestGramMatrix:
 
     def test_total_mass_is_domain_length(self):
         spec = make_uniform_basis(-1.0, 3.0, degree=3, num_basis=9)
-        assert gram_matrix(spec).values.sum() == pytest.approx(4.0, abs=1e-10)
+        assert gram_matrix(spec).sum() == pytest.approx(4.0, abs=1e-10)
 
-    def test_keeps_reference_to_basis(self):
+    def test_cached_and_read_only(self):
         spec = make_uniform_basis(0.0, 1.0, degree=2, num_basis=5)
-        assert gram_matrix(spec).basis == spec
+        gram = gram_matrix(spec)
+        assert gram_matrix(make_uniform_basis(0.0, 1.0, degree=2, num_basis=5)) is gram
+        with pytest.raises(ValueError):
+            gram[0, 0] = 1.0

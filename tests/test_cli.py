@@ -9,7 +9,6 @@ from funcsel import (
     DataError,
     build_dataset,
     build_design,
-    gram_matrix,
     make_uniform_basis,
     select_bonferroni,
     smooth_block,
@@ -317,8 +316,7 @@ class TestRunSelect:
         # in-process reference on the same data
         bases = standard_bases()
         data = build_dataset(curves, y, bases)
-        grams = tuple(gram_matrix(spec) for spec in bases)
-        design = quiet(build_design, data, grams)
+        design = quiet(build_design, data)
         expected = run_test_all(design, y)
 
         lines = [json.loads(line) for line in out.read_text().splitlines()]
@@ -368,7 +366,6 @@ class TestRunSelect:
             make_uniform_basis(0.0, 1.0, degree=3, num_basis=6),
             make_uniform_basis(0.0, 1.0, degree=3, num_basis=6),
         )
-        grams = tuple(gram_matrix(spec) for spec in bases)
         q, runs, n = 0.05, 200, 400
         empty = 0
         for _ in range(runs):
@@ -377,7 +374,7 @@ class TestRunSelect:
                 coefs=(rng.normal(size=(n, 6)), rng.normal(size=(n, 6))),
                 responses=rng.normal(size=n),
             )
-            design = quiet(build_design, data, grams)
+            design = quiet(build_design, data)
             tests = run_test_all(design, data.responses)
             if not select_bonferroni(tests, q).selected:
                 empty += 1
@@ -406,8 +403,7 @@ class TestRunBootstrap:
 
         bases = standard_bases()
         data = build_dataset(curves, y, bases)
-        grams = tuple(gram_matrix(spec) for spec in bases)
-        design = quiet(build_design, data, grams)
+        design = quiet(build_design, data)
         rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
         idx = rng.integers(0, design.n, size=design.n)
         resampled = DesignMatrix(values=design.values[idx], block_offsets=design.block_offsets)
@@ -571,6 +567,9 @@ class TestExitCodes:
             ["--config", "domain.p0 = 1:0", "domain.p0 must be finite with lo < hi"],
             ["--config", "domain.p0 = 0:inf", "domain.p0 must be finite with lo < hi"],
             ["--config", "domain.p0 = nan:1", "domain.p0 must be finite with lo < hi"],
+            ["--q", "0"],
+            ["--q", "1"],
+            ["--q", "1.5"],
         ],
     )
     def test_out_of_range_option_is_usage_error(self, tmp_path, capsys, flags):
@@ -581,6 +580,8 @@ class TestExitCodes:
             config_path.write_text(flags[1] + "\n")
             expected = flags[2]
             flags = ["--config", str(config_path)]
+        elif flags[0] == "--q":
+            expected = "q must lie in (0, 1)"
         else:
             expected = f"{flags[0]} must be >="
         for mode in ("simulate", "bootstrap"):
@@ -590,6 +591,12 @@ class TestExitCodes:
             )
             assert code == 1
             assert expected in capsys.readouterr().err
+
+    @pytest.mark.parametrize("c", ["nan", "inf"])
+    def test_non_finite_signal_strength_is_usage_error(self, capsys, c):
+        code = main(["--mode", "simulate", "--c", c, "--reps", "2", "--n", "60"])
+        assert code == 1
+        assert "signal strength c must be finite" in capsys.readouterr().err
 
     def test_escaping_linalg_error_is_numerical_error(self, monkeypatch):
         # numpy's LinAlgError subclasses ValueError, the usage-error type

@@ -1,4 +1,4 @@
-"""Design-matrix assembly: block layout, rank checks, integral identity."""
+"""Design-matrix assembly: block layout, Gram blocks, integral identity."""
 
 import numpy as np
 import pytest
@@ -6,10 +6,10 @@ import pytest
 from funcsel import (
     ConditionWarning,
     FunctionalDataset,
-    GramMatrix,
     RankDeficiencyError,
     build_design,
     evaluate_basis_matrix,
+    fit_ols,
     gram_matrix,
     make_uniform_basis,
 )
@@ -28,21 +28,21 @@ def _dataset(bases, coefs, responses):
 
 class TestBuildDesign:
     def test_identity_gram_passes_coefficients_through(self):
-        spec = make_uniform_basis(0.0, 1.0, degree=1, num_basis=2)
-        gram = GramMatrix(values=np.eye(2), basis=spec)
+        # two unit-length constant pieces: the Gram matrix is exactly I
+        spec = make_uniform_basis(0.0, 2.0, degree=0, num_basis=2)
+        assert np.array_equal(gram_matrix(spec), np.eye(2))
         coefs = np.array([[1.0, 2.0], [0.5, -1.0], [3.0, 0.0], [0.1, 0.2]])
         data = _dataset([spec], [coefs], np.zeros(4))
-        design = quiet(build_design, data, [gram])
+        design = quiet(build_design, data)
         assert design.values[0] == pytest.approx([1.0, 1.0, 2.0])
         assert design.block_offsets == (1, 3)
         assert design.k == 3
 
     def test_hat_gram_row(self):
         spec = make_uniform_basis(0.0, 1.0, degree=1, num_basis=2)
-        gram = gram_matrix(spec)
         coefs = np.array([[1.0, 1.0], [2.0, 0.0], [0.0, 1.0], [1.0, -1.0]])
         data = _dataset([spec], [coefs], np.zeros(4))
-        design = quiet(build_design, data, [gram])
+        design = quiet(build_design, data)
         # W = (1, 1) against the hat Gram [[1/3,1/6],[1/6,1/3]] gives (1/2, 1/2)
         assert design.values[0, 1:] == pytest.approx([0.5, 0.5])
 
@@ -65,11 +65,10 @@ class TestBuildDesign:
         # smoothed curve times the coefficient function b_m' phi
         rng = np.random.default_rng(13)
         spec = make_uniform_basis(-1.0, 2.0, degree=3, num_basis=7)
-        gram = gram_matrix(spec)
         n = 40
         coefs = rng.normal(size=(n, 7))
         data = _dataset([spec], [coefs], np.zeros(n))
-        design = quiet(build_design, data, [gram])
+        design = quiet(build_design, data)
         fine = np.linspace(-1.0, 2.0, 200_001)
         basis_fine = evaluate_basis_matrix(spec, fine)
         weights = np.full(fine.size, fine[1] - fine[0])
@@ -86,46 +85,29 @@ class TestBuildDesign:
         # k = 13 > sqrt(60)/log(60)
         rng = np.random.default_rng(0)
         bases = [make_uniform_basis(0.0, 1.0, degree=3, num_basis=6)] * 2
-        grams = [gram_matrix(b) for b in bases]
         coefs = [rng.normal(size=(60, 6)), rng.normal(size=(60, 6))]
         data = _dataset(bases, coefs, np.zeros(60))
         with pytest.warns(ConditionWarning, match="sqrt"):
-            build_design(data, grams)
+            build_design(data)
 
     def test_no_warning_when_k_small(self, recwarn):
         rng = np.random.default_rng(1)
         spec = make_uniform_basis(0.0, 1.0, degree=1, num_basis=2)
-        gram = gram_matrix(spec)
         n = 40_000  # sqrt(n)/log(n) = 18.9 > k = 3
         coefs = rng.normal(size=(n, 2))
         data = _dataset([spec], [coefs], np.zeros(n))
-        build_design(data, [gram])
+        build_design(data)
         assert not [w for w in recwarn if issubclass(w.category, ConditionWarning)]
 
     def test_rank_deficiency_detected(self):
+        # assembly leaves the rank to the fit, which rejects a duplicated block
         rng = np.random.default_rng(8)
         spec = make_uniform_basis(0.0, 1.0, degree=3, num_basis=6)
-        bases = [spec, spec]
-        grams = [gram_matrix(b) for b in bases]
         shared = rng.normal(size=(40, 6))
-        data = _dataset(bases, [shared, shared], np.zeros(40))
+        data = _dataset([spec, spec], [shared, shared], np.zeros(40))
+        design = quiet(build_design, data)
         with pytest.raises(RankDeficiencyError, match="singular"):
-            quiet(build_design, data, grams)
-
-    def test_gram_basis_mismatch(self):
-        rng = np.random.default_rng(8)
-        spec = make_uniform_basis(0.0, 1.0, degree=3, num_basis=6)
-        other = make_uniform_basis(0.0, 2.0, degree=3, num_basis=6)
-        data = _dataset([spec], [rng.normal(size=(40, 6))], np.zeros(40))
-        with pytest.raises(ValueError, match="not built"):
-            quiet(build_design, data, [gram_matrix(other)])
-
-    def test_gram_count_mismatch(self):
-        rng = np.random.default_rng(8)
-        spec = make_uniform_basis(0.0, 1.0, degree=3, num_basis=6)
-        data = _dataset([spec], [rng.normal(size=(40, 6))], np.zeros(40))
-        with pytest.raises(ValueError, match="Gram matrices"):
-            quiet(build_design, data, [])
+            fit_ols(design, rng.normal(size=40))
 
     def test_values_are_read_only(self):
         design, _, _, _ = synthetic_design(SimScenario(c=0.0, n=100, seed=4))

@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from funcsel import NumericalError, fit_ols, noncentrality
+from funcsel import NumericalError, RankDeficiencyError, fit_ols
 from funcsel.design import DesignMatrix
 from funcsel.inference import test_predictor as run_test_predictor
 from funcsel.simgen import SimScenario, coefficient_functions
-from funcsel.bspline import gram_matrix
 
 from conftest import (
     project_coefficients,
@@ -18,6 +17,7 @@ from conftest import (
 from oracles import (
     column_deletion_rss,
     fit_restricted,
+    noncentrality,
     projection_matrices,
     projection_rss_identity_check,
 )
@@ -58,7 +58,7 @@ class TestFitOls:
 
     def test_invariants(self, scenario_fit):
         design, y, fit = scenario_fit
-        resid = y - fit.fitted
+        resid = y - design.values @ fit.coefficients
         assert fit.rss == pytest.approx(float(resid @ resid), rel=1e-8)
         assert fit.sigma2_tilde == fit.rss / fit.n
         assert np.max(np.abs(design.values.T @ resid)) < 1e-6 * np.linalg.norm(y)
@@ -77,6 +77,19 @@ class TestFitOls:
         design = DesignMatrix(values=values, block_offsets=(1, 3))
         with pytest.raises(NumericalError, match="rank"):
             fit_ols(design, rng.normal(size=20))
+
+    def test_near_collinear_design_rejected(self):
+        # sigma_min/sigma_max of [1, x, x + 1e-11 e] is about 5.7e-12: the
+        # diagonal of R alone does not show it, the singular values of R do
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=40)
+        e = rng.normal(size=40)
+        values = np.column_stack([np.ones(40), x, x + 1e-11 * e])
+        sv = np.linalg.svd(values, compute_uv=False)
+        assert sv[-1] / sv[0] < 1e-10
+        design = DesignMatrix(values=values, block_offsets=(1, 3))
+        with pytest.raises(RankDeficiencyError, match="smallest/largest singular value"):
+            fit_ols(design, rng.normal(size=40))
 
     def test_shape_mismatch(self):
         rng = np.random.default_rng(2)
@@ -197,8 +210,7 @@ class TestNoncentrality:
         # delta / (n - k0) is stable as nested samples grow
         design, _, _, _ = synthetic_design(SimScenario(c=0.8, n=800, seed=3))
         bases = standard_bases()
-        grams = tuple(gram_matrix(spec) for spec in bases)
-        b = project_coefficients(bases, grams, coefficient_functions(0.8))
+        b = project_coefficients(bases, coefficient_functions(0.8))
         k0 = design.k - design.block_size(4)
         ratios = []
         for n in (100, 200, 400, 800):

@@ -32,6 +32,11 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="noise"):
             SimScenario(c=0.0, n=100, seed=0, noise_x_mult=-0.1)
 
+    @pytest.mark.parametrize("c", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_signal_strength(self, c):
+        with pytest.raises(ValueError, match="signal strength c must be finite"):
+            SimScenario(c=c, n=100, seed=0)
+
 
 class TestTruth:
     def test_null_scenario_index_set(self):
