@@ -6,12 +6,9 @@ cubic bases, fits the functional linear model, tests each predictor, and
 applies both selection rules.
 """
 
-import warnings
-
 import numpy as np
 
 from funcsel import (
-    ConditionWarning,
     build_dataset,
     build_design,
     fit_ols,
@@ -37,9 +34,7 @@ def main() -> None:
         make_uniform_basis(lo, hi, degree=3, num_basis=6) for lo, hi in DOMAINS
     )
     data = build_dataset(curves, y, bases)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ConditionWarning)
-        design = build_design(data)
+    design = build_design(data)
     print(f"design: n={design.n}, k={design.k} "
           f"(intercept + {design.num_predictors} blocks of 6)")
 

@@ -13,7 +13,7 @@ from .bspline import (
     gram_matrix,
     make_uniform_basis,
 )
-from .design import DesignMatrix, build_design
+from .design import DesignMatrix, build_design, check_parameter_count
 from .errors import (
     ConditionWarning,
     DataError,
@@ -55,6 +55,7 @@ __all__ = [
     "make_uniform_basis",
     "DesignMatrix",
     "build_design",
+    "check_parameter_count",
     "ConditionWarning",
     "DataError",
     "NumericalError",

@@ -1,9 +1,15 @@
 """Command-line front end: ingestion, selection, simulation, bootstrap.
 
 Curves are read from a long-format CSV (``sample_id,predictor_id,t,value``)
-with responses in a second file (``sample_id,y``). Options come from flags,
-an optional flat key=value config file (flags win), and the FUNCSEL_SEED
-environment variable as a seed fallback.
+with responses in a second file (``sample_id,y``). Every option is declared
+once, as a field of :class:`JobConfig`: the field name gives the flag and the
+config-file key, the default gives the default and the flag's type, and
+``JobConfig.__post_init__`` is the one range check. A value comes from its
+flag, else from the optional flat ``key = value`` config file, else (the seed
+only) from the FUNCSEL_SEED environment variable, else from the default.
+Config lines go through the same argparse conversions and choices as flags,
+and an unknown key is rejected. A usage error prints the usage line and the
+reason.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical error.
 """
@@ -16,21 +22,20 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .bspline import BasisSpec, make_uniform_basis
-from .design import DesignMatrix, build_design
+from .design import DesignMatrix, build_design, check_parameter_count
 from .errors import DataError, NumericalError
 from .inference import test_all
-from .selection import check_method, check_q, default_q, select
-from .simgen import SimScenario, run_monte_carlo
+from .selection import check_q, default_q, select
+from .simgen import NUM_PREDICTORS, SimScenario, run_monte_carlo
 from .smoothing import CurveBlock, build_dataset
 
 __all__ = [
     "JobConfig",
-    "BootstrapReport",
     "ingest_long_csv",
     "run_select",
     "run_bootstrap",
@@ -43,16 +48,31 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
 
+# config keys "<name>.<predictor id>" that override one predictor's basis
+_OVERRIDES = ("basis_size", "degree", "domain")
 
-@dataclass
+
+@dataclass(frozen=True)
 class JobConfig:
-    """Resolved job options for one CLI invocation."""
+    """Resolved job options for one CLI invocation.
 
-    mode: str
+    Every field but the overrides is one flag (``basis_size`` is
+    ``--basis-size``) and one config key, of the type of its default (str
+    when the default is None); the metadata holds the flag's choices and
+    help. The overrides are keyed by predictor id, from config lines such as
+    "basis_size.TEMP = 8" or "domain.TEMP = 0:12".
+    """
+
+    mode: str | None = field(
+        default=None, metadata={"choices": ("select", "simulate", "bootstrap")}
+    )
     curves: str | None = None
     responses: str | None = None
-    method: str = "fdr"
-    q: str = "auto"
+    method: str = field(default="fdr", metadata={"choices": ("bc", "fdr")})
+    q: str = field(
+        default="auto",
+        metadata={"help": "level in (0,1), or 'auto' for the rule of thumb"},
+    )
     basis_size: int = 6
     degree: int = 3
     seed: int = 0
@@ -60,39 +80,56 @@ class JobConfig:
     bootstrap_b: int = 100
     threads: int = 1
     out: str | None = None
-    c: float = 0.0
-    n: int = 300
-    # per-predictor overrides keyed by predictor id, e.g. from config lines
-    # "basis_size.TEMP = 8" or "domain.TEMP = 0:12"
+    c: float = field(default=0.0, metadata={"help": "signal strength for simulate mode"})
+    n: int = field(default=300, metadata={"help": "sample size for simulate mode"})
     basis_size_overrides: dict[str, int] = field(default_factory=dict)
     degree_overrides: dict[str, int] = field(default_factory=dict)
     domain_overrides: dict[str, tuple[float, float]] = field(default_factory=dict)
 
+    def __post_init__(self):
+        if self.mode is None:
+            raise ValueError("--mode is required (select, simulate, or bootstrap)")
+        if self.mode in ("select", "bootstrap") and not (self.curves and self.responses):
+            raise ValueError(f"mode '{self.mode}' requires --curves and --responses")
+        checks = [
+            ("--threads", self.threads, 1),
+            ("--reps", self.reps, 1),
+            ("--bootstrap-b", self.bootstrap_b, 1),
+        ]
+        # one rule for the flags' basis and for every overridden predictor's
+        overridden = self.degree_overrides.keys() | self.basis_size_overrides.keys()
+        for predictor in [None, *sorted(overridden)]:
+            degree, num_basis = self.basis_of(predictor)
+            names = (
+                ("--degree", "--basis-size")
+                if predictor is None
+                else (f"degree.{predictor}", f"basis_size.{predictor}")
+            )
+            checks += [(names[0], degree, 0), (names[1], num_basis, degree + 1)]
+        for name, value, low in checks:
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
+        for predictor, (lo, hi) in self.domain_overrides.items():
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+                raise ValueError(
+                    f"domain.{predictor} must be finite with lo < hi, got {lo}:{hi}"
+                )
+        if self.q != "auto":
+            check_q(float(self.q))
+
+    def basis_of(self, predictor: str | None) -> tuple[int, int]:
+        """(degree, basis size) of a predictor; None gives the flags' values."""
+        return (
+            self.degree_overrides.get(predictor, self.degree),
+            self.basis_size_overrides.get(predictor, self.basis_size),
+        )
+
     def resolve_q(self, n: int, num_predictors: int) -> float:
-        if self.q == "auto":
-            return default_q(n, num_predictors)
-        return check_q(float(self.q))
+        return default_q(n, num_predictors) if self.q == "auto" else float(self.q)
 
 
-@dataclass(frozen=True)
-class BootstrapReport:
-    """Selection ratios over bootstrap resamples of the dataset rows."""
-
-    b: int
-    failed: int
-    predictor_ids: tuple[str, ...]
-    ratios: tuple[float, ...]
-    method: str
-    q: float
-
-    def to_dict(self) -> dict:
-        return {
-            "b": self.b,
-            "failed": self.failed,
-            "method": self.method,
-            "q": self.q,
-            "ratios": dict(zip(self.predictor_ids, self.ratios)),
-        }
+# the fields that are flags, by name
+_OPTIONS = {f.name: f for f in fields(JobConfig) if not f.name.endswith("_overrides")}
 
 
 def _parse_float(text: str, path: str, line: int, field_name: str) -> float:
@@ -109,8 +146,17 @@ def _parse_float(text: str, path: str, line: int, field_name: str) -> float:
     return value
 
 
+def _csv_reader(handle, path: str, header: list[str]):
+    """A CSV reader of ``handle`` past its first line, which must be ``header``."""
+    reader = csv.reader(handle)
+    first = next(reader, None)
+    if first is None or [h.strip() for h in first] != header:
+        raise DataError(f"{path} line 1: expected header '{','.join(header)}'")
+    return reader
+
+
 def ingest_long_csv(
-    curves_path: str, responses_path: str, config: JobConfig
+    curves_path: str, responses_path: str
 ) -> tuple[list[list[CurveBlock]], np.ndarray, list[str], list[str]]:
     """Read curves and responses; returns (curves, y, sample_ids, predictor_ids).
 
@@ -124,17 +170,8 @@ def ingest_long_csv(
     points: dict[tuple[str, str], list[tuple[float, float]]] = {}
     seen: set[tuple[str, str, float]] = set()
     with open(curves_path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != [
-            "sample_id",
-            "predictor_id",
-            "t",
-            "value",
-        ]:
-            raise DataError(
-                f"{curves_path} line 1: expected header 'sample_id,predictor_id,t,value'"
-            )
+        header = ["sample_id", "predictor_id", "t", "value"]
+        reader = _csv_reader(handle, curves_path, header)
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -158,12 +195,7 @@ def ingest_long_csv(
 
     responses: dict[str, float] = {}
     with open(responses_path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["sample_id", "y"]:
-            raise DataError(
-                f"{responses_path} line 1: expected header 'sample_id,y'"
-            )
+        reader = _csv_reader(handle, responses_path, ["sample_id", "y"])
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -222,8 +254,7 @@ def _bases_for(
 ) -> tuple[BasisSpec, ...]:
     bases = []
     for predictor, blocks in zip(predictor_ids, curves):
-        degree = config.degree_overrides.get(predictor, config.degree)
-        num_basis = config.basis_size_overrides.get(predictor, config.basis_size)
+        degree, num_basis = config.basis_of(predictor)
         domain = config.domain_overrides.get(predictor)
         if domain is None:
             lo = min(block.grid[0] for block in blocks)
@@ -235,31 +266,23 @@ def _bases_for(
 
 
 def _selection_pipeline(config: JobConfig):
-    curves, y, sample_ids, predictor_ids = ingest_long_csv(
-        config.curves, config.responses, config
-    )
+    curves, y, _, predictor_ids = ingest_long_csv(config.curves, config.responses)
     bases = _bases_for(config, predictor_ids, curves)
     design = build_design(build_dataset(curves, y, bases))
+    check_parameter_count(design.n, design.k)
     return design, y, predictor_ids
 
 
-def _print_selection_table(predictor_ids, tests, selected, method, q, stream=None):
-    stream = stream or sys.stdout
-    width = max(len("predictor"), max(len(p) for p in predictor_ids))
-    print(f"method: {method}   q: {q:.6g}", file=stream)
-    print(
-        f"{'predictor':<{width}}  {'T_L':>12}  {'dof':>4}  {'p_value':>12}  selected",
-        file=stream,
-    )
-    for pid, test in zip(predictor_ids, tests):
-        flag = "yes" if test.predictor_index in selected else "no"
-        print(
-            f"{pid:<{width}}  {test.statistic:>12.4f}  {test.dof:>4d}  "
-            f"{test.p_value:>12.4e}  {flag}",
-            file=stream,
-        )
-    chosen = ", ".join(predictor_ids[m] for m in selected) or "(none)"
-    print(f"selected set: {chosen}", file=stream)
+def _write_records(path: str | None, records) -> None:
+    """Write the ``--out`` report, if asked for: one JSON object per line."""
+    if path:
+        with open(path, "w", encoding="utf-8") as handle:
+            for record in records:
+                handle.write(json.dumps(record, sort_keys=True) + "\n")
+
+
+def _id_width(predictor_ids: list[str]) -> int:
+    return max(len(name) for name in ["predictor", *predictor_ids])
 
 
 def run_select(config: JobConfig):
@@ -268,38 +291,34 @@ def run_select(config: JobConfig):
     tests = test_all(design, y)
     q = config.resolve_q(design.n, design.num_predictors)
     result = select(config.method, tests, q)
-    _print_selection_table(predictor_ids, tests, result.selected, result.method, q)
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as handle:
-            for pid, test in zip(predictor_ids, tests):
-                handle.write(
-                    json.dumps(
-                        {
-                            "predictor": pid,
-                            "statistic": test.statistic,
-                            "dof": test.dof,
-                            "p_value": test.p_value,
-                            "selected": test.predictor_index in result.selected,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
-            handle.write(
-                json.dumps(
-                    {
-                        "method": result.method,
-                        "q": q,
-                        "selected": [predictor_ids[m] for m in result.selected],
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    width = _id_width(predictor_ids)
+    print(f"method: {result.method}   q: {q:.6g}")
+    print(f"{'predictor':<{width}}  {'T_L':>12}  {'dof':>4}  {'p_value':>12}  selected")
+    for pid, test in zip(predictor_ids, tests):
+        flag = "yes" if test.predictor_index in result.selected else "no"
+        print(
+            f"{pid:<{width}}  {test.statistic:>12.4f}  {test.dof:>4d}  "
+            f"{test.p_value:>12.4e}  {flag}"
+        )
+    chosen = ", ".join(predictor_ids[m] for m in result.selected) or "(none)"
+    print(f"selected set: {chosen}")
+    records = [
+        {
+            "predictor": pid,
+            "statistic": test.statistic,
+            "dof": test.dof,
+            "p_value": test.p_value,
+            "selected": test.predictor_index in result.selected,
+        }
+        for pid, test in zip(predictor_ids, tests)
+    ]
+    selected = [predictor_ids[m] for m in result.selected]
+    records.append({"method": result.method, "q": q, "selected": selected})
+    _write_records(config.out, records)
     return result
 
 
-def run_bootstrap(config: JobConfig) -> BootstrapReport:
+def run_bootstrap(config: JobConfig) -> dict:
     """Selection ratios over B joint resamples of (curves, response) rows."""
     design, y, predictor_ids = _selection_pipeline(config)
     num_predictors = design.num_predictors
@@ -321,33 +340,30 @@ def run_bootstrap(config: JobConfig) -> BootstrapReport:
             continue
         for m in select(config.method, tests, q).selected:
             counts[m] += 1
-    denom = max(config.bootstrap_b - failed, 1)
-    report = BootstrapReport(
-        b=config.bootstrap_b,
-        failed=failed,
-        predictor_ids=tuple(predictor_ids),
-        ratios=tuple(counts / denom),
-        method=config.method.lower(),
-        q=q,
-    )
-    width = max(len("predictor"), max(len(p) for p in predictor_ids))
+    ratios = counts / max(config.bootstrap_b - failed, 1)
     print(
-        f"bootstrap: B={report.b}  failed={report.failed}  "
-        f"method={report.method}  q={q:.6g}"
+        f"bootstrap: B={config.bootstrap_b}  failed={failed}  "
+        f"method={config.method}  q={q:.6g}"
     )
+    width = _id_width(predictor_ids)
     print(f"{'predictor':<{width}}  ratio")
-    for pid, ratio in zip(predictor_ids, report.ratios):
+    for pid, ratio in zip(predictor_ids, ratios):
         print(f"{pid:<{width}}  {ratio:.3f}")
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(report.to_dict(), sort_keys=True) + "\n")
+    report = {
+        "b": config.bootstrap_b,
+        "failed": failed,
+        "method": config.method,
+        "q": q,
+        "ratios": dict(zip(predictor_ids, ratios)),
+    }
+    _write_records(config.out, [report])
     return report
 
 
 def run_simulate(config: JobConfig):
     """Monte Carlo experiment with the synthetic-data generators."""
     scenario = SimScenario(c=config.c, n=config.n, seed=config.seed)
-    q = config.resolve_q(config.n, 6)
+    q = config.resolve_q(config.n, NUM_PREDICTORS)
     report = run_monte_carlo(
         scenario, config.method, q, config.reps, threads=config.threads
     )
@@ -359,120 +375,16 @@ def run_simulate(config: JobConfig):
     print(f"amse: {report.amse:.6g}")
     freqs = "  ".join(f"{f:.2f}" for f in report.selection_frequencies)
     print(f"selection frequencies: {freqs}")
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(report.to_dict(), sort_keys=True) + "\n")
+    _write_records(config.out, [report.to_dict()])
     return report
 
 
 class _Parser(argparse.ArgumentParser):
-    # usage errors must exit with code 1, not argparse's default 2
+    # a usage error prints the usage line and raises, so that main exits with
+    # 1 (not argparse's 2) and a config line can add its file and line number
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
-
-def _read_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    try:
-        with open(path, encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ValueError(
-                        f"{path} line {lineno}: expected 'key = value', got {line!r}"
-                    )
-                key, _, value = line.partition("=")
-                # the option name may use '-' or '_'; a predictor id after
-                # the first '.' is kept as written
-                name, dot, predictor = key.strip().partition(".")
-                values[name.replace("-", "_") + dot + predictor] = value.strip()
-    except OSError as exc:
-        raise ValueError(f"cannot read config file {path}: {exc}") from exc
-    return values
-
-
-def _build_config(args: argparse.Namespace) -> JobConfig:
-    file_values = _read_config_file(args.config) if args.config else {}
-
-    def pick(flag_value, key, cast, default):
-        if flag_value is not None:
-            return flag_value
-        if key in file_values:
-            return cast(file_values[key])
-        return default
-
-    seed_default = 0
-    env_seed = os.environ.get("FUNCSEL_SEED")
-    if env_seed is not None:
-        try:
-            seed_default = int(env_seed)
-        except ValueError:
-            raise ValueError(f"FUNCSEL_SEED is not an integer: {env_seed!r}") from None
-
-    mode = pick(args.mode, "mode", str, None)
-    if mode is None:
-        raise ValueError("--mode is required (select, simulate, or bootstrap)")
-    if mode not in ("select", "simulate", "bootstrap"):
-        raise ValueError(f"unknown mode {mode!r}")
-
-    config = JobConfig(
-        mode=mode,
-        curves=pick(args.curves, "curves", str, None),
-        responses=pick(args.responses, "responses", str, None),
-        method=pick(args.method, "method", str, "fdr"),
-        q=pick(args.q, "q", str, "auto"),
-        basis_size=pick(args.basis_size, "basis_size", int, 6),
-        degree=pick(args.degree, "degree", int, 3),
-        seed=pick(args.seed, "seed", int, seed_default),
-        reps=pick(args.reps, "reps", int, 100),
-        bootstrap_b=pick(args.bootstrap_b, "bootstrap_b", int, 100),
-        threads=pick(args.threads, "threads", int, 1),
-        out=pick(args.out, "out", str, None),
-        c=pick(args.c, "c", float, 0.0),
-        n=pick(args.n, "n", int, 300),
-    )
-    for key, value in file_values.items():
-        if key.startswith("basis_size."):
-            config.basis_size_overrides[key.split(".", 1)[1]] = int(value)
-        elif key.startswith("degree."):
-            config.degree_overrides[key.split(".", 1)[1]] = int(value)
-        elif key.startswith("domain."):
-            lo, _, hi = value.partition(":")
-            config.domain_overrides[key.split(".", 1)[1]] = (float(lo), float(hi))
-    if config.mode in ("select", "bootstrap"):
-        if not config.curves or not config.responses:
-            raise ValueError(f"mode '{config.mode}' requires --curves and --responses")
-    check_method(config.method)
-    for flag, value, low in (
-        ("--threads", config.threads, 1),
-        ("--reps", config.reps, 1),
-        ("--bootstrap-b", config.bootstrap_b, 1),
-        ("--degree", config.degree, 0),
-        ("--basis-size", config.basis_size, config.degree + 1),
-    ):
-        if value < low:
-            raise ValueError(f"{flag} must be >= {low}, got {value}")
-    overridden = config.degree_overrides.keys() | config.basis_size_overrides.keys()
-    for predictor in sorted(overridden):
-        degree = config.degree_overrides.get(predictor, config.degree)
-        num_basis = config.basis_size_overrides.get(predictor, config.basis_size)
-        if degree < 0:
-            raise ValueError(f"degree.{predictor} must be >= 0, got {degree}")
-        if num_basis <= degree:
-            raise ValueError(
-                f"basis_size.{predictor} must be >= {degree + 1}, got {num_basis}"
-            )
-    for predictor, (lo, hi) in config.domain_overrides.items():
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ValueError(
-                f"domain.{predictor} must be finite with lo < hi, got {lo}:{hi}"
-            )
-    if config.q != "auto":
-        check_q(float(config.q))
-    return config
+        raise ValueError(message)
 
 
 def _make_parser() -> _Parser:
@@ -480,42 +392,87 @@ def _make_parser() -> _Parser:
         prog="funcsel",
         description="Variable selection for scalar-on-function regression",
     )
-    parser.add_argument("--mode", choices=("select", "simulate", "bootstrap"))
-    parser.add_argument("--curves")
-    parser.add_argument("--responses")
-    parser.add_argument("--method", choices=("bc", "fdr"))
-    parser.add_argument("--q", help="level in (0,1), or 'auto' for the rule of thumb")
-    parser.add_argument("--basis-size", type=int, dest="basis_size")
-    parser.add_argument("--degree", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--reps", type=int)
-    parser.add_argument("--bootstrap-b", type=int, dest="bootstrap_b")
-    parser.add_argument("--threads", type=int)
-    parser.add_argument("--out")
-    parser.add_argument("--config")
-    parser.add_argument("--c", type=float, help="signal strength for simulate mode")
-    parser.add_argument("--n", type=int, help="sample size for simulate mode")
+    for name, option in _OPTIONS.items():
+        kind = str if option.default is None else type(option.default)
+        parser.add_argument(
+            "--" + name.replace("_", "-"), dest=name, type=kind, **option.metadata
+        )
+    parser.add_argument("--config", help="flat 'key = value' file of options")
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
+def _read_config_file(path: str, parser: _Parser) -> tuple[argparse.Namespace, dict]:
+    """Options and per-predictor overrides from a flat ``key = value`` file.
+
+    A value is parsed as its flag would be (``reps = 5`` as ``--reps=5``), so
+    it meets the same conversion and choices.
+    """
+    options = argparse.Namespace()
+    overrides: dict[str, dict] = {f"{name}_overrides": {} for name in _OVERRIDES}
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except OSError as exc:
+        raise ValueError(f"cannot read config file {path}: {exc}") from exc
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        where = f"{path} line {lineno}"
+        key, equals, value = line.partition("=")
+        if not equals:
+            raise ValueError(f"{where}: expected 'key = value', got {line!r}")
+        key, value = key.strip(), value.strip()
+        # the option name may use '-' or '_'; a predictor id after the first
+        # '.' is kept as written
+        name, dot, predictor = key.partition(".")
+        name = name.replace("-", "_")
+        if name not in (_OVERRIDES if dot else _OPTIONS):
+            raise ValueError(f"{where}: unknown key {key!r}")
+        flag = f"--{name.replace('_', '-')}={value}"
+        try:
+            if not dot:
+                parser.parse_args([flag], namespace=options)
+            elif name == "domain":
+                lo, _, hi = value.partition(":")
+                overrides["domain_overrides"][predictor] = (float(lo), float(hi))
+            else:
+                parsed = getattr(parser.parse_args([flag]), name)
+                overrides[f"{name}_overrides"][predictor] = parsed
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+    return options, overrides
+
+
+def _build_config(argv: list[str] | None) -> JobConfig:
+    """Each option from its flag, else the config file, else the default."""
     parser = _make_parser()
+    path = parser.parse_args(argv).config
+    options, overrides = (
+        _read_config_file(path, parser) if path else (argparse.Namespace(), {})
+    )
+    args = parser.parse_args(argv, namespace=options)  # flags win over the file
+    env_seed = os.environ.get("FUNCSEL_SEED")
+    if args.seed is None and env_seed is not None:
+        try:
+            args.seed = int(env_seed)
+        except ValueError:
+            raise ValueError(f"FUNCSEL_SEED is not an integer: {env_seed!r}") from None
+    given = {name: getattr(args, name) for name in _OPTIONS}
+    return JobConfig(**{k: v for k, v in given.items() if v is not None}, **overrides)
+
+
+def main(argv: list[str] | None = None) -> int:
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        config = _build_config(argv)
+    except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        config = _build_config(args)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    run = {"select": run_select, "bootstrap": run_bootstrap, "simulate": run_simulate}
     try:
-        if config.mode == "select":
-            run_select(config)
-        elif config.mode == "bootstrap":
-            run_bootstrap(config)
-        else:
-            run_simulate(config)
+        run[config.mode](config)
     except (OSError, DataError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -1,4 +1,10 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the one rank
+criterion: a matrix that must have full column rank is rejected when its
+smallest singular value falls below ``RANK_RTOL`` times its largest.
+"""
+
+# relative singular-value floor of every rank check (basis matrices, designs)
+RANK_RTOL = 1e-10
 
 
 class DataError(Exception):
@@ -23,3 +29,14 @@ class ConditionWarning(UserWarning):
     The fit is still computed when the design has full numerical rank, but
     the consistency regime for the selection procedure is not guaranteed.
     """
+
+
+def check_rank(sv, what: str) -> None:
+    """Raise :class:`RankDeficiencyError` unless ``sv`` (singular values in
+    descending order) has smallest/largest at least ``RANK_RTOL``."""
+    ratio = sv[-1] / sv[0] if sv[0] else 0.0
+    if ratio < RANK_RTOL:
+        raise RankDeficiencyError(
+            f"{what} is numerically rank deficient: smallest/largest singular "
+            f"value {ratio:.3e} < {RANK_RTOL:.0e}"
+        )

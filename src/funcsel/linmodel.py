@@ -17,11 +17,9 @@ import numpy as np
 import scipy.linalg
 
 from .design import DesignMatrix
-from .errors import NumericalError, RankDeficiencyError
+from .errors import NumericalError, check_rank
 
 __all__ = ["FitResult", "fit_ols"]
-
-_RANK_RTOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,7 +51,7 @@ def fit_ols(design: DesignMatrix, y: np.ndarray) -> FitResult:
     """Ordinary least squares from one QR of [Z | y].
 
     Raises :class:`RankDeficiencyError` when the relative smallest singular
-    value of the design falls below 1e-10.
+    value of the design falls below ``errors.RANK_RTOL`` (1e-10).
     """
     y = np.asarray(y, dtype=float)
     n, k = design.values.shape
@@ -62,12 +60,7 @@ def fit_ols(design: DesignMatrix, y: np.ndarray) -> FitResult:
     if n <= k:
         raise NumericalError(f"need n > k, got n={n}, k={k}")
     r = np.linalg.qr(np.column_stack([design.values, y]), mode="r")
-    sv = np.linalg.svd(r[:k, :k], compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] / sv[0] < _RANK_RTOL:
-        raise RankDeficiencyError(
-            f"design matrix is numerically rank deficient: smallest/largest singular "
-            f"value {sv[-1] / sv[0] if sv[0] else 0.0:.3e} < {_RANK_RTOL:.0e}"
-        )
+    check_rank(np.linalg.svd(r[:k, :k], compute_uv=False), "design matrix")
     r_inv = scipy.linalg.solve_triangular(r[:k, :k], np.eye(k))
     rss = float(r[k, k] ** 2)
     return FitResult(

@@ -17,7 +17,6 @@ so each replication's data is independent of how many replications run.
 from __future__ import annotations
 
 import math
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -26,8 +25,8 @@ from typing import Callable
 import numpy as np
 
 from .bspline import make_uniform_basis
-from .design import build_design
-from .errors import ConditionWarning, DataError, NumericalError
+from .design import build_design, check_parameter_count
+from .errors import DataError, NumericalError
 from .inference import test_all
 from .selection import check_method, check_q, select
 from .smoothing import CurveBlock, build_dataset
@@ -282,13 +281,16 @@ def run_monte_carlo(
     per predictor, builds the design, tests every predictor, and applies the
     selection rule. A replication counts as correct when the selected set
     equals the true relevant set exactly. Failed replications (numerically
-    degenerate resamples) are skipped and counted.
+    degenerate resamples) are skipped and counted. The parameter count is
+    checked once, before the replications, so a run emits
+    :class:`~funcsel.errors.ConditionWarning` at most once.
     """
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
     method = check_method(method)
     check_q(q)
     bases = tuple(make_uniform_basis(lo, hi, degree=3, num_basis=6) for lo, hi in DOMAINS)
+    check_parameter_count(scenario.n, 1 + sum(spec.num_basis for spec in bases))
 
     def worker(rep: int):
         try:
@@ -296,13 +298,11 @@ def run_monte_carlo(
         except (NumericalError, DataError):
             return None
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("once", ConditionWarning)
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                outcomes = list(pool.map(worker, range(replications)))
-        else:
-            outcomes = [worker(rep) for rep in range(replications)]
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            outcomes = list(pool.map(worker, range(replications)))
+    else:
+        outcomes = [worker(rep) for rep in range(replications)]
 
     failed = sum(1 for out in outcomes if out is None)
     succeeded = [out for out in outcomes if out is not None]

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .bspline import BasisSpec, evaluate_basis_matrix
-from .errors import DataError, RankDeficiencyError, SampleSizeError
+from .errors import DataError, RankDeficiencyError, SampleSizeError, check_rank
 
 __all__ = ["CurveBlock", "FunctionalDataset", "smooth_block", "build_dataset"]
 
@@ -84,11 +84,10 @@ def _basis_pinv(spec: BasisSpec, grid_bytes: bytes) -> np.ndarray:
     grid = np.frombuffer(grid_bytes)
     basis = evaluate_basis_matrix(spec, grid)
     u, sv, vt = np.linalg.svd(basis, full_matrices=False)
-    if sv[0] == 0.0 or sv[-1] / sv[0] < 1e-10:
-        raise RankDeficiencyError(
-            "basis matrix at the grid points is rank deficient; "
-            + _describe_empty_spans(spec, grid)
-        )
+    try:
+        check_rank(sv, "basis matrix at the grid points")
+    except RankDeficiencyError as exc:
+        raise RankDeficiencyError(f"{exc}; {_describe_empty_spans(spec, grid)}") from None
     # the pseudoinverse from the same SVD, formed as numpy.linalg.pinv does
     pinv = vt.T @ ((1.0 / sv)[:, None] * u.T)
     pinv.setflags(write=False)

@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from funcsel import (
-    ConditionWarning,
     CurveBlock,
     build_dataset,
     build_design,
@@ -16,13 +13,6 @@ from funcsel import (
     make_uniform_basis,
 )
 from funcsel.simgen import DOMAINS, generate_replication
-
-
-def quiet(fn, *args, **kwargs):
-    """Call fn with ConditionWarning suppressed (large-k designs are routine here)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ConditionWarning)
-        return fn(*args, **kwargs)
 
 
 def standard_bases(degree: int = 3, num_basis: int = 6):
@@ -38,7 +28,7 @@ def synthetic_design(scenario, rep: int = 0):
     curves, y, truth = generate_replication(scenario, rep)
     bases = standard_bases()
     data = build_dataset(curves, y, bases)
-    design = quiet(build_design, data)
+    design = build_design(data)
     return design, y, data, truth
 
 
@@ -73,7 +63,7 @@ def random_design(rng: np.random.Generator, n: int, block_sizes: tuple[int, ...]
     ]
     y = rng.normal(0.0, 1.0, n)
     data = build_dataset(curves, y, bases)
-    design = quiet(build_design, data)
+    design = build_design(data)
     return design, y
 
 

@@ -1,11 +1,13 @@
 """CLI: CSV ingestion, selection, bootstrap, simulation, exit codes."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from funcsel import (
+    ConditionWarning,
     DataError,
     build_dataset,
     build_design,
@@ -13,13 +15,13 @@ from funcsel import (
     select_bonferroni,
     smooth_block,
 )
-from funcsel.cli import JobConfig, _build_config, _make_parser, ingest_long_csv, main
+from funcsel.cli import _build_config, ingest_long_csv, main
 from funcsel.design import DesignMatrix
 from funcsel.inference import test_all as run_test_all
 from funcsel.simgen import SimScenario, generate_replication
 from funcsel.smoothing import CurveBlock, FunctionalDataset
 
-from conftest import quiet, standard_bases
+from conftest import standard_bases
 from oracles import smooth_lstsq
 
 
@@ -74,9 +76,8 @@ class TestIngest:
             ],
         )
         write_responses(responses_path, [("a", 1.5), ("b", 2.5)])
-        config = JobConfig(mode="select")
         curves, y, sample_ids, predictor_ids = ingest_long_csv(
-            str(curves_path), str(responses_path), config
+            str(curves_path), str(responses_path)
         )
         assert sample_ids == ["a", "b"]
         assert predictor_ids == ["x"]
@@ -96,7 +97,7 @@ class TestIngest:
         )
         write_responses(responses_path, [("a", 1.5)])
         curves, _, _, _ = ingest_long_csv(
-            str(curves_path), str(responses_path), JobConfig(mode="select")
+            str(curves_path), str(responses_path)
         )
         assert curves[0][0].values.shape == (1, 3)
         assert curves[0][0].values[0] == pytest.approx([1.0, 2.0, 3.0])
@@ -107,7 +108,7 @@ class TestIngest:
         write_curves(curves_path, [("a", "x", 0.0, 1.0), ("b", "x", 0.0, 1.0)])
         write_responses(responses_path, [("a", 1.0)])
         with pytest.raises(DataError, match="missing response for sample_id 'b'"):
-            ingest_long_csv(str(curves_path), str(responses_path), JobConfig(mode="select"))
+            ingest_long_csv(str(curves_path), str(responses_path))
 
     def test_bad_header(self, tmp_path):
         curves_path = tmp_path / "c.csv"
@@ -115,7 +116,7 @@ class TestIngest:
         curves_path.write_text("id,pred,t,value\na,x,0,1\n")
         write_responses(responses_path, [("a", 1.0)])
         with pytest.raises(DataError, match="line 1"):
-            ingest_long_csv(str(curves_path), str(responses_path), JobConfig(mode="select"))
+            ingest_long_csv(str(curves_path), str(responses_path))
 
     def test_duplicate_point(self, tmp_path):
         curves_path = tmp_path / "c.csv"
@@ -123,7 +124,7 @@ class TestIngest:
         write_curves(curves_path, [("a", "x", 0.5, 1.0), ("a", "x", 0.5, 2.0)])
         write_responses(responses_path, [("a", 1.0)])
         with pytest.raises(DataError, match="line 3.*duplicate"):
-            ingest_long_csv(str(curves_path), str(responses_path), JobConfig(mode="select"))
+            ingest_long_csv(str(curves_path), str(responses_path))
 
     def test_non_numeric_field(self, tmp_path):
         curves_path = tmp_path / "c.csv"
@@ -131,7 +132,7 @@ class TestIngest:
         write_curves(curves_path, [("a", "x", 0.5, "oops")])
         write_responses(responses_path, [("a", 1.0)])
         with pytest.raises(DataError, match="line 2.*'value'"):
-            ingest_long_csv(str(curves_path), str(responses_path), JobConfig(mode="select"))
+            ingest_long_csv(str(curves_path), str(responses_path))
 
     @pytest.mark.parametrize(
         "target, row",
@@ -166,7 +167,7 @@ class TestIngest:
         write_curves(curves_path, [("a", "x", 0.5, 1.0)])
         write_responses(responses_path, [("a", 1.0), ("z", 2.0)])
         with pytest.raises(DataError, match="'z' has no curves"):
-            ingest_long_csv(str(curves_path), str(responses_path), JobConfig(mode="select"))
+            ingest_long_csv(str(curves_path), str(responses_path))
 
     def test_missing_predictor_for_sample(self, tmp_path):
         curves_path = tmp_path / "c.csv"
@@ -177,7 +178,7 @@ class TestIngest:
         )
         write_responses(responses_path, [("a", 1.0), ("b", 2.0)])
         with pytest.raises(DataError, match="sample 'b' has no rows for predictor 'w'"):
-            ingest_long_csv(str(curves_path), str(responses_path), JobConfig(mode="select"))
+            ingest_long_csv(str(curves_path), str(responses_path))
 
     @pytest.mark.parametrize(
         "layout, run_lengths",
@@ -223,7 +224,7 @@ class TestIngest:
         write_responses(responses_path, [(f"s{i:02d}", 0.0) for i in range(n)])
 
         curves, y, _, predictor_ids = ingest_long_csv(
-            str(curves_path), str(responses_path), JobConfig(mode="select")
+            str(curves_path), str(responses_path)
         )
         assert predictor_ids == ["p0", "p1"]
         assert [block.num_curves for block in curves[0]] == run_lengths
@@ -283,7 +284,7 @@ class TestRoundTrip:
         write_responses(responses_path, [(f"s{i:02d}", repr(float(v))) for i, v in enumerate(y)])
 
         curves, y_read, _, _ = ingest_long_csv(
-            str(curves_path), str(responses_path), JobConfig(mode="select")
+            str(curves_path), str(responses_path)
         )
         data = build_dataset(curves, y_read, [basis] * num_pred)
         assert data.n == n
@@ -316,7 +317,7 @@ class TestRunSelect:
         # in-process reference on the same data
         bases = standard_bases()
         data = build_dataset(curves, y, bases)
-        design = quiet(build_design, data)
+        design = build_design(data)
         expected = run_test_all(design, y)
 
         lines = [json.loads(line) for line in out.read_text().splitlines()]
@@ -374,7 +375,7 @@ class TestRunSelect:
                 coefs=(rng.normal(size=(n, 6)), rng.normal(size=(n, 6))),
                 responses=rng.normal(size=n),
             )
-            design = quiet(build_design, data)
+            design = build_design(data)
             tests = run_test_all(design, data.responses)
             if not select_bonferroni(tests, q).selected:
                 empty += 1
@@ -403,7 +404,7 @@ class TestRunBootstrap:
 
         bases = standard_bases()
         data = build_dataset(curves, y, bases)
-        design = quiet(build_design, data)
+        design = build_design(data)
         rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
         idx = rng.integers(0, design.n, size=design.n)
         resampled = DesignMatrix(values=design.values[idx], block_offsets=design.block_offsets)
@@ -477,6 +478,19 @@ class TestRunSimulate:
         assert code == 0
         assert json.loads(out.read_text())["seed"] == 3
 
+    def test_condition_warning_once_per_job(self):
+        # k = 37 > sqrt(300)/log(300) = 3.04: a job warns once, not once per
+        # design, and a second job in the same process warns again
+        for threads in ("1", "2"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(["--mode", "simulate", "--c", "0.4", "--n", "300", "--reps", "16",
+                             "--method", "fdr", "--q", "0.01", "--threads", threads])
+            assert code == 0
+            caught = [w for w in caught if issubclass(w.category, ConditionWarning)]
+            assert len(caught) == 1
+            assert "k = 1 + sum(p_m) = 37" in str(caught[0].message)
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_flags_win(self, tmp_path):
@@ -497,6 +511,17 @@ class TestConfigFile:
         assert report["seed"] == 4  # flag beats config file
         assert report["method"] == "bc"
         assert report["replications"] == 2
+
+    def test_config_beats_env_seed(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FUNCSEL_SEED", "77")
+        config_path = tmp_path / "job.cfg"
+        config_path.write_text("seed = 9\n")
+        out = tmp_path / "sim.json"
+        code = main(["--config", str(config_path), "--mode", "simulate", "--c", "0",
+                     "--n", "100", "--reps", "1", "--method", "bc", "--q", "0.05",
+                     "--out", str(out)])
+        assert code == 0
+        assert json.loads(out.read_text())["seed"] == 9
 
     def test_override_keeps_predictor_id_as_written(self, tmp_path):
         # '-' in the option name reads as '_', but not in the predictor id
@@ -519,7 +544,7 @@ class TestConfigFile:
         )
         argv = ["--config", str(config_path), "--mode", "select", "--curves",
                 str(curves_path), "--responses", str(responses_path)]
-        config = _build_config(_make_parser().parse_args(argv))
+        config = _build_config(argv)
         assert config.basis_size_overrides == {"TEMP-MAX": 4}
         assert config.degree_overrides == {"TEMP-MAX": 2}
         assert config.domain_overrides == {"TEMP-MAX": (0.0, 1.0)}
@@ -544,6 +569,19 @@ class TestExitCodes:
         assert main(["--mode", "nonsense"]) == 1
         assert main([]) == 1  # mode missing
         assert main(["--mode", "select"]) == 1  # curves/responses missing
+
+    @pytest.mark.parametrize(
+        "flags, reason",
+        [
+            (["--method", "xyz"], "argument --method: invalid choice: 'xyz'"),
+            (["--reps", "abc"], "argument --reps: invalid int value: 'abc'"),
+        ],
+    )
+    def test_parse_error_prints_usage_and_reason(self, capsys, flags, reason):
+        assert main(["--mode", "simulate", *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: funcsel")
+        assert f"error: {reason}" in err
 
     def test_invalid_q_is_usage_error(self):
         assert main(["--mode", "simulate", "--q", "1.5", "--reps", "1",
@@ -570,6 +608,14 @@ class TestExitCodes:
             ["--q", "0"],
             ["--q", "1"],
             ["--q", "1.5"],
+            # unknown keys, and values that fail the flag's own conversion
+            ["--config", "repz = 50", "job.cfg line 1: unknown key 'repz'"],
+            ["--config", "# comment\n\nbasis-sise = 8", "job.cfg line 3: unknown key 'basis-sise'"],
+            ["--config", "reps.p0 = 5", "job.cfg line 1: unknown key 'reps.p0'"],
+            ["--config", "config = other.cfg", "job.cfg line 1: unknown key 'config'"],
+            ["--config", "reps = abc", "job.cfg line 1: argument --reps: invalid int value"],
+            ["--config", "method = xyz", "job.cfg line 1: argument --method: invalid choice"],
+            ["--config", "degree.p0 = 2.5", "job.cfg line 1: argument --degree: invalid int value"],
         ],
     )
     def test_out_of_range_option_is_usage_error(self, tmp_path, capsys, flags):

@@ -8,6 +8,7 @@ from funcsel import (
     FunctionalDataset,
     RankDeficiencyError,
     build_design,
+    check_parameter_count,
     evaluate_basis_matrix,
     fit_ols,
     gram_matrix,
@@ -15,7 +16,7 @@ from funcsel import (
 )
 from funcsel.simgen import SimScenario
 
-from conftest import quiet, synthetic_design
+from conftest import synthetic_design
 
 
 def _dataset(bases, coefs, responses):
@@ -33,7 +34,7 @@ class TestBuildDesign:
         assert np.array_equal(gram_matrix(spec), np.eye(2))
         coefs = np.array([[1.0, 2.0], [0.5, -1.0], [3.0, 0.0], [0.1, 0.2]])
         data = _dataset([spec], [coefs], np.zeros(4))
-        design = quiet(build_design, data)
+        design = build_design(data)
         assert design.values[0] == pytest.approx([1.0, 1.0, 2.0])
         assert design.block_offsets == (1, 3)
         assert design.k == 3
@@ -42,7 +43,7 @@ class TestBuildDesign:
         spec = make_uniform_basis(0.0, 1.0, degree=1, num_basis=2)
         coefs = np.array([[1.0, 1.0], [2.0, 0.0], [0.0, 1.0], [1.0, -1.0]])
         data = _dataset([spec], [coefs], np.zeros(4))
-        design = quiet(build_design, data)
+        design = build_design(data)
         # W = (1, 1) against the hat Gram [[1/3,1/6],[1/6,1/3]] gives (1/2, 1/2)
         assert design.values[0, 1:] == pytest.approx([0.5, 0.5])
 
@@ -68,7 +69,7 @@ class TestBuildDesign:
         n = 40
         coefs = rng.normal(size=(n, 7))
         data = _dataset([spec], [coefs], np.zeros(n))
-        design = quiet(build_design, data)
+        design = build_design(data)
         fine = np.linspace(-1.0, 2.0, 200_001)
         basis_fine = evaluate_basis_matrix(spec, fine)
         weights = np.full(fine.size, fine[1] - fine[0])
@@ -82,21 +83,21 @@ class TestBuildDesign:
             assert np.max(np.abs(lhs - rhs)) < 1e-8 * max(np.max(np.abs(rhs)), 1.0)
 
     def test_condition_warning_fires_when_k_large(self):
-        # k = 13 > sqrt(60)/log(60)
+        # k = 13 > sqrt(60)/log(60) = 1.89
+        with pytest.warns(ConditionWarning, match="sqrt"):
+            check_parameter_count(60, 13)
+
+    def test_no_warning_when_k_small(self, recwarn):
+        check_parameter_count(40_000, 3)  # sqrt(n)/log(n) = 18.9 > k = 3
+        assert not [w for w in recwarn if issubclass(w.category, ConditionWarning)]
+
+    def test_assembly_does_not_warn(self, recwarn):
+        # k = 13 > sqrt(60)/log(60), but the check belongs to the job, not to
+        # every design it builds
         rng = np.random.default_rng(0)
         bases = [make_uniform_basis(0.0, 1.0, degree=3, num_basis=6)] * 2
         coefs = [rng.normal(size=(60, 6)), rng.normal(size=(60, 6))]
-        data = _dataset(bases, coefs, np.zeros(60))
-        with pytest.warns(ConditionWarning, match="sqrt"):
-            build_design(data)
-
-    def test_no_warning_when_k_small(self, recwarn):
-        rng = np.random.default_rng(1)
-        spec = make_uniform_basis(0.0, 1.0, degree=1, num_basis=2)
-        n = 40_000  # sqrt(n)/log(n) = 18.9 > k = 3
-        coefs = rng.normal(size=(n, 2))
-        data = _dataset([spec], [coefs], np.zeros(n))
-        build_design(data)
+        build_design(_dataset(bases, coefs, np.zeros(60)))
         assert not [w for w in recwarn if issubclass(w.category, ConditionWarning)]
 
     def test_rank_deficiency_detected(self):
@@ -105,7 +106,7 @@ class TestBuildDesign:
         spec = make_uniform_basis(0.0, 1.0, degree=3, num_basis=6)
         shared = rng.normal(size=(40, 6))
         data = _dataset([spec, spec], [shared, shared], np.zeros(40))
-        design = quiet(build_design, data)
+        design = build_design(data)
         with pytest.raises(RankDeficiencyError, match="singular"):
             fit_ols(design, rng.normal(size=40))
 

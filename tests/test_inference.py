@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.special import chdtrc
 
 from funcsel import NumericalError, chisq_cdf, fit_ols, noncentral_chisq_cdf
 from funcsel.inference import test_all as run_test_all
@@ -77,7 +78,7 @@ class TestNoncentralChisqCdf:
             assert abs(e - p) <= 3 * se + 1e-12
 
     def test_large_delta_series_converges(self):
-        # the Poisson window must widen correctly far from the origin
+        # far from the origin, at delta = 5000, the CDF is still a probability
         value = noncentral_chisq_cdf(5200.0, 6, 5000.0)
         assert 0.5 < value < 1.0
 
@@ -154,14 +155,28 @@ class TestTestPredictor:
 
     def test_null_p_values_uniform(self):
         # fixed design, pure-noise responses: p-values follow Uniform(0,1);
-        # n large relative to k keeps the chi-square approximation tight
+        # n large relative to k keeps the chi-square approximation tight.
+        # One QR of the design serves all 2000 responses, drawn in the order
+        # of one fit per response: b = R^{-1} Q'y, RSS = |y|^2 - |Q'y|^2,
+        # and the statistic is the Wald form that test_predictor uses.
         rng = np.random.default_rng(15)
         design, _ = random_design(rng, 8000, (4, 5))
+        q, r = np.linalg.qr(design.values)
+        r_inv = np.linalg.inv(r)
+        block = design.block_slice(0)
+        v_rr = r_inv[block] @ r_inv[block].T
         p_values = np.empty(2000)
-        for i in range(2000):
-            y = rng.normal(size=design.n)
-            full = fit_ols(design, y)
-            p_values[i] = run_test_predictor(full, 0).p_value
+        for start in range(0, 2000, 250):
+            responses = rng.normal(size=(250, design.n))
+            qty = q.T @ responses.T
+            b_r = (r_inv @ qty)[block]
+            rss = np.sum(responses**2, axis=1) - np.sum(qty**2, axis=0)
+            statistic = np.sum(b_r * np.linalg.solve(v_rr, b_r), axis=0) / (rss / design.n)
+            p_values[start : start + 250] = chdtrc(design.block_size(0), statistic)
+            if start == 0:
+                for y, value in zip(responses[:5], statistic[:5]):
+                    expected = run_test_predictor(fit_ols(design, y), 0).statistic
+                    assert value == pytest.approx(expected, rel=1e-10)
         grid = np.sort(p_values)
         positions = np.arange(1, 2001) / 2000
         ks = np.max(np.abs(grid - positions))

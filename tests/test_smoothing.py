@@ -120,9 +120,10 @@ class TestSmoothCurve:
 
     def test_empty_span_reported(self, cubic_basis):
         # all points in the first knot span: the last basis functions never
-        # activate, so the fit is rank deficient and the span is named
+        # activate, so the fit is rank deficient and the span is named; the
+        # criterion is the one the design's rank check uses
         grid = np.linspace(0.0, 0.3, 8)
-        with pytest.raises(RankDeficiencyError, match="knot span"):
+        with pytest.raises(RankDeficiencyError, match=r"singular value .* < 1e-10; knot span"):
             smooth_curve(grid, np.zeros(8), cubic_basis)
 
 
