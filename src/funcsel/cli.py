@@ -29,8 +29,9 @@ import numpy as np
 from .bspline import BasisSpec, make_uniform_basis
 from .design import DesignMatrix, build_design, check_parameter_count
 from .errors import DataError, NumericalError
-from .inference import test_all
-from .selection import check_q, default_q, select
+from .inference import test_all, test_resamples
+from .linmodel import sample_qr
+from .selection import check_q, default_q, select, selection_mask
 from .simgen import NUM_PREDICTORS, SimScenario, run_monte_carlo
 from .smoothing import CurveBlock, build_dataset
 
@@ -39,6 +40,7 @@ __all__ = [
     "ingest_long_csv",
     "run_select",
     "run_bootstrap",
+    "bootstrap_counts",
     "run_simulate",
     "main",
 ]
@@ -50,6 +52,11 @@ EXIT_NUMERICAL = 3
 
 # config keys "<name>.<predictor id>" that override one predictor's basis
 _OVERRIDES = ("basis_size", "degree", "domain")
+
+# floats in one chunk of bootstrap resamples fitted together (b x n x (k+1)
+# rows of Q), which sets b: 45 resamples at n = 300 and k = 37, where larger
+# chunks ran no faster and raised the process's peak RSS
+RESAMPLE_FLOATS = 2**19
 
 
 @dataclass(frozen=True)
@@ -318,29 +325,44 @@ def run_select(config: JobConfig):
     return result
 
 
+def _resample_indices(seed: int, n: int, b: int, chunk: int):
+    """The row indices of b bootstrap resamples of n rows, as (chunk, n)
+    arrays (the last one shorter), from the Philox stream keyed (seed, 0):
+    the same draws, in the same order, as b draws of n."""
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    for start in range(0, b, chunk):
+        yield rng.integers(0, n, size=(min(chunk, b - start), n))
+
+
+def bootstrap_counts(
+    design: DesignMatrix, y: np.ndarray, method: str, q: float, b: int, seed: int
+) -> tuple[np.ndarray, int]:
+    """How often each predictor is selected over b resamples of the rows,
+    and how many resamples failed their fit (a rank-deficient design, or
+    no more rows than columns)."""
+    selected = np.zeros(design.num_predictors, dtype=int)
+    try:
+        qr = sample_qr(design, y)
+    except NumericalError:
+        return selected, b
+    failed = 0
+    chunk = max(1, RESAMPLE_FLOATS // (design.n * (design.k + 1)))
+    for idx in _resample_indices(seed, design.n, b, chunk):
+        _, p_values = test_resamples(qr, idx)
+        fitted = ~np.isnan(p_values[:, 0])
+        failed += int(np.count_nonzero(~fitted))
+        selected += selection_mask(method, p_values[fitted], q).sum(axis=0)
+    return selected, failed
+
+
 def run_bootstrap(config: JobConfig) -> dict:
     """Selection ratios over B joint resamples of (curves, response) rows."""
     design, y, predictor_ids = _selection_pipeline(config)
-    num_predictors = design.num_predictors
-    rng = np.random.Generator(
-        np.random.Philox(key=np.array([config.seed, 0], dtype=np.uint64))
+    q = config.resolve_q(design.n, design.num_predictors)
+    selected, failed = bootstrap_counts(
+        design, y, config.method, q, config.bootstrap_b, config.seed
     )
-    q = config.resolve_q(design.n, num_predictors)
-    counts = np.zeros(num_predictors)
-    failed = 0
-    for _ in range(config.bootstrap_b):
-        idx = rng.integers(0, design.n, size=design.n)
-        resampled = DesignMatrix(
-            values=design.values[idx], block_offsets=design.block_offsets
-        )
-        try:
-            tests = test_all(resampled, y[idx])
-        except NumericalError:
-            failed += 1
-            continue
-        for m in select(config.method, tests, q).selected:
-            counts[m] += 1
-    ratios = counts / max(config.bootstrap_b - failed, 1)
+    ratios = selected / max(config.bootstrap_b - failed, 1)
     print(
         f"bootstrap: B={config.bootstrap_b}  failed={failed}  "
         f"method={config.method}  q={q:.6g}"
@@ -390,6 +412,7 @@ class _Parser(argparse.ArgumentParser):
 def _make_parser() -> _Parser:
     parser = _Parser(
         prog="funcsel",
+        allow_abbrev=False,
         description="Variable selection for scalar-on-function regression",
     )
     for name, option in _OPTIONS.items():

@@ -3,7 +3,8 @@
 Bonferroni rejects p-values at or below q/M. The false-discovery-rate
 procedure is the dependency-robust step-up rule with the harmonic-sum
 correction: reject the s smallest p-values where s is the largest j with
-p_(j) <= (j/M) * q / H_M and H_M = sum_{l=1}^M 1/l.
+p_(j) <= (j/M) * q / H_M and H_M = sum_{l=1}^M 1/l. Both rules are
+:func:`selection_mask`, over one row of p-values or over many at once.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .inference import HypothesisTest
 
@@ -21,6 +24,7 @@ __all__ = [
     "select",
     "select_bonferroni",
     "select_fdr",
+    "selection_mask",
     "default_q",
 ]
 
@@ -40,40 +44,54 @@ class SelectionResult:
     s: int | None
 
 
+def selection_mask(method: str, p_values, q: float) -> np.ndarray:
+    """Which predictors the rule selects, for each row of a (..., M) array
+    of p-values: a boolean array of the same shape.
+
+    The step-up rule sorts each row with a stable sort, so tied p-values
+    keep predictor order; a tie never straddles the cut, since every member
+    of a tied group passes the threshold of the group's last rank.
+    """
+    check_q(q)
+    p_values = np.asarray(p_values, dtype=float)
+    m = p_values.shape[-1]
+    if m == 0:
+        raise ValueError("no tests supplied")
+    if check_method(method) != "fdr":
+        return p_values <= q / m
+    harmonic = sum(1.0 / l for l in range(1, m + 1))
+    order = np.argsort(p_values, axis=-1, kind="stable")
+    ranks = np.arange(1, m + 1)
+    passes = np.take_along_axis(p_values, order, -1) <= (ranks / m) * (q / harmonic)
+    # s, the largest passing rank, from the last True of each row (0 if none)
+    s = np.where(passes.any(-1), m - np.argmax(passes[..., ::-1], axis=-1), 0)
+    selected = np.empty_like(passes)
+    np.put_along_axis(selected, order, ranks <= s[..., None], -1)
+    return selected
+
+
+def _select(method: str, tests: Sequence[HypothesisTest], q: float):
+    tests = tuple(tests)
+    mask = selection_mask(method, [t.p_value for t in tests], q)
+    selected = tuple(sorted(t.predictor_index for t, keep in zip(tests, mask) if keep))
+    return tests, selected
+
+
 def select_bonferroni(tests: Sequence[HypothesisTest], q: float) -> SelectionResult:
     """Select predictors whose p-value is at most q/M."""
-    check_q(q)
-    tests = tuple(tests)
-    if not tests:
-        raise ValueError("no tests supplied")
-    threshold = q / len(tests)
-    selected = tuple(
-        sorted(t.predictor_index for t in tests if t.p_value <= threshold)
-    )
+    tests, selected = _select("bc", tests, q)
     return SelectionResult(
         method="bonferroni", q=q, tests=tests, selected=selected, s=None
     )
 
 
 def select_fdr(tests: Sequence[HypothesisTest], q: float) -> SelectionResult:
-    """Step-up selection with the harmonic-sum correction.
-
-    Ties in the p-value sort are broken by predictor index for determinism.
-    """
-    check_q(q)
-    tests = tuple(tests)
-    if not tests:
-        raise ValueError("no tests supplied")
-    m = len(tests)
-    harmonic = sum(1.0 / l for l in range(1, m + 1))
-    order = sorted(tests, key=lambda t: (t.p_value, t.predictor_index))
-    s = 0
-    for j in range(m, 0, -1):
-        if order[j - 1].p_value <= (j / m) * (q / harmonic):
-            s = j
-            break
-    selected = tuple(sorted(t.predictor_index for t in order[:s]))
-    return SelectionResult(method="fdr", q=q, tests=tests, selected=selected, s=s)
+    """Step-up selection with the harmonic-sum correction; ``s`` is the
+    number of rejections."""
+    tests, selected = _select("fdr", tests, q)
+    return SelectionResult(
+        method="fdr", q=q, tests=tests, selected=selected, s=len(selected)
+    )
 
 
 def check_method(method: str) -> str:

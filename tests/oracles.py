@@ -12,6 +12,12 @@ long way, so the tests can check the package against them:
 ``noncentrality`` is the noncentrality of a test under a known truth, from
 an ``lstsq`` projection onto the restricted column space.
 
+``selected_by_loop`` is the per-row reference of the selection rules, the
+sort-and-scan loop they were first written as.
+
+``bootstrap_loop`` is the per-resample reference of the bootstrap: one
+explicit fit, test and selection per resample, drawn one at a time.
+
 ``smooth_lstsq`` is the reference for the smoothing layer: one curve at a
 time, scipy's B-spline design matrix and ``lstsq``, sharing no code with the
 package's block smoother.
@@ -24,8 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import BSpline
 
-from funcsel import BasisSpec, NumericalError, fit_ols
+from funcsel import BasisSpec, NumericalError, fit_ols, select
 from funcsel.design import DesignMatrix
+from funcsel.inference import test_all as run_test_all
 from funcsel.linmodel import FitResult
 
 
@@ -132,3 +139,40 @@ def smooth_lstsq(grid: np.ndarray, values: np.ndarray, spec: BasisSpec) -> np.nd
     basis = BSpline.design_matrix(grid, spec.knot_array, spec.degree).toarray()
     coef, *_ = np.linalg.lstsq(basis, values, rcond=None)
     return coef
+
+
+def bootstrap_loop(
+    design: DesignMatrix, y: np.ndarray, method: str, q: float, b: int, seed: int
+) -> tuple[np.ndarray, int]:
+    """Selection counts per predictor over b resamples, and the number of
+    resamples whose fit failed, with one explicit fit per resample."""
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    counts = np.zeros(design.num_predictors)
+    failed = 0
+    for _ in range(b):
+        idx = rng.integers(0, design.n, size=design.n)
+        resampled = DesignMatrix(
+            values=design.values[idx], block_offsets=design.block_offsets
+        )
+        try:
+            tests = run_test_all(resampled, y[idx])
+        except NumericalError:
+            failed += 1
+            continue
+        for m in select(method, tests, q).selected:
+            counts[m] += 1
+    return counts, failed
+
+
+def selected_by_loop(method: str, p_values, q: float) -> set[int]:
+    """Indices that Bonferroni ('bc') or the harmonic step-up rule ('fdr')
+    selects from one list of p-values, ties broken by index."""
+    m = len(p_values)
+    if method == "bc":
+        return {i for i, p in enumerate(p_values) if p <= q / m}
+    harmonic = sum(1.0 / l for l in range(1, m + 1))
+    order = sorted(range(m), key=lambda i: (p_values[i], i))
+    for j in range(m, 0, -1):
+        if p_values[order[j - 1]] <= (j / m) * (q / harmonic):
+            return set(order[:j])
+    return set()

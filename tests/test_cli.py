@@ -15,14 +15,22 @@ from funcsel import (
     select_bonferroni,
     smooth_block,
 )
-from funcsel.cli import _build_config, ingest_long_csv, main
+from funcsel.cli import (
+    _build_config,
+    _resample_indices,
+    bootstrap_counts,
+    ingest_long_csv,
+    main,
+)
 from funcsel.design import DesignMatrix
 from funcsel.inference import test_all as run_test_all
+from funcsel.inference import test_resamples as run_test_resamples
+from funcsel.linmodel import sample_qr
 from funcsel.simgen import SimScenario, generate_replication
 from funcsel.smoothing import CurveBlock, FunctionalDataset
 
 from conftest import standard_bases
-from oracles import smooth_lstsq
+from oracles import bootstrap_loop, smooth_lstsq
 
 
 def write_curves(path, rows):
@@ -438,6 +446,120 @@ class TestRunBootstrap:
         assert report["ratios"]["p5"] <= 0.15
 
 
+    # chunks of 45 (the bench's size) and 300 leave uneven last chunks of
+    # 20 and 200
+    @pytest.mark.parametrize("chunk", [45, 300])
+    def test_chunked_draws_equal_per_resample_draws(self, chunk):
+        seed, n, b = 7, 300, 2000
+        chunks = list(_resample_indices(seed, n, b, chunk))
+        assert len(chunks[-1]) == b % chunk
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+        expected = np.array([rng.integers(0, n, size=n) for _ in range(b)])
+        np.testing.assert_array_equal(np.concatenate(chunks), expected)
+
+    def test_resample_statistics_match_explicit_fits(self, sim_files):
+        _, _, curves, y = sim_files
+        design = build_design(build_dataset(curves, y, standard_bases()))
+        idx = next(_resample_indices(4, design.n, 5, 5))
+        statistics, p_values = run_test_resamples(sample_qr(design, y), idx)
+        for j, rows in enumerate(idx):
+            resampled = DesignMatrix(
+                values=design.values[rows], block_offsets=design.block_offsets
+            )
+            tests = run_test_all(resampled, y[rows])
+            expected = np.array([t.statistic for t in tests])
+            np.testing.assert_allclose(statistics[j], expected, rtol=1e-10, atol=0)
+            np.testing.assert_allclose(p_values[j], [t.p_value for t in tests], rtol=1e-8)
+
+    @pytest.mark.parametrize("n", [60, 45, 37, 30])
+    @pytest.mark.parametrize("method", ["bc", "fdr"])
+    def test_failed_resamples_match_per_resample_oracle(self, n, method):
+        # k = 37 columns: at n = 60 a resample often has fewer distinct rows
+        # than columns and fails its rank check; at n = 45 every one does;
+        # at n = 37 and 30 no resample has more rows than columns
+        rng = np.random.default_rng(60)
+        z = np.column_stack([np.ones(n), rng.normal(size=(n, 36))])
+        y = z[:, 1:7].sum(axis=1) + rng.normal(size=n)
+        design = DesignMatrix(values=z, block_offsets=(1, 7, 13, 19, 25, 31, 37))
+        selected, failed = bootstrap_counts(design, y, method, 0.05, 200, 3)
+        expected_counts, expected_failed = bootstrap_loop(design, y, method, 0.05, 200, 3)
+        assert failed == expected_failed
+        np.testing.assert_array_equal(selected, expected_counts)
+        if n == 60:
+            assert 0 < failed < 200
+        else:
+            assert failed == 200
+
+    @pytest.mark.parametrize("method", ["bc", "fdr"])
+    def test_raising_batch_falls_back_to_explicit_fits(self, monkeypatch, method):
+        # a batch with an exactly singular H_zz is refitted resample by
+        # resample; no test design here makes one reliably, so every batch
+        # is made to raise
+        def singular(qr, idx):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr("funcsel.inference.fit_resamples", singular)
+        rng = np.random.default_rng(60)
+        z = np.column_stack([np.ones(60), rng.normal(size=(60, 36))])
+        y = z[:, 1:7].sum(axis=1) + rng.normal(size=60)
+        design = DesignMatrix(values=z, block_offsets=(1, 7, 13, 19, 25, 31, 37))
+        selected, failed = bootstrap_counts(design, y, method, 0.05, 200, 3)
+        expected_counts, expected_failed = bootstrap_loop(design, y, method, 0.05, 200, 3)
+        assert 0 < failed == expected_failed < 200
+        np.testing.assert_array_equal(selected, expected_counts)
+
+    @pytest.mark.parametrize("defect", ["zero", "tiny", "near threshold", "near repeat"])
+    def test_singular_design_fails_every_resample(self, defect):
+        # a zero column leaves an exactly zero pivot in the full sample's R;
+        # a tiny or a nearly repeated one leaves sigma_min/sigma_max of every
+        # resample below RANK_RTOL. Near the threshold (about 6e-11 for the
+        # full design) the certification bound reads 3.5e10 to 5.6e10, so a
+        # bound a few times looser would pass resamples that fail their fit
+        rng = np.random.default_rng(80)
+        z = np.column_stack([np.ones(80), rng.normal(size=(80, 12))])
+        z[:, 5] = {
+            "zero": 0.0,
+            "tiny": 1e-11 * z[:, 5],
+            "near threshold": 1e-10 * z[:, 5],
+            "near repeat": z[:, 4] + 1e-12 * z[:, 6],
+        }[defect]
+        y = rng.normal(size=80)
+        design = DesignMatrix(values=z, block_offsets=(1, 7, 13))
+        selected, failed = bootstrap_counts(design, y, "fdr", 0.05, 120, 2)
+        assert failed == 120
+        np.testing.assert_array_equal(selected, [0, 0])
+
+    # 45 samples: every resample fails its fit; 30 samples: no more samples
+    # than the k = 37 columns, which the job rejects before resampling
+    @pytest.mark.parametrize("n, code", [(45, 0), (30, 3)])
+    def test_job_where_every_resample_fails(self, tmp_path, capsys, n, code):
+        rng = np.random.default_rng(45)
+        grid = np.linspace(0.0, 1.0, 20)
+        rows = [
+            (f"s{i:02d}", f"p{m}", repr(float(t)), repr(float(v)))
+            for i in range(n)
+            for m in range(6)
+            for t, v in zip(grid, rng.normal(size=grid.size))
+        ]
+        curves_path, responses_path = tmp_path / "c.csv", tmp_path / "r.csv"
+        write_curves(curves_path, rows)
+        write_responses(
+            responses_path, [(f"s{i:02d}", repr(float(rng.normal()))) for i in range(n)]
+        )
+        out = tmp_path / "boot.jsonl"
+        assert code == main(
+            ["--mode", "bootstrap", "--curves", str(curves_path),
+             "--responses", str(responses_path), "--method", "fdr", "--q", "0.05",
+             "--bootstrap-b", "60", "--out", str(out)]
+        )
+        if code:
+            assert "need n > k" in capsys.readouterr().err
+            return
+        report = json.loads(out.read_text())
+        assert report["failed"] == 60
+        assert report["ratios"] == {f"p{m}": 0.0 for m in range(6)}
+
+
 class TestRunSimulate:
     def test_smoke_and_determinism(self, tmp_path):
         out1 = tmp_path / "sim1.json"
@@ -575,6 +697,9 @@ class TestExitCodes:
         [
             (["--method", "xyz"], "argument --method: invalid choice: 'xyz'"),
             (["--reps", "abc"], "argument --reps: invalid int value: 'abc'"),
+            # no prefix matching: a flag must be spelled in full
+            (["--rep", "1"], "unrecognized arguments: --rep 1"),
+            (["--boot", "5"], "unrecognized arguments: --boot 5"),
         ],
     )
     def test_parse_error_prints_usage_and_reason(self, capsys, flags, reason):

@@ -1,5 +1,5 @@
 """Property-based checks of the likelihood-ratio statistics from ``test_all``
-and of the selection rules.
+and of the selection rules, one row of p-values or many at once.
 
 The statistics are read off the single full fit; these properties hold for
 every design and response, so they are checked on random instances rather
@@ -16,9 +16,10 @@ from hypothesis import strategies as st
 from funcsel import HypothesisTest, select_bonferroni, select_fdr
 from funcsel.design import DesignMatrix
 from funcsel.inference import test_all as run_test_all
+from funcsel.selection import selection_mask
 
 from conftest import random_design
-from oracles import column_deletion_rss
+from oracles import column_deletion_rss, selected_by_loop
 
 REL_TOL = 1e-8
 
@@ -124,3 +125,35 @@ def test_fdr_at_harmonic_level_contains_bonferroni(p_values, q):
     bonferroni = set(select_bonferroni(tests, q).selected)
     fdr = set(select_fdr(tests, q * harmonic).selected)
     assert bonferroni <= fdr
+
+
+@st.composite
+def p_value_matrices(draw):
+    """(p-value matrix, q): rows drawn from a small pool that holds every
+    Bonferroni and step-up threshold exactly, so rows tie and sit on them."""
+    num_tests = draw(st.integers(1, 8))
+    q = draw(st.sampled_from((0.01, 0.05, 0.2, 0.5)))
+    harmonic = sum(1.0 / l for l in range(1, num_tests + 1))
+    pool = [q / num_tests, 0.0, 1.0]
+    pool += [(j / num_tests) * (q / harmonic) for j in range(1, num_tests + 1)]
+    pool += draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
+    row = st.lists(st.sampled_from(pool), min_size=num_tests, max_size=num_tests)
+    return np.array(draw(st.lists(row, min_size=1, max_size=6))), q
+
+
+@property_settings
+@given(p_value_matrices())
+def test_array_rule_matches_per_row_selection(matrix_and_q):
+    p_values, q = matrix_and_q
+    selectors = {"bc": select_bonferroni, "fdr": select_fdr}
+    for method, selector in selectors.items():
+        mask = selection_mask(method, p_values, q)
+        assert mask.shape == p_values.shape
+        for row, chosen in zip(p_values, mask):
+            tests = [
+                HypothesisTest(predictor_index=m, statistic=math.nan, dof=1, p_value=p)
+                for m, p in enumerate(row)
+            ]
+            expected = selected_by_loop(method, list(row), q)
+            assert set(np.flatnonzero(chosen)) == expected
+            assert set(selector(tests, q).selected) == expected
