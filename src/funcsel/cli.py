@@ -23,6 +23,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field, fields
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -52,6 +53,11 @@ EXIT_NUMERICAL = 3
 
 # config keys "<name>.<predictor id>" that override one predictor's basis
 _OVERRIDES = ("basis_size", "degree", "domain")
+
+# lines of the curves file split and converted at a time; a whole large file
+# split into fields at once raised the process's peak RSS
+CHUNK_LINES = 16384
+_CURVES_HEADER = ["sample_id", "predictor_id", "t", "value"]
 
 # floats in one chunk of bootstrap resamples fitted together (b x n x (k+1)
 # rows of Q), which sets b: 45 resamples at n = 300 and k = 37, where larger
@@ -153,13 +159,171 @@ def _parse_float(text: str, path: str, line: int, field_name: str) -> float:
     return value
 
 
+def _check_header(first: list[str] | None, path: str, header: list[str]) -> None:
+    if first is None or [h.strip() for h in first] != header:
+        raise DataError(f"{path} line 1: expected header '{','.join(header)}'")
+
+
 def _csv_reader(handle, path: str, header: list[str]):
     """A CSV reader of ``handle`` past its first line, which must be ``header``."""
     reader = csv.reader(handle)
-    first = next(reader, None)
-    if first is None or [h.strip() for h in first] != header:
-        raise DataError(f"{path} line 1: expected header '{','.join(header)}'")
+    _check_header(next(reader, None), path, header)
     return reader
+
+
+class _NotPlain(Exception):
+    """The curves file holds a quote or a bare carriage return, where
+    splitting its lines at commas could disagree with the csv module."""
+
+
+def _plain_chunks(handle, path: str):
+    """The curves file past its header, split at newlines and commas, as
+    ``(cells, counts, blanks)`` per chunk of at most CHUNK_LINES lines:
+    the fields of the chunk's non-blank lines end to end, each such line's
+    number of fields, and the line numbers of its blank lines. ``handle``
+    must end lines at newlines only. Raises :class:`_NotPlain` on a quote or
+    on a carriage return not followed by a newline."""
+
+    def plain(text: str) -> str:
+        if '"' in text or text.count("\r") != text.count("\r\n"):
+            raise _NotPlain
+        return text.replace("\r\n", "\n")
+
+    header = plain(handle.readline()).removesuffix("\n")
+    _check_header(header.split(","), path, _CURVES_HEADER)
+    line = 2
+    while text := "".join(islice(handle, CHUNK_LINES)):
+        lines = plain(text).split("\n")
+        if text.endswith("\n"):
+            lines.pop()
+        blanks = []
+        if "" in lines:
+            blanks = [line + i for i, row in enumerate(lines) if not row]
+            lines = [row for row in lines if row]
+        commas = np.fromiter(map(str.count, lines, repeat(",")), np.intp, len(lines))
+        yield ",".join(lines).split(","), commas + 1, blanks
+        line += len(lines) + len(blanks)
+
+
+def _csv_chunks(handle, path: str):
+    """:func:`_plain_chunks` read with the csv module, so quoted fields are
+    unquoted; a line number counts the csv rows before it."""
+    reader = _csv_reader(handle, path, _CURVES_HEADER)
+    line = 2
+    while rows := list(islice(reader, CHUNK_LINES)):
+        blanks = [line + i for i, row in enumerate(rows) if not row]
+        rows = [row for row in rows if row]
+        counts = np.fromiter(map(len, rows), np.intp, len(rows))
+        yield list(chain.from_iterable(rows)), counts, blanks
+        line += len(rows) + len(blanks)
+
+
+def _line_of(row: int, blanks: list[int]) -> int:
+    """The line of the row-th non-blank data row, given the sorted numbers
+    of the blank lines before it."""
+    line = row + 2
+    for blank in blanks:
+        if blank > line:
+            break
+        line += 1
+    return line
+
+
+def _numbers(cells: list[str], counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``t`` and ``value`` columns of a chunk; ValueError if some row
+    has a wrong field count or a ``t`` or ``value`` that is not finite."""
+    if np.any(counts != 4):
+        raise ValueError
+    t = np.fromiter(map(float, cells[2::4]), float, counts.size)
+    value = np.fromiter(map(float, cells[3::4]), float, counts.size)
+    if not (np.isfinite(t).all() and np.isfinite(value).all()):
+        raise ValueError
+    return t, value
+
+
+def _first_fault(
+    path: str, cells: list[str], counts: np.ndarray, first_row: int, blanks: list[int]
+) -> tuple[int, DataError]:
+    """The index in its chunk of the first faulty row, read row by row, and
+    its error: a wrong field count, or a ``t`` or ``value`` that is not a
+    finite number."""
+    start = 0
+    for i, count in enumerate(counts.tolist()):
+        line = _line_of(first_row + i, blanks)
+        if count != 4:
+            return i, DataError(f"{path} line {line}: expected 4 fields, got {count}")
+        try:
+            _parse_float(cells[start + 2], path, line, "t")
+            _parse_float(cells[start + 3], path, line, "value")
+        except DataError as exc:
+            return i, exc
+        start += count
+    raise AssertionError("no faulty row in the chunk")
+
+
+def _code(table: dict[str, int], ids: list[str]) -> np.ndarray:
+    """The codes of the stripped ``ids``, adding unseen ids to ``table``."""
+    ids = list(map(str.strip, ids))
+    for name in dict.fromkeys(ids):
+        table.setdefault(name, len(table))
+    return np.fromiter(map(table.__getitem__, ids), np.intp, len(ids))
+
+
+def _sorted_ids(table: dict[str, int], codes: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The ids sorted as strings, and each code's position among them."""
+    ids = sorted(table)
+    position = np.empty(len(ids), dtype=np.intp)
+    position[[table[name] for name in ids]] = np.arange(len(ids))
+    return ids, position[codes]
+
+
+def _read_points(path: str, chunks):
+    """Every point of the curves file, sorted by (predictor, sample, t):
+    ``(sample_ids, predictor_ids, predictor, sample, t, value)``, where
+    ``predictor`` and ``sample`` index the sorted id lists. Reading stops
+    at the first row with a wrong field count or a bad number; a repeated
+    point before it is reported instead."""
+    samples: dict[str, int] = {}
+    predictors: dict[str, int] = {}
+    parts = []  # (sample codes, predictor codes, t, value) per chunk
+    blanks: list[int] = []
+    rows = 0
+    fault = None  # the error of the first faulty row
+    for cells, counts, chunk_blanks in chunks:
+        blanks += chunk_blanks
+        try:
+            t, value = _numbers(cells, counts)
+        except ValueError:
+            # keep the rows before the fault: a duplicate point among them
+            # comes first in the file, so it is the error reported
+            good, fault = _first_fault(path, cells, counts, rows, blanks)
+            cells, counts = cells[: 4 * good], counts[:good]
+            t, value = _numbers(cells, counts)
+        parts.append(
+            (_code(samples, cells[0::4]), _code(predictors, cells[1::4]), t, value)
+        )
+        rows += counts.size
+        if fault is not None:
+            break
+    if not rows:
+        raise fault or DataError(f"{path}: no data rows")
+    sample, predictor, t, value = (np.concatenate(column) for column in zip(*parts))
+    sample_ids, sample = _sorted_ids(samples, sample)
+    predictor_ids, predictor = _sorted_ids(predictors, predictor)
+    # stable, so each repeat of a point comes after its first row
+    order = np.lexsort((t, sample, predictor))
+    key = (predictor[order], sample[order], t[order])
+    repeat = np.logical_and.reduce([k[1:] == k[:-1] for k in key])
+    if repeat.any():
+        row = int(order[1:][repeat].min())
+        raise DataError(
+            f"{path} line {_line_of(row, blanks)}: duplicate point for sample "
+            f"'{sample_ids[sample[row]]}', predictor '{predictor_ids[predictor[row]]}', "
+            f"t={float(t[row])}"
+        )
+    if fault is not None:
+        raise fault
+    return sample_ids, predictor_ids, *key, value[order]
 
 
 def ingest_long_csv(
@@ -170,38 +334,31 @@ def ingest_long_csv(
     Samples and predictors are ordered by their (string) ids. Every sample
     must appear in both files and every (sample, predictor) pair must have
     enough distinct grid points for the configured basis. ``curves[m]`` lists
-    predictor m's blocks: each run of consecutive samples observed on an
-    identical grid forms one :class:`CurveBlock`, so a CSV on one regular
-    grid gives one block per predictor.
+    predictor m's blocks: each run of consecutive samples with the same
+    number of points forms one :class:`CurveBlock`, whose grid is shared when
+    every curve of the run has the same grid and per row otherwise. A CSV on
+    one regular grid thus gives one block per predictor.
+
+    The curves file is split at newlines and commas in chunks of at most
+    ``CHUNK_LINES`` lines, with one float conversion per column and chunk. A
+    file holding a quote or a bare carriage return is read with the csv
+    module instead; it gives the same results and is slower. Either way a
+    fault is reported with the line of the first faulty row in the file (a
+    wrong field count, a bad number or a repeated point), counting the
+    header and blank lines.
     """
-    points: dict[tuple[str, str], list[tuple[float, float]]] = {}
-    seen: set[tuple[str, str, float]] = set()
-    with open(curves_path, newline="", encoding="utf-8") as handle:
-        header = ["sample_id", "predictor_id", "t", "value"]
-        reader = _csv_reader(handle, curves_path, header)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise DataError(
-                    f"{curves_path} line {lineno}: expected 4 fields, got {len(row)}"
-                )
-            sample, predictor = row[0].strip(), row[1].strip()
-            t = _parse_float(row[2], curves_path, lineno, "t")
-            value = _parse_float(row[3], curves_path, lineno, "value")
-            key = (sample, predictor, t)
-            if key in seen:
-                raise DataError(
-                    f"{curves_path} line {lineno}: duplicate point for sample "
-                    f"'{sample}', predictor '{predictor}', t={t}"
-                )
-            seen.add(key)
-            points.setdefault((sample, predictor), []).append((t, value))
-    if not points:
-        raise DataError(f"{curves_path}: no data rows")
+    # reading every file with the csv module, which makes a list per row,
+    # made a select job on a 90,000-row file about a quarter slower
+    try:
+        with open(curves_path, newline="\n", encoding="utf-8-sig") as handle:
+            points = _read_points(curves_path, _plain_chunks(handle, curves_path))
+    except _NotPlain:
+        with open(curves_path, newline="", encoding="utf-8-sig") as handle:
+            points = _read_points(curves_path, _csv_chunks(handle, curves_path))
+    sample_ids, predictor_ids, predictor, sample, t, value = points
 
     responses: dict[str, float] = {}
-    with open(responses_path, newline="", encoding="utf-8") as handle:
+    with open(responses_path, newline="", encoding="utf-8-sig") as handle:
         reader = _csv_reader(handle, responses_path, ["sample_id", "y"])
         for lineno, row in enumerate(reader, start=2):
             if not row:
@@ -210,45 +367,46 @@ def ingest_long_csv(
                 raise DataError(
                     f"{responses_path} line {lineno}: expected 2 fields, got {len(row)}"
                 )
-            sample = row[0].strip()
-            if sample in responses:
+            name = row[0].strip()
+            if name in responses:
                 raise DataError(
-                    f"{responses_path} line {lineno}: duplicate sample_id '{sample}'"
+                    f"{responses_path} line {lineno}: duplicate sample_id '{name}'"
                 )
-            responses[sample] = _parse_float(row[1], responses_path, lineno, "y")
+            responses[name] = _parse_float(row[1], responses_path, lineno, "y")
 
-    sample_ids = sorted({sample for sample, _ in points})
-    predictor_ids = sorted({predictor for _, predictor in points})
     missing = [s for s in sample_ids if s not in responses]
     if missing:
         raise DataError(
             f"{responses_path}: missing response for sample_id '{missing[0]}'"
         )
-    extra = [s for s in responses if s not in set(sample_ids)]
+    known = set(sample_ids)
+    extra = [s for s in responses if s not in known]
     if extra:
         raise DataError(
             f"{responses_path}: sample_id '{extra[0]}' has no curves in {curves_path}"
         )
 
+    n = len(sample_ids)
+    counts = np.bincount(predictor * n + sample, minlength=len(predictor_ids) * n)
+    if not counts.all():
+        m, i = divmod(int(np.argmin(counts)), n)
+        raise DataError(
+            f"{curves_path}: sample '{sample_ids[i]}' has no rows for predictor "
+            f"'{predictor_ids[m]}'"
+        )
+    offsets = np.concatenate(([0], np.cumsum(counts)))
     curves: list[list[CurveBlock]] = []
-    for predictor in predictor_ids:
-        blocks: list[CurveBlock] = []
-        grid, rows = None, []
-        for sample in sample_ids:
-            pts = points.get((sample, predictor))
-            if pts is None:
-                raise DataError(
-                    f"{curves_path}: sample '{sample}' has no rows for predictor "
-                    f"'{predictor}'"
-                )
-            pts.sort()
-            t, values = np.array(pts).T
-            if grid is None or not np.array_equal(t, grid):
-                if rows:
-                    blocks.append(CurveBlock(grid=grid, values=np.array(rows)))
-                grid, rows = t, []
-            rows.append(values)
-        blocks.append(CurveBlock(grid=grid, values=np.array(rows)))
+    for m, lengths in enumerate(counts.reshape(-1, n)):
+        edges = [0, *(np.flatnonzero(np.diff(lengths)) + 1).tolist(), n]
+        blocks = []
+        for first, stop in zip(edges[:-1], edges[1:]):
+            points_of = slice(offsets[m * n + first], offsets[m * n + stop])
+            grid = t[points_of].reshape(stop - first, -1)
+            if (grid == grid[0]).all():
+                grid = grid[0]
+            blocks.append(
+                CurveBlock(grid=grid, values=value[points_of].reshape(stop - first, -1))
+            )
         curves.append(blocks)
     y = np.array([responses[s] for s in sample_ids])
     return curves, y, sample_ids, predictor_ids
@@ -264,8 +422,13 @@ def _bases_for(
         degree, num_basis = config.basis_of(predictor)
         domain = config.domain_overrides.get(predictor)
         if domain is None:
-            lo = min(block.grid[0] for block in blocks)
-            hi = max(block.grid[-1] for block in blocks)
+            lo = min(block.grid[..., 0].min() for block in blocks)
+            hi = max(block.grid[..., -1].max() for block in blocks)
+            if not lo < hi:
+                raise DataError(
+                    f"{config.curves}: every point of predictor '{predictor}' has "
+                    f"t = {lo}; a basis needs a range of t"
+                )
         else:
             lo, hi = domain
         bases.append(make_uniform_basis(lo, hi, degree=degree, num_basis=num_basis))

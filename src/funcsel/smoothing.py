@@ -1,13 +1,16 @@
 """Least-squares smoothing of gridded curves onto a B-spline basis.
 
-Curves of one predictor that are observed on the same grid form a
-:class:`CurveBlock`: one strictly increasing grid, checked once, and an
-(r, G) matrix with one row of values per curve. A block is smoothed with a
-single product ``values @ pinv.T`` against the pseudoinverse of the basis
-evaluated at its grid, so each row becomes the ordinary least-squares
-coefficient vector of that curve. Curves on their own grids are one-row
-blocks. A dataset bundles the per-predictor coefficient matrices together
-with the scalar responses.
+The curves of one predictor are held in blocks (:class:`CurveBlock`): an
+(r, G) matrix with one row of values per curve, and either one strictly
+increasing grid of G points shared by every row or an (r, G) array with one
+such grid per row. A shared-grid block is smoothed with a single product
+``values @ pinv.T`` against the pseudoinverse of the basis evaluated at its
+grid, which is cached by grid. A block of per-row grids is smoothed in
+chunks of rows whose basis matrices hold at most ``ROW_FLOATS`` floats, with
+one basis evaluation and one stacked SVD per chunk. Either way each row
+becomes the ordinary least-squares coefficient vector of its curve. A
+dataset bundles the per-predictor coefficient matrices together with the
+scalar responses.
 """
 
 from __future__ import annotations
@@ -19,17 +22,30 @@ from typing import Sequence
 import numpy as np
 
 from .bspline import BasisSpec, evaluate_basis_matrix
-from .errors import DataError, RankDeficiencyError, SampleSizeError, check_rank
+from .errors import (
+    RANK_RTOL,
+    DataError,
+    RankDeficiencyError,
+    SampleSizeError,
+    check_rank,
+)
 
 __all__ = ["CurveBlock", "FunctionalDataset", "smooth_block", "build_dataset"]
+
+# floats in the basis matrices of one chunk of per-row grids smoothed
+# together (rows x G x num_basis), which sets the rows per chunk: the basis
+# matrices and the SVD's U of a whole block of r rows take r*G*num_basis
+# floats each, without bound
+ROW_FLOATS = 2**19
 
 
 @dataclass(frozen=True, eq=False)
 class CurveBlock:
-    """Curves of one predictor on a shared grid.
+    """Curves of one predictor, each observed at G points.
 
-    ``grid`` is strictly increasing with G points; ``values`` is (r, G), one
-    row per curve.
+    ``values`` is (r, G), one row per curve. ``grid`` is either (G,), one
+    grid shared by every row, or (r, G), one grid per row; every grid is
+    strictly increasing.
     """
 
     grid: np.ndarray
@@ -38,15 +54,15 @@ class CurveBlock:
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
         values = np.asarray(self.values, dtype=float)
-        if grid.ndim != 1 or values.ndim != 2:
+        if values.ndim != 2:
+            raise DataError("values must be two-dimensional (curves x points)")
+        if grid.shape not in ((values.shape[1],), values.shape):
             raise DataError(
-                "grid must be one-dimensional and values two-dimensional (curves x points)"
+                f"grid of shape {grid.shape} does not fit values of shape "
+                f"{values.shape}: need a one-dimensional grid of length "
+                f"{values.shape[1]}, shared by every curve, or one grid per curve"
             )
-        if values.shape[1] != grid.size:
-            raise DataError(
-                f"grid length {grid.size} != values length {values.shape[1]}"
-            )
-        if grid.size and np.any(np.diff(grid) <= 0):
+        if grid.size and np.any(np.diff(grid, axis=-1) <= 0):
             raise DataError("grid must be strictly increasing (no duplicate points)")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
@@ -84,14 +100,25 @@ def _basis_pinv(spec: BasisSpec, grid_bytes: bytes) -> np.ndarray:
     grid = np.frombuffer(grid_bytes)
     basis = evaluate_basis_matrix(spec, grid)
     u, sv, vt = np.linalg.svd(basis, full_matrices=False)
-    try:
-        check_rank(sv, "basis matrix at the grid points")
-    except RankDeficiencyError as exc:
-        raise RankDeficiencyError(f"{exc}; {_describe_empty_spans(spec, grid)}") from None
+    _check_basis_rank(sv, spec, grid, row=0)
     # the pseudoinverse from the same SVD, formed as numpy.linalg.pinv does
     pinv = vt.T @ ((1.0 / sv)[:, None] * u.T)
     pinv.setflags(write=False)
     return pinv
+
+
+def _at_row(exc: Exception, row: int) -> Exception:
+    """``exc``, marked with the block row of the curve it is about."""
+    exc.row = row
+    return exc
+
+
+def _check_basis_rank(sv: np.ndarray, spec: BasisSpec, grid: np.ndarray, row: int) -> None:
+    try:
+        check_rank(sv, "basis matrix at the grid points")
+    except RankDeficiencyError as exc:
+        message = f"{exc}; {_describe_empty_spans(spec, grid)}"
+        raise _at_row(RankDeficiencyError(message), row) from None
 
 
 def _describe_empty_spans(spec: BasisSpec, grid: np.ndarray) -> str:
@@ -107,18 +134,57 @@ def _describe_empty_spans(spec: BasisSpec, grid: np.ndarray) -> str:
 
 
 def smooth_block(block: CurveBlock, spec: BasisSpec) -> np.ndarray:
-    """Least-squares basis coefficients of every curve, shape (r, num_basis)."""
-    grid = block.grid
-    if grid.size < spec.num_basis:
-        raise DataError(
-            f"grid has {grid.size} points; need at least num_basis = {spec.num_basis}"
+    """Least-squares basis coefficients of every curve, shape (r, num_basis).
+
+    A shared grid is smoothed through its cached pseudoinverse, per-row grids
+    through one stacked SVD per chunk of rows (see ``ROW_FLOATS``). An error
+    describes the first curve that cannot be smoothed, and its ``row``
+    attribute is that curve's row in the block (0 for a shared grid).
+    """
+    grids = np.atleast_2d(block.grid)  # (1, G) for a shared grid
+    if grids.shape[1] < spec.num_basis:
+        raise _at_row(
+            DataError(
+                f"grid has {grids.shape[1]} points; need at least num_basis = "
+                f"{spec.num_basis}"
+            ),
+            0,
         )
-    if grid[0] < spec.domain_lo or grid[-1] > spec.domain_hi:
-        raise DataError(
-            f"grid range [{grid[0]}, {grid[-1]}] exceeds basis domain "
-            f"[{spec.domain_lo}, {spec.domain_hi}]"
+    outside = (grids[:, 0] < spec.domain_lo) | (grids[:, -1] > spec.domain_hi)
+    if np.any(outside):
+        row = int(np.argmax(outside))
+        raise _at_row(
+            DataError(
+                f"grid range [{grids[row, 0]}, {grids[row, -1]}] exceeds basis domain "
+                f"[{spec.domain_lo}, {spec.domain_hi}]"
+            ),
+            row,
         )
-    return block.values @ _basis_pinv(spec, grid.tobytes()).T
+    if block.grid.ndim == 1:
+        return block.values @ _basis_pinv(spec, block.grid.tobytes()).T
+    rows = max(1, ROW_FLOATS // (grids.shape[1] * spec.num_basis))
+    parts = [
+        _smooth_rows(spec, grids[i : i + rows], block.values[i : i + rows], first=i)
+        for i in range(0, block.num_curves, rows)
+    ]
+    return np.concatenate(parts)
+
+
+def _smooth_rows(
+    spec: BasisSpec, grids: np.ndarray, values: np.ndarray, first: int
+) -> np.ndarray:
+    """:func:`smooth_block` of rows ``first``, ``first + 1``, ... of a block
+    of per-row grids."""
+    basis = evaluate_basis_matrix(spec, grids).reshape(*grids.shape, spec.num_basis)
+    u, sv, vt = np.linalg.svd(basis, full_matrices=False)
+    # the criterion of check_rank, row by row; it raises for the first failure
+    deficient = np.flatnonzero(sv[:, -1] / sv[:, 0] < RANK_RTOL)
+    if deficient.size:
+        row = int(deficient[0])
+        _check_basis_rank(sv[row], spec, grids[row], row=first + row)
+    # row i: V diag(1/s) U' v, the pseudoinverse of its basis applied to it
+    projected = (values[:, None, :] @ u)[:, 0, :] / sv
+    return (projected[:, None, :] @ vt)[:, 0, :]
 
 
 def build_dataset(
@@ -161,8 +227,11 @@ def build_dataset(
                 parts.append(smooth_block(block, spec))
             except (DataError, RankDeficiencyError) as exc:
                 last = first + block.num_curves - 1
-                shared = f" (grid shared by samples {first}-{last})" if last > first else ""
-                raise type(exc)(f"sample {first}, predictor {m}{shared}: {exc}") from exc
+                shared = block.grid.ndim == 1 and last > first
+                where = f" (grid shared by samples {first}-{last})" if shared else ""
+                raise type(exc)(
+                    f"sample {first + exc.row}, predictor {m}{where}: {exc}"
+                ) from exc
             first += block.num_curves
         coefs.append(np.concatenate(parts))
     return FunctionalDataset(bases=bases, coefs=tuple(coefs), responses=responses)

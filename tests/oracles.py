@@ -18,6 +18,9 @@ sort-and-scan loop they were first written as.
 ``bootstrap_loop`` is the per-resample reference of the bootstrap: one
 explicit fit, test and selection per resample, drawn one at a time.
 
+``ingest_reference`` is the reference reader of the CSV files: one
+``csv.reader`` row, two ``float`` conversions and one set lookup per line.
+
 ``smooth_lstsq`` is the reference for the smoothing layer: one curve at a
 time, scipy's B-spline design matrix and ``lstsq``, sharing no code with the
 package's block smoother.
@@ -25,12 +28,14 @@ package's block smoother.
 
 from __future__ import annotations
 
+import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import BSpline
 
-from funcsel import BasisSpec, NumericalError, fit_ols, select
+from funcsel import BasisSpec, CurveBlock, DataError, NumericalError, fit_ols, select
 from funcsel.design import DesignMatrix
 from funcsel.inference import test_all as run_test_all
 from funcsel.linmodel import FitResult
@@ -176,3 +181,112 @@ def selected_by_loop(method: str, p_values, q: float) -> set[int]:
         if p_values[order[j - 1]] <= (j / m) * (q / harmonic):
             return set(order[:j])
     return set()
+
+
+def _reference_float(text: str, path: str, line: int, field_name: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise DataError(
+            f"{path} line {line}: field '{field_name}' is not numeric: {text!r}"
+        ) from None
+    if not math.isfinite(value):
+        raise DataError(
+            f"{path} line {line}: field '{field_name}' is not finite: {text!r}"
+        )
+    return value
+
+
+def _reference_reader(handle, path: str, header: list[str]):
+    """A CSV reader of ``handle`` past its first line, which must be ``header``."""
+    reader = csv.reader(handle)
+    first = next(reader, None)
+    if first is None or [h.strip() for h in first] != header:
+        raise DataError(f"{path} line 1: expected header '{','.join(header)}'")
+    return reader
+
+
+def ingest_reference(
+    curves_path: str, responses_path: str
+) -> tuple[list[list[CurveBlock]], np.ndarray, list[str], list[str]]:
+    """``funcsel.cli.ingest_long_csv`` as it was first written, one row at a
+    time: (curves, y, sample_ids, predictor_ids), where each run of
+    consecutive samples on an identical grid forms one block."""
+    points: dict[tuple[str, str], list[tuple[float, float]]] = {}
+    seen: set[tuple[str, str, float]] = set()
+    with open(curves_path, newline="", encoding="utf-8") as handle:
+        header = ["sample_id", "predictor_id", "t", "value"]
+        reader = _reference_reader(handle, curves_path, header)
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 4:
+                raise DataError(
+                    f"{curves_path} line {lineno}: expected 4 fields, got {len(row)}"
+                )
+            sample, predictor = row[0].strip(), row[1].strip()
+            t = _reference_float(row[2], curves_path, lineno, "t")
+            value = _reference_float(row[3], curves_path, lineno, "value")
+            key = (sample, predictor, t)
+            if key in seen:
+                raise DataError(
+                    f"{curves_path} line {lineno}: duplicate point for sample "
+                    f"'{sample}', predictor '{predictor}', t={t}"
+                )
+            seen.add(key)
+            points.setdefault((sample, predictor), []).append((t, value))
+    if not points:
+        raise DataError(f"{curves_path}: no data rows")
+
+    responses: dict[str, float] = {}
+    with open(responses_path, newline="", encoding="utf-8") as handle:
+        reader = _reference_reader(handle, responses_path, ["sample_id", "y"])
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 2:
+                raise DataError(
+                    f"{responses_path} line {lineno}: expected 2 fields, got {len(row)}"
+                )
+            sample = row[0].strip()
+            if sample in responses:
+                raise DataError(
+                    f"{responses_path} line {lineno}: duplicate sample_id '{sample}'"
+                )
+            responses[sample] = _reference_float(row[1], responses_path, lineno, "y")
+
+    sample_ids = sorted({sample for sample, _ in points})
+    predictor_ids = sorted({predictor for _, predictor in points})
+    missing = [s for s in sample_ids if s not in responses]
+    if missing:
+        raise DataError(
+            f"{responses_path}: missing response for sample_id '{missing[0]}'"
+        )
+    extra = [s for s in responses if s not in set(sample_ids)]
+    if extra:
+        raise DataError(
+            f"{responses_path}: sample_id '{extra[0]}' has no curves in {curves_path}"
+        )
+
+    curves: list[list[CurveBlock]] = []
+    for predictor in predictor_ids:
+        blocks: list[CurveBlock] = []
+        grid, rows = None, []
+        for sample in sample_ids:
+            pts = points.get((sample, predictor))
+            if pts is None:
+                raise DataError(
+                    f"{curves_path}: sample '{sample}' has no rows for predictor "
+                    f"'{predictor}'"
+                )
+            pts.sort()
+            t, values = np.array(pts).T
+            if grid is None or not np.array_equal(t, grid):
+                if rows:
+                    blocks.append(CurveBlock(grid=grid, values=np.array(rows)))
+                grid, rows = t, []
+            rows.append(values)
+        blocks.append(CurveBlock(grid=grid, values=np.array(rows)))
+        curves.append(blocks)
+    y = np.array([responses[s] for s in sample_ids])
+    return curves, y, sample_ids, predictor_ids

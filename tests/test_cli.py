@@ -9,6 +9,7 @@ import pytest
 from funcsel import (
     ConditionWarning,
     DataError,
+    NumericalError,
     build_dataset,
     build_design,
     make_uniform_basis,
@@ -188,14 +189,19 @@ class TestIngest:
         with pytest.raises(DataError, match="sample 'b' has no rows for predictor 'w'"):
             ingest_long_csv(str(curves_path), str(responses_path))
 
+    # (curves, grid dimensions) of each block of p0: each run of samples
+    # with the same point count is one block, with a shared grid when all of
+    # its curves have the same grid
     @pytest.mark.parametrize(
         "layout, run_lengths",
         [
-            ("shared", [40]),
-            ("ragged", [1] * 40),
-            # runs of the regular grid interrupted by one other shared grid
-            # (sample 10) and by five curves on grids of their own (20-24)
-            ("mixed", [10, 1, 9, 1, 1, 1, 1, 1, 15]),
+            ("shared", [(40, 1)]),
+            # 15 points each: one block with a grid per row
+            ("ragged", [(40, 2)]),
+            # the regular grid interrupted by an 18-point grid (sample 10) and
+            # by five 15-point curves on grids of their own (20-24): samples
+            # 11-39 all have 15 points, so they form one block of per-row grids
+            ("mixed", [(10, 1), (1, 1), (29, 2)]),
         ],
     )
     def test_grouped_smoothing_matches_per_curve_oracle(self, tmp_path, layout, run_lengths):
@@ -235,7 +241,7 @@ class TestIngest:
             str(curves_path), str(responses_path)
         )
         assert predictor_ids == ["p0", "p1"]
-        assert [block.num_curves for block in curves[0]] == run_lengths
+        assert [(block.num_curves, block.grid.ndim) for block in curves[0]] == run_lengths
         assert [block.num_curves for block in curves[1]] == [n]
         basis = make_uniform_basis(0.0, 1.0, degree=3, num_basis=6)
         data = build_dataset(curves, y, [basis, basis])
@@ -264,6 +270,58 @@ class TestIngest:
         )
         assert code == 2
         assert "sample 4, predictor 0: grid has 4 points" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "fault, blocks, message",
+        [
+            ("few_points", [7, 1, 12], "grid has 4 points"),
+            ("outside", [20], r"grid range \[0.0, 1.2\] exceeds basis domain"),
+            ("empty_span", [20], r"basis .* rank deficient.*knot span\(s\) without grid"),
+        ],
+        ids=["few_points", "outside", "empty_span"],
+    )
+    def test_fault_in_a_ragged_run_names_the_sample(self, tmp_path, fault, blocks, message):
+        # 20 curves on jittered grids of 12 points; sample 7 alone is faulty
+        rng = np.random.default_rng(36)
+        rows = []
+        for i in range(20):
+            grid = np.linspace(0.0, 1.0, 12)
+            grid[1:-1] += rng.uniform(-0.02, 0.02, 10)
+            if i == 7:
+                grid = {
+                    "few_points": np.linspace(0.0, 1.0, 4),
+                    "outside": np.linspace(0.0, 1.2, 12),
+                    "empty_span": np.linspace(0.0, 0.3, 12),
+                }[fault]
+            for t, v in zip(grid, rng.normal(size=grid.size)):
+                rows.append((f"s{i:02d}", "p0", repr(float(t)), repr(float(v))))
+        curves_path = tmp_path / "c.csv"
+        responses_path = tmp_path / "r.csv"
+        write_curves(curves_path, rows)
+        write_responses(responses_path, [(f"s{i:02d}", float(i)) for i in range(20)])
+        curves, y, _, _ = ingest_long_csv(str(curves_path), str(responses_path))
+        assert [block.num_curves for block in curves[0]] == blocks
+        basis = make_uniform_basis(0.0, 1.0, degree=3, num_basis=6)
+        expected = rf"^sample 7, predictor 0: {message}"
+        with pytest.raises((DataError, NumericalError), match=expected):
+            build_dataset(curves, y, [basis])
+
+    def test_constant_grid_predictor_is_data_error(self, tmp_path, capsys):
+        # every point of predictor "w" is at t = 0.5
+        rows = [(f"s{i:02d}", pid, t, float(i) + t) for i in range(40)
+                for pid, ts in (("v", (0.0, 0.5, 1.0)), ("w", (0.5,))) for t in ts]
+        curves_path = tmp_path / "c.csv"
+        responses_path = tmp_path / "r.csv"
+        write_curves(curves_path, rows)
+        write_responses(responses_path, [(f"s{i:02d}", float(i)) for i in range(40)])
+        code = main(
+            ["--mode", "select", "--curves", str(curves_path),
+             "--responses", str(responses_path)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"data error: {curves_path}: every point of predictor 'w' has t = 0.5" in err
 
 
 class TestRoundTrip:

@@ -1,0 +1,258 @@
+"""The chunked CSV reader against the per-row reference reader.
+
+``ingest_long_csv`` splits the curves file into chunks of lines and converts
+whole columns at once; ``oracles.ingest_reference`` reads one csv row at a
+time. On generated files the two must give the same ids and responses and,
+per sample and predictor, the same grid and values bit for bit. On a file
+with one fault they must raise the same message. ``CHUNK_LINES`` is drawn
+small, so chunk boundaries fall inside files of a few dozen lines.
+"""
+
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from funcsel import DataError, cli
+
+from oracles import ingest_reference
+
+CURVES_HEADER = "sample_id,predictor_id,t,value"
+RESPONSES_HEADER = "sample_id,y"
+
+layouts = st.fixed_dictionaries(
+    {
+        "seed": st.integers(0, 2**32 - 1),
+        "samples": st.integers(1, 12),
+        "predictors": st.integers(1, 3),
+        # "mixed": 4 to 6 points per curve, half of the grids jittered
+        "grids": st.sampled_from(["shared", "jittered", "mixed"]),
+        "shuffle": st.booleans(),
+        "blank_lines": st.integers(0, 6),
+        "crlf": st.booleans(),
+        "padded": st.booleans(),
+        "quoted": st.booleans(),
+        "chunk": st.integers(1, 40),
+    }
+)
+FAULTS = (
+    "field_count",
+    "t_text",
+    "value_text",
+    "t_nan",
+    "value_inf",
+    "duplicate",
+    "missing_pair",
+    "missing_response",
+    "orphan_response",
+    "duplicate_response",
+    "response_fields",
+    "y_text",
+    "y_inf",
+)
+property_settings = settings(derandomize=True, deadline=None, max_examples=50)
+
+
+def _tables(layout, rng):
+    """Curve rows (sample, predictor, t, value) and responses (sample, y) as text."""
+    rows = []
+    for i in range(layout["samples"]):
+        for m in range(layout["predictors"]):
+            points = int(rng.integers(4, 7)) if layout["grids"] == "mixed" else 5
+            grid = np.linspace(0.0, 1.0, points)
+            jitter = {"shared": 0.0, "jittered": 1.0, "mixed": 0.5}[layout["grids"]]
+            if rng.random() < jitter:
+                grid[1:-1] += rng.uniform(-0.05, 0.05, points - 2)
+            for t, value in zip(grid, rng.normal(size=points)):
+                rows.append([f"s{i}", f"p{m}", repr(float(t)), repr(float(value))])
+    responses = [[f"s{i}", repr(float(rng.normal()))] for i in range(layout["samples"])]
+    if layout["shuffle"]:
+        rows = [rows[j] for j in rng.permutation(len(rows))]
+        responses = [responses[j] for j in rng.permutation(len(responses))]
+    return rows, responses
+
+
+def _write(path: Path, header: str, rows, layout, rng) -> None:
+    """Write ``rows`` under ``header`` as the layout asks: ids padded or
+    quoted (a quoted file is read through the csv module), blank lines at
+    random places, and LF or CRLF line ends."""
+
+    ids = 2 if header == CURVES_HEADER else 1  # the leading id columns
+
+    def cell(text: str, column: int) -> str:
+        is_id = column < ids
+        if is_id and layout["padded"]:
+            text = f" {text} "
+        if is_id and layout["quoted"]:
+            text = f'"{text}"'
+        return text
+
+    lines = [",".join(cell(text, j) for j, text in enumerate(row)) for row in rows]
+    for _ in range(layout["blank_lines"]):
+        lines.insert(int(rng.integers(0, len(lines) + 1)), "")
+    end = "\r\n" if layout["crlf"] else "\n"
+    path.write_bytes("".join(line + end for line in [header, *lines]).encode())
+
+
+def _inject(fault: str, rows, responses, rng) -> None:
+    """Put one fault of kind ``fault`` into the tables, at a random row."""
+    j = int(rng.integers(0, len(rows)))
+    k = int(rng.integers(0, len(responses)))
+    if fault == "field_count":
+        rows[j] = rows[j][: int(rng.choice([1, 3]))] if rng.random() < 0.7 else rows[j] + ["1"]
+    elif fault in ("t_text", "value_text"):
+        rows[j][2 if fault == "t_text" else 3] = str(rng.choice(["abc", "", "0x1p-2", "1..5"]))
+    elif fault in ("t_nan", "value_inf"):
+        text = rng.choice(["nan", "-inf", "Infinity", "1e999"])
+        rows[j][2 if fault == "t_nan" else 3] = str(text)
+    elif fault == "duplicate":
+        copy = [*rows[j][:3], "0.5"]
+        rows.insert(int(rng.integers(j + 1, len(rows) + 1)), copy)
+    elif fault == "missing_pair":
+        pair = rows[j][:2]
+        rows[:] = [row for row in rows if row[:2] != pair]
+    elif fault == "missing_response":
+        del responses[k]
+    elif fault == "orphan_response":
+        responses.insert(k, ["zz", "1.0"])
+    elif fault == "duplicate_response":
+        responses.insert(int(rng.integers(k + 1, len(responses) + 1)), [responses[k][0], "2.0"])
+    elif fault == "response_fields":
+        responses[k] = responses[k] + ["3"]
+    else:
+        responses[k][1] = "abc" if fault == "y_text" else "inf"
+
+
+def _by_curve(curves) -> dict:
+    """(grid bytes, values bytes) of each (predictor, sample) from a block list."""
+    out = {}
+    for m, blocks in enumerate(curves):
+        rows = [
+            (np.broadcast_to(block.grid, block.values.shape)[r], block.values[r])
+            for block in blocks
+            for r in range(block.num_curves)
+        ]
+        for i, (grid, values) in enumerate(rows):
+            out[m, i] = (grid.tobytes(), values.tobytes())
+    return out
+
+
+def _read_both(directory: Path, chunk: int):
+    """Each reader's result, or its DataError message."""
+    paths = (str(directory / "curves.csv"), str(directory / "responses.csv"))
+    results = []
+    for reader in (cli.ingest_long_csv, ingest_reference):
+        try:
+            with mock.patch.object(cli, "CHUNK_LINES", chunk):
+                results.append(reader(*paths))
+        except DataError as exc:
+            results.append(str(exc))
+    return results
+
+
+def _run(layout, fault=None):
+    rng = np.random.default_rng(layout["seed"])
+    rows, responses = _tables(layout, rng)
+    if fault is not None:
+        _inject(fault, rows, responses, rng)
+    with tempfile.TemporaryDirectory() as name:
+        directory = Path(name)
+        _write(directory / "curves.csv", CURVES_HEADER, rows, layout, rng)
+        _write(directory / "responses.csv", RESPONSES_HEADER, responses, layout, rng)
+        return _read_both(directory, layout["chunk"])
+
+
+@property_settings
+@given(layouts)
+def test_chunked_reader_matches_reference(layout):
+    got, expected = _run(layout)
+    curves, y, sample_ids, predictor_ids = got
+    ref_curves, ref_y, ref_samples, ref_predictors = expected
+    assert (sample_ids, predictor_ids) == (ref_samples, ref_predictors)
+    assert y.tobytes() == ref_y.tobytes()
+    assert _by_curve(curves) == _by_curve(ref_curves)
+
+
+@property_settings
+@given(layouts, st.sampled_from(FAULTS))
+def test_single_fault_gives_reference_message(layout, fault):
+    got, expected = _run(layout, fault)
+    assert isinstance(expected, str), "the injected fault was not reported"
+    assert got == expected
+
+
+@pytest.mark.parametrize("quoted", [False, True])
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        ("duplicate", "line 12: duplicate point for sample 's0', predictor 'p0', t=0.25"),
+        ("value", "line 6: field 'value' is not numeric: 'oops'"),
+    ],
+    ids=["duplicate", "value"],
+)
+def test_fault_after_blank_lines_in_other_chunks(tmp_path, quoted, fault, message):
+    # chunks of 4 lines: 2-5, 6-9, 10-13 and 14; lines 3 and 7 are blank.
+    # The point of line 4 is repeated on line 12, or line 6 holds a bad value.
+    layout = {"padded": False, "quoted": quoted, "blank_lines": 0, "crlf": False}
+    rows = [[f"s{i}", "p0", repr(t), repr(float(i))]
+            for i in range(2) for t in np.linspace(0.0, 1.0, 5).tolist()]
+    rows.insert(1, [])
+    rows.insert(5, [])
+    if fault == "duplicate":
+        rows.insert(10, rows[2][:3] + ["7.5"])
+    else:
+        rows[4][3] = "oops"
+    _write(tmp_path / "curves.csv", CURVES_HEADER, rows, layout, None)
+    _write(tmp_path / "responses.csv", RESPONSES_HEADER, [["s0", "1"], ["s1", "2"]],
+           layout, None)
+    got, expected = _read_both(tmp_path, chunk=4)
+    assert got == expected
+    assert f"curves.csv {message}" in got
+
+
+@pytest.mark.parametrize("quoted", [False, True])
+@pytest.mark.parametrize(
+    "bad, repeat_at, message",
+    [
+        (9, 3, "line 5: duplicate point for sample 's0', predictor 'p0', t=0.0"),
+        (1, 9, "line 3: field 'value' is not numeric: 'oops'"),
+        (2, 1, "line 3: duplicate point for sample 's0', predictor 'p0', t=0.0"),
+    ],
+    ids=["duplicate_then_value", "value_then_duplicate", "both_in_one_chunk"],
+)
+def test_first_of_two_faults_is_reported(tmp_path, quoted, bad, repeat_at, message):
+    # chunks of 4 lines: 2-5, 6-9, 10-12. Row ``bad`` gets a bad value, then
+    # the first point is repeated at row ``repeat_at``; the earlier line wins.
+    layout = {"padded": False, "quoted": quoted, "blank_lines": 0, "crlf": False}
+    rows = [[f"s{i}", "p0", repr(t), repr(float(i))]
+            for i in range(2) for t in np.linspace(0.0, 1.0, 5).tolist()]
+    rows[bad][3] = "oops"
+    rows.insert(repeat_at, rows[0][:3] + ["7.5"])
+    _write(tmp_path / "curves.csv", CURVES_HEADER, rows, layout, None)
+    _write(tmp_path / "responses.csv", RESPONSES_HEADER, [["s0", "1"], ["s1", "2"]],
+           layout, None)
+    got, expected = _read_both(tmp_path, chunk=4)
+    assert got == expected
+    assert f"curves.csv {message}" in got
+
+
+@pytest.mark.parametrize("target", ["curves", "responses"])
+def test_utf8_byte_order_mark_is_skipped(tmp_path, target):
+    layout = {"seed": 3, "samples": 4, "predictors": 2, "grids": "mixed",
+              "shuffle": True, "blank_lines": 1, "crlf": False, "padded": False,
+              "quoted": False, "chunk": 5}
+    rng = np.random.default_rng(3)
+    rows, responses = _tables(layout, rng)
+    _write(tmp_path / "curves.csv", CURVES_HEADER, rows, layout, rng)
+    _write(tmp_path / "responses.csv", RESPONSES_HEADER, responses, layout, rng)
+    plain = cli.ingest_long_csv(str(tmp_path / "curves.csv"), str(tmp_path / "responses.csv"))
+    path = tmp_path / f"{target}.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    marked = cli.ingest_long_csv(str(tmp_path / "curves.csv"), str(tmp_path / "responses.csv"))
+    assert marked[1].tobytes() == plain[1].tobytes()
+    assert marked[2:] == plain[2:]
+    assert _by_curve(marked[0]) == _by_curve(plain[0])

@@ -1,8 +1,11 @@
 """Least-squares smoothing of gridded curves and dataset assembly."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from funcsel import smoothing
 from funcsel import (
     CurveBlock,
     DataError,
@@ -39,6 +42,15 @@ class TestRawCurve:
     def test_decreasing_grid(self):
         with pytest.raises(DataError, match="strictly increasing"):
             CurveBlock(grid=np.array([0.0, 0.7, 0.5]), values=np.zeros((1, 3)))
+
+    def test_per_row_grids(self):
+        grids = np.tile(np.linspace(0.0, 1.0, 5), (3, 1))
+        assert CurveBlock(grid=grids, values=np.zeros((3, 5))).grid.shape == (3, 5)
+        with pytest.raises(DataError, match="one grid per curve"):
+            CurveBlock(grid=grids, values=np.zeros((2, 5)))
+        grids[2, 3] = grids[2, 2]
+        with pytest.raises(DataError, match="strictly increasing"):
+            CurveBlock(grid=grids, values=np.zeros((3, 5)))
 
     def test_not_one_dimensional(self):
         with pytest.raises(DataError, match="one-dimensional"):
@@ -125,6 +137,66 @@ class TestSmoothCurve:
         grid = np.linspace(0.0, 0.3, 8)
         with pytest.raises(RankDeficiencyError, match=r"singular value .* < 1e-10; knot span"):
             smooth_curve(grid, np.zeros(8), cubic_basis)
+
+
+class TestPerRowBlock:
+    """A block with one grid per row: one basis evaluation and one stacked SVD."""
+
+    def _grids(self, rows, points, rng):
+        grids = np.tile(np.linspace(0.0, 1.0, points), (rows, 1))
+        grids[:, 1:-1] += rng.uniform(-0.02, 0.02, (rows, points - 2))
+        return grids
+
+    def test_matches_one_row_blocks(self, cubic_basis):
+        rng = np.random.default_rng(40)
+        grids = self._grids(20, 12, rng)
+        values = rng.normal(size=grids.shape)
+        coefs = smooth_block(CurveBlock(grid=grids, values=values), cubic_basis)
+        for grid, row, coef in zip(grids, values, coefs):
+            one = smooth_curve(grid, row, cubic_basis)
+            assert np.max(np.abs(coef - one)) <= 1e-12 * np.max(np.abs(one))
+
+    @pytest.mark.parametrize(
+        "fault, error, message",
+        [
+            ("outside", DataError, r"grid range \[0.0, 1.2\] exceeds"),
+            ("empty_span", RankDeficiencyError, r"basis .* rank deficient.*knot span"),
+        ],
+        ids=["outside", "empty_span"],
+    )
+    def test_error_names_the_first_bad_row(self, cubic_basis, fault, error, message):
+        rng = np.random.default_rng(41)
+        grids = self._grids(20, 12, rng)
+        bad = {"outside": np.linspace(0.0, 1.2, 12), "empty_span": np.linspace(0.0, 0.3, 12)}
+        grids[7] = grids[12] = bad[fault]
+        block = CurveBlock(grid=grids, values=rng.normal(size=grids.shape))
+        with pytest.raises(error, match=message) as caught:
+            smooth_block(block, cubic_basis)
+        assert caught.value.row == 7
+        # in a dataset, the block's rows are samples 30-49
+        before = CurveBlock(grid=grids[0], values=np.zeros((30, 12)))
+        with pytest.raises(error, match=rf"^sample 37, predictor 0: {message}"):
+            build_dataset([[before, block]], np.zeros(50), [cubic_basis])
+
+
+    def test_row_chunks_match_one_chunk(self, cubic_basis):
+        # chunks of 3 rows: 0-2, 3-5, 6-8, ..., 18-19; row 7 is in the third
+        rng = np.random.default_rng(42)
+        grids = self._grids(20, 12, rng)
+        values = rng.normal(size=grids.shape)
+        whole = smooth_block(CurveBlock(grid=grids, values=values), cubic_basis)
+        evaluate = mock.patch.object(
+            smoothing, "evaluate_basis_matrix", wraps=smoothing.evaluate_basis_matrix
+        )
+        chunk = mock.patch.object(smoothing, "ROW_FLOATS", 3 * 12 * 6 + 5)
+        with chunk, evaluate as calls:
+            chunked = smooth_block(CurveBlock(grid=grids, values=values), cubic_basis)
+            assert calls.call_count == 7
+            grids[7] = grids[11] = np.linspace(0.0, 0.3, 12)
+            with pytest.raises(RankDeficiencyError) as caught:
+                smooth_block(CurveBlock(grid=grids, values=values), cubic_basis)
+        np.testing.assert_array_equal(chunked, whole)
+        assert caught.value.row == 7
 
 
 class TestBuildDataset:
