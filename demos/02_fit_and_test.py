@@ -13,8 +13,7 @@ from funcsel import (
     build_design,
     fit_ols,
     make_uniform_basis,
-    select_bonferroni,
-    select_fdr,
+    selection_mask,
     test_all,
 )
 from funcsel.simgen import DOMAINS, SimScenario, generate_replication
@@ -41,15 +40,15 @@ def main() -> None:
     full = fit_ols(design, y)
     print(f"RSS = {full.rss:.4f}, sigma2_tilde = {full.sigma2_tilde:.6f}")
 
-    tests = test_all(design, y)
+    statistics, p_values = test_all(design, y)
     print("\nper-predictor likelihood-ratio tests:")
-    for t in tests:
-        print(f"  predictor {t.predictor_index}: T = {t.statistic:10.2f}  "
-              f"p = {t.p_value:.3e}")
+    for m, (statistic, p) in enumerate(zip(statistics, p_values)):
+        print(f"  predictor {m}: T = {statistic:10.2f}  p = {p:.3e}")
 
     q = 1.0 / np.sqrt(design.n)
-    for result in (select_bonferroni(tests, q), select_fdr(tests, q)):
-        print(f"\n{result.method} at q = {q:.4f}: selected {result.selected}")
+    for method in ("bonferroni", "fdr"):
+        selected = np.flatnonzero(selection_mask(method, p_values, q)).tolist()
+        print(f"\n{method} at q = {q:.4f}: selected {selected}")
 
 
 if __name__ == "__main__":

@@ -2,8 +2,9 @@
 
 Workflow: smooth gridded curves onto B-spline bases, assemble the linear
 design through the basis Gram matrices, test each predictor's coefficient
-block with a likelihood-ratio statistic, and select predictors through
-Bonferroni or step-up false-discovery-rate corrections.
+block with a likelihood-ratio statistic (``test_all``), and select
+predictors through a Bonferroni or step-up false-discovery-rate correction
+of the p-values (``selection_mask``).
 """
 
 from .bspline import (
@@ -21,21 +22,9 @@ from .errors import (
     RankDeficiencyError,
     SampleSizeError,
 )
-from .inference import (
-    HypothesisTest,
-    chisq_cdf,
-    noncentral_chisq_cdf,
-    test_all,
-    test_predictor,
-)
+from .inference import chisq_cdf, noncentral_chisq_cdf, test_all
 from .linmodel import FitResult, fit_ols
-from .selection import (
-    SelectionResult,
-    default_q,
-    select,
-    select_bonferroni,
-    select_fdr,
-)
+from .selection import default_q, selection_mask
 from .simgen import (
     MonteCarloReport,
     SimScenario,
@@ -61,18 +50,13 @@ __all__ = [
     "NumericalError",
     "RankDeficiencyError",
     "SampleSizeError",
-    "HypothesisTest",
     "chisq_cdf",
     "noncentral_chisq_cdf",
     "test_all",
-    "test_predictor",
     "FitResult",
     "fit_ols",
-    "SelectionResult",
     "default_q",
-    "select",
-    "select_bonferroni",
-    "select_fdr",
+    "selection_mask",
     "MonteCarloReport",
     "SimScenario",
     "SimTruth",

@@ -22,6 +22,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from itertools import chain, islice, repeat
 
@@ -32,7 +33,7 @@ from .design import DesignMatrix, build_design, check_parameter_count
 from .errors import DataError, NumericalError
 from .inference import test_all, test_resamples
 from .linmodel import sample_qr
-from .selection import check_q, default_q, select, selection_mask
+from .selection import check_method, check_q, default_q, selection_mask
 from .simgen import NUM_PREDICTORS, SimScenario, run_monte_carlo
 from .smoothing import CurveBlock, build_dataset
 
@@ -122,6 +123,8 @@ class JobConfig:
         for name, value, low in checks:
             if value < low:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
+        if not 0 <= self.seed < 2**64:  # the Philox key is a uint64
+            raise ValueError(f"--seed must lie in [0, 2**64), got {self.seed}")
         for predictor, (lo, hi) in self.domain_overrides.items():
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise ValueError(
@@ -165,10 +168,29 @@ def _check_header(first: list[str] | None, path: str, header: list[str]) -> None
 
 
 def _csv_reader(handle, path: str, header: list[str]):
-    """A CSV reader of ``handle`` past its first line, which must be ``header``."""
+    """The CSV rows of ``handle`` past its first line, which must be
+    ``header``. A row the csv module rejects, such as a field longer than
+    ``csv.field_size_limit()``, raises :class:`DataError` naming its line."""
     reader = csv.reader(handle)
-    _check_header(next(reader, None), path, header)
-    return reader
+    try:
+        _check_header(next(reader, None), path, header)
+        yield from reader
+    except csv.Error as exc:
+        raise DataError(f"{path} line {reader.line_num}: {exc}") from None
+
+
+@contextmanager
+def _open_utf8(path: str, newline: str):
+    """``path`` opened as UTF-8 text (a byte order mark is skipped); a byte
+    that does not decode raises :class:`DataError` naming the file."""
+    try:
+        with open(path, newline=newline, encoding="utf-8-sig") as handle:
+            yield handle
+    except UnicodeDecodeError as exc:
+        raise DataError(
+            f"{path}: not UTF-8 text: cannot decode byte "
+            f"0x{exc.object[exc.start]:02x} ({exc.reason})"
+        ) from None
 
 
 class _NotPlain(Exception):
@@ -350,15 +372,15 @@ def ingest_long_csv(
     # reading every file with the csv module, which makes a list per row,
     # made a select job on a 90,000-row file about a quarter slower
     try:
-        with open(curves_path, newline="\n", encoding="utf-8-sig") as handle:
+        with _open_utf8(curves_path, newline="\n") as handle:
             points = _read_points(curves_path, _plain_chunks(handle, curves_path))
     except _NotPlain:
-        with open(curves_path, newline="", encoding="utf-8-sig") as handle:
+        with _open_utf8(curves_path, newline="") as handle:
             points = _read_points(curves_path, _csv_chunks(handle, curves_path))
     sample_ids, predictor_ids, predictor, sample, t, value = points
 
     responses: dict[str, float] = {}
-    with open(responses_path, newline="", encoding="utf-8-sig") as handle:
+    with _open_utf8(responses_path, newline="") as handle:
         reader = _csv_reader(handle, responses_path, ["sample_id", "y"])
         for lineno, row in enumerate(reader, start=2):
             if not row:
@@ -455,37 +477,31 @@ def _id_width(predictor_ids: list[str]) -> int:
     return max(len(name) for name in ["predictor", *predictor_ids])
 
 
-def run_select(config: JobConfig):
-    """Test every predictor, select, print the table, write the record."""
+def run_select(config: JobConfig) -> np.ndarray:
+    """Test every predictor, select, print the table, write the record;
+    returns the selection mask."""
     design, y, predictor_ids = _selection_pipeline(config)
-    tests = test_all(design, y)
+    statistics, p_values = test_all(design, y)
     q = config.resolve_q(design.n, design.num_predictors)
-    result = select(config.method, tests, q)
+    mask = selection_mask(config.method, p_values, q)
+    method = "fdr" if check_method(config.method) == "fdr" else "bonferroni"
+    dofs = np.diff(design.block_offsets).tolist()
+    rows = list(
+        zip(predictor_ids, statistics.tolist(), dofs, p_values.tolist(), mask.tolist())
+    )
     width = _id_width(predictor_ids)
-    print(f"method: {result.method}   q: {q:.6g}")
+    print(f"method: {method}   q: {q:.6g}")
     print(f"{'predictor':<{width}}  {'T_L':>12}  {'dof':>4}  {'p_value':>12}  selected")
-    for pid, test in zip(predictor_ids, tests):
-        flag = "yes" if test.predictor_index in result.selected else "no"
-        print(
-            f"{pid:<{width}}  {test.statistic:>12.4f}  {test.dof:>4d}  "
-            f"{test.p_value:>12.4e}  {flag}"
-        )
-    chosen = ", ".join(predictor_ids[m] for m in result.selected) or "(none)"
-    print(f"selected set: {chosen}")
-    records = [
-        {
-            "predictor": pid,
-            "statistic": test.statistic,
-            "dof": test.dof,
-            "p_value": test.p_value,
-            "selected": test.predictor_index in result.selected,
-        }
-        for pid, test in zip(predictor_ids, tests)
-    ]
-    selected = [predictor_ids[m] for m in result.selected]
-    records.append({"method": result.method, "q": q, "selected": selected})
+    for pid, statistic, dof, p, chosen in rows:
+        flag = "yes" if chosen else "no"
+        print(f"{pid:<{width}}  {statistic:>12.4f}  {dof:>4d}  {p:>12.4e}  {flag}")
+    selected = [pid for pid, *_, chosen in rows if chosen]
+    print(f"selected set: {', '.join(selected) or '(none)'}")
+    keys = ("predictor", "statistic", "dof", "p_value", "selected")
+    records = [dict(zip(keys, row)) for row in rows]
+    records.append({"method": method, "q": q, "selected": selected})
     _write_records(config.out, records)
-    return result
+    return mask
 
 
 def _resample_indices(seed: int, n: int, b: int, chunk: int):
@@ -598,7 +614,7 @@ def _read_config_file(path: str, parser: _Parser) -> tuple[argparse.Namespace, d
     try:
         with open(path, encoding="utf-8") as handle:
             lines = handle.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read config file {path}: {exc}") from exc
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()

@@ -4,48 +4,37 @@ The statistic for predictor r is (RSS0 - RSS) / sigma2_tilde with
 sigma2_tilde = RSS/n from the full fit, referred to a central chi-square
 with p_r degrees of freedom. RSS0 - RSS, the cost of zeroing block r, equals
 the Wald form b_r' (V_rr)^{-1} b_r with V = (Z'Z)^{-1}, so every test is read
-off the one full fit without refitting; :func:`wald_statistic` and
-:func:`p_value` are that form and its reference, for one fit or for a batch.
-:func:`test_resamples` applies them to a batch of bootstrap resamples fitted
-together by :func:`~funcsel.linmodel.fit_resamples`. The central and noncentral
-CDFs are scipy's ``chdtr`` and ``chndtr``; the noncentral one serves to
-validate the alternative-hypothesis distribution.
+off the one full fit without refitting. :func:`block_statistics` is the one
+loop over the predictor blocks: it takes the Wald form of every block, for
+one fit or for a batch. :func:`test_all` applies it to the full fit of a
+sample and :func:`test_resamples` to a batch of bootstrap resamples fitted
+together by :func:`~funcsel.linmodel.fit_resamples`; both return plain
+arrays of statistics and p-values. The central and noncentral CDFs are
+scipy's ``chdtr`` and ``chndtr``; the noncentral one serves to validate the
+alternative-hypothesis distribution.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import chdtr, chdtrc, chndtr
 
 from .design import DesignMatrix
 from .errors import NumericalError
-from .linmodel import FitResult, SampleQR, fit_ols, fit_resamples
+from .linmodel import SampleQR, fit_ols, fit_resamples
 
 __all__ = [
-    "HypothesisTest",
+    "block_statistics",
     "chisq_cdf",
     "noncentral_chisq_cdf",
     "p_value",
     "test_all",
-    "test_predictor",
     "test_resamples",
     "wald_statistic",
 ]
 
 # floor for reported p-values; avoids exact zeros in log-scale output
 P_VALUE_FLOOR = 1e-300
-
-
-@dataclass(frozen=True)
-class HypothesisTest:
-    """Result of testing one predictor's coefficient block against zero."""
-
-    predictor_index: int
-    statistic: float
-    dof: int
-    p_value: float
 
 
 def chisq_cdf(x: float, dof: int) -> float:
@@ -84,49 +73,33 @@ def p_value(statistic, dof) -> np.ndarray:
     return np.clip(chdtrc(dof, statistic), P_VALUE_FLOOR, 1.0)
 
 
-def test_predictor(full: FitResult, r: int) -> HypothesisTest:
-    """Likelihood-ratio test of predictor r's block against zero."""
-    if not 0 <= r < len(full.block_offsets) - 1:
-        raise ValueError(
-            f"predictor index {r} out of range 0..{len(full.block_offsets) - 2}"
-        )
-    lo, hi = full.block_offsets[r], full.block_offsets[r + 1]
-    rows = full.r_inv[lo:hi]  # V_rr = rows @ rows.T
-    try:
-        statistic = float(wald_statistic(full.block(r), rows @ rows.T, full.sigma2_tilde))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"singular covariance block while testing predictor {r}: {exc}"
-        ) from exc
-    dof = hi - lo
-    return HypothesisTest(
-        predictor_index=r,
-        statistic=statistic,
-        dof=dof,
-        p_value=float(p_value(statistic, dof)),
-    )
-
-
-def test_all(design: DesignMatrix, y: np.ndarray) -> list[HypothesisTest]:
-    """Fit once and test every predictor against that shared full fit."""
-    full = fit_ols(design, y)
-    return [test_predictor(full, r) for r in range(design.num_predictors)]
-
-
-def _certified_statistics(qr: SampleQR, idx: np.ndarray):
-    """Statistics (b, M) of the resamples that :func:`fit_resamples`
-    certifies, and the certified mask; raises ``LinAlgError`` as it does."""
-    fits = fit_resamples(qr, idx)
-    ok = fits.certified
-    offsets = qr.design.block_offsets
-    statistics = np.full((len(ok), len(offsets) - 1), np.nan)
+def block_statistics(coefficients, covariance, sigma2, offsets) -> np.ndarray:
+    """Statistics (..., M) of every predictor block, from fits with
+    coefficients (..., k), covariances V (..., k, k) and variance estimates
+    ``sigma2`` over any leading batch axes; block r spans columns
+    ``offsets[r]:offsets[r + 1]``. Raises :class:`NumericalError` naming the
+    first predictor whose V_rr is singular."""
+    statistics = np.empty(np.shape(coefficients)[:-1] + (len(offsets) - 1,))
     for r, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
-        statistics[ok, r] = wald_statistic(
-            fits.coefficients[ok, lo:hi],
-            fits.covariance[ok, lo:hi, lo:hi],
-            fits.sigma2_tilde[ok],
-        )
-    return statistics, ok
+        try:
+            statistics[..., r] = wald_statistic(
+                coefficients[..., lo:hi], covariance[..., lo:hi, lo:hi], sigma2
+            )
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                f"singular covariance block while testing predictor {r}: {exc}"
+            ) from exc
+    return statistics
+
+
+def test_all(design: DesignMatrix, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fit once; the statistics and p-values, each (M,), of every predictor
+    tested against that shared full fit."""
+    full = fit_ols(design, y)
+    statistics = block_statistics(
+        full.coefficients, full.covariance, full.sigma2_tilde, design.block_offsets
+    )
+    return statistics, p_value(statistics, np.diff(design.block_offsets))
 
 
 def test_resamples(qr: SampleQR, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -135,20 +108,23 @@ def test_resamples(qr: SampleQR, idx: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
     The resamples' fits come together from their row counts. A resample that
     the count fit does not certify, or every resample of a batch whose count
-    fit raises, is tested by :func:`test_all` on its explicit rows instead;
-    a resample whose fit fails there has a row of NaN.
+    fit or statistics raise, is tested by :func:`test_all` on its explicit
+    rows instead; a resample whose fit fails there has a row of NaN.
     """
-    b = len(idx)
+    offsets = qr.design.block_offsets
+    statistics = np.full((len(idx), len(offsets) - 1), np.nan)
     try:
-        statistics, ok = _certified_statistics(qr, idx)
-    except np.linalg.LinAlgError:
-        statistics, ok = np.full((b, qr.design.num_predictors), np.nan), np.zeros(b, bool)
-    for j in np.flatnonzero(~ok):
-        resampled = DesignMatrix(
-            values=qr.design.values[idx[j]], block_offsets=qr.design.block_offsets
+        fits = fit_resamples(qr, idx)
+        ok = fits.certified
+        statistics[ok] = block_statistics(
+            fits.coefficients[ok], fits.covariance[ok], fits.sigma2_tilde[ok], offsets
         )
+    except (np.linalg.LinAlgError, NumericalError):
+        ok = np.zeros(len(idx), bool)
+    for j in np.flatnonzero(~ok):
+        resampled = DesignMatrix(values=qr.design.values[idx[j]], block_offsets=offsets)
         try:
-            statistics[j] = [t.statistic for t in test_all(resampled, qr.y[idx[j]])]
+            statistics[j] = test_all(resampled, qr.y[idx[j]])[0]
         except NumericalError:
             pass
-    return statistics, p_value(statistics, np.diff(qr.design.block_offsets))
+    return statistics, p_value(statistics, np.diff(offsets))

@@ -4,44 +4,17 @@ Bonferroni rejects p-values at or below q/M. The false-discovery-rate
 procedure is the dependency-robust step-up rule with the harmonic-sum
 correction: reject the s smallest p-values where s is the largest j with
 p_(j) <= (j/M) * q / H_M and H_M = sum_{l=1}^M 1/l. Both rules are
-:func:`selection_mask`, over one row of p-values or over many at once.
+:func:`selection_mask`, over one row of p-values or over many at once; the
+selected predictors are the True entries of its mask.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .inference import HypothesisTest
-
-__all__ = [
-    "SelectionResult",
-    "check_method",
-    "check_q",
-    "select",
-    "select_bonferroni",
-    "select_fdr",
-    "selection_mask",
-    "default_q",
-]
-
-
-@dataclass(frozen=True)
-class SelectionResult:
-    """Outcome of a selection rule over M predictor tests.
-
-    ``selected`` holds 0-based predictor indices in increasing order.
-    ``s`` is the step-up rejection count (None for Bonferroni).
-    """
-
-    method: str
-    q: float
-    tests: tuple[HypothesisTest, ...]
-    selected: tuple[int, ...]
-    s: int | None
+__all__ = ["check_method", "check_q", "selection_mask", "default_q"]
 
 
 def selection_mask(method: str, p_values, q: float) -> np.ndarray:
@@ -70,30 +43,6 @@ def selection_mask(method: str, p_values, q: float) -> np.ndarray:
     return selected
 
 
-def _select(method: str, tests: Sequence[HypothesisTest], q: float):
-    tests = tuple(tests)
-    mask = selection_mask(method, [t.p_value for t in tests], q)
-    selected = tuple(sorted(t.predictor_index for t, keep in zip(tests, mask) if keep))
-    return tests, selected
-
-
-def select_bonferroni(tests: Sequence[HypothesisTest], q: float) -> SelectionResult:
-    """Select predictors whose p-value is at most q/M."""
-    tests, selected = _select("bc", tests, q)
-    return SelectionResult(
-        method="bonferroni", q=q, tests=tests, selected=selected, s=None
-    )
-
-
-def select_fdr(tests: Sequence[HypothesisTest], q: float) -> SelectionResult:
-    """Step-up selection with the harmonic-sum correction; ``s`` is the
-    number of rejections."""
-    tests, selected = _select("fdr", tests, q)
-    return SelectionResult(
-        method="fdr", q=q, tests=tests, selected=selected, s=len(selected)
-    )
-
-
 def check_method(method: str) -> str:
     """Lower-cased selection method name: 'bc', 'bonferroni' or 'fdr'."""
     name = method.lower()
@@ -107,13 +56,6 @@ def check_q(q: float) -> float:
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must lie in (0, 1), got {q}")
     return q
-
-
-def select(method: str, tests: Sequence[HypothesisTest], q: float) -> SelectionResult:
-    """Apply the rule named by ``method`` ('bc'/'bonferroni' or 'fdr')."""
-    if check_method(method) == "fdr":
-        return select_fdr(tests, q)
-    return select_bonferroni(tests, q)
 
 
 def default_q(n: int, num_predictors: int) -> float:

@@ -28,7 +28,7 @@ from .bspline import make_uniform_basis
 from .design import build_design, check_parameter_count
 from .errors import DataError, NumericalError
 from .inference import test_all
-from .selection import check_method, check_q, select
+from .selection import check_method, check_q, selection_mask
 from .smoothing import CurveBlock, build_dataset
 
 __all__ = [
@@ -252,20 +252,17 @@ def _reduced_prediction(
 def _run_one_replication(scenario: SimScenario, method: str, q: float, rep: int, bases):
     curves, y, truth = generate_replication(scenario, rep)
     design = build_design(build_dataset(curves, y, bases))
-    result = select(method, test_all(design, y), q)
-    correct = set(result.selected) == set(truth.true_indices)
+    mask = selection_mask(method, test_all(design, y)[1], q)
+    correct = set(np.flatnonzero(mask).tolist()) == truth.true_indices
 
     # out-of-sample MSE of the model refit on the selected predictors only
     curves_test, y_test, _ = generate_replication(scenario, rep + _TEST_STREAM_OFFSET)
     design_test = build_design(build_dataset(curves_test, y_test, bases))
-    columns = [0]
-    for m in result.selected:
-        columns.extend(range(*design.block_slice(m).indices(design.k)))
-    predicted = _reduced_prediction(
-        design.values, y, design_test.values, np.asarray(columns)
-    )
+    # the intercept column, then the columns of each selected block
+    columns = np.repeat([True, *mask], np.diff([0, *design.block_offsets]))
+    predicted = _reduced_prediction(design.values, y, design_test.values, columns)
     mse = float(np.mean((y_test - predicted) ** 2))
-    return correct, result.selected, mse
+    return correct, mask, mse
 
 
 def run_monte_carlo(
@@ -309,10 +306,9 @@ def run_monte_carlo(
     counts = np.zeros(NUM_PREDICTORS)
     correct_count = 0
     mse_sum = 0.0
-    for correct, selected, mse in succeeded:
+    for correct, mask, mse in succeeded:
         correct_count += int(correct)
-        for m in selected:
-            counts[m] += 1
+        counts += mask
         mse_sum += mse
     denom = max(len(succeeded), 1)
     return MonteCarloReport(

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import BSpline
 
-from funcsel import BasisSpec, CurveBlock, DataError, NumericalError, fit_ols, select
+from funcsel import BasisSpec, CurveBlock, DataError, NumericalError, fit_ols
 from funcsel.design import DesignMatrix
 from funcsel.inference import test_all as run_test_all
 from funcsel.linmodel import FitResult
@@ -160,11 +160,11 @@ def bootstrap_loop(
             values=design.values[idx], block_offsets=design.block_offsets
         )
         try:
-            tests = run_test_all(resampled, y[idx])
+            _, p_values = run_test_all(resampled, y[idx])
         except NumericalError:
             failed += 1
             continue
-        for m in select(method, tests, q).selected:
+        for m in selected_by_loop(method, list(p_values), q):
             counts[m] += 1
     return counts, failed
 

@@ -18,12 +18,10 @@ from funcsel import (
     gram_matrix,
     make_uniform_basis,
     noncentral_chisq_cdf,
-    select_bonferroni,
-    select_fdr,
+    selection_mask,
 )
-from funcsel import HypothesisTest
 from funcsel.cli import main
-from funcsel.inference import test_predictor as run_test_predictor
+from funcsel.inference import test_all as run_test_all
 from funcsel.simgen import SimScenario, coefficient_functions, run_monte_carlo
 
 from conftest import (
@@ -206,7 +204,7 @@ class TestCriterion3NoncentralityIdentity:
             for col in range(2):
                 y = mu + sigma * g[:, col]
                 full = fit_ols(design, y)
-                statistic = run_test_predictor(full, r).statistic
+                statistic = run_test_all(design, y)[0][r]
                 direct = statistic * full.sigma2_tilde / sigma**2
                 assert batch[col] == pytest.approx(direct, rel=1e-8)
 
@@ -265,7 +263,7 @@ class TestCriterion5OracleEquivalences:
             design, y = random_design(rng, 30 + int(rng.integers(0, 40)), sizes)
             full = fit_ols(design, y)
             r = int(rng.integers(0, len(sizes)))
-            rss0 = full.rss + run_test_predictor(full, r).statistic * full.sigma2_tilde
+            rss0 = full.rss + run_test_all(design, y)[0][r] * full.sigma2_tilde
             oracle = column_deletion_rss(design, y, r)
             worst = max(worst, abs(rss0 - oracle) / oracle)
         ok = worst < 1e-8
@@ -284,7 +282,7 @@ class TestCriterion5OracleEquivalences:
             design, y = random_design(rng, n, (4, 5))
             r = trial % 2
             full = fit_ols(design, y)
-            diff = run_test_predictor(full, r).statistic * full.sigma2_tilde
+            diff = run_test_all(design, y)[0][r] * full.sigma2_tilde
             p_full, p_restr = projection_matrices(design, r)
             quad = float(y @ ((p_full - p_restr) @ y))
             worst = max(worst, abs(diff - quad) / max(abs(quad), 1e-12))
@@ -322,14 +320,12 @@ class TestCriterion5OracleEquivalences:
             m = int(rng.integers(1, 12))
             p = rng.uniform(0.0, 0.05, m) if rng.random() < 0.5 else rng.uniform(0, 1, m)
             q = float(rng.uniform(0.005, 0.3))
-            tests = [
-                HypothesisTest(predictor_index=i, statistic=0.0, dof=1, p_value=float(v))
-                for i, v in enumerate(p)
-            ]
-            if set(select_bonferroni(tests, q).selected) != brute_force_bonferroni(p, q):
+            bonferroni = set(np.flatnonzero(selection_mask("bc", p, q)).tolist())
+            if bonferroni != brute_force_bonferroni(p, q):
                 mismatches += 1
+            fdr = set(np.flatnonzero(selection_mask("fdr", p, q)).tolist())
             expected_set, _ = brute_force_fdr(list(p), q)
-            if set(select_fdr(tests, q).selected) != expected_set:
+            if fdr != expected_set:
                 mismatches += 1
         ok = mismatches == 0
         report(

@@ -13,7 +13,7 @@ from funcsel import (
     build_dataset,
     build_design,
     make_uniform_basis,
-    select_bonferroni,
+    selection_mask,
     smooth_block,
 )
 from funcsel.cli import (
@@ -46,6 +46,22 @@ def write_responses(path, pairs):
         handle.write("sample_id,y\n")
         for sample, y in pairs:
             handle.write(f"{sample},{y}\n")
+
+
+def small_files(directory):
+    """Curves and responses of 12 samples and one predictor on 8 points."""
+    rng = np.random.default_rng(34)
+    grid = np.linspace(0.0, 1.0, 8)
+    paths = {"curves": directory / "c.csv", "responses": directory / "r.csv"}
+    write_curves(
+        paths["curves"],
+        [(f"s{i:02d}", "p0", repr(float(t)), repr(float(rng.normal())))
+         for i in range(12) for t in grid],
+    )
+    write_responses(
+        paths["responses"], [(f"s{i:02d}", repr(float(rng.normal()))) for i in range(12)]
+    )
+    return paths
 
 
 @pytest.fixture(scope="module")
@@ -384,14 +400,15 @@ class TestRunSelect:
         bases = standard_bases()
         data = build_dataset(curves, y, bases)
         design = build_design(data)
-        expected = run_test_all(design, y)
+        statistics, p_values = run_test_all(design, y)
 
         lines = [json.loads(line) for line in out.read_text().splitlines()]
         assert lines[-1]["selected"] == ["p0", "p1", "p2", "p3", "p4"]
         assert lines[-1]["q"] == pytest.approx(1 / np.sqrt(300))
-        for record, ref in zip(lines[:-1], expected):
-            assert record["statistic"] == pytest.approx(ref.statistic, rel=1e-12)
-            assert record["p_value"] == pytest.approx(ref.p_value, rel=1e-12)
+        assert len(lines[:-1]) == 6
+        for record, statistic, p in zip(lines[:-1], statistics, p_values):
+            assert record["statistic"] == pytest.approx(statistic, rel=1e-12)
+            assert record["p_value"] == pytest.approx(p, rel=1e-12)
 
     def test_single_strong_predictor(self, tmp_path, capsys):
         rng = np.random.default_rng(31)
@@ -442,8 +459,8 @@ class TestRunSelect:
                 responses=rng.normal(size=n),
             )
             design = build_design(data)
-            tests = run_test_all(design, data.responses)
-            if not select_bonferroni(tests, q).selected:
+            _, p_values = run_test_all(design, data.responses)
+            if not selection_mask("bc", p_values, q).any():
                 empty += 1
         assert empty / runs >= 1 - q * 2
 
@@ -474,10 +491,8 @@ class TestRunBootstrap:
         rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
         idx = rng.integers(0, design.n, size=design.n)
         resampled = DesignMatrix(values=design.values[idx], block_offsets=design.block_offsets)
-        tests = run_test_all(resampled, y[idx])
-        from funcsel import select_fdr
-
-        expected = select_fdr(tests, 0.01).selected
+        _, p_values = run_test_all(resampled, y[idx])
+        expected = np.flatnonzero(selection_mask("fdr", p_values, 0.01))
         for m in range(6):
             assert report["ratios"][f"p{m}"] == (1.0 if m in expected else 0.0)
 
@@ -524,10 +539,9 @@ class TestRunBootstrap:
             resampled = DesignMatrix(
                 values=design.values[rows], block_offsets=design.block_offsets
             )
-            tests = run_test_all(resampled, y[rows])
-            expected = np.array([t.statistic for t in tests])
+            expected, expected_p = run_test_all(resampled, y[rows])
             np.testing.assert_allclose(statistics[j], expected, rtol=1e-10, atol=0)
-            np.testing.assert_allclose(p_values[j], [t.p_value for t in tests], rtol=1e-8)
+            np.testing.assert_allclose(p_values[j], expected_p, rtol=1e-8)
 
     @pytest.mark.parametrize("n", [60, 45, 37, 30])
     @pytest.mark.parametrize("method", ["bc", "fdr"])
@@ -834,6 +848,57 @@ class TestExitCodes:
 
         monkeypatch.setattr("funcsel.cli.run_simulate", fail)
         assert main(["--mode", "simulate", "--reps", "1"]) == 3
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_uint64_is_usage_error(self, tmp_path, capsys, monkeypatch, seed):
+        # the Philox key is a uint64; the files do not exist, so exit 1
+        # shows that the seed is rejected before any input is read
+        files = ["--curves", str(tmp_path / "nope.csv"),
+                 "--responses", str(tmp_path / "nope2.csv")]
+        for mode in ("simulate", "bootstrap"):
+            assert main(["--mode", mode, *files, "--seed", seed]) == 1
+            assert "--seed must lie in [0, 2**64)" in capsys.readouterr().err
+        monkeypatch.setenv("FUNCSEL_SEED", seed)
+        assert main(["--mode", "bootstrap", *files]) == 1
+        assert "--seed must lie in [0, 2**64)" in capsys.readouterr().err
+
+    def test_largest_seed_runs(self, sim_files):
+        curves_path, responses_path, _, _ = sim_files
+        assert main(
+            ["--mode", "bootstrap", "--curves", curves_path, "--responses",
+             responses_path, "--bootstrap-b", "2", "--seed", str(2**64 - 1)]
+        ) == 0
+
+    @pytest.mark.parametrize("target", ["curves", "responses"])
+    def test_non_utf8_file_is_data_error(self, tmp_path, capsys, target):
+        paths = small_files(tmp_path)
+        path = paths[target]
+        path.write_bytes(path.read_bytes().replace(b"s01,", b"s\xe901,", 1))
+        assert main(["--mode", "select", "--curves", str(paths["curves"]),
+                     "--responses", str(paths["responses"])]) == 2
+        assert f"data error: {path}: not UTF-8 text" in capsys.readouterr().err
+
+    def test_non_utf8_config_is_usage_error(self, tmp_path, capsys):
+        config_path = tmp_path / "job.cfg"
+        config_path.write_bytes(b"mode = simulate\n# caf\xe9\n")
+        assert main(["--config", str(config_path)]) == 1
+        assert f"cannot read config file {config_path}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", ["curves", "responses"])
+    def test_oversized_quoted_field_is_data_error(self, tmp_path, capsys, target):
+        # longer than csv.field_size_limit(), 131,072 characters by default
+        paths = small_files(tmp_path)
+        path = paths[target]
+        name = '"' + "x" * 140_000 + '"'
+        path.write_text(path.read_text().replace("s01,", name + ",", 1))
+        rows = path.read_text().split("\n")
+        line = next(i for i, row in enumerate(rows, 1) if row.startswith(name))
+        assert main(["--mode", "select", "--curves", str(paths["curves"]),
+                     "--responses", str(paths["responses"])]) == 2
+        assert (
+            f"data error: {path} line {line}: field larger than field limit"
+            in capsys.readouterr().err
+        )
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(

@@ -1,16 +1,13 @@
 """Chi-square reference distributions and the per-predictor tests."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from scipy.special import chdtrc
 
 from funcsel import NumericalError, chisq_cdf, fit_ols, noncentral_chisq_cdf
-from funcsel.inference import test_all as run_test_all
-from funcsel.inference import test_predictor as run_test_predictor
 from funcsel.design import DesignMatrix
-from funcsel.inference import P_VALUE_FLOOR
+from funcsel.inference import P_VALUE_FLOOR, block_statistics
+from funcsel.inference import test_all as run_test_all
 
 from conftest import random_design
 from oracles import fit_restricted
@@ -97,6 +94,8 @@ def _orthogonal_block_design(rng, n=80):
 
 
 class TestTestPredictor:
+    """One predictor's statistic and p-value, as ``test_all`` reports them."""
+
     def test_costless_constraint(self):
         # noise-free response built without block 1; its columns are orthogonal
         # to the rest, so the constraint costs nothing
@@ -109,25 +108,24 @@ class TestTestPredictor:
         sl = design.block_slice(1)
         block = design.values[:, sl]
         y = y - block @ (block.T @ y)
-        full = fit_ols(design, y)
-        result = run_test_predictor(full, 1)
-        assert result.statistic == pytest.approx(0.0, abs=1e-8)
-        assert result.p_value == pytest.approx(1.0, abs=1e-8)
-        assert result.dof == 4
+        statistics, p_values = run_test_all(design, y)
+        assert statistics[1] == pytest.approx(0.0, abs=1e-8)
+        assert p_values[1] == pytest.approx(1.0, abs=1e-8)
 
     def test_statistic_consistency(self):
         rng = np.random.default_rng(13)
         design, y = random_design(rng, 70, (4, 5))
         full = fit_ols(design, y)
-        for r, result in enumerate(run_test_all(design, y)):
+        statistics, p_values = run_test_all(design, y)
+        assert statistics.shape == p_values.shape == (2,)
+        for r, (statistic, p) in enumerate(zip(statistics, p_values)):
             restricted = fit_restricted(design, y, full, r)
             expected = (restricted.rss0 - full.rss) / full.sigma2_tilde
-            assert result.statistic == pytest.approx(expected, rel=1e-8)
-            assert result.p_value == pytest.approx(
-                1.0 - chisq_cdf(result.statistic, result.dof), abs=1e-12
+            assert statistic == pytest.approx(expected, rel=1e-8)
+            assert p == pytest.approx(
+                1.0 - chisq_cdf(statistic, design.block_size(r)), abs=1e-12
             )
-            assert result.dof == design.block_size(r)
-            assert 0.0 <= result.p_value <= 1.0
+            assert 0.0 <= p <= 1.0
 
     def test_p_value_floor(self):
         rng = np.random.default_rng(14)
@@ -135,30 +133,30 @@ class TestTestPredictor:
         b = np.zeros(design.k)
         b[design.block_slice(0)] = 50.0
         y = design.values @ b + 1e-6 * rng.normal(size=design.n)
-        full = fit_ols(design, y)
-        result = run_test_predictor(full, 0)
-        assert result.p_value == P_VALUE_FLOOR
+        assert run_test_all(design, y)[1][0] == P_VALUE_FLOOR
 
     def test_singular_covariance_block_is_numerical_error(self):
-        # a resample can make a block's covariance factor singular; the
-        # bootstrap counts that as a failed resample, so it must not escape
-        # as numpy's LinAlgError
+        # a resample can make a block's covariance singular; the bootstrap
+        # counts that as a failed resample, so it must not escape as numpy's
+        # LinAlgError
         rng = np.random.default_rng(18)
         design, y = random_design(rng, 40, (4, 5))
         full = fit_ols(design, y)
-        r_inv = full.r_inv.copy()
-        r_inv[design.block_slice(1)] = 0.0
-        degenerate = dataclasses.replace(full, r_inv=r_inv)
-        assert run_test_predictor(degenerate, 0).statistic > 0.0
+        offsets = design.block_offsets
+        covariance = full.covariance.copy()
+        covariance[design.block_slice(1)] = 0.0
+        covariance[:, design.block_slice(1)] = 0.0
+        coefficients, sigma2 = full.coefficients, full.sigma2_tilde
+        assert block_statistics(coefficients, covariance, sigma2, offsets[:2])[0] > 0.0
         with pytest.raises(NumericalError, match="predictor 1"):
-            run_test_predictor(degenerate, 1)
+            block_statistics(coefficients, covariance, sigma2, offsets)
 
     def test_null_p_values_uniform(self):
         # fixed design, pure-noise responses: p-values follow Uniform(0,1);
         # n large relative to k keeps the chi-square approximation tight.
         # One QR of the design serves all 2000 responses, drawn in the order
         # of one fit per response: b = R^{-1} Q'y, RSS = |y|^2 - |Q'y|^2,
-        # and the statistic is the Wald form that test_predictor uses.
+        # and the statistic is the Wald form that test_all uses.
         rng = np.random.default_rng(15)
         design, _ = random_design(rng, 8000, (4, 5))
         q, r = np.linalg.qr(design.values)
@@ -175,7 +173,7 @@ class TestTestPredictor:
             p_values[start : start + 250] = chdtrc(design.block_size(0), statistic)
             if start == 0:
                 for y, value in zip(responses[:5], statistic[:5]):
-                    expected = run_test_predictor(fit_ols(design, y), 0).statistic
+                    expected = run_test_all(design, y)[0][0]
                     assert value == pytest.approx(expected, rel=1e-10)
         grid = np.sort(p_values)
         positions = np.arange(1, 2001) / 2000
@@ -184,15 +182,23 @@ class TestTestPredictor:
 
 
 class TestTestAll:
-    def test_single_predictor_matches(self):
+    def test_batch_equals_per_row_calls(self):
+        # a (b, M) batch of fits gives, bit for bit, the statistics of
+        # calling block_statistics on each fit alone
         rng = np.random.default_rng(16)
-        design, y = random_design(rng, 40, (5,))
-        full = fit_ols(design, y)
-        single = run_test_predictor(full, 0)
-        every = run_test_all(design, y)
-        assert len(every) == 1
-        assert every[0].statistic == pytest.approx(single.statistic, rel=1e-12)
-        assert every[0].p_value == pytest.approx(single.p_value, abs=1e-15)
+        design, _ = random_design(rng, 40, (4, 5, 6))
+        fits = [fit_ols(design, rng.normal(size=design.n)) for _ in range(7)]
+        coefficients = np.stack([fit.coefficients for fit in fits])
+        covariance = np.stack([fit.covariance for fit in fits])
+        sigma2 = np.array([fit.sigma2_tilde for fit in fits])
+        offsets = design.block_offsets
+        batch = block_statistics(coefficients, covariance, sigma2, offsets)
+        assert batch.shape == (7, 3)
+        for row, fit in zip(batch, fits):
+            single = block_statistics(
+                fit.coefficients, fit.covariance, fit.sigma2_tilde, offsets
+            )
+            np.testing.assert_array_equal(row, single)
 
     def test_permutation_null_uniform(self):
         rng = np.random.default_rng(17)
@@ -202,9 +208,7 @@ class TestTestAll:
         n_perm = 400
         p_values = np.empty((n_perm, 2))
         for i in range(n_perm):
-            shuffled = rng.permutation(y)
-            for r, result in enumerate(run_test_all(design, shuffled)):
-                p_values[i, r] = result.p_value
+            p_values[i] = run_test_all(design, rng.permutation(y))[1]
         positions = np.arange(1, n_perm + 1) / n_perm
         for r in range(2):
             grid = np.sort(p_values[:, r])

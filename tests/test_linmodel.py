@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from funcsel import NumericalError, RankDeficiencyError, fit_ols
+from funcsel import NumericalError, RankDeficiencyError, SampleSizeError, fit_ols
 from funcsel.design import DesignMatrix
-from funcsel.inference import test_predictor as run_test_predictor
+from funcsel.inference import test_all as run_test_all
+from funcsel.linmodel import sample_qr
 from funcsel.simgen import SimScenario, coefficient_functions
 
 from conftest import (
@@ -60,15 +61,16 @@ class TestFitOls:
         design, y, fit = scenario_fit
         resid = y - design.values @ fit.coefficients
         assert fit.rss == pytest.approx(float(resid @ resid), rel=1e-8)
-        assert fit.sigma2_tilde == fit.rss / fit.n
+        assert fit.sigma2_tilde == fit.rss / design.n
         assert np.max(np.abs(design.values.T @ resid)) < 1e-6 * np.linalg.norm(y)
-        assert fit.k == 37 and fit.n == 300
+        assert fit.coefficients.shape == (37,) and fit.covariance.shape == (37, 37)
 
-    def test_block_accessor(self, scenario_fit):
+    def test_covariance_is_inverse_gram(self, scenario_fit):
+        # V = R^{-1} R^{-T} against an explicit inverse of Z'Z
         design, _, fit = scenario_fit
-        stacked = np.concatenate([fit.block(m) for m in range(6)])
-        assert np.array_equal(stacked, fit.coefficients[1:])
-        assert fit.intercept == fit.coefficients[0]
+        oracle = np.linalg.inv(design.values.T @ design.values)
+        scale = np.max(np.abs(oracle))
+        assert np.max(np.abs(fit.covariance - oracle)) < 1e-6 * scale
 
     def test_rank_deficient_rejected(self):
         rng = np.random.default_rng(2)
@@ -90,6 +92,15 @@ class TestFitOls:
         design = DesignMatrix(values=values, block_offsets=(1, 3))
         with pytest.raises(RankDeficiencyError, match="smallest/largest singular value"):
             fit_ols(design, rng.normal(size=40))
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_no_more_rows_than_columns(self, n):
+        rng = np.random.default_rng(2)
+        design = DesignMatrix(values=rng.normal(size=(n, 5)), block_offsets=(1, 5))
+        with pytest.raises(SampleSizeError, match="need n > k"):
+            fit_ols(design, rng.normal(size=n))
+        with pytest.raises(SampleSizeError, match="need n > k"):
+            sample_qr(design, rng.normal(size=n))
 
     def test_shape_mismatch(self):
         rng = np.random.default_rng(2)
@@ -124,30 +135,26 @@ class TestFitRestricted:
         for trial in range(20):
             design, y = random_design(rng, 60, (4, 5, 6))
             full = fit_ols(design, y)
+            statistics, _ = run_test_all(design, y)
             for r in range(3):
-                statistic = run_test_predictor(full, r).statistic
-                rss0 = full.rss + statistic * full.sigma2_tilde
+                rss0 = full.rss + statistics[r] * full.sigma2_tilde
                 oracle = column_deletion_rss(design, y, r)
                 assert abs(rss0 - oracle) < 1e-8 * oracle
 
     def test_rss_monotone(self):
         rng = np.random.default_rng(5)
         design, y = random_design(rng, 45, (4, 4))
-        full = fit_ols(design, y)
-        for r in range(2):
-            # strict: the statistic is clamped at 0, which would hide a
-            # restricted RSS below the full one
-            assert run_test_predictor(full, r).statistic > 0.0
+        # strict: the statistic is clamped at 0, which would hide a
+        # restricted RSS below the full one
+        assert np.all(run_test_all(design, y)[0] > 0.0)
 
     def test_index_out_of_range(self):
         rng = np.random.default_rng(5)
         design, y = random_design(rng, 45, (4,))
         full = fit_ols(design, y)
-        with pytest.raises(ValueError, match="out of range"):
-            fit_restricted(design, y, full, 1)
         for r in (1, -1):
             with pytest.raises(ValueError, match="out of range"):
-                run_test_predictor(full, r)
+                fit_restricted(design, y, full, r)
 
 
 class TestProjections:

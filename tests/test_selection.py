@@ -3,14 +3,12 @@
 import numpy as np
 import pytest
 
-from funcsel import HypothesisTest, default_q, select_bonferroni, select_fdr
+from funcsel import default_q, selection_mask
 
 
-def make_tests(p_values):
-    return [
-        HypothesisTest(predictor_index=i, statistic=0.0, dof=1, p_value=float(p))
-        for i, p in enumerate(p_values)
-    ]
+def selected(method, p_values, q):
+    """The predictors the rule selects from one row of p-values, in order."""
+    return tuple(np.flatnonzero(selection_mask(method, p_values, q)).tolist())
 
 
 def brute_force_bonferroni(p_values, q):
@@ -36,55 +34,47 @@ EXAMPLE = [0.001, 0.002, 0.2, 0.5, 0.9, 0.95]
 
 class TestBonferroni:
     def test_threshold_example(self):
-        result = select_bonferroni(make_tests(EXAMPLE), 0.05)
-        assert result.selected == (0, 1)  # threshold 0.05/6 = 0.008333...
-        assert result.method == "bonferroni"
-        assert result.s is None
+        mask = selection_mask("bc", EXAMPLE, 0.05)
+        assert mask.dtype == bool and mask.shape == (6,)
+        assert selected("bc", EXAMPLE, 0.05) == (0, 1)  # threshold 0.05/6 = 0.008333...
+        assert selected("bonferroni", EXAMPLE, 0.05) == (0, 1)
 
     def test_all_ones(self):
-        assert select_bonferroni(make_tests([1.0] * 6), 0.05).selected == ()
+        assert selected("bc", [1.0] * 6, 0.05) == ()
 
     def test_all_zeros(self):
-        assert select_bonferroni(make_tests([0.0] * 6), 0.05).selected == tuple(range(6))
+        assert selected("bc", [0.0] * 6, 0.05) == tuple(range(6))
 
     def test_invalid_q(self):
         with pytest.raises(ValueError, match="q"):
-            select_bonferroni(make_tests(EXAMPLE), 0.0)
+            selection_mask("bc", EXAMPLE, 0.0)
         with pytest.raises(ValueError, match="q"):
-            select_bonferroni(make_tests(EXAMPLE), 1.0)
+            selection_mask("bc", EXAMPLE, 1.0)
 
     def test_empty(self):
         with pytest.raises(ValueError, match="no tests"):
-            select_bonferroni([], 0.05)
+            selection_mask("bc", [], 0.05)
 
 
 class TestFdr:
     def test_step_up_example(self):
         # H_6 = 2.45; thresholds j * 0.05 / (6 * 2.45): 0.003401, 0.006803,
         # 0.010204, ...; the two smallest p-values are rejected
-        result = select_fdr(make_tests(EXAMPLE), 0.05)
-        assert result.selected == (0, 1)
-        assert result.s == 2
-        assert result.method == "fdr"
+        assert selected("fdr", EXAMPLE, 0.05) == (0, 1)
 
     def test_no_rejection(self):
-        result = select_fdr(make_tests([1.0] * 6), 0.05)
-        assert result.selected == ()
-        assert result.s == 0
+        assert selected("fdr", [1.0] * 6, 0.05) == ()
 
     def test_single_hypothesis(self):
-        result = select_fdr(make_tests([0.025]), 0.05)
-        assert result.selected == (0,)
-        assert result.s == 1
+        assert selected("fdr", [0.025], 0.05) == (0,)
 
     def test_tie_breaking_deterministic(self):
         p = [0.002, 0.002, 0.9, 0.9, 0.9, 0.9]
-        result = select_fdr(make_tests(p), 0.05)
-        assert result.selected == (0, 1)
+        assert selected("fdr", p, 0.05) == (0, 1)
 
     def test_invalid_q(self):
         with pytest.raises(ValueError, match="q"):
-            select_fdr(make_tests(EXAMPLE), -0.1)
+            selection_mask("fdr", EXAMPLE, -0.1)
 
     def test_step_up_not_step_down(self):
         # a large p-value early in the sorted order must not stop the scan if
@@ -96,9 +86,7 @@ class TestFdr:
         t1 = 1.0 * q / (m * harmonic)
         t6 = 6.0 * q / (m * harmonic)
         p = [t1 * 1.5, t6 * 0.99, t6 * 0.99, t6 * 0.99, t6 * 0.99, t6 * 0.99]
-        result = select_fdr(make_tests(p), q)
-        assert result.s == 6
-        assert result.selected == tuple(range(6))
+        assert selected("fdr", p, q) == tuple(range(6))
 
 
 class TestBruteForceOracle:
@@ -114,12 +102,11 @@ class TestBruteForceOracle:
             else:
                 p = np.where(rng.random(m) < 0.5, rng.uniform(0, 0.01, m), rng.uniform(0, 1, m))
             q = float(rng.uniform(0.005, 0.3))
-            tests = make_tests(p)
-            assert set(select_bonferroni(tests, q).selected) == brute_force_bonferroni(p, q)
+            assert set(selected("bc", p, q)) == brute_force_bonferroni(p, q)
             expected_set, expected_s = brute_force_fdr(list(p), q)
-            got = select_fdr(tests, q)
-            assert set(got.selected) == expected_set
-            assert got.s == expected_s
+            got = selected("fdr", p, q)
+            assert set(got) == expected_set
+            assert len(got) == expected_s
 
 
 class TestProperties:
@@ -127,22 +114,17 @@ class TestProperties:
         rng = np.random.default_rng(3)
         for _ in range(200):
             p = rng.uniform(0.0, 0.2, 8)
-            tests = make_tests(p)
             q1, q2 = sorted(rng.uniform(0.01, 0.5, 2))
-            assert set(select_bonferroni(tests, q1).selected) <= set(
-                select_bonferroni(tests, q2).selected
-            )
-            assert set(select_fdr(tests, q1).selected) <= set(
-                select_fdr(tests, q2).selected
-            )
+            for method in ("bc", "fdr"):
+                assert set(selected(method, p, q1)) <= set(selected(method, p, q2))
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(4)
         p = rng.uniform(0.0, 0.1, 7)
         perm = rng.permutation(7)
-        for select in (select_bonferroni, select_fdr):
-            base = set(select(make_tests(p), 0.1).selected)
-            permuted = set(select(make_tests(p[perm]), 0.1).selected)
+        for method in ("bc", "fdr"):
+            base = set(selected(method, p, 0.1))
+            permuted = set(selected(method, p[perm], 0.1))
             assert permuted == {int(np.where(perm == i)[0][0]) for i in base}
 
     def test_empirical_fdr_bound(self):
@@ -154,9 +136,9 @@ class TestProperties:
         fdp = np.empty(1000)
         for i in range(1000):
             p = np.concatenate([rng.uniform(0, 1e-8, m0), rng.uniform(0, 1, m - m0)])
-            selected = set(select_fdr(make_tests(p), q).selected)
-            false = len(selected - {0, 1, 2})
-            fdp[i] = false / max(len(selected), 1)
+            chosen = set(selected("fdr", p, q))
+            false = len(chosen - {0, 1, 2})
+            fdp[i] = false / max(len(chosen), 1)
         bound = q * (m - m0) / m + 3 * fdp.std(ddof=1) / np.sqrt(fdp.size)
         assert fdp.mean() <= bound
 
