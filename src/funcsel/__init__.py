@@ -9,7 +9,6 @@ of the p-values (``selection_mask``).
 
 from .bspline import (
     BasisSpec,
-    evaluate_basis,
     evaluate_basis_matrix,
     gram_matrix,
     make_uniform_basis,
@@ -22,7 +21,7 @@ from .errors import (
     RankDeficiencyError,
     SampleSizeError,
 )
-from .inference import chisq_cdf, noncentral_chisq_cdf, test_all
+from .inference import test_all
 from .linmodel import FitResult, fit_ols
 from .selection import default_q, selection_mask
 from .simgen import (
@@ -38,7 +37,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BasisSpec",
-    "evaluate_basis",
     "evaluate_basis_matrix",
     "gram_matrix",
     "make_uniform_basis",
@@ -50,8 +48,6 @@ __all__ = [
     "NumericalError",
     "RankDeficiencyError",
     "SampleSizeError",
-    "chisq_cdf",
-    "noncentral_chisq_cdf",
     "test_all",
     "FitResult",
     "fit_ols",

@@ -20,7 +20,6 @@ import numpy as np
 __all__ = [
     "BasisSpec",
     "make_uniform_basis",
-    "evaluate_basis",
     "evaluate_basis_matrix",
     "gram_matrix",
 ]
@@ -102,11 +101,6 @@ def make_uniform_basis(
         + (float(domain_hi),) * (degree + 1)
     )
     return BasisSpec(float(domain_lo), float(domain_hi), degree, num_basis, knots)
-
-
-def evaluate_basis(spec: BasisSpec, t: float) -> np.ndarray:
-    """All ``num_basis`` basis values at t; nonnegative and summing to 1."""
-    return evaluate_basis_matrix(spec, np.array([t], dtype=float))[0]
 
 
 def evaluate_basis_matrix(spec: BasisSpec, ts: np.ndarray) -> np.ndarray:

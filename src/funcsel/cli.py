@@ -60,9 +60,12 @@ _OVERRIDES = ("basis_size", "degree", "domain")
 CHUNK_LINES = 16384
 _CURVES_HEADER = ["sample_id", "predictor_id", "t", "value"]
 
-# floats in one chunk of bootstrap resamples fitted together (b x n x (k+1)
-# rows of Q), which sets b: 45 resamples at n = 300 and k = 37, where larger
-# chunks ran no faster and raised the process's peak RSS
+# floats in one chunk of bootstrap resamples fitted together, which sets b:
+# per resample, n row counts, the n x (k+1) scaled rows of Q when
+# linmodel.sample_qr keeps no outer products, the (k+1) x (k+1) H and its
+# Cholesky factor L, and the k x k M = L_zz^{-1}, G and V of
+# linmodel.fit_resamples. That is 71 resamples at n = 300 and k = 37, where
+# larger chunks ran no faster
 RESAMPLE_FLOATS = 2**19
 
 
@@ -518,15 +521,20 @@ def bootstrap_counts(
 ) -> tuple[np.ndarray, int]:
     """How often each predictor is selected over b resamples of the rows,
     and how many resamples failed their fit (a rank-deficient design, or
-    no more rows than columns)."""
+    no more rows than columns). Raises ValueError unless 0 <= seed < 2**64,
+    the range of the Philox key."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     selected = np.zeros(design.num_predictors, dtype=int)
     try:
         qr = sample_qr(design, y)
     except NumericalError:
         return selected, b
     failed = 0
-    chunk = max(1, RESAMPLE_FLOATS // (design.n * (design.k + 1)))
-    for idx in _resample_indices(seed, design.n, b, chunk):
+    n, k = design.n, design.k
+    scaled = n * (k + 1) if qr.outer is None else 0
+    chunk = max(1, RESAMPLE_FLOATS // (n + scaled + 2 * (k + 1) ** 2 + 3 * k**2))
+    for idx in _resample_indices(seed, n, b, chunk):
         _, p_values = test_resamples(qr, idx)
         fitted = ~np.isnan(p_values[:, 0])
         failed += int(np.count_nonzero(~fitted))

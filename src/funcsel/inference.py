@@ -9,15 +9,14 @@ loop over the predictor blocks: it takes the Wald form of every block, for
 one fit or for a batch. :func:`test_all` applies it to the full fit of a
 sample and :func:`test_resamples` to a batch of bootstrap resamples fitted
 together by :func:`~funcsel.linmodel.fit_resamples`; both return plain
-arrays of statistics and p-values. The central and noncentral CDFs are
-scipy's ``chdtr`` and ``chndtr``; the noncentral one serves to validate the
-alternative-hypothesis distribution.
+arrays of statistics and p-values. The p-values are upper tails of
+scipy's ``chdtrc``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import chdtr, chdtrc, chndtr
+from scipy.special import chdtrc
 
 from .design import DesignMatrix
 from .errors import NumericalError
@@ -25,8 +24,6 @@ from .linmodel import SampleQR, fit_ols, fit_resamples
 
 __all__ = [
     "block_statistics",
-    "chisq_cdf",
-    "noncentral_chisq_cdf",
     "p_value",
     "test_all",
     "test_resamples",
@@ -35,26 +32,6 @@ __all__ = [
 
 # floor for reported p-values; avoids exact zeros in log-scale output
 P_VALUE_FLOOR = 1e-300
-
-
-def chisq_cdf(x: float, dof: int) -> float:
-    """CDF of the central chi-square distribution with ``dof`` degrees of freedom."""
-    if dof < 1:
-        raise ValueError(f"dof must be >= 1, got {dof}")
-    if x < 0:
-        raise ValueError(f"x must be nonnegative, got {x}")
-    return float(chdtr(dof, x))
-
-
-def noncentral_chisq_cdf(x: float, dof: int, delta: float) -> float:
-    """CDF of the noncentral chi-square with noncentrality ``delta``."""
-    if dof < 1:
-        raise ValueError(f"dof must be >= 1, got {dof}")
-    if x < 0:
-        raise ValueError(f"x must be nonnegative, got {x}")
-    if delta < 0:
-        raise ValueError(f"delta must be nonnegative, got {delta}")
-    return float(chndtr(x, dof, delta))
 
 
 def wald_statistic(b_r: np.ndarray, v_rr: np.ndarray, sigma2) -> np.ndarray:

@@ -14,7 +14,13 @@ reduced QR of the full sample, [Z | y] = Q R, the weighted cross products
 are R' H R with H = Q' diag(c) Q, and :func:`fit_resamples` takes every
 fit of a batch of resamples from k x k algebra on the H's. H is close to I
 (the identity at c = 1), so this does not square the condition number of Z
-the way the normal equations do.
+the way the normal equations do. The H's of a batch come from one matrix
+product of its b x n counts with the row-wise outer products of Q, kept with
+the QR while their lower triangles fit in ``OUTER_FLOATS`` floats; past that
+bound, each H comes from the rows of Q scaled by the square roots of the
+counts, as many floats per resample as the design. Their fits come from one
+batched Cholesky factorization, one forward substitution and matrix
+products. No step inverts a general matrix.
 """
 
 from __future__ import annotations
@@ -22,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .design import DesignMatrix
 from .errors import RANK_RTOL, SampleSizeError, check_rank
@@ -37,8 +42,15 @@ __all__ = [
 ]
 
 # largest bound on cond(H) at which fit_resamples trusts its algebra (the
-# bound reads about 44 at H = I for k = 37)
+# bound reads about 234 at H = I for k = 37)
 COUNT_COND_MAX = 1e6
+
+# most floats of row-wise outer products of Q that sample_qr keeps (8 MB):
+# n (k+1)(k+2)/2 is 222,300 at n = 300 and k = 37, and fits up to n = 1,415
+# at k = 37 and n = 139 at k = 121. Past the bound none are kept rather than
+# some: every chunk reads all the kept products, which pays only when a chunk
+# holds many resamples, and at such n it holds few
+OUTER_FLOATS = 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,7 +82,7 @@ def fit_ols(design: DesignMatrix, y: np.ndarray) -> FitResult:
         raise SampleSizeError(f"need n > k, got n={n}, k={k}")
     r = np.linalg.qr(np.column_stack([design.values, y]), mode="r")
     check_rank(np.linalg.svd(r[:k, :k], compute_uv=False), "design matrix")
-    r_inv = scipy.linalg.solve_triangular(r[:k, :k], np.eye(k))
+    r_inv = np.asfortranarray(np.linalg.inv(r[:k, :k]))
     rss = float(r[k, k] ** 2)
     return FitResult(
         coefficients=r_inv @ r[:k, k],
@@ -84,14 +96,18 @@ def fit_ols(design: DesignMatrix, y: np.ndarray) -> FitResult:
 class SampleQR:
     """One reduced QR of the full sample, [Z | y] = Q R, kept for refits.
 
-    ``q`` is the n x (k+1) factor Q. ``r_inv`` is the inverse of the design
-    block R_zz; it is NaN when R_zz has an exactly zero pivot, which leaves
-    every resample uncertified. ``row_norms2`` holds the squared norms of
-    the design rows.
+    Row i of ``outer`` holds the lower triangle, in ``np.tril_indices``
+    order, of the outer product q_i q_i' of row i of Q, so that c' outer is
+    the lower triangle of H = Q' diag(c) Q. ``outer`` is None when the
+    products of all n rows do not fit in ``OUTER_FLOATS`` floats; ``q`` is
+    Q. ``r_inv`` is the inverse of the design block R_zz; it is NaN when
+    R_zz has an exactly zero pivot, which leaves every resample
+    uncertified. ``row_norms2`` holds the squared norms of the design rows.
     """
 
     design: DesignMatrix
     y: np.ndarray
+    outer: np.ndarray | None
     q: np.ndarray
     r: np.ndarray
     r_inv: np.ndarray
@@ -123,13 +139,19 @@ def sample_qr(design: DesignMatrix, y: np.ndarray) -> SampleQR:
     if n <= k:
         raise SampleSizeError(f"need n > k, got n={n}, k={k}")
     q, r = np.linalg.qr(np.column_stack([design.values, y]))
+    rows, cols = np.tril_indices(k + 1)
+    outer = None
+    if n * rows.size <= OUTER_FLOATS:
+        outer = q[:, rows]
+        outer *= q[:, cols]
     try:
-        r_inv = scipy.linalg.solve_triangular(r[:k, :k], np.eye(k))
+        r_inv = np.asfortranarray(np.linalg.inv(r[:k, :k]))
     except np.linalg.LinAlgError:
         r_inv = np.full((k, k), np.nan)
     return SampleQR(
         design=design,
         y=y,
+        outer=outer,
         q=q,
         r=r,
         r_inv=r_inv,
@@ -137,54 +159,101 @@ def sample_qr(design: DesignMatrix, y: np.ndarray) -> SampleQR:
     )
 
 
+def _invert_lower(l: np.ndarray) -> np.ndarray:
+    """Inverses of a stack (b, k, k) of lower-triangular matrices, by forward
+    substitution: row i of L^{-1} from its rows above, one batched
+    vector-matrix product per row."""
+    m = np.zeros_like(l)
+    diag = 1.0 / np.diagonal(l, axis1=1, axis2=2)
+    for i in range(l.shape[1]):
+        m[:, i, :i] = (l[:, i, None, :i] @ m[:, :i, :i])[:, 0] * -diag[:, i, None]
+        m[:, i, i] = diag[:, i]
+    return m
+
+
+def _cholesky(h: np.ndarray, singular: np.ndarray) -> np.ndarray:
+    """Cholesky factors of a stack of H's. When the batched factorization
+    raises, each H is factored alone to find the ones that are not
+    numerically positive definite (data with repeated rows makes them); they
+    are set to I and marked in ``singular``, so the rest keep their fits."""
+    try:
+        return np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
+        for j in np.flatnonzero(~singular):
+            try:
+                np.linalg.cholesky(h[j])
+            except np.linalg.LinAlgError:
+                singular[j] = True
+                h[j] = np.eye(h.shape[1])
+        return np.linalg.cholesky(h)
+
+
 def fit_resamples(qr: SampleQR, idx: np.ndarray) -> ResampleFits:
     """Fits of the resamples whose row indices are the rows of ``idx``.
 
-    Resample j weights row i of the sample by its count c_i in ``idx[j]``,
-    so its H = Q' diag(c) Q is Q[idx[j]]' Q[idx[j]]. With H partitioned as
-    [[H_zz, h_zy], [h_zy', h_yy]] and W = H_zz^{-1}, the coefficients are
-    R_zz^{-1} (r_zy + r_yy W h_zy), RSS is r_yy^2 times the Schur complement
-    h_yy - h_zy' W h_zy, and V = R_zz^{-1} W R_zz^{-T}. The batch's
-    temporaries are b x n x (k+1) floats. Raises ``LinAlgError`` when some
-    H_zz is exactly singular.
+    Resample j weights row i of the sample by its count c_i in ``idx[j]``;
+    the lower triangles of all the H = Q' diag(c) Q are one product of the
+    b x n counts with ``qr.outer`` or, when it is None, each H is S'S with
+    S = diag(c)^{1/2} Q. Each H = L L' is factored by one batched Cholesky.
+    With H partitioned as [[H_zz, h_zy], [h_zy', h_yy]], L_zz is the factor
+    of H_zz, the last row of L is [l', l_yy] with L_zz l = h_zy, and the
+    Schur complement h_yy - h_zy' W h_zy, W = H_zz^{-1}, is l_yy^2. With
+    M = L_zz^{-1} by forward substitution, W h_zy = M' l, so the
+    coefficients are R_zz^{-1} (r_zy + r_yy M' l), RSS is r_yy^2 l_yy^2 and
+    V = R_zz^{-1} W R_zz^{-T} = G G' with G = R_zz^{-1} M'. A resample of at
+    most k distinct rows has a singular H: its H is set to I before the
+    factorization and it is left uncertified, as is a resample whose H is
+    found not numerically positive definite by the factorization. The
+    batch's temporaries are the b x n counts, the S's when ``qr.outer`` is
+    None, the H's and L's and the k x k M's, G's and V's.
 
     A resample is certified when two bounds hold. ||H||_F ||H^{-1}||_F
     bounds the condition number of the whole (k+1) x (k+1) H; below
     ``COUNT_COND_MAX`` it shows H positive definite and keeps W and the Schur
     complement, which cancels when a resample is fitted almost exactly, to
-    about ten digits. (Not traces: the computed H of a rank-deficient
-    resample can be indefinite, and so can have a small trace(H^{-1}).) And
-    ||R_c||_F ||R_c^{-1}||_F, for the R factor R_c of the resample's design,
-    bounds sigma_max/sigma_min from above; below 1/RANK_RTOL the resample
-    passes the rank check of :func:`fit_ols`. The norms are at hand:
-    ||H^{-1}||_F <= ||W||_F + (1 + |W h_zy|)^2 / schur from the block
-    inverse of H, ||R_c||_F^2 = sum_i c_i ||z_i||^2 and ||R_c^{-1}||_F^2 =
-    trace(V).
+    about ten digits. And ||R_c||_F ||R_c^{-1}||_F, for the R factor
+    R_c = L_zz' R_zz of the resample's design, bounds sigma_max/sigma_min
+    from above; below 1/RANK_RTOL the resample passes the rank check of
+    :func:`fit_ols`. The norms are at hand: ||H^{-1}||_F <= trace(W) +
+    (1 + |W h_zy|)^2 / schur from the block inverse of H, since
+    ||W||_F <= trace(W) = ||M||_F^2 for the positive semidefinite W = M'M;
+    ||R_c||_F^2 = sum_i c_i ||z_i||^2 and ||R_c^{-1}||_F^2 = trace(V) =
+    ||G||_F^2.
     """
     b, n = idx.shape
     k = qr.r_inv.shape[0]
-    rows = qr.q[idx]
-    h = rows.transpose(0, 2, 1) @ rows
-    w = np.linalg.inv(h[:, :k, :k])
-    h_zy = h[:, :k, k]
-    w_h = (w @ h_zy[:, :, None])[:, :, 0]
-    schur = h[:, k, k] - np.einsum("bi,bi->b", h_zy, w_h)
+    rows, cols = np.tril_indices(k + 1)
+    counts = np.bincount(
+        (idx + n * np.arange(b)[:, None]).ravel(), minlength=b * n
+    ).reshape(b, n).astype(float)
+    singular = np.count_nonzero(counts, axis=1) <= k
+    if qr.outer is None:
+        scaled = np.sqrt(counts)[:, :, None] * qr.q
+        h = np.tril(scaled.transpose(0, 2, 1) @ scaled)
+    else:
+        h = np.zeros((b, k + 1, k + 1))
+        h[:, rows, cols] = counts @ qr.outer
+    h[singular] = np.eye(k + 1)
+    l = _cholesky(h, singular)
     r_zy, r_yy = qr.r[:k, k], qr.r[k, k]
-    covariance = qr.r_inv @ w @ qr.r_inv.T
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        norm_h_inv = np.linalg.norm(w, axis=(1, 2)) + (
-            1.0 + np.linalg.norm(w_h, axis=1)
-        ) ** 2 / np.abs(schur)
-        cond_bound = np.linalg.norm(h, axis=(1, 2)) * norm_h_inv
-        rank_bound = qr.row_norms2[idx].sum(axis=1) * np.trace(
-            covariance, axis1=1, axis2=2
+        m_inv = _invert_lower(l[:, :k, :k])
+        w_h = (l[:, k, None, :k] @ m_inv)[:, 0]
+        schur = l[:, k, k] ** 2
+        g_t = (m_inv.reshape(b * k, k) @ qr.r_inv.T).reshape(b, k, k)  # G'
+        h_norm = np.sqrt(  # of the symmetric H, from its lower triangle
+            2 * np.einsum("bij,bij->b", h, h) - np.einsum("bii,bii->b", h, h)
         )
+        w_trace = np.einsum("bij,bij->b", m_inv, m_inv)
+        schur_term = (1.0 + np.linalg.norm(w_h, axis=1)) ** 2 / schur
+        cond_bound = h_norm * (w_trace + schur_term)
+        rank_bound = (counts @ qr.row_norms2) * np.einsum("bij,bij->b", g_t, g_t)
         certified = (
-            (schur > 0) & (cond_bound < COUNT_COND_MAX) & (rank_bound < RANK_RTOL**-2)
+            ~singular & (cond_bound < COUNT_COND_MAX) & (rank_bound < RANK_RTOL**-2)
         )
     return ResampleFits(
         coefficients=(r_zy + r_yy * w_h) @ qr.r_inv.T,
-        covariance=covariance,
+        covariance=g_t.transpose(0, 2, 1) @ g_t,
         sigma2_tilde=r_yy**2 * schur / n,
         certified=certified,
     )

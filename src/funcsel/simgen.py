@@ -76,8 +76,8 @@ class SimScenario:
             raise ValueError(f"grid_size must be >= 1, got {self.grid_size}")
         if self.noise_x_mult < 0 or self.noise_y_mult < 0:
             raise ValueError("noise multipliers must be nonnegative")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        if not 0 <= self.seed < 2**64:  # the Philox key is a uint64
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         if not math.isfinite(self.c):
             raise ValueError(f"signal strength c must be finite, got {self.c}")
 

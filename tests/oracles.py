@@ -24,6 +24,10 @@ explicit fit, test and selection per resample, drawn one at a time.
 ``smooth_lstsq`` is the reference for the smoothing layer: one curve at a
 time, scipy's B-spline design matrix and ``lstsq``, sharing no code with the
 package's block smoother.
+
+``evaluate_basis``, ``chisq_cdf`` and ``noncentral_chisq_cdf`` are scalar
+conveniences the tests call: the basis at one point, and scipy's central
+and noncentral chi-square CDFs with their arguments checked.
 """
 
 from __future__ import annotations
@@ -34,8 +38,16 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import BSpline
+from scipy.special import chdtr, chndtr
 
-from funcsel import BasisSpec, CurveBlock, DataError, NumericalError, fit_ols
+from funcsel import (
+    BasisSpec,
+    CurveBlock,
+    DataError,
+    NumericalError,
+    evaluate_basis_matrix,
+    fit_ols,
+)
 from funcsel.design import DesignMatrix
 from funcsel.inference import test_all as run_test_all
 from funcsel.linmodel import FitResult
@@ -290,3 +302,28 @@ def ingest_reference(
         curves.append(blocks)
     y = np.array([responses[s] for s in sample_ids])
     return curves, y, sample_ids, predictor_ids
+
+
+def evaluate_basis(spec: BasisSpec, t: float) -> np.ndarray:
+    """All ``num_basis`` basis values at t; nonnegative and summing to 1."""
+    return evaluate_basis_matrix(spec, np.array([t], dtype=float))[0]
+
+
+def chisq_cdf(x: float, dof: int) -> float:
+    """CDF of the central chi-square distribution with ``dof`` degrees of freedom."""
+    if dof < 1:
+        raise ValueError(f"dof must be >= 1, got {dof}")
+    if x < 0:
+        raise ValueError(f"x must be nonnegative, got {x}")
+    return float(chdtr(dof, x))
+
+
+def noncentral_chisq_cdf(x: float, dof: int, delta: float) -> float:
+    """CDF of the noncentral chi-square with noncentrality ``delta``."""
+    if dof < 1:
+        raise ValueError(f"dof must be >= 1, got {dof}")
+    if x < 0:
+        raise ValueError(f"x must be nonnegative, got {x}")
+    if delta < 0:
+        raise ValueError(f"delta must be nonnegative, got {delta}")
+    return float(chndtr(x, dof, delta))

@@ -17,7 +17,6 @@ from funcsel import (
     fit_ols,
     gram_matrix,
     make_uniform_basis,
-    noncentral_chisq_cdf,
     selection_mask,
 )
 from funcsel.cli import main
@@ -31,7 +30,12 @@ from conftest import (
     standard_bases,
     synthetic_design,
 )
-from oracles import column_deletion_rss, noncentrality, projection_matrices
+from oracles import (
+    column_deletion_rss,
+    noncentral_chisq_cdf,
+    noncentrality,
+    projection_matrices,
+)
 from test_bspline import trapezoid_gram
 from test_selection import brute_force_bonferroni, brute_force_fdr
 

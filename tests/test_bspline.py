@@ -5,11 +5,12 @@ import pytest
 
 from funcsel import (
     BasisSpec,
-    evaluate_basis,
     evaluate_basis_matrix,
     gram_matrix,
     make_uniform_basis,
 )
+
+from oracles import evaluate_basis
 
 
 def naive_bspline(knots, degree, j, t, domain_hi):

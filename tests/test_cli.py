@@ -1,11 +1,16 @@
 """CLI: CSV ingestion, selection, bootstrap, simulation, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import funcsel
 from funcsel import (
     ConditionWarning,
     DataError,
@@ -580,6 +585,14 @@ class TestRunBootstrap:
         assert 0 < failed == expected_failed < 200
         np.testing.assert_array_equal(selected, expected_counts)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_uint64_rejected(self, seed):
+        # the Philox key is a uint64: 2**64 used to raise OverflowError
+        rng = np.random.default_rng(60)
+        design = DesignMatrix(values=rng.normal(size=(60, 7)), block_offsets=(1, 7))
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+            bootstrap_counts(design, rng.normal(size=60), "bc", 0.05, 2, seed)
+
     @pytest.mark.parametrize("defect", ["zero", "tiny", "near threshold", "near repeat"])
     def test_singular_design_fails_every_resample(self, defect):
         # a zero column leaves an exactly zero pivot in the full sample's R;
@@ -630,6 +643,17 @@ class TestRunBootstrap:
         report = json.loads(out.read_text())
         assert report["failed"] == 60
         assert report["ratios"] == {f"p{m}": 0.0 for m in range(6)}
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    # numpy and scipy each bundle a BLAS with its own thread pool, and calls
+    # that alternate between the two slow each other down when unpinned
+    code = "import sys, funcsel.cli; sys.exit('scipy.linalg' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(funcsel.__file__).resolve().parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
 
 
 class TestRunSimulate:

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from scipy.special import chdtrc
 
-from funcsel import NumericalError, chisq_cdf, fit_ols, noncentral_chisq_cdf
+from funcsel import NumericalError, fit_ols
 from funcsel.design import DesignMatrix
 from funcsel.inference import P_VALUE_FLOOR, block_statistics
 from funcsel.inference import test_all as run_test_all
 
 from conftest import random_design
-from oracles import fit_restricted
+from oracles import chisq_cdf, fit_restricted, noncentral_chisq_cdf
 
 
 def empirical_cdf(sample, probes):

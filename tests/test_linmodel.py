@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from funcsel import NumericalError, RankDeficiencyError, SampleSizeError, fit_ols
 from funcsel.design import DesignMatrix
+from funcsel.inference import block_statistics
 from funcsel.inference import test_all as run_test_all
-from funcsel.linmodel import sample_qr
+from funcsel.linmodel import _invert_lower, fit_resamples, sample_qr
 from funcsel.simgen import SimScenario, coefficient_functions
 
 from conftest import (
@@ -72,6 +74,23 @@ class TestFitOls:
         scale = np.max(np.abs(oracle))
         assert np.max(np.abs(fit.covariance - oracle)) < 1e-6 * scale
 
+    def test_bit_identical_to_solve_triangular_oracle(self, scenario_fit):
+        # R_zz^{-1} from numpy's inverse of the triangular R_zz, in Fortran
+        # order, equals scipy's triangular solve bit for bit, and so do the
+        # coefficients and V computed from it
+        rng = np.random.default_rng(5)
+        cases = [scenario_fit[:2]] + [
+            random_design(rng, n, blocks)
+            for n, blocks in [(40, (4, 5)), (80, (6, 6, 6)), (300, (6,) * 6)] * 4
+        ]
+        for design, y in cases:
+            k = design.k
+            r = np.linalg.qr(np.column_stack([design.values, y]), mode="r")
+            r_inv = scipy.linalg.solve_triangular(r[:k, :k], np.eye(k))
+            fit = fit_ols(design, y)
+            np.testing.assert_array_equal(fit.coefficients, r_inv @ r[:k, k])
+            np.testing.assert_array_equal(fit.covariance, r_inv @ r_inv.T)
+
     def test_rank_deficient_rejected(self):
         rng = np.random.default_rng(2)
         col = rng.normal(size=20)
@@ -107,6 +126,116 @@ class TestFitOls:
         design, _ = random_design(rng, 30, (4,))
         with pytest.raises(ValueError, match="shape"):
             fit_ols(design, np.zeros(29))
+
+
+def _explicit_fit(design, y, rows):
+    resampled = DesignMatrix(values=design.values[rows], block_offsets=design.block_offsets)
+    return fit_ols(resampled, y[rows])
+
+
+def _assert_fits_match(fits, j, expected, offsets):
+    np.testing.assert_allclose(fits.sigma2_tilde[j], expected.sigma2_tilde, rtol=1e-10)
+    for got, want in [(fits.coefficients[j], expected.coefficients),
+                      (fits.covariance[j], expected.covariance)]:
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
+    np.testing.assert_allclose(
+        block_statistics(fits.coefficients[j], fits.covariance[j], fits.sigma2_tilde[j], offsets),
+        block_statistics(expected.coefficients, expected.covariance,
+                         expected.sigma2_tilde, offsets),
+        rtol=1e-10,
+    )
+
+
+class TestFitResamples:
+    @pytest.mark.parametrize("k", [1, 2, 7, 37])
+    def test_invert_lower_matches_inverse(self, k):
+        # Cholesky factors of random positive definite matrices, as in
+        # fit_resamples, and triangles with random entries and diagonal
+        rng = np.random.default_rng(k)
+        a = rng.normal(size=(9, 2 * k, k))
+        factors = np.linalg.cholesky(a.transpose(0, 2, 1) @ a)
+        triangles = np.tril(rng.normal(size=(9, k, k)), -1) / np.sqrt(k)
+        triangles[:, range(k), range(k)] = rng.uniform(0.5, 2.0, size=(9, k)) * rng.choice(
+            [-1, 1], size=(9, k)
+        )
+        for stack in (factors, triangles):
+            m = _invert_lower(stack)
+            expected = np.linalg.inv(stack)
+            np.testing.assert_allclose(m, expected, rtol=1e-12, atol=1e-13 * np.abs(expected).max())
+            assert not np.triu(m, 1).any()
+
+    @pytest.mark.parametrize("distinct", [3, 13])
+    def test_few_distinct_rows_leave_the_batch_certified(self, distinct):
+        # a resample of at most k = 13 distinct rows has a singular H; the
+        # other resamples of its batch keep certified count fits
+        rng = np.random.default_rng(distinct)
+        design, y = random_design(rng, 40, (6, 6))
+        idx = rng.integers(0, 40, size=(6, 40))
+        idx[2] = rng.choice(40, distinct, replace=False)[np.arange(40) % distinct]
+        assert np.unique(idx[2]).size == distinct <= design.k
+        fits = fit_resamples(sample_qr(design, y), idx)
+        np.testing.assert_array_equal(fits.certified, np.arange(6) != 2)
+        for j in (0, 1, 3, 4, 5):
+            _assert_fits_match(fits, j, _explicit_fit(design, y, idx[j]), design.block_offsets)
+
+    def test_repeated_data_rows_leave_the_batch_certified(self):
+        # rows 20-39 repeat rows 0-19: resample 2 draws 20 distinct indices
+        # but only 10 distinct rows, fewer than the k + 1 = 14 columns of
+        # [Z | y], so its H is singular while passing the distinct-index
+        # screen; the batched Cholesky raises, and only that resample is
+        # left uncertified
+        rng = np.random.default_rng(5)
+        base, y_base = random_design(rng, 20, (6, 6))
+        design = DesignMatrix(values=np.vstack([base.values] * 2),
+                              block_offsets=base.block_offsets)
+        y = np.concatenate([y_base] * 2)
+        idx = rng.integers(0, 40, size=(6, 40))
+        idx[2] = np.concatenate([np.arange(10), np.arange(20, 30)])[np.arange(40) % 20]
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(np.stack([
+                np.column_stack([design.values, y])[rows].T
+                @ np.column_stack([design.values, y])[rows] for rows in idx
+            ]))
+        fits = fit_resamples(sample_qr(design, y), idx)
+        np.testing.assert_array_equal(fits.certified, np.arange(6) != 2)
+        for j in (0, 1, 3, 4, 5):
+            _assert_fits_match(fits, j, _explicit_fit(design, y, idx[j]), design.block_offsets)
+
+    @pytest.mark.parametrize("kept", [0, 60])
+    def test_outer_products_kept_only_within_bound(self, monkeypatch, kept):
+        # the outer products of all 60 rows fit in OUTER_FLOATS or none are
+        # kept, and then each H comes from the rows of Q scaled by the roots
+        # of the counts
+        rng = np.random.default_rng(7)
+        design, y = random_design(rng, 60, (6, 6, 6))
+        k = design.k
+        monkeypatch.setattr("funcsel.linmodel.OUTER_FLOATS", 60 * (k + 1) * (k + 2) // 2
+                            - (kept == 0))
+        qr = sample_qr(design, y)
+        assert (qr.outer is None) == (kept == 0)
+        idx = rng.integers(0, 60, size=(8, 60))
+        fits = fit_resamples(qr, idx)
+        assert fits.certified.all()
+        for j, rows in enumerate(idx):
+            _assert_fits_match(fits, j, _explicit_fit(design, y, rows), design.block_offsets)
+
+    def test_no_inverse_needed(self, monkeypatch):
+        # the resample fits take a Cholesky factor and forward substitution,
+        # never np.linalg.inv
+        rng = np.random.default_rng(3)
+        design, y = random_design(rng, 60, (6, 6, 6))
+        qr = sample_qr(design, y)
+        idx = rng.integers(0, 60, size=(8, 60))
+        expected = [_explicit_fit(design, y, rows) for rows in idx]
+
+        def no_inverse(*args, **kwargs):
+            raise AssertionError("np.linalg.inv called")
+
+        monkeypatch.setattr(np.linalg, "inv", no_inverse)
+        fits = fit_resamples(qr, idx)
+        assert fits.certified.all()
+        for j, fit in enumerate(expected):
+            _assert_fits_match(fits, j, fit, design.block_offsets)
 
 
 class TestFitRestricted:

@@ -28,6 +28,12 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="seed"):
             SimScenario(c=0.0, n=100, seed=-1)
 
+    def test_seed_beyond_uint64(self):
+        # the Philox key is a uint64: 2**64 used to raise OverflowError
+        # from generate_replication
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+            SimScenario(c=0.0, n=100, seed=2**64)
+
     def test_negative_noise(self):
         with pytest.raises(ValueError, match="noise"):
             SimScenario(c=0.0, n=100, seed=0, noise_x_mult=-0.1)
