@@ -126,6 +126,10 @@ class JobConfig:
         for name, value, low in checks:
             if value < low:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
+        # each thread is an OS thread, and more than the CPUs only contend
+        cpus = os.cpu_count() or 1
+        if self.threads > cpus:
+            raise ValueError(f"--threads must be <= {cpus}, got {self.threads}")
         if not 0 <= self.seed < 2**64:  # the Philox key is a uint64
             raise ValueError(f"--seed must lie in [0, 2**64), got {self.seed}")
         for predictor, (lo, hi) in self.domain_overrides.items():

@@ -47,13 +47,6 @@ class DesignMatrix:
     def num_predictors(self) -> int:
         return len(self.block_offsets) - 1
 
-    def block_slice(self, m: int) -> slice:
-        """Column slice of predictor m's coefficient block (0-based)."""
-        return slice(self.block_offsets[m], self.block_offsets[m + 1])
-
-    def block_size(self, m: int) -> int:
-        return self.block_offsets[m + 1] - self.block_offsets[m]
-
 
 def check_parameter_count(n: int, k: int) -> None:
     """Emit :class:`ConditionWarning` when k exceeds sqrt(n)/log(n)."""

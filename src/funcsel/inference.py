@@ -9,14 +9,16 @@ loop over the predictor blocks: it takes the Wald form of every block, for
 one fit or for a batch. :func:`test_all` applies it to the full fit of a
 sample and :func:`test_resamples` to a batch of bootstrap resamples fitted
 together by :func:`~funcsel.linmodel.fit_resamples`; both return plain
-arrays of statistics and p-values. The p-values are upper tails of
-scipy's ``chdtrc``.
+arrays of statistics and p-values. :func:`p_value` takes the chi-square
+upper tail in closed form, with numpy and :func:`math.erfc` alone: every dof
+is a basis size, so an integer, and the tail is then a finite sum.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import chdtrc
 
 from .design import DesignMatrix
 from .errors import NumericalError
@@ -46,8 +48,37 @@ def wald_statistic(b_r: np.ndarray, v_rr: np.ndarray, sigma2) -> np.ndarray:
 
 
 def p_value(statistic, dof) -> np.ndarray:
-    """Upper chi-square tail, clipped to [P_VALUE_FLOOR, 1]."""
-    return np.clip(chdtrc(dof, statistic), P_VALUE_FLOOR, 1.0)
+    """Upper chi-square tail at ``statistic`` for positive integer ``dof``
+    (broadcast together), clipped to [P_VALUE_FLOOR, 1]; NaN stays NaN.
+
+    With h = statistic / 2 the tail is a finite sum: sum_{j < dof/2}
+    e^{-h} h^j / j! for even dof, and erfc(sqrt h) plus sum_{j < (dof-1)/2}
+    e^{-h} h^(j+1/2) / Gamma(j + 3/2) for odd dof. Each term is the exp of
+    its logarithm, so that e^{-h} cannot underflow alone while the term
+    still exceeds the floor. The sum is taken once per distinct dof.
+    """
+    dof = np.asarray(dof)
+    if dof.dtype.kind not in "iu" or dof.min(initial=1) < 1:
+        raise ValueError(f"dof must be positive integers, got {dof}")
+    distinct = np.unique(dof).tolist()
+    h, dof = np.broadcast_arrays(np.asarray(statistic, dtype=float) / 2.0, dof)
+    tail = np.empty(h.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_h = np.log(h)
+        for d in distinct:
+            cells = dof == d
+            h_d, log_h_d = h[cells], log_h[cells]
+            shift = d % 2 / 2  # the half-integer powers of odd dof
+            if shift:
+                tail_d = np.fromiter(map(math.erfc, np.sqrt(h_d).tolist()), float, h_d.size)
+            else:
+                tail_d = np.zeros(h_d.size)
+            for j in range(d // 2):
+                tail_d += np.exp((j + shift) * log_h_d - h_d - math.lgamma(j + shift + 1))
+            tail[cells] = tail_d
+    tail[h == 0.0] = 1.0  # 0 * log 0 above
+    tail[h == np.inf] = 0.0  # inf - inf above
+    return np.clip(tail, P_VALUE_FLOOR, 1.0)
 
 
 def block_statistics(coefficients, covariance, sigma2, offsets) -> np.ndarray:

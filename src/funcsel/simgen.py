@@ -84,10 +84,9 @@ class SimScenario:
 
 @dataclass(frozen=True)
 class SimTruth:
-    """Ground truth of a replication: relevant set and coefficient functions."""
+    """Ground truth of a replication: the set of relevant predictors."""
 
     true_indices: frozenset[int]
-    betas: tuple[Callable[[np.ndarray], np.ndarray], ...]
 
     @property
     def m0(self) -> int:
@@ -235,7 +234,7 @@ def generate_replication(
         0.0, scenario.noise_y_mult * response_range, size=n
     )
 
-    truth = SimTruth(true_indices=true_index_set(scenario.c), betas=betas)
+    truth = SimTruth(true_indices=true_index_set(scenario.c))
     return tuple(curves), responses, truth
 
 

@@ -14,6 +14,8 @@ from funcsel import (
 )
 from funcsel.simgen import DOMAINS, generate_replication
 
+from oracles import block_slice
+
 
 def standard_bases(degree: int = 3, num_basis: int = 6):
     """One cubic six-function basis per synthetic-scenario domain."""
@@ -71,7 +73,7 @@ def orthonormal_test_basis(design, r: int) -> np.ndarray:
     """Orthonormal basis U_r of the span of block r orthogonalized against the
     remaining columns, so that RSS0 - RSS = ||U_r' y||^2."""
     z = design.values
-    sl = design.block_slice(r)
+    sl = block_slice(design, r)
     keep = np.ones(design.k, dtype=bool)
     keep[sl] = False
     q0, _ = np.linalg.qr(z[:, keep])

@@ -27,7 +27,8 @@ package's block smoother.
 
 ``evaluate_basis``, ``chisq_cdf`` and ``noncentral_chisq_cdf`` are scalar
 conveniences the tests call: the basis at one point, and scipy's central
-and noncentral chi-square CDFs with their arguments checked.
+and noncentral chi-square CDFs with their arguments checked. ``block_slice``
+and ``block_size`` read one predictor's columns off a design's offsets.
 """
 
 from __future__ import annotations
@@ -53,6 +54,16 @@ from funcsel.inference import test_all as run_test_all
 from funcsel.linmodel import FitResult
 
 
+def block_slice(design: DesignMatrix, r: int) -> slice:
+    """Column slice of predictor r's coefficient block (0-based)."""
+    return slice(design.block_offsets[r], design.block_offsets[r + 1])
+
+
+def block_size(design: DesignMatrix, r: int) -> int:
+    """Basis size, and so test dof, of predictor r (0-based)."""
+    return design.block_offsets[r + 1] - design.block_offsets[r]
+
+
 @dataclass(frozen=True, eq=False)
 class RestrictedFit:
     """Least-squares fit with one predictor's block constrained to zero."""
@@ -70,7 +81,7 @@ def fit_restricted(
         raise ValueError(f"predictor index {r} out of range 0..{design.num_predictors - 1}")
     y = np.asarray(y, dtype=float)
     z = design.values
-    sl = design.block_slice(r)
+    sl = block_slice(design, r)
     gram = z.T @ z
     # columns of (Z'Z)^{-1} selected by A', i.e. those of block r
     rhs = np.zeros((design.k, sl.stop - sl.start))
@@ -101,7 +112,7 @@ def projection_matrices(design: DesignMatrix, r: int) -> tuple[np.ndarray, np.nd
     O(n^2) memory; intended for validation on small instances only.
     """
     z = design.values
-    sl = design.block_slice(r)
+    sl = block_slice(design, r)
     keep = np.ones(design.k, dtype=bool)
     keep[sl] = False
     q_full = _column_basis(z)
@@ -124,7 +135,7 @@ def projection_rss_identity_check(
 def column_deletion_rss(design: DesignMatrix, y: np.ndarray, r: int) -> float:
     """RSS of the least-squares refit with predictor r's columns deleted."""
     keep = np.ones(design.k, dtype=bool)
-    keep[design.block_slice(r)] = False
+    keep[block_slice(design, r)] = False
     coef, *_ = np.linalg.lstsq(design.values[:, keep], y, rcond=None)
     resid = y - design.values[:, keep] @ coef
     return float(resid @ resid)
@@ -142,7 +153,7 @@ def noncentrality(
         raise ValueError(f"sigma2 must be positive, got {sigma2}")
     z = design.values
     mu = z @ np.asarray(b, dtype=float)
-    sl = design.block_slice(r)
+    sl = block_slice(design, r)
     keep = np.ones(design.k, dtype=bool)
     keep[sl] = False
     z0 = z[:, keep]

@@ -656,6 +656,34 @@ def test_cli_import_leaves_scipy_linalg_unloaded():
     assert result.returncode == 0, result.stderr
 
 
+def test_cli_select_job_loads_no_scipy(tmp_path):
+    # the package needs numpy only; importing scipy.special alone took
+    # 0.23-0.33 s on a 2-vCPU machine, more than a select job on a 300x6 CSV
+    paths = small_files(tmp_path)
+    argv = ["--mode", "select", "--curves", str(paths["curves"]),
+            "--responses", str(paths["responses"]), "--basis-size", "5", "--q", "0.1"]
+    code = f"""
+import sys
+import funcsel.cli
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.startswith("scipy"))
+
+if scipy_modules():
+    sys.exit(f"import funcsel.cli loaded {{scipy_modules()}}")
+if funcsel.cli.main({argv!r}) != 0:
+    sys.exit("select job failed")
+if scipy_modules():
+    sys.exit(f"select job loaded {{scipy_modules()}}")
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(funcsel.__file__).resolve().parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip()  # the job printed its selection
+
+
 class TestRunSimulate:
     def test_smoke_and_determinism(self, tmp_path):
         out1 = tmp_path / "sim1.json"
@@ -698,8 +726,9 @@ class TestRunSimulate:
 
     def test_condition_warning_once_per_job(self):
         # k = 37 > sqrt(300)/log(300) = 3.04: a job warns once, not once per
-        # design, and a second job in the same process warns again
-        for threads in ("1", "2"):
+        # design, and a second job in the same process warns again; --threads
+        # may not exceed the CPU count
+        for threads in ("1", str(min(2, os.cpu_count() or 1))):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 code = main(["--mode", "simulate", "--c", "0.4", "--n", "300", "--reps", "16",
@@ -858,6 +887,19 @@ class TestExitCodes:
             )
             assert code == 1
             assert expected in capsys.readouterr().err
+
+    @pytest.mark.parametrize("unknown_cpu_count", [False, True])
+    def test_threads_above_cpu_count_is_usage_error(
+        self, monkeypatch, capsys, unknown_cpu_count
+    ):
+        # --reps 2: were the cap missing, the job would start at most 2 threads
+        if unknown_cpu_count:
+            monkeypatch.setattr(os, "cpu_count", lambda: None)
+        limit = os.cpu_count() or 1
+        code = main(["--mode", "simulate", "--reps", "2", "--n", "60",
+                     "--threads", str(limit + 1)])
+        assert code == 1
+        assert f"--threads must be <= {limit}, got {limit + 1}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("c", ["nan", "inf"])
     def test_non_finite_signal_strength_is_usage_error(self, capsys, c):

@@ -17,6 +17,7 @@ from funcsel import (
 from funcsel.simgen import SimScenario
 
 from conftest import synthetic_design
+from oracles import block_size, block_slice
 
 
 def _dataset(bases, coefs, responses):
@@ -58,8 +59,8 @@ class TestBuildDesign:
     def test_block_slices(self):
         design, _, _, _ = synthetic_design(SimScenario(c=0.0, n=100, seed=4))
         assert design.num_predictors == 6
-        assert design.block_slice(0) == slice(1, 7)
-        assert design.block_size(5) == 6
+        assert block_slice(design, 0) == slice(1, 7)
+        assert block_size(design, 5) == 6
 
     def test_integral_identity(self):
         # Z-block entries dot b_m must equal the quadrature integral of the

@@ -2,15 +2,23 @@
 
 import numpy as np
 import pytest
-from scipy.special import chdtrc
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import chdtrc, chdtri
 
 from funcsel import NumericalError, fit_ols
 from funcsel.design import DesignMatrix
-from funcsel.inference import P_VALUE_FLOOR, block_statistics
+from funcsel.inference import P_VALUE_FLOOR, block_statistics, p_value
 from funcsel.inference import test_all as run_test_all
 
 from conftest import random_design
-from oracles import chisq_cdf, fit_restricted, noncentral_chisq_cdf
+from oracles import (
+    block_size,
+    block_slice,
+    chisq_cdf,
+    fit_restricted,
+    noncentral_chisq_cdf,
+)
 
 
 def empirical_cdf(sample, probes):
@@ -86,6 +94,63 @@ class TestNoncentralChisqCdf:
             noncentral_chisq_cdf(-1.0, 6, 1.0)
 
 
+class TestPValue:
+    """The closed-form integer-dof tail against scipy's ``chdtrc``."""
+
+    @pytest.mark.parametrize("dof", range(1, 61))
+    def test_matches_chdtrc_down_to_the_floor(self, dof):
+        # past x = 2000 every tail up to dof 60 is below the floor; the
+        # chdtri points sit just above it, where e^{-x/2} alone underflows
+        x = np.concatenate(
+            [
+                [0.0],
+                np.geomspace(1e-8, 2000.0, 400),
+                np.linspace(0.0, 4.0 * dof + 40.0, 200),
+                chdtri(dof, [1e-299, 1e-290, 1e-250, 1e-100, 1e-20]),
+            ]
+        )
+        got, expected = p_value(x, dof), chdtrc(dof, x)
+        above = expected > P_VALUE_FLOOR
+        assert above.sum() > 500
+        np.testing.assert_allclose(got[above], expected[above], rtol=1e-12, atol=0.0)
+        assert np.all(got[~above] <= P_VALUE_FLOOR * (1.0 + 1e-12))
+        assert np.all((got >= P_VALUE_FLOOR) & (got <= 1.0))
+
+    def test_edge_values(self):
+        dof = np.arange(1, 61)
+        np.testing.assert_array_equal(p_value(np.zeros(60), dof), 1.0)
+        assert np.all(np.isnan(p_value(np.full(60, np.nan), dof)))
+        np.testing.assert_array_equal(p_value(np.full(60, np.inf), dof), P_VALUE_FLOOR)
+
+    @pytest.mark.parametrize("dof", [0, -2, 2.0, [3, 0]])
+    def test_dof_must_be_positive_integers(self, dof):
+        with pytest.raises(ValueError, match="dof must be positive integers"):
+            p_value(1.0, dof)
+
+    def test_batch_equals_per_element_calls(self):
+        # the (b, M)-by-(M,) broadcast of test_resamples, odd and even dof
+        # mixed over the columns, with the edge values among the draws
+        rng = np.random.default_rng(19)
+        dof = np.array([1, 6, 3, 2, 37, 12])
+        statistics = rng.chisquare(dof, size=(40, 6)) * rng.uniform(0.1, 30.0, (40, 1))
+        statistics[0] = [0.0, np.nan, np.inf, 0.0, np.inf, np.nan]
+        batch = p_value(statistics, dof)
+        assert batch.shape == (40, 6)
+        for (i, r), value in np.ndenumerate(batch):
+            np.testing.assert_array_equal(value, p_value(statistics[i, r], dof[r]))
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(
+        st.floats(0.0, 2000.0),
+        st.floats(0.0, 2000.0),
+        st.integers(1, 60),
+    )
+    def test_monotone_in_statistic_and_dof(self, x1, x2, dof):
+        lo, hi = sorted((x1, x2))
+        assert p_value(hi, dof) <= p_value(lo, dof) * (1.0 + 1e-12)
+        assert p_value(lo, dof) <= p_value(lo, dof + 1) * (1.0 + 1e-12)
+
+
 def _orthogonal_block_design(rng, n=80):
     raw = rng.normal(size=(n, 7))
     q, _ = np.linalg.qr(np.column_stack([np.ones(n), raw]))
@@ -102,10 +167,10 @@ class TestTestPredictor:
         rng = np.random.default_rng(12)
         design = _orthogonal_block_design(rng)
         b = rng.normal(size=design.k)
-        b[design.block_slice(1)] = 0.0
+        b[block_slice(design, 1)] = 0.0
         y = design.values @ b + 0.05 * rng.normal(size=design.n)
         # project the noise away from block 1 to keep the constraint exactly free
-        sl = design.block_slice(1)
+        sl = block_slice(design, 1)
         block = design.values[:, sl]
         y = y - block @ (block.T @ y)
         statistics, p_values = run_test_all(design, y)
@@ -123,7 +188,7 @@ class TestTestPredictor:
             expected = (restricted.rss0 - full.rss) / full.sigma2_tilde
             assert statistic == pytest.approx(expected, rel=1e-8)
             assert p == pytest.approx(
-                1.0 - chisq_cdf(statistic, design.block_size(r)), abs=1e-12
+                1.0 - chisq_cdf(statistic, block_size(design, r)), abs=1e-12
             )
             assert 0.0 <= p <= 1.0
 
@@ -131,7 +196,7 @@ class TestTestPredictor:
         rng = np.random.default_rng(14)
         design = _orthogonal_block_design(rng, n=200)
         b = np.zeros(design.k)
-        b[design.block_slice(0)] = 50.0
+        b[block_slice(design, 0)] = 50.0
         y = design.values @ b + 1e-6 * rng.normal(size=design.n)
         assert run_test_all(design, y)[1][0] == P_VALUE_FLOOR
 
@@ -144,8 +209,8 @@ class TestTestPredictor:
         full = fit_ols(design, y)
         offsets = design.block_offsets
         covariance = full.covariance.copy()
-        covariance[design.block_slice(1)] = 0.0
-        covariance[:, design.block_slice(1)] = 0.0
+        covariance[block_slice(design, 1)] = 0.0
+        covariance[:, block_slice(design, 1)] = 0.0
         coefficients, sigma2 = full.coefficients, full.sigma2_tilde
         assert block_statistics(coefficients, covariance, sigma2, offsets[:2])[0] > 0.0
         with pytest.raises(NumericalError, match="predictor 1"):
@@ -161,7 +226,7 @@ class TestTestPredictor:
         design, _ = random_design(rng, 8000, (4, 5))
         q, r = np.linalg.qr(design.values)
         r_inv = np.linalg.inv(r)
-        block = design.block_slice(0)
+        block = block_slice(design, 0)
         v_rr = r_inv[block] @ r_inv[block].T
         p_values = np.empty(2000)
         for start in range(0, 2000, 250):
@@ -170,7 +235,7 @@ class TestTestPredictor:
             b_r = (r_inv @ qty)[block]
             rss = np.sum(responses**2, axis=1) - np.sum(qty**2, axis=0)
             statistic = np.sum(b_r * np.linalg.solve(v_rr, b_r), axis=0) / (rss / design.n)
-            p_values[start : start + 250] = chdtrc(design.block_size(0), statistic)
+            p_values[start : start + 250] = chdtrc(block_size(design, 0), statistic)
             if start == 0:
                 for y, value in zip(responses[:5], statistic[:5]):
                     expected = run_test_all(design, y)[0][0]

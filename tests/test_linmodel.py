@@ -18,6 +18,8 @@ from conftest import (
     synthetic_design,
 )
 from oracles import (
+    block_size,
+    block_slice,
     column_deletion_rss,
     fit_restricted,
     noncentrality,
@@ -250,7 +252,7 @@ class TestFitRestricted:
         y = rng.normal(size=80)
         full = fit_ols(design, y)
         restricted = fit_restricted(design, y, full, 1)
-        sl = design.block_slice(1)
+        sl = block_slice(design, 1)
         assert np.all(restricted.coefficients_0[sl] == 0.0)
         keep = np.ones(design.k, dtype=bool)
         keep[sl] = False
@@ -301,7 +303,7 @@ class TestProjections:
         rng = np.random.default_rng(7)
         design, _ = random_design(rng, 40, (4, 5))
         keep = np.ones(design.k, dtype=bool)
-        keep[design.block_slice(0)] = False
+        keep[block_slice(design, 0)] = False
         y = design.values[:, keep] @ rng.normal(size=keep.sum())
         diff, quad = projection_rss_identity_check(design, y, 0)
         assert abs(diff) < 1e-10 * (y @ y)
@@ -333,7 +335,7 @@ class TestNoncentrality:
         rng = np.random.default_rng(10)
         design, _ = random_design(rng, 50, (4, 5))
         b = rng.normal(size=design.k)
-        b[design.block_slice(1)] = 0.0
+        b[block_slice(design, 1)] = 0.0
         assert noncentrality(design, b, 1.0, 1) < 1e-16
 
     def test_invalid_sigma2(self):
@@ -347,7 +349,7 @@ class TestNoncentrality:
         design, _, _, _ = synthetic_design(SimScenario(c=0.8, n=800, seed=3))
         bases = standard_bases()
         b = project_coefficients(bases, coefficient_functions(0.8))
-        k0 = design.k - design.block_size(4)
+        k0 = design.k - block_size(design, 4)
         ratios = []
         for n in (100, 200, 400, 800):
             sub = DesignMatrix(

@@ -16,7 +16,7 @@ from funcsel.inference import test_all as run_test_all
 from funcsel.selection import selection_mask
 
 from conftest import random_design
-from oracles import column_deletion_rss, selected_by_loop
+from oracles import block_size, block_slice, column_deletion_rss, selected_by_loop
 
 REL_TOL = 1e-8
 
@@ -90,8 +90,8 @@ def test_invariant_to_affine_response_map(instance, magnitude, sign, shift):
 def test_invariant_to_invertible_map_within_block(instance, block):
     rng, design, y = _build(instance)
     r = block % design.num_predictors
-    sl = design.block_slice(r)
-    p = design.block_size(r)
+    sl = block_slice(design, r)
+    p = block_size(design, r)
     # diagonally dominant, hence invertible and well conditioned
     transform = rng.normal(size=(p, p)) + 2.0 * p * np.eye(p)
     values = design.values.copy()
