@@ -24,7 +24,7 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 
 import numpy as np
 
@@ -214,24 +214,39 @@ def _plain_chunks(handle, path: str):
     on a carriage return not followed by a newline."""
 
     def plain(text: str) -> str:
-        if '"' in text or text.count("\r") != text.count("\r\n"):
+        if '"' in text:
             raise _NotPlain
-        return text.replace("\r\n", "\n")
+        if "\r" in text:
+            if text.count("\r") != text.count("\r\n"):
+                raise _NotPlain
+            text = text.replace("\r\n", "\n")
+        return text
 
     header = plain(handle.readline()).removesuffix("\n")
     _check_header(header.split(","), path, _CURVES_HEADER)
     line = 2
     while text := "".join(islice(handle, CHUNK_LINES)):
-        lines = plain(text).split("\n")
-        if text.endswith("\n"):
-            lines.pop()
+        text = plain(text)
+        if not text.endswith("\n"):
+            text += "\n"
+        # newlines and commas are single bytes in UTF-8, never part of
+        # another character, so their byte positions delimit lines and fields
+        raw = np.frombuffer(text.encode(), np.uint8)
+        ends = np.flatnonzero(raw == ord("\n"))
+        commas = np.flatnonzero(raw == ord(","))
+        counts = np.diff(np.searchsorted(commas, ends), prepend=0) + 1
+        blank = np.diff(ends, prepend=-1) == 1
         blanks = []
-        if "" in lines:
-            blanks = [line + i for i, row in enumerate(lines) if not row]
-            lines = [row for row in lines if row]
-        commas = np.fromiter(map(str.count, lines, repeat(",")), np.intp, len(lines))
-        yield ",".join(lines).split(","), commas + 1, blanks
-        line += len(lines) + len(blanks)
+        if blank.any():
+            blanks = (line + np.flatnonzero(blank)).tolist()
+            counts = counts[~blank]
+            text = np.delete(raw, ends[blank]).tobytes().decode()
+        line += ends.size
+        # freed before the split, which holds the chunk's cells at its peak
+        del raw, ends, commas
+        cells = text.replace("\n", ",").split(",")
+        cells.pop()  # after the last newline; [""] of a chunk of blank lines
+        yield cells, counts, blanks
 
 
 def _csv_chunks(handle, path: str):
@@ -292,10 +307,10 @@ def _first_fault(
 
 def _code(table: dict[str, int], ids: list[str]) -> np.ndarray:
     """The codes of the stripped ``ids``, adding unseen ids to ``table``."""
-    ids = list(map(str.strip, ids))
-    for name in dict.fromkeys(ids):
-        table.setdefault(name, len(table))
-    return np.fromiter(map(table.__getitem__, ids), np.intp, len(ids))
+    codes = dict.fromkeys(ids)  # each distinct raw id is stripped once
+    for name in codes:
+        codes[name] = table.setdefault(name.strip(), len(table))
+    return np.fromiter(map(codes.__getitem__, ids), np.intp, len(ids))
 
 
 def _sorted_ids(table: dict[str, int], codes: np.ndarray) -> tuple[list[str], np.ndarray]:
@@ -308,10 +323,11 @@ def _sorted_ids(table: dict[str, int], codes: np.ndarray) -> tuple[list[str], np
 
 def _read_points(path: str, chunks):
     """Every point of the curves file, sorted by (predictor, sample, t):
-    ``(sample_ids, predictor_ids, predictor, sample, t, value)``, where
-    ``predictor`` and ``sample`` index the sorted id lists. Reading stops
-    at the first row with a wrong field count or a bad number; a repeated
-    point before it is reported instead."""
+    ``(sample_ids, predictor_ids, curve, t, value)``, where ``curve`` is
+    ``predictor * len(sample_ids) + sample`` for the indices of a point's
+    ids in the sorted id lists. Reading stops at the first row with a wrong
+    field count or a bad number; a repeated point before it is reported
+    instead."""
     samples: dict[str, int] = {}
     predictors: dict[str, int] = {}
     parts = []  # (sample codes, predictor codes, t, value) per chunk
@@ -340,9 +356,10 @@ def _read_points(path: str, chunks):
     sample_ids, sample = _sorted_ids(samples, sample)
     predictor_ids, predictor = _sorted_ids(predictors, predictor)
     # stable, so each repeat of a point comes after its first row
-    order = np.lexsort((t, sample, predictor))
-    key = (predictor[order], sample[order], t[order])
-    repeat = np.logical_and.reduce([k[1:] == k[:-1] for k in key])
+    curve = predictor * len(sample_ids) + sample
+    order = np.lexsort((t, curve))
+    by_curve, by_t = curve[order], t[order]
+    repeat = (by_curve[1:] == by_curve[:-1]) & (by_t[1:] == by_t[:-1])
     if repeat.any():
         row = int(order[1:][repeat].min())
         raise DataError(
@@ -352,7 +369,7 @@ def _read_points(path: str, chunks):
         )
     if fault is not None:
         raise fault
-    return sample_ids, predictor_ids, *key, value[order]
+    return sample_ids, predictor_ids, by_curve, by_t, value[order]
 
 
 def ingest_long_csv(
@@ -368,13 +385,17 @@ def ingest_long_csv(
     every curve of the run has the same grid and per row otherwise. A CSV on
     one regular grid thus gives one block per predictor.
 
-    The curves file is split at newlines and commas in chunks of at most
-    ``CHUNK_LINES`` lines, with one float conversion per column and chunk. A
-    file holding a quote or a bare carriage return is read with the csv
+    The curves file is read in chunks of at most ``CHUNK_LINES`` lines. Each
+    line's field count, and which lines are blank, come from the byte
+    positions of the chunk's newlines and commas; its cells come from one
+    split of the whole chunk, with one float conversion per column. Blank
+    lines are accepted anywhere, trailing ones included, at any file length.
+    A file holding a quote or a bare carriage return is read with the csv
     module instead; it gives the same results and is slower. Either way a
     fault is reported with the line of the first faulty row in the file (a
     wrong field count, a bad number or a repeated point), counting the
-    header and blank lines.
+    header and blank lines. The points are ordered by one stable sort on
+    two keys: the curve, and ``t`` within it.
     """
     # reading every file with the csv module, which makes a list per row,
     # made a select job on a 90,000-row file about a quarter slower
@@ -384,7 +405,7 @@ def ingest_long_csv(
     except _NotPlain:
         with _open_utf8(curves_path, newline="") as handle:
             points = _read_points(curves_path, _csv_chunks(handle, curves_path))
-    sample_ids, predictor_ids, predictor, sample, t, value = points
+    sample_ids, predictor_ids, curve, t, value = points
 
     responses: dict[str, float] = {}
     with _open_utf8(responses_path, newline="") as handle:
@@ -416,7 +437,7 @@ def ingest_long_csv(
         )
 
     n = len(sample_ids)
-    counts = np.bincount(predictor * n + sample, minlength=len(predictor_ids) * n)
+    counts = np.bincount(curve, minlength=len(predictor_ids) * n)
     if not counts.all():
         m, i = divmod(int(np.argmin(counts)), n)
         raise DataError(

@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from funcsel import DataError, cli
@@ -34,7 +34,9 @@ layouts = st.fixed_dictionaries(
         "shuffle": st.booleans(),
         "blank_lines": st.integers(0, 6),
         "crlf": st.booleans(),
-        "padded": st.booleans(),
+        # ids in ASCII or not, padded with nothing, spaces or no-break spaces
+        "ids": st.sampled_from(["ascii", "non_ascii"]),
+        "padded": st.sampled_from(["", " ", "\u00a0"]),
         "quoted": st.booleans(),
         "chunk": st.integers(1, 40),
     }
@@ -59,6 +61,7 @@ property_settings = settings(derandomize=True, deadline=None, max_examples=50)
 
 def _tables(layout, rng):
     """Curve rows (sample, predictor, t, value) and responses (sample, y) as text."""
+    sample, predictor = ("s", "p") if layout["ids"] == "ascii" else ("é—", "Ж")
     rows = []
     for i in range(layout["samples"]):
         for m in range(layout["predictors"]):
@@ -68,8 +71,12 @@ def _tables(layout, rng):
             if rng.random() < jitter:
                 grid[1:-1] += rng.uniform(-0.05, 0.05, points - 2)
             for t, value in zip(grid, rng.normal(size=points)):
-                rows.append([f"s{i}", f"p{m}", repr(float(t)), repr(float(value))])
-    responses = [[f"s{i}", repr(float(rng.normal()))] for i in range(layout["samples"])]
+                rows.append(
+                    [f"{sample}{i}", f"{predictor}{m}", repr(float(t)), repr(float(value))]
+                )
+    responses = [
+        [f"{sample}{i}", repr(float(rng.normal()))] for i in range(layout["samples"])
+    ]
     if layout["shuffle"]:
         rows = [rows[j] for j in rng.permutation(len(rows))]
         responses = [responses[j] for j in rng.permutation(len(responses))]
@@ -85,8 +92,8 @@ def _write(path: Path, header: str, rows, layout, rng) -> None:
 
     def cell(text: str, column: int) -> str:
         is_id = column < ids
-        if is_id and layout["padded"]:
-            text = f" {text} "
+        if is_id:
+            text = f"{layout['padded']}{text}{layout['padded']}"
         if is_id and layout["quoted"]:
             text = f'"{text}"'
         return text
@@ -166,8 +173,22 @@ def _run(layout, fault=None):
         return _read_both(directory, layout["chunk"])
 
 
+# chunks of one line, so each blank line is a chunk without data rows
+ONE_LINE_CHUNKS = [
+    {"seed": seed, "samples": 3, "predictors": 2, "grids": grids, "shuffle": shuffle,
+     "blank_lines": 4, "crlf": crlf, "ids": ids, "padded": padded, "quoted": False,
+     "chunk": 1}
+    for seed, grids, shuffle, crlf, ids, padded in [
+        (5, "shared", False, False, "ascii", ""),
+        (6, "mixed", True, True, "non_ascii", "\u00a0"),
+    ]
+]
+
+
 @property_settings
 @given(layouts)
+@example(ONE_LINE_CHUNKS[0])
+@example(ONE_LINE_CHUNKS[1])
 def test_chunked_reader_matches_reference(layout):
     got, expected = _run(layout)
     curves, y, sample_ids, predictor_ids = got
@@ -179,6 +200,8 @@ def test_chunked_reader_matches_reference(layout):
 
 @property_settings
 @given(layouts, st.sampled_from(FAULTS))
+@example(ONE_LINE_CHUNKS[0], "duplicate")
+@example(ONE_LINE_CHUNKS[1], "value_text")
 def test_single_fault_gives_reference_message(layout, fault):
     got, expected = _run(layout, fault)
     assert isinstance(expected, str), "the injected fault was not reported"
@@ -197,7 +220,7 @@ def test_single_fault_gives_reference_message(layout, fault):
 def test_fault_after_blank_lines_in_other_chunks(tmp_path, quoted, fault, message):
     # chunks of 4 lines: 2-5, 6-9, 10-13 and 14; lines 3 and 7 are blank.
     # The point of line 4 is repeated on line 12, or line 6 holds a bad value.
-    layout = {"padded": False, "quoted": quoted, "blank_lines": 0, "crlf": False}
+    layout = {"padded": "", "quoted": quoted, "blank_lines": 0, "crlf": False}
     rows = [[f"s{i}", "p0", repr(t), repr(float(i))]
             for i in range(2) for t in np.linspace(0.0, 1.0, 5).tolist()]
     rows.insert(1, [])
@@ -227,7 +250,7 @@ def test_fault_after_blank_lines_in_other_chunks(tmp_path, quoted, fault, messag
 def test_first_of_two_faults_is_reported(tmp_path, quoted, bad, repeat_at, message):
     # chunks of 4 lines: 2-5, 6-9, 10-12. Row ``bad`` gets a bad value, then
     # the first point is repeated at row ``repeat_at``; the earlier line wins.
-    layout = {"padded": False, "quoted": quoted, "blank_lines": 0, "crlf": False}
+    layout = {"padded": "", "quoted": quoted, "blank_lines": 0, "crlf": False}
     rows = [[f"s{i}", "p0", repr(t), repr(float(i))]
             for i in range(2) for t in np.linspace(0.0, 1.0, 5).tolist()]
     rows[bad][3] = "oops"
@@ -243,7 +266,7 @@ def test_first_of_two_faults_is_reported(tmp_path, quoted, bad, repeat_at, messa
 @pytest.mark.parametrize("target", ["curves", "responses"])
 def test_utf8_byte_order_mark_is_skipped(tmp_path, target):
     layout = {"seed": 3, "samples": 4, "predictors": 2, "grids": "mixed",
-              "shuffle": True, "blank_lines": 1, "crlf": False, "padded": False,
+              "shuffle": True, "blank_lines": 1, "crlf": False, "ids": "ascii", "padded": "",
               "quoted": False, "chunk": 5}
     rng = np.random.default_rng(3)
     rows, responses = _tables(layout, rng)
@@ -256,3 +279,58 @@ def test_utf8_byte_order_mark_is_skipped(tmp_path, target):
     assert marked[1].tobytes() == plain[1].tobytes()
     assert marked[2:] == plain[2:]
     assert _by_curve(marked[0]) == _by_curve(plain[0])
+
+
+@pytest.mark.parametrize("quoted", [False, True])
+@pytest.mark.parametrize("fault", [None, "value"])
+def test_chunks_of_blank_lines_only(tmp_path, quoted, fault):
+    # chunks of 5 lines: data on lines 2-6, blank lines 7-11, data on lines
+    # 12-16 and blank lines 17-18, so two chunks hold no data rows
+    layout = {"padded": "", "quoted": quoted, "blank_lines": 0, "crlf": False}
+    rows = [[f"s{i}", "p0", repr(t), repr(float(i))]
+            for i in range(2) for t in np.linspace(0.0, 1.0, 5).tolist()]
+    if fault == "value":
+        rows[-1][3] = "oops"
+    rows[5:5] = [[]] * 5
+    rows += [[]] * 2
+    _write(tmp_path / "curves.csv", CURVES_HEADER, rows, layout, None)
+    _write(tmp_path / "responses.csv", RESPONSES_HEADER, [["s0", "1"], ["s1", "2"]],
+           layout, None)
+    got, expected = _read_both(tmp_path, chunk=5)
+    if fault is None:
+        assert got[2:] == expected[2:] == (["s0", "s1"], ["p0"])
+        assert got[1].tobytes() == expected[1].tobytes()
+        assert _by_curve(got[0]) == _by_curve(expected[0])
+    else:
+        assert got == expected
+        assert "curves.csv line 16: field 'value' is not numeric: 'oops'" in got
+
+
+@pytest.mark.parametrize("quoted", [False, True])
+@pytest.mark.parametrize("repeat", [None, "same_curve", "other_curve"])
+def test_one_curve_out_of_t_order(tmp_path, quoted, repeat):
+    # curve (s1, p0) lists its points in reverse t order, so the sort by t
+    # within a curve changes their order; a repeated point, if any, comes at
+    # the end of the file, far from its first row
+    layout = {"padded": "", "quoted": quoted, "blank_lines": 0, "crlf": False}
+    grid = np.linspace(0.0, 1.0, 5).tolist()
+    rows = [[f"s{i}", f"p{m}", repr(t), repr(float(10 * i + m + t))]
+            for i in range(2) for m in range(2) for t in grid]
+    rows[10:15] = rows[10:15][::-1]
+    if repeat is not None:
+        first = rows[12] if repeat == "same_curve" else rows[1]
+        rows.append(first[:3] + ["7.5"])
+    _write(tmp_path / "curves.csv", CURVES_HEADER, rows, layout, None)
+    _write(tmp_path / "responses.csv", RESPONSES_HEADER, [["s0", "1"], ["s1", "2"]],
+           layout, None)
+    got, expected = _read_both(tmp_path, chunk=6)
+    if repeat is None:
+        assert got[2:] == expected[2:]
+        assert got[1].tobytes() == expected[1].tobytes()
+        assert _by_curve(got[0]) == _by_curve(expected[0])
+        assert _by_curve(got[0])[0, 1][0] == np.array(grid).tobytes()
+    else:
+        assert got == expected
+        sample, t = ("s1", 0.5) if repeat == "same_curve" else ("s0", 0.25)
+        message = f"line 22: duplicate point for sample '{sample}', predictor 'p0', t={t}"
+        assert f"curves.csv {message}" in got
