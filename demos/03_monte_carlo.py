@@ -15,14 +15,14 @@ def main() -> None:
     header = f"{'c':>4} {'n':>4} {'method':>7} {'q':>5} {'correct':>8}  frequencies"
     print(header)
     print("-" * len(header))
+    rules = [(method, q) for method in ("bc", "fdr") for q in (0.01, 0.05)]
     for c in (0.0, 0.4, 0.8):
         scenario = SimScenario(c=c, n=100, seed=0)
-        for method in ("bc", "fdr"):
-            for q in (0.01, 0.05):
-                report = run_monte_carlo(scenario, method, q, REPS, threads=4)
-                freqs = " ".join(f"{f:.2f}" for f in report.selection_frequencies)
-                print(f"{c:>4} {100:>4} {method:>7} {q:>5} "
-                      f"{report.correct_count:>5}/{REPS}  {freqs}")
+        # one pass over the replications gives the report of every rule
+        for report in run_monte_carlo(scenario, rules, REPS, threads=4):
+            freqs = " ".join(f"{f:.2f}" for f in report.selection_frequencies)
+            print(f"{c:>4} {100:>4} {report.method:>7} {report.q:>5} "
+                  f"{report.correct_count:>5}/{REPS}  {freqs}")
 
 
 if __name__ == "__main__":

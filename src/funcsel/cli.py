@@ -598,8 +598,8 @@ def run_simulate(config: JobConfig):
     """Monte Carlo experiment with the synthetic-data generators."""
     scenario = SimScenario(c=config.c, n=config.n, seed=config.seed)
     q = config.resolve_q(config.n, NUM_PREDICTORS)
-    report = run_monte_carlo(
-        scenario, config.method, q, config.reps, threads=config.threads
+    (report,) = run_monte_carlo(
+        scenario, [(config.method, q)], config.reps, threads=config.threads
     )
     print(
         f"simulate: c={report.c}  n={report.n}  method={report.method}  "

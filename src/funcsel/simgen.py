@@ -5,9 +5,17 @@ fixed domains, observed with noise on an equally spaced grid per predictor,
 and emitted as one :class:`~funcsel.smoothing.CurveBlock` per predictor: the
 grid plus an (n, G) value matrix, so no object is built per curve. The scalar
 response is a sum of integrals of the true curves against closed-form
-coefficient functions plus noise. The Monte Carlo driver runs the full
-smoothing / design / testing / selection pipeline per replication and reports
-correct-selection counts, selection frequencies, and out-of-sample AMSE.
+coefficient functions plus noise. What a replication shares with every other
+replication of its scenario (the grids, the quadrature weights times the
+coefficient functions, and the t-only factors of the curve formulas) is
+computed once per (c, grid_size) and cached, read-only; a replication draws
+its parameters and noise and fills its curve arrays in place, bit for bit as
+the plain formulas would.
+
+The Monte Carlo driver runs the full smoothing / design / testing pipeline
+once per replication and applies any number of (method, q) selection rules
+to the one set of p-values, with one report per rule of correct-selection
+counts, selection frequencies, and out-of-sample AMSE.
 
 Randomness uses the counter-based Philox generator keyed by (seed, stream):
 replication j draws from stream j (training) and stream j + 2^32 (test set),
@@ -20,7 +28,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -56,6 +64,7 @@ DOMAINS: tuple[tuple[float, float], ...] = (
 
 _TEST_STREAM_OFFSET = 2**32
 _QUAD_ORDER = 64
+_NUM_BASIS = 6  # cubic B-spline functions per predictor in the Monte Carlo fit
 
 
 @dataclass(frozen=True)
@@ -164,30 +173,123 @@ def _draw_curve_params(rng: np.random.Generator, n: int) -> dict[str, np.ndarray
     }
 
 
-def _curve_values(params: dict[str, np.ndarray], m: int, t: np.ndarray) -> np.ndarray:
-    """True curves of predictor m for all samples, shape (n, len(t))."""
-    t = np.asarray(t, dtype=float)[None, :]
-    p = {key: val[:, None] for key, val in params.items()}
-    if m == 0:
-        return np.cos(2.0 * np.pi * (t - p["a1"])) + p["a2"]
-    if m == 1:
-        return p["b1"] * np.sin(np.pi * t) + p["b2"]
-    if m == 2:
-        return p["c1"] * t**3 + p["c2"] * t**2 + p["c3"] * t
-    if m == 3:
-        return np.sin(2.0 * (t - p["d1"])) + p["d2"] * t
-    if m == 4:
-        return p["e1"] * np.cos(2.0 * t) + p["e2"] * t
-    if m == 5:
-        return p["f1"] * np.exp(-t / 3.0) + p["f2"] * t + p["f3"]
-    raise ValueError(f"predictor index {m} out of range")
-
-
 @lru_cache(maxsize=32)
 def _quad_rule(lo: float, hi: float, order: int) -> tuple[np.ndarray, np.ndarray]:
     nodes, weights = np.polynomial.legendre.leggauss(order)
     half = 0.5 * (hi - lo)
     return 0.5 * (hi + lo) + half * nodes, half * weights
+
+
+@dataclass(frozen=True, eq=False)
+class _Points:
+    """The t-only factors of the curve formulas at a row of points, (1, P)
+    each, every one from the expression the formula applies to t."""
+
+    t: np.ndarray
+    sin_pi: np.ndarray  # sin(pi t)
+    cube: np.ndarray  # t**3
+    square: np.ndarray  # t**2
+    cos_2: np.ndarray  # cos(2 t)
+    exp_third: np.ndarray  # exp(-t / 3)
+
+    @classmethod
+    def at(cls, points: np.ndarray) -> "_Points":
+        t = points[None, :]
+        factors = cls(
+            t=t,
+            sin_pi=np.sin(np.pi * t),
+            cube=t**3,
+            square=t**2,
+            cos_2=np.cos(2.0 * t),
+            exp_third=np.exp(-t / 3.0),
+        )
+        for row in vars(factors).values():
+            row.setflags(write=False)
+        return factors
+
+
+@dataclass(frozen=True, eq=False)
+class _PredictorPlan:
+    """What one predictor's curves share across replications: its grid, the
+    quadrature weights times its coefficient function at the nodes, and the
+    t-only factors at the grid and at the nodes. Every array is read-only.
+
+    ``weighted_beta`` is None where the coefficient function is zero: the
+    predictor's integral then adds exactly 0 to every response, so its
+    curves at the nodes are not needed.
+    """
+
+    grid: np.ndarray
+    weighted_beta: np.ndarray | None
+    at_grid: _Points
+    at_nodes: _Points
+
+
+@lru_cache(maxsize=32)
+def _plan(c: float, grid_size: int) -> tuple[_PredictorPlan, ...]:
+    betas = coefficient_functions(c)
+    plans = []
+    for m, (lo, hi) in enumerate(DOMAINS):
+        grid = np.linspace(lo, hi, grid_size)
+        nodes, weights = _quad_rule(lo, hi, _QUAD_ORDER)
+        weighted_beta = weights * betas[m](nodes)
+        grid.setflags(write=False)
+        weighted_beta.setflags(write=False)
+        if not weighted_beta.any():
+            weighted_beta = None
+        plans.append(
+            _PredictorPlan(grid, weighted_beta, _Points.at(grid), _Points.at(nodes))
+        )
+    return tuple(plans)
+
+
+def _fill_curves(
+    params: dict[str, np.ndarray], m: int, x: _Points, out: np.ndarray, tmp: np.ndarray
+) -> np.ndarray:
+    """True curves of predictor m for all samples at the points of ``x``,
+    written into ``out`` (n, P); ``tmp`` is scratch of the same shape.
+
+    The curves, with the sample's parameters a1 .. f3:
+
+    0. ``cos(2*pi*(t - a1)) + a2``
+    1. ``b1*sin(pi*t) + b2``
+    2. ``c1*t**3 + c2*t**2 + c3*t``
+    3. ``sin(2*(t - d1)) + d2*t``
+    4. ``e1*cos(2*t) + e2*t``
+    5. ``f1*exp(-t/3) + f2*t + f3``
+
+    Each runs with the operations, operands and left-to-right order of that
+    expression evaluated by numpy, so the values are the same bits.
+    """
+    def col(key: str) -> np.ndarray:
+        return params[key][:, None]
+
+    t = x.t
+    if m == 0:
+        np.subtract(t, col("a1"), out=out)
+        out *= 2.0 * np.pi
+        np.cos(out, out=out)
+        out += col("a2")
+    elif m == 1:
+        np.multiply(col("b1"), x.sin_pi, out=out)
+        out += col("b2")
+    elif m == 2:
+        np.multiply(col("c1"), x.cube, out=out)
+        out += np.multiply(col("c2"), x.square, out=tmp)
+        out += np.multiply(col("c3"), t, out=tmp)
+    elif m == 3:
+        np.subtract(t, col("d1"), out=out)
+        out *= 2.0
+        np.sin(out, out=out)
+        out += np.multiply(col("d2"), t, out=tmp)
+    elif m == 4:
+        np.multiply(col("e1"), x.cos_2, out=out)
+        out += np.multiply(col("e2"), t, out=tmp)
+    elif m == 5:
+        np.multiply(col("f1"), x.exp_third, out=out)
+        out += np.multiply(col("f2"), t, out=tmp)
+        out += col("f3")
+    return out
 
 
 def _rng_for(scenario: SimScenario, stream: int) -> np.random.Generator:
@@ -202,40 +304,54 @@ def generate_replication(
 
     ``curves[m]`` is a one-element tuple holding predictor m's block: all n
     curves on that predictor's equally spaced grid of ``grid_size`` points,
-    in the layout :func:`~funcsel.smoothing.build_dataset` takes.
+    in the layout :func:`~funcsel.smoothing.build_dataset` takes. The grid
+    is shared by every replication of the scenario and is read-only; the
+    values are a fresh array per call.
 
     The response is built from exact integrals of the noise-free curves
     against the coefficient functions (Gauss-Legendre, accurate to well below
     1e-10 for these smooth integrands); both noise layers are scaled by the
     realized ranges of the noise-free signals.
+
+    What does not depend on the draws (the grids, the quadrature weights
+    times the coefficient functions, and the t-only factors of each curve
+    formula) comes from a plan cached per (c, grid_size). Each call draws
+    the curve parameters and fills one (n, grid_size) array per predictor in
+    place, with the operations and order of the plain formulas, so the data
+    are the same bits as evaluating those formulas afresh. Of a call's time
+    at n = 300, about 40% is the Philox normal draws and about a quarter the
+    cos and sin of the (n, grid_size) and (n, 64) arrays of predictors 0 and
+    3; neither can shrink while the random stream layout and the bits of
+    the reports stay fixed.
     """
     rng = _rng_for(scenario, rep_index)
     n = scenario.n
     params = _draw_curve_params(rng, n)
-    betas = coefficient_functions(scenario.c)
+    plan = _plan(scenario.c, scenario.grid_size)
 
-    grids = [
-        np.linspace(lo, hi, scenario.grid_size) for lo, hi in DOMAINS
-    ]
     curves = []
     integrals = np.zeros(n)
-    for m in range(NUM_PREDICTORS):
-        true_on_grid = _curve_values(params, m, grids[m])
-        signal_range = float(true_on_grid.max() - true_on_grid.min())
-        noisy = true_on_grid + rng.normal(
-            0.0, scenario.noise_x_mult * signal_range, size=true_on_grid.shape
+    at_nodes = np.empty((n, _QUAD_ORDER))
+    tmp_nodes = np.empty((n, _QUAD_ORDER))
+    tmp_grid = np.empty((n, scenario.grid_size))
+    for m, predictor in enumerate(plan):
+        values = _fill_curves(
+            params, m, predictor.at_grid, np.empty((n, scenario.grid_size)), tmp_grid
         )
-        curves.append((CurveBlock(grid=grids[m], values=noisy),))
-        nodes, weights = _quad_rule(*DOMAINS[m], _QUAD_ORDER)
-        integrals += _curve_values(params, m, nodes) @ (weights * betas[m](nodes))
+        signal_range = float(values.max() - values.min())
+        values += rng.normal(
+            0.0, scenario.noise_x_mult * signal_range, size=values.shape
+        )
+        curves.append((CurveBlock(grid=predictor.grid, values=values),))
+        if predictor.weighted_beta is not None:
+            _fill_curves(params, m, predictor.at_nodes, at_nodes, tmp_nodes)
+            integrals += at_nodes @ predictor.weighted_beta
 
     response_range = float(integrals.max() - integrals.min())
-    responses = integrals + rng.normal(
-        0.0, scenario.noise_y_mult * response_range, size=n
-    )
+    integrals += rng.normal(0.0, scenario.noise_y_mult * response_range, size=n)
 
     truth = SimTruth(true_indices=true_index_set(scenario.c))
-    return tuple(curves), responses, truth
+    return tuple(curves), integrals, truth
 
 
 def _reduced_prediction(
@@ -248,49 +364,74 @@ def _reduced_prediction(
     return z_test[:, columns] @ coef
 
 
-def _run_one_replication(scenario: SimScenario, method: str, q: float, rep: int, bases):
+def _run_one_replication(
+    scenario: SimScenario, rules: tuple[tuple[str, float], ...], rep: int, bases
+) -> list[tuple[bool, np.ndarray, float]]:
+    """Each rule's (correct, mask, test-set MSE) on replication ``rep``."""
     curves, y, truth = generate_replication(scenario, rep)
     design = build_design(build_dataset(curves, y, bases))
-    mask = selection_mask(method, test_all(design, y)[1], q)
-    correct = set(np.flatnonzero(mask).tolist()) == truth.true_indices
+    p_values = test_all(design, y)[1]
+    masks = [selection_mask(method, p_values, q) for method, q in rules]
 
-    # out-of-sample MSE of the model refit on the selected predictors only
+    # out-of-sample MSE of the model refit on the selected predictors only,
+    # once per distinct selection
     curves_test, y_test, _ = generate_replication(scenario, rep + _TEST_STREAM_OFFSET)
     design_test = build_design(build_dataset(curves_test, y_test, bases))
-    # the intercept column, then the columns of each selected block
-    columns = np.repeat([True, *mask], np.diff([0, *design.block_offsets]))
-    predicted = _reduced_prediction(design.values, y, design_test.values, columns)
-    mse = float(np.mean((y_test - predicted) ** 2))
-    return correct, mask, mse
+    block_widths = np.diff([0, *design.block_offsets])
+    mse_by_mask = {}
+    outcomes = []
+    for mask in masks:
+        key = mask.tobytes()
+        if key not in mse_by_mask:
+            # the intercept column, then the columns of each selected block
+            columns = np.repeat([True, *mask], block_widths)
+            predicted = _reduced_prediction(design.values, y, design_test.values, columns)
+            mse_by_mask[key] = float(np.mean((y_test - predicted) ** 2))
+        correct = set(np.flatnonzero(mask).tolist()) == truth.true_indices
+        outcomes.append((correct, mask, mse_by_mask[key]))
+    return outcomes
 
 
 def run_monte_carlo(
     scenario: SimScenario,
-    method: str,
-    q: float,
+    rules: Sequence[tuple[str, float]],
     replications: int,
     threads: int = 1,
-) -> MonteCarloReport:
-    """Monte Carlo selection experiment over independent replications.
+) -> tuple[MonteCarloReport, ...]:
+    """Monte Carlo selection experiment over independent replications, one
+    report per selection rule.
 
-    Each replication generates data, smooths it with cubic six-function bases
-    per predictor, builds the design, tests every predictor, and applies the
-    selection rule. A replication counts as correct when the selected set
-    equals the true relevant set exactly. Failed replications (numerically
-    degenerate resamples) are skipped and counted. The parameter count is
-    checked once, before the replications, so a run emits
-    :class:`~funcsel.errors.ConditionWarning` at most once.
+    ``rules`` is a sequence of (method, q) pairs. Each replication generates
+    data, smooths it with cubic six-function bases per predictor, builds the
+    design and tests every predictor once; then each rule selects from the
+    one vector of p-values, and the test-set refit runs once per distinct
+    selection. So the reports of several rules cost about one pass, and each
+    equals the report of a run with that rule alone. A replication counts as
+    correct when the selected set equals the true relevant set exactly.
+    Failed replications (numerically degenerate data) are skipped and
+    counted, for every rule. The parameter count is checked once, before the
+    replications, so a run emits :class:`~funcsel.errors.ConditionWarning`
+    at most once; a grid with fewer points than basis functions is rejected
+    there too.
     """
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
-    method = check_method(method)
-    check_q(q)
-    bases = tuple(make_uniform_basis(lo, hi, degree=3, num_basis=6) for lo, hi in DOMAINS)
+    rules = tuple((check_method(method), check_q(q)) for method, q in rules)
+    if not rules:
+        raise ValueError("rules must hold at least one (method, q) pair")
+    bases = tuple(
+        make_uniform_basis(lo, hi, degree=3, num_basis=_NUM_BASIS) for lo, hi in DOMAINS
+    )
+    if scenario.grid_size < _NUM_BASIS:
+        raise ValueError(
+            f"grid_size = {scenario.grid_size} is smaller than the {_NUM_BASIS} "
+            "basis functions per predictor, so no curve can be smoothed"
+        )
     check_parameter_count(scenario.n, 1 + sum(spec.num_basis for spec in bases))
 
     def worker(rep: int):
         try:
-            return _run_one_replication(scenario, method, q, rep, bases)
+            return _run_one_replication(scenario, rules, rep, bases)
         except (NumericalError, DataError):
             return None
 
@@ -300,25 +441,30 @@ def run_monte_carlo(
     else:
         outcomes = [worker(rep) for rep in range(replications)]
 
-    failed = sum(1 for out in outcomes if out is None)
     succeeded = [out for out in outcomes if out is not None]
-    counts = np.zeros(NUM_PREDICTORS)
-    correct_count = 0
-    mse_sum = 0.0
-    for correct, mask, mse in succeeded:
-        correct_count += int(correct)
-        counts += mask
-        mse_sum += mse
+    failed = replications - len(succeeded)
     denom = max(len(succeeded), 1)
-    return MonteCarloReport(
-        method=method,
-        q=q,
-        c=scenario.c,
-        n=scenario.n,
-        seed=scenario.seed,
-        replications=replications,
-        failed=failed,
-        correct_count=correct_count,
-        amse=mse_sum / denom,
-        selection_frequencies=tuple(counts / denom),
-    )
+    reports = []
+    for r, (method, q) in enumerate(rules):
+        counts = np.zeros(NUM_PREDICTORS)
+        correct_count = 0
+        mse_sum = 0.0
+        for correct, mask, mse in (out[r] for out in succeeded):
+            correct_count += int(correct)
+            counts += mask
+            mse_sum += mse
+        reports.append(
+            MonteCarloReport(
+                method=method,
+                q=q,
+                c=scenario.c,
+                n=scenario.n,
+                seed=scenario.seed,
+                replications=replications,
+                failed=failed,
+                correct_count=correct_count,
+                amse=mse_sum / denom,
+                selection_frequencies=tuple(counts / denom),
+            )
+        )
+    return tuple(reports)

@@ -29,6 +29,12 @@ package's block smoother.
 conveniences the tests call: the basis at one point, and scipy's central
 and noncentral chi-square CDFs with their arguments checked. ``block_slice``
 and ``block_size`` read one predictor's columns off a design's offsets.
+
+``generate_replication_reference`` is the synthetic-data generator as it
+was first written, with ``curve_values_reference``: each predictor's curves
+evaluated from the full formula on fresh arrays at every call. The package's
+generator fills the same values in place from a cached per-scenario plan
+and must give the same bits.
 """
 
 from __future__ import annotations
@@ -52,6 +58,19 @@ from funcsel import (
 from funcsel.design import DesignMatrix
 from funcsel.inference import test_all as run_test_all
 from funcsel.linmodel import FitResult
+from funcsel.simgen import (
+    DOMAINS,
+    NUM_PREDICTORS,
+    SimScenario,
+    SimTruth,
+    coefficient_functions,
+    true_index_set,
+    _QUAD_ORDER,
+    _draw_curve_params,
+    _quad_rule,
+    _rng_for,
+)
+from funcsel.smoothing import CurveBlock
 
 
 def block_slice(design: DesignMatrix, r: int) -> slice:
@@ -338,3 +357,59 @@ def noncentral_chisq_cdf(x: float, dof: int, delta: float) -> float:
     if delta < 0:
         raise ValueError(f"delta must be nonnegative, got {delta}")
     return float(chndtr(x, dof, delta))
+
+
+def curve_values_reference(
+    params: dict[str, np.ndarray], m: int, t: np.ndarray
+) -> np.ndarray:
+    """True curves of predictor m for all samples, shape (n, len(t))."""
+    t = np.asarray(t, dtype=float)[None, :]
+    p = {key: val[:, None] for key, val in params.items()}
+    if m == 0:
+        return np.cos(2.0 * np.pi * (t - p["a1"])) + p["a2"]
+    if m == 1:
+        return p["b1"] * np.sin(np.pi * t) + p["b2"]
+    if m == 2:
+        return p["c1"] * t**3 + p["c2"] * t**2 + p["c3"] * t
+    if m == 3:
+        return np.sin(2.0 * (t - p["d1"])) + p["d2"] * t
+    if m == 4:
+        return p["e1"] * np.cos(2.0 * t) + p["e2"] * t
+    if m == 5:
+        return p["f1"] * np.exp(-t / 3.0) + p["f2"] * t + p["f3"]
+    raise ValueError(f"predictor index {m} out of range")
+
+
+def generate_replication_reference(
+    scenario: SimScenario, rep_index: int
+) -> tuple[tuple[tuple[CurveBlock], ...], np.ndarray, SimTruth]:
+    """One synthetic dataset: noisy gridded curves, responses, and the truth."""
+    rng = _rng_for(scenario, rep_index)
+    n = scenario.n
+    params = _draw_curve_params(rng, n)
+    betas = coefficient_functions(scenario.c)
+
+    grids = [
+        np.linspace(lo, hi, scenario.grid_size) for lo, hi in DOMAINS
+    ]
+    curves = []
+    integrals = np.zeros(n)
+    for m in range(NUM_PREDICTORS):
+        true_on_grid = curve_values_reference(params, m, grids[m])
+        signal_range = float(true_on_grid.max() - true_on_grid.min())
+        noisy = true_on_grid + rng.normal(
+            0.0, scenario.noise_x_mult * signal_range, size=true_on_grid.shape
+        )
+        curves.append((CurveBlock(grid=grids[m], values=noisy),))
+        nodes, weights = _quad_rule(*DOMAINS[m], _QUAD_ORDER)
+        integrals += curve_values_reference(params, m, nodes) @ (
+            weights * betas[m](nodes)
+        )
+
+    response_range = float(integrals.max() - integrals.min())
+    responses = integrals + rng.normal(
+        0.0, scenario.noise_y_mult * response_range, size=n
+    )
+
+    truth = SimTruth(true_indices=true_index_set(scenario.c))
+    return tuple(curves), responses, truth

@@ -656,12 +656,20 @@ def test_cli_import_leaves_scipy_linalg_unloaded():
     assert result.returncode == 0, result.stderr
 
 
-def test_cli_select_job_loads_no_scipy(tmp_path):
+@pytest.mark.parametrize("mode", ["select", "simulate", "bootstrap"])
+def test_cli_job_loads_no_scipy(tmp_path, mode):
     # the package needs numpy only; importing scipy.special alone took
     # 0.23-0.33 s on a 2-vCPU machine, more than a select job on a 300x6 CSV
     paths = small_files(tmp_path)
-    argv = ["--mode", "select", "--curves", str(paths["curves"]),
-            "--responses", str(paths["responses"]), "--basis-size", "5", "--q", "0.1"]
+    files = ["--curves", str(paths["curves"]), "--responses", str(paths["responses"]),
+             "--basis-size", "5"]
+    argv = {
+        "select": ["--mode", "select", *files, "--q", "0.1"],
+        "simulate": ["--mode", "simulate", "--c", "0.4", "--n", "100", "--reps", "2",
+                     "--q", "0.05", "--seed", "1"],
+        "bootstrap": ["--mode", "bootstrap", *files, "--q", "0.1",
+                      "--bootstrap-b", "20", "--seed", "1"],
+    }[mode]
     code = f"""
 import sys
 import funcsel.cli
@@ -672,16 +680,16 @@ def scipy_modules():
 if scipy_modules():
     sys.exit(f"import funcsel.cli loaded {{scipy_modules()}}")
 if funcsel.cli.main({argv!r}) != 0:
-    sys.exit("select job failed")
+    sys.exit("{mode} job failed")
 if scipy_modules():
-    sys.exit(f"select job loaded {{scipy_modules()}}")
+    sys.exit(f"{mode} job loaded {{scipy_modules()}}")
 """
     env = {**os.environ, "PYTHONPATH": str(Path(funcsel.__file__).resolve().parents[1])}
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip()  # the job printed its selection
+    assert result.stdout.strip()  # the job printed its report
 
 
 class TestRunSimulate:

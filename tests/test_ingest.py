@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from funcsel import DataError, cli
@@ -203,6 +203,9 @@ def test_chunked_reader_matches_reference(layout):
 @example(ONE_LINE_CHUNKS[0], "duplicate")
 @example(ONE_LINE_CHUNKS[1], "value_text")
 def test_single_fault_gives_reference_message(layout, fault):
+    # with one sample, deleting a (sample, predictor) pair deletes the
+    # predictor's only curve: the predictor is then absent, which is no fault
+    assume(fault != "missing_pair" or layout["samples"] > 1)
     got, expected = _run(layout, fault)
     assert isinstance(expected, str), "the injected fault was not reported"
     assert got == expected

@@ -1,5 +1,6 @@
 """Synthetic-data generators and the Monte Carlo selection experiment."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -8,15 +9,17 @@ import pytest
 from funcsel.simgen import (
     DOMAINS,
     NUM_PREDICTORS,
+    MonteCarloReport,
     SimScenario,
     coefficient_functions,
     generate_replication,
     run_monte_carlo,
     true_index_set,
-    _curve_values,
     _draw_curve_params,
     _rng_for,
 )
+
+from oracles import curve_values_reference, generate_replication_reference
 
 
 class TestScenarioValidation:
@@ -74,14 +77,14 @@ class TestGenerateReplication:
         # observed values equal the true curves exactly
         for m in range(NUM_PREDICTORS):
             (block,) = curves[m]
-            exact = _curve_values(params, m, block.grid)
+            exact = curve_values_reference(params, m, block.grid)
             for i in (0, 17, 59):
                 assert block.values[i] == pytest.approx(exact[i], abs=0.0)
         # responses equal the sum of integrals, via a fine-trapezoid oracle
         oracle = np.zeros(60)
         for m, (lo, hi) in enumerate(DOMAINS):
             ts = np.linspace(lo, hi, 200_001)
-            integrand = _curve_values(params, m, ts) * betas[m](ts)
+            integrand = curve_values_reference(params, m, ts) * betas[m](ts)
             oracle += np.trapezoid(integrand, ts, axis=1)
         assert y == pytest.approx(oracle, rel=1e-8)
 
@@ -97,7 +100,7 @@ class TestGenerateReplication:
         for m in (0, 1, 3):  # the only nonzero coefficient functions
             lo, hi = DOMAINS[m]
             ts = np.linspace(lo, hi, 200_001)
-            integrand = _curve_values(params, m, ts) * betas[m](ts)
+            integrand = curve_values_reference(params, m, ts) * betas[m](ts)
             oracle += np.trapezoid(integrand, ts, axis=1)
         assert y == pytest.approx(oracle, rel=1e-8)
 
@@ -106,12 +109,12 @@ class TestGenerateReplication:
         params = _draw_curve_params(_rng_for(scenario, 0), 100)
         lo, hi = DOMAINS[4]
         ts = np.linspace(lo, hi, 1_000_001)
-        integrand = _curve_values(params, 4, ts) * (0.8 * np.sin(np.pi * ts))
+        integrand = curve_values_reference(params, 4, ts) * (0.8 * np.sin(np.pi * ts))
         oracle = np.trapezoid(integrand, ts, axis=1)
         nodes, weights = np.polynomial.legendre.leggauss(64)
         half = 0.5 * (hi - lo)
         quad_ts = 0.5 * (hi + lo) + half * nodes
-        got = _curve_values(params, 4, quad_ts) @ (
+        got = curve_values_reference(params, 4, quad_ts) @ (
             half * weights * 0.8 * np.sin(np.pi * quad_ts)
         )
         assert np.max(np.abs(got - oracle) / np.abs(oracle)) < 1e-6
@@ -142,13 +145,56 @@ class TestGenerateReplication:
             assert grid.size == 50
             assert grid[0] == lo and grid[-1] == hi
 
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            *(
+                SimScenario(c=c, n=n, seed=seed)
+                for c in (0.0, 0.4, 0.8)
+                for n, seed in ((50, 0), (100, 1), (300, 2**64 - 1))
+            ),
+            SimScenario(
+                c=-0.3, n=70, seed=9, grid_size=17, noise_x_mult=0.2, noise_y_mult=0.5
+            ),
+        ],
+        ids=lambda s: f"c{s.c}-n{s.n}-G{s.grid_size}",
+    )
+    def test_same_bits_as_reference(self, scenario):
+        # the cached plan and the in-place fill must not move a single bit:
+        # the simulate reports are byte-identical across versions
+        for rep in (0, 1, 7, 2**32, 2**32 + 7):
+            curves, y, truth = generate_replication(scenario, rep)
+            ref_curves, ref_y, ref_truth = generate_replication_reference(scenario, rep)
+            assert np.array_equal(y, ref_y)
+            assert truth.true_indices == ref_truth.true_indices
+            for (block,), (ref_block,) in zip(curves, ref_curves, strict=True):
+                assert np.array_equal(block.values, ref_block.values)
+                assert np.array_equal(block.grid, ref_block.grid)
+
+    def test_shared_grid_is_read_only(self):
+        # the grid is shared by every replication of the scenario, so a
+        # caller that wrote to it would corrupt all later ones
+        scenario = SimScenario(c=0.4, n=60, seed=1)
+        first, _, _ = generate_replication(scenario, 0)
+        second, _, _ = generate_replication(scenario, 1)
+        for (block,), (other,) in zip(first, second):
+            assert block.grid is other.grid
+            with pytest.raises(ValueError, match="read-only"):
+                block.grid[0] = 0.5
+            # the values are each call's own and may be changed
+            assert not np.shares_memory(block.values, other.values)
+            block.values[0, 0] = 0.5
+
+
+FIXTURE_RULES = [(method, q) for method in ("bc", "fdr") for q in (0.01, 0.05, 0.1)]
+
 
 class TestRunMonteCarlo:
     def test_exact_selection_without_response_noise(self):
         # with the response noise off, every relevant predictor is detected
         # and the null predictor is not
         scenario = SimScenario(c=0.8, n=300, seed=0, noise_y_mult=0.0)
-        report = run_monte_carlo(scenario, "fdr", 0.01, 1)
+        (report,) = run_monte_carlo(scenario, [("fdr", 0.01)], 1)
         assert report.correct_count == 1
         assert report.failed == 0
         assert report.selection_frequencies == (1.0, 1.0, 1.0, 1.0, 1.0, 0.0)
@@ -160,14 +206,14 @@ class TestRunMonteCarlo:
         scenario = SimScenario(
             c=0.8, n=300, seed=0, noise_x_mult=0.0, noise_y_mult=0.0
         )
-        report = run_monte_carlo(scenario, "fdr", 0.01, 1)
+        (report,) = run_monte_carlo(scenario, [("fdr", 0.01)], 1)
         assert report.failed == 1
         assert report.correct_count == 0
 
     def test_determinism(self):
         scenario = SimScenario(c=0.4, n=100, seed=7)
-        a = run_monte_carlo(scenario, "fdr", 0.05, 8)
-        b = run_monte_carlo(scenario, "fdr", 0.05, 8)
+        (a,) = run_monte_carlo(scenario, [("fdr", 0.05)], 8)
+        (b,) = run_monte_carlo(scenario, [("fdr", 0.05)], 8)
         assert a == b
         assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(
             b.to_dict(), sort_keys=True
@@ -175,35 +221,85 @@ class TestRunMonteCarlo:
 
     def test_threads_do_not_change_result(self):
         scenario = SimScenario(c=0.4, n=100, seed=7)
-        serial = run_monte_carlo(scenario, "fdr", 0.05, 8)
-        threaded = run_monte_carlo(scenario, "fdr", 0.05, 8, threads=4)
+        serial = run_monte_carlo(scenario, [("fdr", 0.05)], 8)
+        threaded = run_monte_carlo(scenario, [("fdr", 0.05)], 8, threads=4)
         assert serial == threaded
 
     def test_selection_frequency_sanity(self):
-        report = run_monte_carlo(SimScenario(c=0.8, n=300, seed=0), "fdr", 0.01, 100)
+        (report,) = run_monte_carlo(
+            SimScenario(c=0.8, n=300, seed=0), [("fdr", 0.01)], 100
+        )
         for m in range(5):
             assert report.selection_frequencies[m] >= 0.90
         assert report.selection_frequencies[5] <= 0.10
 
     def test_type_one_error_of_null_predictor(self):
-        report = run_monte_carlo(SimScenario(c=0.0, n=300, seed=0), "bc", 0.01, 100)
+        (report,) = run_monte_carlo(
+            SimScenario(c=0.0, n=300, seed=0), [("bc", 0.01)], 100
+        )
         bound = 0.01 + 3 * np.sqrt(0.01 * 0.99 / 100)
         for m in (2, 4, 5):  # null predictors in the c = 0 scenario
             assert report.selection_frequencies[m] <= bound
 
     def test_report_bookkeeping(self):
-        report = run_monte_carlo(SimScenario(c=0.0, n=100, seed=3), "bc", 0.05, 10)
+        (report,) = run_monte_carlo(
+            SimScenario(c=0.0, n=100, seed=3), [("bc", 0.05)], 10
+        )
         assert report.replications == 10
         assert 0 <= report.correct_count <= 10
         assert report.failed == 0
         assert np.isfinite(report.amse) and report.amse > 0.0
         assert all(0.0 <= f <= 1.0 for f in report.selection_frequencies)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_each_rule_of_one_pass_equals_its_own_run(self, threads):
+        scenario = SimScenario(c=0.4, n=100, seed=0)
+        reports = run_monte_carlo(scenario, FIXTURE_RULES, 12, threads=threads)
+        assert len(reports) == len(FIXTURE_RULES)
+        # the rules select differently here, so the test-set refit runs for
+        # more than one mask
+        assert len({r.selection_frequencies for r in reports}) > 1
+        for rule, report in zip(FIXTURE_RULES, reports):
+            (alone,) = run_monte_carlo(scenario, [rule], 12, threads=threads)
+            for field in dataclasses.fields(MonteCarloReport):
+                assert getattr(report, field.name) == getattr(alone, field.name), (
+                    rule,
+                    field.name,
+                )
+
+    def test_failed_replication_counts_for_every_rule(self):
+        scenario = SimScenario(
+            c=0.8, n=300, seed=0, noise_x_mult=0.0, noise_y_mult=0.0
+        )
+        reports = run_monte_carlo(scenario, [("bc", 0.05), ("fdr", 0.01)], 1)
+        assert [(r.method, r.failed, r.correct_count) for r in reports] == [
+            ("bc", 1, 0),
+            ("fdr", 1, 0),
+        ]
+
+    @pytest.mark.parametrize("grid_size", [1, 4, 5])
+    def test_grid_smaller_than_basis_is_rejected(self, grid_size):
+        # every replication's smoothing used to fail, and the run returned
+        # failed = replications with amse = 0.0
+        scenario = SimScenario(c=0.4, n=100, seed=0, grid_size=grid_size)
+        message = rf"grid_size = {grid_size} is smaller than the 6 basis functions"
+        with pytest.raises(ValueError, match=message):
+            run_monte_carlo(scenario, [("fdr", 0.05)], 3)
+
+    def test_smallest_grid_runs(self):
+        scenario = SimScenario(c=0.4, n=100, seed=0, grid_size=6)
+        (report,) = run_monte_carlo(scenario, [("fdr", 0.05)], 2)
+        assert report.failed == 0
+
     def test_invalid_arguments(self):
         scenario = SimScenario(c=0.0, n=100, seed=0)
         with pytest.raises(ValueError, match="replications"):
-            run_monte_carlo(scenario, "fdr", 0.05, 0)
+            run_monte_carlo(scenario, [("fdr", 0.05)], 0)
         with pytest.raises(ValueError, match="method"):
-            run_monte_carlo(scenario, "holm", 0.05, 1)
+            run_monte_carlo(scenario, [("holm", 0.05)], 1)
         with pytest.raises(ValueError, match="q"):
-            run_monte_carlo(scenario, "fdr", 1.5, 1)
+            run_monte_carlo(scenario, [("fdr", 1.5)], 1)
+        with pytest.raises(ValueError, match="q"):
+            run_monte_carlo(scenario, [("bc", 0.05), ("fdr", 0.0)], 1)
+        with pytest.raises(ValueError, match="at least one"):
+            run_monte_carlo(scenario, [], 1)
