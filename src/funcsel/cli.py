@@ -23,14 +23,14 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from itertools import chain, islice
 
 import numpy as np
 
 from .bspline import BasisSpec, make_uniform_basis
 from .design import DesignMatrix, build_design, check_parameter_count
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, RankDeficiencyError
 from .inference import test_all, test_resamples
 from .linmodel import sample_qr
 from .selection import check_method, check_q, default_q, selection_mask
@@ -59,14 +59,6 @@ _OVERRIDES = ("basis_size", "degree", "domain")
 # split into fields at once raised the process's peak RSS
 CHUNK_LINES = 16384
 _CURVES_HEADER = ["sample_id", "predictor_id", "t", "value"]
-
-# floats in one chunk of bootstrap resamples fitted together, which sets b:
-# per resample, n row counts, the n x (k+1) scaled rows of Q when
-# linmodel.sample_qr keeps no outer products, the (k+1) x (k+1) H and its
-# Cholesky factor L, and the k x k M = L_zz^{-1}, G and V of
-# linmodel.fit_resamples. That is 71 resamples at n = 300 and k = 37, where
-# larger chunks ran no faster
-RESAMPLE_FLOATS = 2**19
 
 
 @dataclass(frozen=True)
@@ -486,9 +478,20 @@ def _bases_for(
 
 
 def _selection_pipeline(config: JobConfig):
-    curves, y, _, predictor_ids = ingest_long_csv(config.curves, config.responses)
+    curves, y, sample_ids, predictor_ids = ingest_long_csv(
+        config.curves, config.responses
+    )
     bases = _bases_for(config, predictor_ids, curves)
-    design = build_design(build_dataset(curves, y, bases))
+    try:
+        dataset = build_dataset(curves, y, bases)
+    except (DataError, RankDeficiencyError) as exc:
+        # the library names the curve by its positions; name the file and ids
+        i, m, last = exc.curve
+        where = f"sample '{sample_ids[i]}', predictor '{predictor_ids[m]}'"
+        if last is not None:
+            where += f" (grid shared by samples '{sample_ids[i]}'-'{sample_ids[last]}')"
+        raise type(exc)(f"{config.curves}: {where}: {exc.__cause__}") from exc
+    design = build_design(dataset)
     check_parameter_count(design.n, design.k)
     return design, y, predictor_ids
 
@@ -556,10 +559,7 @@ def bootstrap_counts(
     except NumericalError:
         return selected, b
     failed = 0
-    n, k = design.n, design.k
-    scaled = n * (k + 1) if qr.outer is None else 0
-    chunk = max(1, RESAMPLE_FLOATS // (n + scaled + 2 * (k + 1) ** 2 + 3 * k**2))
-    for idx in _resample_indices(seed, n, b, chunk):
+    for idx in _resample_indices(seed, design.n, b, qr.batch):
         _, p_values = test_resamples(qr, idx)
         fitted = ~np.isnan(p_values[:, 0])
         failed += int(np.count_nonzero(~fitted))
@@ -609,7 +609,7 @@ def run_simulate(config: JobConfig):
     print(f"amse: {report.amse:.6g}")
     freqs = "  ".join(f"{f:.2f}" for f in report.selection_frequencies)
     print(f"selection frequencies: {freqs}")
-    _write_records(config.out, [report.to_dict()])
+    _write_records(config.out, [asdict(report)])
     return report
 
 

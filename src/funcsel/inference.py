@@ -29,22 +29,10 @@ __all__ = [
     "p_value",
     "test_all",
     "test_resamples",
-    "wald_statistic",
 ]
 
 # floor for reported p-values; avoids exact zeros in log-scale output
 P_VALUE_FLOOR = 1e-300
-
-
-def wald_statistic(b_r: np.ndarray, v_rr: np.ndarray, sigma2) -> np.ndarray:
-    """(RSS0 - RSS) / sigma2 from the Wald form b_r' (V_rr)^{-1} b_r / sigma2.
-
-    Takes one block's coefficients (..., p) and covariance block (..., p, p)
-    over any leading batch axes. Raises ``LinAlgError`` when a V_rr is
-    singular.
-    """
-    rss_increase = (b_r[..., None, :] @ np.linalg.solve(v_rr, b_r[..., None]))[..., 0, 0]
-    return np.maximum(rss_increase / sigma2, 0.0)  # guard roundoff
 
 
 def p_value(statistic, dof) -> np.ndarray:
@@ -85,18 +73,21 @@ def block_statistics(coefficients, covariance, sigma2, offsets) -> np.ndarray:
     """Statistics (..., M) of every predictor block, from fits with
     coefficients (..., k), covariances V (..., k, k) and variance estimates
     ``sigma2`` over any leading batch axes; block r spans columns
-    ``offsets[r]:offsets[r + 1]``. Raises :class:`NumericalError` naming the
-    first predictor whose V_rr is singular."""
+    ``offsets[r]:offsets[r + 1]``. The statistic of block r is the Wald form
+    b_r' (V_rr)^{-1} b_r / sigma2, floored at 0 against roundoff. Raises
+    :class:`NumericalError` naming the first predictor whose V_rr is
+    singular."""
     statistics = np.empty(np.shape(coefficients)[:-1] + (len(offsets) - 1,))
     for r, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
+        b_r = coefficients[..., lo:hi]
         try:
-            statistics[..., r] = wald_statistic(
-                coefficients[..., lo:hi], covariance[..., lo:hi, lo:hi], sigma2
-            )
+            v_inv_b = np.linalg.solve(covariance[..., lo:hi, lo:hi], b_r[..., None])
         except np.linalg.LinAlgError as exc:
             raise NumericalError(
                 f"singular covariance block while testing predictor {r}: {exc}"
             ) from exc
+        rss_increase = (b_r[..., None, :] @ v_inv_b)[..., 0, 0]
+        statistics[..., r] = np.maximum(rss_increase / sigma2, 0.0)
     return statistics
 
 

@@ -20,7 +20,10 @@ the QR while their lower triangles fit in ``OUTER_FLOATS`` floats; past that
 bound, each H comes from the rows of Q scaled by the square roots of the
 counts, as many floats per resample as the design. Their fits come from one
 batched Cholesky factorization, one forward substitution and matrix
-products. No step inverts a general matrix.
+products. No step inverts a general matrix. :func:`sample_qr` also fixes how
+many resamples a batch holds, from the floats of the batch's temporaries
+(``RESAMPLE_FLOATS``), and raises :class:`RankDeficiencyError` when R_zz has
+an exactly zero pivot, since then no resample could be fitted.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import DesignMatrix
-from .errors import RANK_RTOL, SampleSizeError, check_rank
+from .errors import RANK_RTOL, RankDeficiencyError, SampleSizeError, check_rank
 
 __all__ = [
     "FitResult",
@@ -51,6 +54,13 @@ COUNT_COND_MAX = 1e6
 # some: every chunk reads all the kept products, which pays only when a chunk
 # holds many resamples, and at such n it holds few
 OUTER_FLOATS = 2**20
+
+# floats in one batch of resamples fitted together, which sets its size b:
+# per resample, n row counts, the n x (k+1) scaled rows of Q when no outer
+# products are kept, the (k+1) x (k+1) H and its Cholesky factor L, and the
+# k x k M = L_zz^{-1}, G and V of fit_resamples. That is 71 resamples at
+# n = 300 and k = 37, where larger batches ran no faster
+RESAMPLE_FLOATS = 2**19
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,9 +110,10 @@ class SampleQR:
     order, of the outer product q_i q_i' of row i of Q, so that c' outer is
     the lower triangle of H = Q' diag(c) Q. ``outer`` is None when the
     products of all n rows do not fit in ``OUTER_FLOATS`` floats; ``q`` is
-    Q. ``r_inv`` is the inverse of the design block R_zz; it is NaN when
-    R_zz has an exactly zero pivot, which leaves every resample
-    uncertified. ``row_norms2`` holds the squared norms of the design rows.
+    Q. ``r_inv`` is the inverse of the design block R_zz. ``row_norms2``
+    holds the squared norms of the design rows. ``batch`` is the number of
+    resamples to pass to :func:`fit_resamples` at a time, the most whose
+    temporaries fit in ``RESAMPLE_FLOATS`` floats (at least 1).
     """
 
     design: DesignMatrix
@@ -112,6 +123,7 @@ class SampleQR:
     r: np.ndarray
     r_inv: np.ndarray
     row_norms2: np.ndarray
+    batch: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,8 +144,10 @@ class ResampleFits:
 
 def sample_qr(design: DesignMatrix, y: np.ndarray) -> SampleQR:
     """Factor the full sample once for :func:`fit_resamples`. Raises
-    :class:`SampleSizeError` unless n > k, as :func:`fit_ols` does; then no
-    resample, which has the same n and k, can be fitted either."""
+    :class:`SampleSizeError` unless n > k, as :func:`fit_ols` does, and
+    :class:`RankDeficiencyError` when R_zz has an exactly zero pivot (an
+    all-zero column of the design, for one); then no resample, which has
+    the same n and k or rows of the same design, can be fitted either."""
     y = np.asarray(y, dtype=float)
     n, k = design.values.shape
     if n <= k:
@@ -147,7 +161,8 @@ def sample_qr(design: DesignMatrix, y: np.ndarray) -> SampleQR:
     try:
         r_inv = np.asfortranarray(np.linalg.inv(r[:k, :k]))
     except np.linalg.LinAlgError:
-        r_inv = np.full((k, k), np.nan)
+        raise RankDeficiencyError("design matrix is exactly singular") from None
+    scaled = n * (k + 1) if outer is None else 0
     return SampleQR(
         design=design,
         y=y,
@@ -156,6 +171,7 @@ def sample_qr(design: DesignMatrix, y: np.ndarray) -> SampleQR:
         r=r,
         r_inv=r_inv,
         row_norms2=np.einsum("ij,ij->i", design.values, design.values),
+        batch=max(1, RESAMPLE_FLOATS // (n + scaled + 2 * (k + 1) ** 2 + 3 * k**2)),
     )
 
 

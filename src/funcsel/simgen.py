@@ -5,12 +5,14 @@ fixed domains, observed with noise on an equally spaced grid per predictor,
 and emitted as one :class:`~funcsel.smoothing.CurveBlock` per predictor: the
 grid plus an (n, G) value matrix, so no object is built per curve. The scalar
 response is a sum of integrals of the true curves against closed-form
-coefficient functions plus noise. What a replication shares with every other
-replication of its scenario (the grids, the quadrature weights times the
+coefficient functions plus noise. A scenario is (c, n, seed); the grid size
+and the two noise multipliers are the module constants ``GRID_SIZE``,
+``NOISE_X_MULT`` and ``NOISE_Y_MULT``. What a replication shares with every
+other replication of the same c (the grids, the quadrature weights times the
 coefficient functions, and the t-only factors of the curve formulas) is
-computed once per (c, grid_size) and cached, read-only; a replication draws
-its parameters and noise and fills its curve arrays in place, bit for bit as
-the plain formulas would.
+computed once per c and cached, read-only; a replication draws its
+parameters and noise and fills its curve arrays in place, bit for bit as the
+plain formulas would.
 
 The Monte Carlo driver runs the full smoothing / design / testing pipeline
 once per replication and applies any number of (method, q) selection rules
@@ -42,6 +44,9 @@ from .smoothing import CurveBlock, build_dataset
 __all__ = [
     "NUM_PREDICTORS",
     "DOMAINS",
+    "GRID_SIZE",
+    "NOISE_X_MULT",
+    "NOISE_Y_MULT",
     "SimScenario",
     "SimTruth",
     "MonteCarloReport",
@@ -62,6 +67,13 @@ DOMAINS: tuple[tuple[float, float], ...] = (
     (-1.0, 1.0),
 )
 
+# points of every predictor's equally spaced grid
+GRID_SIZE = 50
+# standard deviations of the curve and response noise, as fractions of the
+# realized range of the noise-free curves and responses of a replication
+NOISE_X_MULT = 0.025
+NOISE_Y_MULT = 0.05
+
 _TEST_STREAM_OFFSET = 2**32
 _QUAD_ORDER = 64
 _NUM_BASIS = 6  # cubic B-spline functions per predictor in the Monte Carlo fit
@@ -69,22 +81,15 @@ _NUM_BASIS = 6  # cubic B-spline functions per predictor in the Monte Carlo fit
 
 @dataclass(frozen=True)
 class SimScenario:
-    """Configuration of one synthetic-data setting."""
+    """One synthetic-data setting: signal strength, sample size, seed."""
 
     c: float
     n: int
     seed: int
-    grid_size: int = 50
-    noise_x_mult: float = 0.025
-    noise_y_mult: float = 0.05
 
     def __post_init__(self):
         if self.n < 50:
             raise ValueError(f"n must be >= 50, got {self.n}")
-        if self.grid_size < 1:
-            raise ValueError(f"grid_size must be >= 1, got {self.grid_size}")
-        if self.noise_x_mult < 0 or self.noise_y_mult < 0:
-            raise ValueError("noise multipliers must be nonnegative")
         if not 0 <= self.seed < 2**64:  # the Philox key is a uint64
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         if not math.isfinite(self.c):
@@ -96,10 +101,6 @@ class SimTruth:
     """Ground truth of a replication: the set of relevant predictors."""
 
     true_indices: frozenset[int]
-
-    @property
-    def m0(self) -> int:
-        return len(self.true_indices)
 
 
 @dataclass(frozen=True)
@@ -116,20 +117,6 @@ class MonteCarloReport:
     correct_count: int
     amse: float
     selection_frequencies: tuple[float, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "q": self.q,
-            "c": self.c,
-            "n": self.n,
-            "seed": self.seed,
-            "replications": self.replications,
-            "failed": self.failed,
-            "correct_count": self.correct_count,
-            "amse": self.amse,
-            "selection_frequencies": list(self.selection_frequencies),
-        }
 
 
 def coefficient_functions(
@@ -226,11 +213,11 @@ class _PredictorPlan:
 
 
 @lru_cache(maxsize=32)
-def _plan(c: float, grid_size: int) -> tuple[_PredictorPlan, ...]:
+def _plan(c: float) -> tuple[_PredictorPlan, ...]:
     betas = coefficient_functions(c)
     plans = []
     for m, (lo, hi) in enumerate(DOMAINS):
-        grid = np.linspace(lo, hi, grid_size)
+        grid = np.linspace(lo, hi, GRID_SIZE)
         nodes, weights = _quad_rule(lo, hi, _QUAD_ORDER)
         weighted_beta = weights * betas[m](nodes)
         grid.setflags(write=False)
@@ -303,7 +290,7 @@ def generate_replication(
     """One synthetic dataset: noisy gridded curves, responses, and the truth.
 
     ``curves[m]`` is a one-element tuple holding predictor m's block: all n
-    curves on that predictor's equally spaced grid of ``grid_size`` points,
+    curves on that predictor's equally spaced grid of ``GRID_SIZE`` points,
     in the layout :func:`~funcsel.smoothing.build_dataset` takes. The grid
     is shared by every replication of the scenario and is read-only; the
     values are a fresh array per call.
@@ -311,44 +298,43 @@ def generate_replication(
     The response is built from exact integrals of the noise-free curves
     against the coefficient functions (Gauss-Legendre, accurate to well below
     1e-10 for these smooth integrands); both noise layers are scaled by the
-    realized ranges of the noise-free signals.
+    realized ranges of the noise-free signals, times ``NOISE_X_MULT`` and
+    ``NOISE_Y_MULT``, which are read on each call.
 
     What does not depend on the draws (the grids, the quadrature weights
     times the coefficient functions, and the t-only factors of each curve
-    formula) comes from a plan cached per (c, grid_size). Each call draws
-    the curve parameters and fills one (n, grid_size) array per predictor in
+    formula) comes from a plan cached per c. Each call draws the curve
+    parameters and fills one (n, GRID_SIZE) array per predictor in
     place, with the operations and order of the plain formulas, so the data
     are the same bits as evaluating those formulas afresh. Of a call's time
     at n = 300, about 40% is the Philox normal draws and about a quarter the
-    cos and sin of the (n, grid_size) and (n, 64) arrays of predictors 0 and
+    cos and sin of the (n, GRID_SIZE) and (n, 64) arrays of predictors 0 and
     3; neither can shrink while the random stream layout and the bits of
     the reports stay fixed.
     """
     rng = _rng_for(scenario, rep_index)
     n = scenario.n
     params = _draw_curve_params(rng, n)
-    plan = _plan(scenario.c, scenario.grid_size)
+    plan = _plan(scenario.c)
 
     curves = []
     integrals = np.zeros(n)
     at_nodes = np.empty((n, _QUAD_ORDER))
     tmp_nodes = np.empty((n, _QUAD_ORDER))
-    tmp_grid = np.empty((n, scenario.grid_size))
+    tmp_grid = np.empty((n, GRID_SIZE))
     for m, predictor in enumerate(plan):
         values = _fill_curves(
-            params, m, predictor.at_grid, np.empty((n, scenario.grid_size)), tmp_grid
+            params, m, predictor.at_grid, np.empty((n, GRID_SIZE)), tmp_grid
         )
         signal_range = float(values.max() - values.min())
-        values += rng.normal(
-            0.0, scenario.noise_x_mult * signal_range, size=values.shape
-        )
+        values += rng.normal(0.0, NOISE_X_MULT * signal_range, size=values.shape)
         curves.append((CurveBlock(grid=predictor.grid, values=values),))
         if predictor.weighted_beta is not None:
             _fill_curves(params, m, predictor.at_nodes, at_nodes, tmp_nodes)
             integrals += at_nodes @ predictor.weighted_beta
 
     response_range = float(integrals.max() - integrals.min())
-    integrals += rng.normal(0.0, scenario.noise_y_mult * response_range, size=n)
+    integrals += rng.normal(0.0, NOISE_Y_MULT * response_range, size=n)
 
     truth = SimTruth(true_indices=true_index_set(scenario.c))
     return tuple(curves), integrals, truth
@@ -411,8 +397,7 @@ def run_monte_carlo(
     Failed replications (numerically degenerate data) are skipped and
     counted, for every rule. The parameter count is checked once, before the
     replications, so a run emits :class:`~funcsel.errors.ConditionWarning`
-    at most once; a grid with fewer points than basis functions is rejected
-    there too.
+    at most once.
     """
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
@@ -422,11 +407,6 @@ def run_monte_carlo(
     bases = tuple(
         make_uniform_basis(lo, hi, degree=3, num_basis=_NUM_BASIS) for lo, hi in DOMAINS
     )
-    if scenario.grid_size < _NUM_BASIS:
-        raise ValueError(
-            f"grid_size = {scenario.grid_size} is smaller than the {_NUM_BASIS} "
-            "basis functions per predictor, so no curve can be smoothed"
-        )
     check_parameter_count(scenario.n, 1 + sum(spec.num_basis for spec in bases))
 
     def worker(rep: int):

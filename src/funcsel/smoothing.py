@@ -196,7 +196,11 @@ def build_dataset(
 
     ``curves[m]`` holds predictor m's blocks; stacked in order, their rows
     are samples 0 .. n-1. Raises :class:`SampleSizeError` when n does not
-    exceed the total parameter count k = 1 + sum(p_m).
+    exceed the total parameter count k = 1 + sum(p_m). A curve that cannot
+    be smoothed raises :class:`DataError` or :class:`RankDeficiencyError`
+    naming its sample and predictor by position; its ``curve`` attribute
+    holds (sample, predictor, last), where ``last`` is the last sample that
+    shares the curve's grid, or None when no other sample does.
     """
     responses = np.asarray(responses, dtype=float)
     n = responses.size
@@ -229,9 +233,9 @@ def build_dataset(
                 last = first + block.num_curves - 1
                 shared = block.grid.ndim == 1 and last > first
                 where = f" (grid shared by samples {first}-{last})" if shared else ""
-                raise type(exc)(
-                    f"sample {first + exc.row}, predictor {m}{where}: {exc}"
-                ) from exc
+                error = type(exc)(f"sample {first + exc.row}, predictor {m}{where}: {exc}")
+                error.curve = (first + exc.row, m, last if shared else None)
+                raise error from exc
             first += block.num_curves
         coefs.append(np.concatenate(parts))
     return FunctionalDataset(bases=bases, coefs=tuple(coefs), responses=responses)

@@ -58,6 +58,7 @@ from funcsel import (
 from funcsel.design import DesignMatrix
 from funcsel.inference import test_all as run_test_all
 from funcsel.linmodel import FitResult
+from funcsel import simgen
 from funcsel.simgen import (
     DOMAINS,
     NUM_PREDICTORS,
@@ -383,22 +384,22 @@ def curve_values_reference(
 def generate_replication_reference(
     scenario: SimScenario, rep_index: int
 ) -> tuple[tuple[tuple[CurveBlock], ...], np.ndarray, SimTruth]:
-    """One synthetic dataset: noisy gridded curves, responses, and the truth."""
+    """One synthetic dataset: noisy gridded curves, responses, and the truth.
+    Reads the grid size and the noise multipliers from ``funcsel.simgen`` at
+    each call, as the package's generator does."""
     rng = _rng_for(scenario, rep_index)
     n = scenario.n
     params = _draw_curve_params(rng, n)
     betas = coefficient_functions(scenario.c)
 
-    grids = [
-        np.linspace(lo, hi, scenario.grid_size) for lo, hi in DOMAINS
-    ]
+    grids = [np.linspace(lo, hi, simgen.GRID_SIZE) for lo, hi in DOMAINS]
     curves = []
     integrals = np.zeros(n)
     for m in range(NUM_PREDICTORS):
         true_on_grid = curve_values_reference(params, m, grids[m])
         signal_range = float(true_on_grid.max() - true_on_grid.min())
         noisy = true_on_grid + rng.normal(
-            0.0, scenario.noise_x_mult * signal_range, size=true_on_grid.shape
+            0.0, simgen.NOISE_X_MULT * signal_range, size=true_on_grid.shape
         )
         curves.append((CurveBlock(grid=grids[m], values=noisy),))
         nodes, weights = _quad_rule(*DOMAINS[m], _QUAD_ORDER)
@@ -408,7 +409,7 @@ def generate_replication_reference(
 
     response_range = float(integrals.max() - integrals.min())
     responses = integrals + rng.normal(
-        0.0, scenario.noise_y_mult * response_range, size=n
+        0.0, simgen.NOISE_Y_MULT * response_range, size=n
     )
 
     truth = SimTruth(true_indices=true_index_set(scenario.c))

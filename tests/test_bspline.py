@@ -97,6 +97,19 @@ class TestBasisSpecValidation:
         with pytest.raises(ValueError, match="strictly inside"):
             BasisSpec(0.0, 1.0, 1, 3, (0.0, 0.0, 1.0, 1.0, 1.0))
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((0.0, 1.0, -1, 2, (0.0, 1.0)), r"degree must be >= 0, got -1"),
+            ((0.0, 1.0, 2, 2, (0.0,) * 3 + (1.0,) * 2), r"num_basis \(2\) must exceed degree \(2\)"),
+            ((1.0, 1.0, 1, 2, (1.0,) * 4), r"domain_lo \(1.0\) must be < domain_hi \(1.0\)"),
+        ],
+        ids=["negative_degree", "too_few_functions", "empty_domain"],
+    )
+    def test_degree_size_and_domain(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            BasisSpec(*args)
+
 
 class TestEvaluateBasis:
     def test_degree0_indicator(self):

@@ -290,7 +290,42 @@ class TestIngest:
              "--responses", str(responses_path), "--method", "bc", "--q", "0.05"]
         )
         assert code == 2
-        assert "sample 4, predictor 0: grid has 4 points" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{curves_path}: sample 's04', predictor 'p0': grid has 4 points" in err
+
+    @pytest.mark.parametrize(
+        "fault, code, message",
+        [
+            # sample st007 alone has 4 points for RAIN
+            ("few_points", 2, "sample 'st007', predictor 'RAIN': grid has 4 points; "
+             "need at least num_basis = 6"),
+            # every TEMP curve has no point in the knot span [1/3, 2/3)
+            ("empty_span", 3, "sample 'st000', predictor 'TEMP' (grid shared by "
+             "samples 'st000'-'st059'): basis matrix at the grid points is "
+             "numerically rank deficient"),
+        ],
+        ids=["few_points", "empty_span"],
+    )
+    def test_smoothing_error_names_file_and_ids(self, tmp_path, capsys, fault, code, message):
+        rng = np.random.default_rng(37)
+        grids = {"RAIN": np.linspace(0.0, 1.0, 20), "TEMP": np.linspace(0.0, 1.0, 20)}
+        if fault == "empty_span":
+            grids["TEMP"] = np.append(np.linspace(0.0, 0.3, 19), 1.0)
+        rows = []
+        for i in range(60):
+            for pid, grid in grids.items():
+                if (fault, i, pid) == ("few_points", 7, "RAIN"):
+                    grid = np.linspace(0.0, 1.0, 4)
+                rows += [(f"st{i:03d}", pid, repr(float(t)), repr(float(rng.normal())))
+                         for t in grid]
+        curves_path, responses_path = tmp_path / "c.csv", tmp_path / "r.csv"
+        write_curves(curves_path, rows)
+        write_responses(responses_path, [(f"st{i:03d}", float(i)) for i in range(60)])
+        assert code == main(
+            ["--mode", "select", "--curves", str(curves_path),
+             "--responses", str(responses_path)]
+        )
+        assert f"error: {curves_path}: {message}" in capsys.readouterr().err
 
 
     @pytest.mark.parametrize(
@@ -935,6 +970,21 @@ class TestExitCodes:
         monkeypatch.setenv("FUNCSEL_SEED", seed)
         assert main(["--mode", "bootstrap", *files]) == 1
         assert "--seed must lie in [0, 2**64)" in capsys.readouterr().err
+
+    def test_non_integer_env_seed_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("FUNCSEL_SEED", "abc")
+        assert main(["--mode", "simulate", "--reps", "1"]) == 1
+        assert "error: FUNCSEL_SEED is not an integer: 'abc'" in capsys.readouterr().err
+
+    def test_duplicate_response_is_data_error(self, tmp_path, capsys):
+        # lines 2-13 hold samples s00-s11; line 14 repeats s03
+        paths = small_files(tmp_path)
+        with open(paths["responses"], "a", encoding="utf-8") as handle:
+            handle.write("s03,1.5\n")
+        assert main(["--mode", "select", "--curves", str(paths["curves"]),
+                     "--responses", str(paths["responses"])]) == 2
+        err = capsys.readouterr().err
+        assert f"data error: {paths['responses']} line 14: duplicate sample_id 's03'" in err
 
     def test_largest_seed_runs(self, sim_files):
         curves_path, responses_path, _, _ = sim_files

@@ -284,6 +284,33 @@ def test_utf8_byte_order_mark_is_skipped(tmp_path, target):
     assert _by_curve(marked[0]) == _by_curve(plain[0])
 
 
+@pytest.mark.parametrize(
+    "end, final", [("\r", "\r"), ("\n", "")], ids=["bare_cr", "no_final_newline"]
+)
+def test_unusual_line_ends(tmp_path, end, final):
+    # bare carriage returns send the curves file to the csv module; a plain
+    # file without its final newline is read as if it had one. Either way
+    # the result is that of the same file with LF line ends
+    layout = {"seed": 4, "samples": 5, "predictors": 2, "grids": "mixed",
+              "shuffle": True, "blank_lines": 2, "crlf": False, "ids": "ascii", "padded": "",
+              "quoted": False, "chunk": 7}
+    rng = np.random.default_rng(4)
+    rows, responses = _tables(layout, rng)
+    _write(tmp_path / "curves.csv", CURVES_HEADER, rows, layout, rng)
+    _write(tmp_path / "responses.csv", RESPONSES_HEADER, responses, layout, rng)
+    lf, _ = _read_both(tmp_path, layout["chunk"])
+    path = tmp_path / "curves.csv"
+    path.write_bytes(path.read_bytes().removesuffix(b"\n").replace(b"\n", end.encode())
+                     + final.encode())
+    with mock.patch.object(cli, "_csv_chunks", wraps=cli._csv_chunks) as csv_chunks:
+        got, expected = _read_both(tmp_path, layout["chunk"])
+    assert csv_chunks.called == (end == "\r")
+    for result in (got, expected):
+        assert result[2:] == lf[2:]
+        assert result[1].tobytes() == lf[1].tobytes()
+        assert _by_curve(result[0]) == _by_curve(lf[0])
+
+
 @pytest.mark.parametrize("quoted", [False, True])
 @pytest.mark.parametrize("fault", [None, "value"])
 def test_chunks_of_blank_lines_only(tmp_path, quoted, fault):

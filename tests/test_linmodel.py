@@ -221,6 +221,34 @@ class TestFitResamples:
         for j, rows in enumerate(idx):
             _assert_fits_match(fits, j, _explicit_fit(design, y, rows), design.block_offsets)
 
+    # n = 300 keeps the outer products within OUTER_FLOATS, unless the bound
+    # is lowered below them; n = 10,000 never keeps them
+    @pytest.mark.parametrize(
+        "n, lowered, batch", [(300, False, 71), (300, True, 28), (10_000, False, 1)]
+    )
+    def test_batch_fills_resample_floats(self, monkeypatch, n, lowered, batch):
+        # per resample: n counts, n x (k+1) scaled rows of Q without outer
+        # products, the (k+1) x (k+1) H and L, and three k x k matrices
+        rng = np.random.default_rng(n)
+        k = 37
+        design = DesignMatrix(values=rng.normal(size=(n, k)), block_offsets=(1, *range(7, 38, 6)))
+        if lowered:
+            monkeypatch.setattr("funcsel.linmodel.OUTER_FLOATS", n * (k + 1) * (k + 2) // 2 - 1)
+        qr = sample_qr(design, rng.normal(size=n))
+        scaled = n * (k + 1) if qr.outer is None else 0
+        assert (qr.outer is None) == (lowered or n == 10_000)
+        assert qr.batch == max(1, 2**19 // (n + scaled + 2 * (k + 1) ** 2 + 3 * k**2)) == batch
+
+    def test_exactly_singular_design_rejected(self):
+        # an all-zero column leaves an exactly zero pivot in R_zz, so no
+        # resample can be fitted
+        rng = np.random.default_rng(8)
+        z = rng.normal(size=(40, 7))
+        z[:, 3] = 0.0
+        design = DesignMatrix(values=z, block_offsets=(1, 7))
+        with pytest.raises(RankDeficiencyError, match="exactly singular"):
+            sample_qr(design, rng.normal(size=40))
+
     def test_no_inverse_needed(self, monkeypatch):
         # the resample fits take a Cholesky factor and forward substitution,
         # never np.linalg.inv

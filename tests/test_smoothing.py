@@ -138,6 +138,13 @@ class TestSmoothCurve:
         with pytest.raises(RankDeficiencyError, match=r"singular value .* < 1e-10; knot span"):
             smooth_curve(grid, np.zeros(8), cubic_basis)
 
+    def test_near_coincident_points_reported(self, cubic_basis):
+        # a point pair in each of the three knot spans, each pair 1e-13
+        # apart: no span is empty, yet the six points span three dimensions
+        grid = np.array([0.1, 0.5, 0.9])[:, None] + [0.0, 1e-13]
+        with pytest.raises(RankDeficiencyError, match="no single knot span is empty"):
+            smooth_curve(grid.ravel(), np.zeros(6), cubic_basis)
+
 
 class TestPerRowBlock:
     """A block with one grid per row: one basis evaluation and one stacked SVD."""
@@ -242,6 +249,12 @@ class TestBuildDataset:
         bases = (make_uniform_basis(0.0, 1.0, degree=3, num_basis=6),)
         with pytest.raises(DataError, match="responses"):
             build_dataset(self._curves(10, bases, rng), np.zeros(9), bases)
+
+    def test_two_dimensional_responses_rejected(self):
+        rng = np.random.default_rng(2)
+        bases = (make_uniform_basis(0.0, 1.0, degree=3, num_basis=6),)
+        with pytest.raises(DataError, match="responses must be one-dimensional"):
+            build_dataset(self._curves(10, bases, rng), np.zeros((10, 1)), bases)
 
     def test_ragged_row_rejected(self):
         # a predictor whose blocks cover fewer samples than there are
