@@ -19,7 +19,7 @@ def main() -> None:
     for c in (0.0, 0.4, 0.8):
         scenario = SimScenario(c=c, n=100, seed=0)
         # one pass over the replications gives the report of every rule
-        for report in run_monte_carlo(scenario, rules, REPS, threads=4):
+        for report in run_monte_carlo(scenario, rules, REPS):
             freqs = " ".join(f"{f:.2f}" for f in report.selection_frequencies)
             print(f"{c:>4} {100:>4} {report.method:>7} {report.q:>5} "
                   f"{report.correct_count:>5}/{REPS}  {freqs}")

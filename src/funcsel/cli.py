@@ -34,7 +34,7 @@ from .errors import DataError, NumericalError, RankDeficiencyError
 from .inference import test_all, test_resamples
 from .linmodel import sample_qr
 from .selection import check_method, check_q, default_q, selection_mask
-from .simgen import NUM_PREDICTORS, SimScenario, run_monte_carlo
+from .simgen import NUM_PREDICTORS, SimScenario, _rng_for, run_monte_carlo
 from .smoothing import CurveBlock, build_dataset
 
 __all__ = [
@@ -87,7 +87,6 @@ class JobConfig:
     seed: int = 0
     reps: int = 100
     bootstrap_b: int = 100
-    threads: int = 1
     out: str | None = None
     c: float = field(default=0.0, metadata={"help": "signal strength for simulate mode"})
     n: int = field(default=300, metadata={"help": "sample size for simulate mode"})
@@ -101,7 +100,6 @@ class JobConfig:
         if self.mode in ("select", "bootstrap") and not (self.curves and self.responses):
             raise ValueError(f"mode '{self.mode}' requires --curves and --responses")
         checks = [
-            ("--threads", self.threads, 1),
             ("--reps", self.reps, 1),
             ("--bootstrap-b", self.bootstrap_b, 1),
         ]
@@ -118,10 +116,6 @@ class JobConfig:
         for name, value, low in checks:
             if value < low:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
-        # each thread is an OS thread, and more than the CPUs only contend
-        cpus = os.cpu_count() or 1
-        if self.threads > cpus:
-            raise ValueError(f"--threads must be <= {cpus}, got {self.threads}")
         if not 0 <= self.seed < 2**64:  # the Philox key is a uint64
             raise ValueError(f"--seed must lie in [0, 2**64), got {self.seed}")
         for predictor, (lo, hi) in self.domain_overrides.items():
@@ -535,11 +529,10 @@ def run_select(config: JobConfig) -> np.ndarray:
     return mask
 
 
-def _resample_indices(seed: int, n: int, b: int, chunk: int):
+def _resample_indices(rng: np.random.Generator, n: int, b: int, chunk: int):
     """The row indices of b bootstrap resamples of n rows, as (chunk, n)
-    arrays (the last one shorter), from the Philox stream keyed (seed, 0):
-    the same draws, in the same order, as b draws of n."""
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    arrays (the last one shorter), from ``rng``: the same draws, in the same
+    order, as b draws of n."""
     for start in range(0, b, chunk):
         yield rng.integers(0, n, size=(min(chunk, b - start), n))
 
@@ -549,17 +542,16 @@ def bootstrap_counts(
 ) -> tuple[np.ndarray, int]:
     """How often each predictor is selected over b resamples of the rows,
     and how many resamples failed their fit (a rank-deficient design, or
-    no more rows than columns). Raises ValueError unless 0 <= seed < 2**64,
-    the range of the Philox key."""
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    no more rows than columns). The resamples draw from the Philox stream
+    keyed (seed, 0); a seed outside [0, 2**64) raises ValueError on entry."""
+    rng = _rng_for(seed, 0)
     selected = np.zeros(design.num_predictors, dtype=int)
     try:
         qr = sample_qr(design, y)
     except NumericalError:
         return selected, b
     failed = 0
-    for idx in _resample_indices(seed, design.n, b, qr.batch):
+    for idx in _resample_indices(rng, design.n, b, qr.batch):
         _, p_values = test_resamples(qr, idx)
         fitted = ~np.isnan(p_values[:, 0])
         failed += int(np.count_nonzero(~fitted))
@@ -598,9 +590,7 @@ def run_simulate(config: JobConfig):
     """Monte Carlo experiment with the synthetic-data generators."""
     scenario = SimScenario(c=config.c, n=config.n, seed=config.seed)
     q = config.resolve_q(config.n, NUM_PREDICTORS)
-    (report,) = run_monte_carlo(
-        scenario, [(config.method, q)], config.reps, threads=config.threads
-    )
+    (report,) = run_monte_carlo(scenario, [(config.method, q)], config.reps)
     print(
         f"simulate: c={report.c}  n={report.n}  method={report.method}  "
         f"q={report.q:.6g}  reps={report.replications}  failed={report.failed}"

@@ -15,19 +15,21 @@ parameters and noise and fills its curve arrays in place, bit for bit as the
 plain formulas would.
 
 The Monte Carlo driver runs the full smoothing / design / testing pipeline
-once per replication and applies any number of (method, q) selection rules
-to the one set of p-values, with one report per rule of correct-selection
-counts, selection frequencies, and out-of-sample AMSE.
+once per replication, one replication after another, and applies any number
+of (method, q) selection rules to the one set of p-values, with one report
+per rule of correct-selection counts, selection frequencies, and
+out-of-sample AMSE.
 
 Randomness uses the counter-based Philox generator keyed by (seed, stream):
 replication j draws from stream j (training) and stream j + 2^32 (test set),
 so each replication's data is independent of how many replications run.
+``_rng_for`` builds every such generator, the CLI bootstrap's included, and
+is where a seed outside [0, 2^64) is rejected.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -90,8 +92,7 @@ class SimScenario:
     def __post_init__(self):
         if self.n < 50:
             raise ValueError(f"n must be >= 50, got {self.n}")
-        if not 0 <= self.seed < 2**64:  # the Philox key is a uint64
-            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
+        _rng_for(self.seed, 0)  # raises here on a seed outside the key range
         if not math.isfinite(self.c):
             raise ValueError(f"signal strength c must be finite, got {self.c}")
 
@@ -160,7 +161,6 @@ def _draw_curve_params(rng: np.random.Generator, n: int) -> dict[str, np.ndarray
     }
 
 
-@lru_cache(maxsize=32)
 def _quad_rule(lo: float, hi: float, order: int) -> tuple[np.ndarray, np.ndarray]:
     nodes, weights = np.polynomial.legendre.leggauss(order)
     half = 0.5 * (hi - lo)
@@ -279,8 +279,13 @@ def _fill_curves(
     return out
 
 
-def _rng_for(scenario: SimScenario, stream: int) -> np.random.Generator:
-    key = np.array([scenario.seed, stream], dtype=np.uint64)
+def _rng_for(seed: int, stream: int) -> np.random.Generator:
+    """The Philox generator keyed (seed, stream), the one place a seed
+    becomes a random stream. Raises ValueError unless 0 <= seed < 2**64,
+    the range of a uint64 key word."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    key = np.array([seed, stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -312,7 +317,7 @@ def generate_replication(
     3; neither can shrink while the random stream layout and the bits of
     the reports stay fixed.
     """
-    rng = _rng_for(scenario, rep_index)
+    rng = _rng_for(scenario.seed, rep_index)
     n = scenario.n
     params = _draw_curve_params(rng, n)
     plan = _plan(scenario.c)
@@ -382,7 +387,6 @@ def run_monte_carlo(
     scenario: SimScenario,
     rules: Sequence[tuple[str, float]],
     replications: int,
-    threads: int = 1,
 ) -> tuple[MonteCarloReport, ...]:
     """Monte Carlo selection experiment over independent replications, one
     report per selection rule.
@@ -392,8 +396,9 @@ def run_monte_carlo(
     design and tests every predictor once; then each rule selects from the
     one vector of p-values, and the test-set refit runs once per distinct
     selection. So the reports of several rules cost about one pass, and each
-    equals the report of a run with that rule alone. A replication counts as
-    correct when the selected set equals the true relevant set exactly.
+    equals the report of a run with that rule alone. The replications run
+    one after another, in index order. A replication counts as correct when
+    the selected set equals the true relevant set exactly.
     Failed replications (numerically degenerate data) are skipped and
     counted, for every rule. The parameter count is checked once, before the
     replications, so a run emits :class:`~funcsel.errors.ConditionWarning`
@@ -409,19 +414,12 @@ def run_monte_carlo(
     )
     check_parameter_count(scenario.n, 1 + sum(spec.num_basis for spec in bases))
 
-    def worker(rep: int):
+    succeeded = []
+    for rep in range(replications):
         try:
-            return _run_one_replication(scenario, rules, rep, bases)
+            succeeded.append(_run_one_replication(scenario, rules, rep, bases))
         except (NumericalError, DataError):
-            return None
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(worker, range(replications)))
-    else:
-        outcomes = [worker(rep) for rep in range(replications)]
-
-    succeeded = [out for out in outcomes if out is not None]
+            pass
     failed = replications - len(succeeded)
     denom = max(len(succeeded), 1)
     reports = []

@@ -387,7 +387,7 @@ def generate_replication_reference(
     """One synthetic dataset: noisy gridded curves, responses, and the truth.
     Reads the grid size and the noise multipliers from ``funcsel.simgen`` at
     each call, as the package's generator does."""
-    rng = _rng_for(scenario, rep_index)
+    rng = _rng_for(scenario.seed, rep_index)
     n = scenario.n
     params = _draw_curve_params(rng, n)
     betas = coefficient_functions(scenario.c)

@@ -32,7 +32,7 @@ from funcsel.design import DesignMatrix
 from funcsel.inference import test_all as run_test_all
 from funcsel.inference import test_resamples as run_test_resamples
 from funcsel.linmodel import sample_qr
-from funcsel.simgen import SimScenario, generate_replication
+from funcsel.simgen import SimScenario, _rng_for, generate_replication
 from funcsel.smoothing import CurveBlock, FunctionalDataset
 
 from conftest import standard_bases
@@ -564,7 +564,7 @@ class TestRunBootstrap:
     @pytest.mark.parametrize("chunk", [45, 300])
     def test_chunked_draws_equal_per_resample_draws(self, chunk):
         seed, n, b = 7, 300, 2000
-        chunks = list(_resample_indices(seed, n, b, chunk))
+        chunks = list(_resample_indices(_rng_for(seed, 0), n, b, chunk))
         assert len(chunks[-1]) == b % chunk
         rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
         expected = np.array([rng.integers(0, n, size=n) for _ in range(b)])
@@ -573,7 +573,7 @@ class TestRunBootstrap:
     def test_resample_statistics_match_explicit_fits(self, sim_files):
         _, _, curves, y = sim_files
         design = build_design(build_dataset(curves, y, standard_bases()))
-        idx = next(_resample_indices(4, design.n, 5, 5))
+        idx = next(_resample_indices(_rng_for(4, 0), design.n, 5, 5))
         statistics, p_values = run_test_resamples(sample_qr(design, y), idx)
         for j, rows in enumerate(idx):
             resampled = DesignMatrix(
@@ -769,13 +769,12 @@ class TestRunSimulate:
 
     def test_condition_warning_once_per_job(self):
         # k = 37 > sqrt(300)/log(300) = 3.04: a job warns once, not once per
-        # design, and a second job in the same process warns again; --threads
-        # may not exceed the CPU count
-        for threads in ("1", str(min(2, os.cpu_count() or 1))):
+        # design, and a second job in the same process warns again
+        for _ in range(2):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 code = main(["--mode", "simulate", "--c", "0.4", "--n", "300", "--reps", "16",
-                             "--method", "fdr", "--q", "0.01", "--threads", threads])
+                             "--method", "fdr", "--q", "0.01"])
             assert code == 0
             caught = [w for w in caught if issubclass(w.category, ConditionWarning)]
             assert len(caught) == 1
@@ -868,6 +867,7 @@ class TestExitCodes:
             # no prefix matching: a flag must be spelled in full
             (["--rep", "1"], "unrecognized arguments: --rep 1"),
             (["--boot", "5"], "unrecognized arguments: --boot 5"),
+            (["--threads", "2"], "unrecognized arguments: --threads 2"),
         ],
     )
     def test_parse_error_prints_usage_and_reason(self, capsys, flags, reason):
@@ -883,8 +883,6 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "flags",
         [
-            ["--threads", "-3"],
-            ["--threads", "0"],
             ["--reps", "0"],
             ["--bootstrap-b", "0"],
             ["--degree", "-1"],
@@ -906,6 +904,7 @@ class TestExitCodes:
             ["--config", "# comment\n\nbasis-sise = 8", "job.cfg line 3: unknown key 'basis-sise'"],
             ["--config", "reps.p0 = 5", "job.cfg line 1: unknown key 'reps.p0'"],
             ["--config", "config = other.cfg", "job.cfg line 1: unknown key 'config'"],
+            ["--config", "threads = 2", "job.cfg line 1: unknown key 'threads'"],
             ["--config", "reps = abc", "job.cfg line 1: argument --reps: invalid int value"],
             ["--config", "method = xyz", "job.cfg line 1: argument --method: invalid choice"],
             ["--config", "degree.p0 = 2.5", "job.cfg line 1: argument --degree: invalid int value"],
@@ -930,19 +929,6 @@ class TestExitCodes:
             )
             assert code == 1
             assert expected in capsys.readouterr().err
-
-    @pytest.mark.parametrize("unknown_cpu_count", [False, True])
-    def test_threads_above_cpu_count_is_usage_error(
-        self, monkeypatch, capsys, unknown_cpu_count
-    ):
-        # --reps 2: were the cap missing, the job would start at most 2 threads
-        if unknown_cpu_count:
-            monkeypatch.setattr(os, "cpu_count", lambda: None)
-        limit = os.cpu_count() or 1
-        code = main(["--mode", "simulate", "--reps", "2", "--n", "60",
-                     "--threads", str(limit + 1)])
-        assert code == 1
-        assert f"--threads must be <= {limit}, got {limit + 1}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("c", ["nan", "inf"])
     def test_non_finite_signal_strength_is_usage_error(self, capsys, c):

@@ -86,7 +86,7 @@ class TestGenerateReplication:
     def test_noise_free_curves_and_responses(self, noise_free):
         scenario = SimScenario(c=0.8, n=60, seed=5)
         curves, y, truth = generate_replication(scenario, 0)
-        params = _draw_curve_params(_rng_for(scenario, 0), 60)
+        params = _draw_curve_params(_rng_for(scenario.seed, 0), 60)
         betas = coefficient_functions(0.8)
         # observed values equal the true curves exactly
         for m in range(NUM_PREDICTORS):
@@ -102,16 +102,15 @@ class TestGenerateReplication:
         scenario = SimScenario(c=0.0, n=60, seed=5)
         _, y, truth = generate_replication(scenario, 0)
         assert truth.true_indices == frozenset({0, 1, 3})
-        params = _draw_curve_params(_rng_for(scenario, 0), 60)
+        params = _draw_curve_params(_rng_for(scenario.seed, 0), 60)
         betas = coefficient_functions(0.0)
         # the only nonzero coefficient functions
         oracle = sum(simpson_integral(params, m, betas[m]) for m in (0, 1, 3))
         assert y == pytest.approx(oracle, rel=1e-8)
 
-    def test_quadrature_against_trapezoid_oracle(self):
-        # the oracle is composite Simpson, not the trapezoid rule of the name
+    def test_quadrature_against_simpson_oracle(self):
         scenario = SimScenario(c=0.8, n=100, seed=11)
-        params = _draw_curve_params(_rng_for(scenario, 0), 100)
+        params = _draw_curve_params(_rng_for(scenario.seed, 0), 100)
         lo, hi = DOMAINS[4]
         oracle = simpson_integral(params, 4, lambda t: 0.8 * np.sin(np.pi * t))
         nodes, weights = np.polynomial.legendre.leggauss(64)
@@ -226,12 +225,6 @@ class TestRunMonteCarlo:
             dataclasses.asdict(b), sort_keys=True
         )
 
-    def test_threads_do_not_change_result(self):
-        scenario = SimScenario(c=0.4, n=100, seed=7)
-        serial = run_monte_carlo(scenario, [("fdr", 0.05)], 8)
-        threaded = run_monte_carlo(scenario, [("fdr", 0.05)], 8, threads=4)
-        assert serial == threaded
-
     def test_selection_frequency_sanity(self):
         (report,) = run_monte_carlo(
             SimScenario(c=0.8, n=300, seed=0), [("fdr", 0.01)], 100
@@ -258,16 +251,15 @@ class TestRunMonteCarlo:
         assert np.isfinite(report.amse) and report.amse > 0.0
         assert all(0.0 <= f <= 1.0 for f in report.selection_frequencies)
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_each_rule_of_one_pass_equals_its_own_run(self, threads):
+    def test_each_rule_of_one_pass_equals_its_own_run(self):
         scenario = SimScenario(c=0.4, n=100, seed=0)
-        reports = run_monte_carlo(scenario, FIXTURE_RULES, 12, threads=threads)
+        reports = run_monte_carlo(scenario, FIXTURE_RULES, 12)
         assert len(reports) == len(FIXTURE_RULES)
         # the rules select differently here, so the test-set refit runs for
         # more than one mask
         assert len({r.selection_frequencies for r in reports}) > 1
         for rule, report in zip(FIXTURE_RULES, reports):
-            (alone,) = run_monte_carlo(scenario, [rule], 12, threads=threads)
+            (alone,) = run_monte_carlo(scenario, [rule], 12)
             for field in dataclasses.fields(MonteCarloReport):
                 assert getattr(report, field.name) == getattr(alone, field.name), (
                     rule,
