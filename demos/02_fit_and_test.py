@@ -38,7 +38,7 @@ def main() -> None:
           f"(intercept + {design.num_predictors} blocks of 6)")
 
     full = fit_ols(design, y)
-    print(f"RSS = {full.rss:.4f}, sigma2_tilde = {full.sigma2_tilde:.6f}")
+    print(f"RSS = {design.n * full.sigma2_tilde:.4f}, sigma2_tilde = {full.sigma2_tilde:.6f}")
 
     statistics, p_values = test_all(design, y)
     print("\nper-predictor likelihood-ratio tests:")

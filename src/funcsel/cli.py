@@ -55,8 +55,14 @@ EXIT_NUMERICAL = 3
 # config keys "<name>.<predictor id>" that override one predictor's basis
 _OVERRIDES = ("basis_size", "degree", "domain")
 
-# lines of the curves file split and converted at a time; a whole large file
-# split into fields at once raised the process's peak RSS
+# lines of the curves file read, split and converted at a time. On a
+# 90,000-row file, an ingest in chunks of 4,096 and 1,024 lines took 3% and
+# 13% more CPU time than in chunks of 16,384, and raised the peak RSS by 7.8
+# and 7.4 MB, against 10.0 MB. But after 4,096-line chunks, glibc trimmed
+# the heap under the bootstrap's batch arrays after each batch, and faulted
+# them in again, in 52 of 80 jobs (the 3rd to 12th of 8 processes): 26,700
+# more page faults a job, and about a quarter more CPU time in
+# bootstrap_counts. After 16,384-line chunks it did so in 1 of 80.
 CHUNK_LINES = 16384
 _CURVES_HEADER = ["sample_id", "predictor_id", "t", "value"]
 
@@ -173,12 +179,11 @@ def _csv_reader(handle, path: str, header: list[str]):
 
 
 @contextmanager
-def _open_utf8(path: str, newline: str):
-    """``path`` opened as UTF-8 text (a byte order mark is skipped); a byte
-    that does not decode raises :class:`DataError` naming the file."""
+def _utf8_errors(path: str):
+    """A byte of ``path`` that does not decode as UTF-8 raises
+    :class:`DataError` naming the file."""
     try:
-        with open(path, newline=newline, encoding="utf-8-sig") as handle:
-            yield handle
+        yield
     except UnicodeDecodeError as exc:
         raise DataError(
             f"{path}: not UTF-8 text: cannot decode byte "
@@ -186,66 +191,139 @@ def _open_utf8(path: str, newline: str):
         ) from None
 
 
+@contextmanager
+def _open_utf8(path: str, newline: str):
+    """``path`` opened as UTF-8 text (a byte order mark is skipped)."""
+    with _utf8_errors(path), open(
+        path, newline=newline, encoding="utf-8-sig"
+    ) as handle:
+        yield handle
+
+
 class _NotPlain(Exception):
     """The curves file holds a quote or a bare carriage return, where
     splitting its lines at commas could disagree with the csv module."""
 
 
-def _plain_chunks(handle, path: str):
+def _runs(
+    data: bytes, begin: np.ndarray, stop: np.ndarray
+) -> tuple[bytes, np.ndarray]:
+    """Runs of consecutive rows whose fields ``data[begin[r]:stop[r]]`` are
+    equal in bytes: the fields of the runs' first rows, end to end, and the
+    runs' lengths."""
+    size = stop - begin
+    # the 8 bytes from each offset of ``data`` as one little-endian word
+    words = np.ndarray(len(data), "<u8", data + bytes(8), strides=(1,))
+    same = np.zeros(begin.size, bool)
+    same[1:] = size[1:] == size[:-1]
+    # compare fields of equal length with the one before, 8 bytes at a time,
+    # the bytes past their end shifted out, while they still agree
+    for start in range(0, int(size.max(initial=0)), 8):
+        rows = np.flatnonzero(same & (size > start))
+        past = 8 * np.maximum(start + 8 - size[rows], 0).astype(np.uint64)
+        differ = words[begin[rows] + start] ^ words[begin[rows - 1] + start]
+        same[rows] = differ << past == 0
+    firsts = np.flatnonzero(~same)
+    size, begin = size[firsts], begin[firsts]
+    at = np.arange(size.sum()) + np.repeat(begin - (np.cumsum(size) - size), size)
+    lengths = np.diff(firsts, append=same.size)
+    return np.frombuffer(data, np.uint8)[at].tobytes(), lengths
+
+
+def _segments(raw: np.ndarray, begin: np.ndarray, stop: np.ndarray) -> bytes:
+    """The bytes ``raw[begin[i]:stop[i]]`` of ascending disjoint spans, end
+    to end."""
+    edges = np.column_stack((begin, stop)).ravel()
+    spans = np.diff(edges, prepend=0, append=raw.size)
+    inside = np.zeros(spans.size, bool)
+    inside[1::2] = True
+    return raw[np.repeat(inside, spans)].tobytes()
+
+
+def _columns(text: str) -> tuple[list[str], list[str]]:
+    """The two fields of each line of ``text``. Only the caller holds them,
+    so they are freed before the next chunk is read."""
+    cells = text.replace("\n", ",").split(",")
+    return cells[0:-1:2], cells[1::2]
+
+
+def _plain_chunks(
+    handle, path: str, samples: dict[str, int], predictors: dict[str, int]
+):
     """The curves file past its header, split at newlines and commas, as
-    ``(cells, counts, blanks)`` per chunk of at most CHUNK_LINES lines:
-    the fields of the chunk's non-blank lines end to end, each such line's
-    number of fields, and the line numbers of its blank lines. ``handle``
-    must end lines at newlines only. Raises :class:`_NotPlain` on a quote or
-    on a carriage return not followed by a newline."""
+    ``(counts, blanks, t, value, sample, predictor)`` per chunk of at most
+    CHUNK_LINES lines: each non-blank line's number of fields, the line
+    numbers of the blank lines, and for the lines before the first without
+    4 fields, the ``t`` and ``value`` texts and the codes of the sample and
+    predictor ids in ``samples`` and ``predictors``. ``handle`` is binary.
+    Raises :class:`_NotPlain` on a quote or on a carriage return not
+    followed by a newline, and UnicodeDecodeError on a chunk that is not
+    UTF-8."""
 
-    def plain(text: str) -> str:
-        if '"' in text:
+    def plain(data: bytes) -> bytes:
+        data.decode()  # a newline ends no character, so a chunk decodes alone
+        if b'"' in data:
             raise _NotPlain
-        if "\r" in text:
-            if text.count("\r") != text.count("\r\n"):
+        if b"\r" in data:
+            if data.count(b"\r") != data.count(b"\r\n"):
                 raise _NotPlain
-            text = text.replace("\r\n", "\n")
-        return text
+            data = data.replace(b"\r\n", b"\n")
+        return data
 
-    header = plain(handle.readline()).removesuffix("\n")
-    _check_header(header.split(","), path, _CURVES_HEADER)
+    header = plain(handle.readline().removeprefix(b"\xef\xbb\xbf"))
+    _check_header(header.decode().removesuffix("\n").split(","), path, _CURVES_HEADER)
     line = 2
-    while text := "".join(islice(handle, CHUNK_LINES)):
-        text = plain(text)
-        if not text.endswith("\n"):
-            text += "\n"
+    while data := b"".join(islice(handle, CHUNK_LINES)):
+        data = plain(data)
+        if not data.endswith(b"\n"):
+            data += b"\n"
         # newlines and commas are single bytes in UTF-8, never part of
         # another character, so their byte positions delimit lines and fields
-        raw = np.frombuffer(text.encode(), np.uint8)
+        raw = np.frombuffer(data, np.uint8)
         ends = np.flatnonzero(raw == ord("\n"))
         commas = np.flatnonzero(raw == ord(","))
-        counts = np.diff(np.searchsorted(commas, ends), prepend=0) + 1
-        blank = np.diff(ends, prepend=-1) == 1
-        blanks = []
-        if blank.any():
-            blanks = (line + np.flatnonzero(blank)).tolist()
-            counts = counts[~blank]
-            text = np.delete(raw, ends[blank]).tobytes().decode()
+        before = np.searchsorted(commas, ends)  # the commas before each line end
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        filled = starts < ends
+        blanks = (line + np.flatnonzero(~filled)).tolist()
         line += ends.size
-        # freed before the split, which holds the chunk's cells at its peak
-        del raw, ends, commas
-        cells = text.replace("\n", ",").split(",")
-        cells.pop()  # after the last newline; [""] of a chunk of blank lines
-        yield cells, counts, blanks
+        counts = np.diff(before, prepend=0)[filled] + 1
+        starts, ends, before = starts[filled], ends[filled], before[filled]
+        bad = np.flatnonzero(counts != 4)
+        good = bad[0] if bad.size else counts.size
+        starts, ends, before = starts[:good], ends[:good], before[:good]
+        # of the 3 commas of a row of 4 fields, the second ends its ids
+        second = commas[before - 2]
+        # the ids are coded once per run of rows with the same id bytes, from
+        # the "sample,predictor," of each run's first row
+        ids, lengths = _runs(data, starts, second + 1)
+        ids = ids.decode().split(",")
+        sample = np.repeat(_code(samples, ids[0:-1:2]), lengths)
+        predictor = np.repeat(_code(predictors, ids[1::2]), lengths)
+        numbers = _segments(raw, second + 1, ends + 1)  # "t,value\n" per row
+        # freed before the split, which holds the chunk's numbers at its peak
+        del data, raw, ends, commas, before, starts, second, ids
+        yield counts, blanks, *_columns(numbers.decode()), sample, predictor
 
 
-def _csv_chunks(handle, path: str):
+def _csv_chunks(
+    handle, path: str, samples: dict[str, int], predictors: dict[str, int]
+):
     """:func:`_plain_chunks` read with the csv module, so quoted fields are
     unquoted; a line number counts the csv rows before it."""
     reader = _csv_reader(handle, path, _CURVES_HEADER)
     line = 2
     while rows := list(islice(reader, CHUNK_LINES)):
         blanks = [line + i for i, row in enumerate(rows) if not row]
+        line += len(rows)
         rows = [row for row in rows if row]
         counts = np.fromiter(map(len, rows), np.intp, len(rows))
-        yield list(chain.from_iterable(rows)), counts, blanks
-        line += len(rows) + len(blanks)
+        bad = np.flatnonzero(counts != 4)
+        cells = list(chain.from_iterable(rows[: bad[0]] if bad.size else rows))
+        yield (
+            counts, blanks, cells[2::4], cells[3::4],
+            _code(samples, cells[0::4]), _code(predictors, cells[1::4]),
+        )
 
 
 def _line_of(row: int, blanks: list[int]) -> int:
@@ -259,43 +337,49 @@ def _line_of(row: int, blanks: list[int]) -> int:
     return line
 
 
-def _numbers(cells: list[str], counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _numbers(
+    t: list[str], value: list[str], counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """The ``t`` and ``value`` columns of a chunk; ValueError if some row
     has a wrong field count or a ``t`` or ``value`` that is not finite."""
     if np.any(counts != 4):
         raise ValueError
-    t = np.fromiter(map(float, cells[2::4]), float, counts.size)
-    value = np.fromiter(map(float, cells[3::4]), float, counts.size)
+    t = np.fromiter(map(float, t), float, counts.size)
+    value = np.fromiter(map(float, value), float, counts.size)
     if not (np.isfinite(t).all() and np.isfinite(value).all()):
         raise ValueError
     return t, value
 
 
 def _first_fault(
-    path: str, cells: list[str], counts: np.ndarray, first_row: int, blanks: list[int]
+    path: str, t: list[str], value: list[str], counts: np.ndarray, first_row: int,
+    blanks: list[int],
 ) -> tuple[int, DataError]:
     """The index in its chunk of the first faulty row, read row by row, and
     its error: a wrong field count, or a ``t`` or ``value`` that is not a
     finite number."""
-    start = 0
     for i, count in enumerate(counts.tolist()):
         line = _line_of(first_row + i, blanks)
         if count != 4:
             return i, DataError(f"{path} line {line}: expected 4 fields, got {count}")
         try:
-            _parse_float(cells[start + 2], path, line, "t")
-            _parse_float(cells[start + 3], path, line, "value")
+            _parse_float(t[i], path, line, "t")
+            _parse_float(value[i], path, line, "value")
         except DataError as exc:
             return i, exc
-        start += count
     raise AssertionError("no faulty row in the chunk")
 
 
 def _code(table: dict[str, int], ids: list[str]) -> np.ndarray:
-    """The codes of the stripped ``ids``, adding unseen ids to ``table``."""
+    """The codes of the stripped ``ids``, adding unseen ids to ``table``.
+    The table keeps a copy of each new id: the chunk's own cell would keep
+    the strings around it resident."""
     codes = dict.fromkeys(ids)  # each distinct raw id is stripped once
     for name in codes:
-        codes[name] = table.setdefault(name.strip(), len(table))
+        key = name.strip()
+        if key not in table:
+            table[key.encode().decode()] = len(table)
+        codes[name] = table[key]
     return np.fromiter(map(codes.__getitem__, ids), np.intp, len(ids))
 
 
@@ -307,50 +391,59 @@ def _sorted_ids(table: dict[str, int], codes: np.ndarray) -> tuple[list[str], np
     return ids, position[codes]
 
 
-def _read_points(path: str, chunks):
+def _read_points(path: str, chunks, handle):
     """Every point of the curves file, sorted by (predictor, sample, t):
     ``(sample_ids, predictor_ids, curve, t, value)``, where ``curve`` is
     ``predictor * len(sample_ids) + sample`` for the indices of a point's
-    ids in the sorted id lists. Reading stops at the first row with a wrong
-    field count or a bad number; a repeated point before it is reported
-    instead."""
+    ids in the sorted id lists. ``chunks(handle, path, samples, predictors)``
+    yields the file's chunks, coding ids in those two tables. Reading stops
+    at the first row with a wrong field count or a bad number; a repeated
+    point before it is reported instead."""
     samples: dict[str, int] = {}
     predictors: dict[str, int] = {}
     parts = []  # (sample codes, predictor codes, t, value) per chunk
     blanks: list[int] = []
     rows = 0
     fault = None  # the error of the first faulty row
-    for cells, counts, chunk_blanks in chunks:
+    for counts, chunk_blanks, t, value, sample, predictor in chunks(
+        handle, path, samples, predictors
+    ):
         blanks += chunk_blanks
         try:
-            t, value = _numbers(cells, counts)
+            t, value = _numbers(t, value, counts)
         except ValueError:
             # keep the rows before the fault: a duplicate point among them
             # comes first in the file, so it is the error reported
-            good, fault = _first_fault(path, cells, counts, rows, blanks)
-            cells, counts = cells[: 4 * good], counts[:good]
-            t, value = _numbers(cells, counts)
-        parts.append(
-            (_code(samples, cells[0::4]), _code(predictors, cells[1::4]), t, value)
-        )
-        rows += counts.size
+            good, fault = _first_fault(path, t, value, counts, rows, blanks)
+            t, value = _numbers(t[:good], value[:good], counts[:good])
+            sample, predictor = sample[:good], predictor[:good]
+        parts.append((sample, predictor, t, value))
+        rows += sample.size
         if fault is not None:
             break
     if not rows:
         raise fault or DataError(f"{path}: no data rows")
     sample, predictor, t, value = (np.concatenate(column) for column in zip(*parts))
+    del parts
     sample_ids, sample = _sorted_ids(samples, sample)
     predictor_ids, predictor = _sorted_ids(predictors, predictor)
-    # stable, so each repeat of a point comes after its first row
     curve = predictor * len(sample_ids) + sample
-    order = np.lexsort((t, curve))
+    del sample, predictor  # freed before the sort, the peak of the ingest
+    # by t, then by curve, both stable, so each repeat of a point comes
+    # after its first row. The curves sort as the smallest unsigned type
+    # that holds them, which numpy sorts by radix up to 65,536 curves: in
+    # all, 10 ms on a 90,000-row file, against 17 ms for np.lexsort
+    order = np.argsort(t, kind="stable")
+    key = curve[order].astype(np.min_scalar_type(len(sample_ids) * len(predictor_ids)))
+    order = order[np.argsort(key, kind="stable")]
     by_curve, by_t = curve[order], t[order]
     repeat = (by_curve[1:] == by_curve[:-1]) & (by_t[1:] == by_t[:-1])
     if repeat.any():
         row = int(order[1:][repeat].min())
+        predictor, sample = divmod(int(curve[row]), len(sample_ids))
         raise DataError(
             f"{path} line {_line_of(row, blanks)}: duplicate point for sample "
-            f"'{sample_ids[sample[row]]}', predictor '{predictor_ids[predictor[row]]}', "
+            f"'{sample_ids[sample]}', predictor '{predictor_ids[predictor]}', "
             f"t={float(t[row])}"
         )
     if fault is not None:
@@ -371,26 +464,29 @@ def ingest_long_csv(
     every curve of the run has the same grid and per row otherwise. A CSV on
     one regular grid thus gives one block per predictor.
 
-    The curves file is read in chunks of at most ``CHUNK_LINES`` lines. Each
-    line's field count, and which lines are blank, come from the byte
-    positions of the chunk's newlines and commas; its cells come from one
-    split of the whole chunk, with one float conversion per column. Blank
-    lines are accepted anywhere, trailing ones included, at any file length.
+    The curves file is read as bytes, in chunks of at most ``CHUNK_LINES``
+    lines, each checked as UTF-8 once. Each line's field count, and which
+    lines are blank, come from the byte positions of the chunk's newlines
+    and commas. Rows whose id bytes equal the row before's share its codes,
+    so the ids are decoded and looked up once per run of such rows; the
+    ``t`` and ``value`` fields are decoded and split together, with one
+    float conversion per column. Blank lines are accepted anywhere, trailing
+    ones included, at any file length.
     A file holding a quote or a bare carriage return is read with the csv
     module instead; it gives the same results and is slower. Either way a
     fault is reported with the line of the first faulty row in the file (a
     wrong field count, a bad number or a repeated point), counting the
-    header and blank lines. The points are ordered by one stable sort on
-    two keys: the curve, and ``t`` within it.
+    header and blank lines. The points are ordered by two stable sorts: by
+    ``t``, then by the curve.
     """
     # reading every file with the csv module, which makes a list per row,
     # made a select job on a 90,000-row file about a quarter slower
     try:
-        with _open_utf8(curves_path, newline="\n") as handle:
-            points = _read_points(curves_path, _plain_chunks(handle, curves_path))
+        with _utf8_errors(curves_path), open(curves_path, "rb") as handle:
+            points = _read_points(curves_path, _plain_chunks, handle)
     except _NotPlain:
         with _open_utf8(curves_path, newline="") as handle:
-            points = _read_points(curves_path, _csv_chunks(handle, curves_path))
+            points = _read_points(curves_path, _csv_chunks, handle)
     sample_ids, predictor_ids, curve, t, value = points
 
     responses: dict[str, float] = {}
@@ -453,6 +549,15 @@ def _bases_for(
     predictor_ids: list[str],
     curves: list[list[CurveBlock]],
 ) -> tuple[BasisSpec, ...]:
+    """One basis per predictor, from the flags and the config overrides; an
+    override for a predictor absent from the curves file is a usage error."""
+    for name in _OVERRIDES:
+        for predictor in getattr(config, f"{name}_overrides"):
+            if predictor not in predictor_ids:
+                raise ValueError(
+                    f"config key '{name}.{predictor}': no predictor "
+                    f"'{predictor}' in {config.curves}"
+                )
     bases = []
     for predictor, blocks in zip(predictor_ids, curves):
         degree, num_basis = config.basis_of(predictor)

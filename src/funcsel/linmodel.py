@@ -73,7 +73,6 @@ class FitResult:
 
     coefficients: np.ndarray
     covariance: np.ndarray
-    rss: float
     sigma2_tilde: float
 
 
@@ -93,12 +92,10 @@ def fit_ols(design: DesignMatrix, y: np.ndarray) -> FitResult:
     r = np.linalg.qr(np.column_stack([design.values, y]), mode="r")
     check_rank(np.linalg.svd(r[:k, :k], compute_uv=False), "design matrix")
     r_inv = np.asfortranarray(np.linalg.inv(r[:k, :k]))
-    rss = float(r[k, k] ** 2)
     return FitResult(
         coefficients=r_inv @ r[:k, k],
         covariance=r_inv @ r_inv.T,
-        rss=rss,
-        sigma2_tilde=rss / n,
+        sigma2_tilde=float(r[k, k] ** 2) / n,
     )
 
 

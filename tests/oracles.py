@@ -149,7 +149,7 @@ def projection_rss_identity_check(
     restricted = fit_restricted(design, y, full, r)
     p_full, p_restr = projection_matrices(design, r)
     quad = float(y @ ((p_full - p_restr) @ y))
-    return restricted.rss0 - full.rss, quad
+    return restricted.rss0 - design.n * full.sigma2_tilde, quad
 
 
 def column_deletion_rss(design: DesignMatrix, y: np.ndarray, r: int) -> float:

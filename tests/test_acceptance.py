@@ -269,7 +269,7 @@ class TestCriterion5OracleEquivalences:
             design, y = random_design(rng, 30 + int(rng.integers(0, 40)), sizes)
             full = fit_ols(design, y)
             r = int(rng.integers(0, len(sizes)))
-            rss0 = full.rss + run_test_all(design, y)[0][r] * full.sigma2_tilde
+            rss0 = (design.n + run_test_all(design, y)[0][r]) * full.sigma2_tilde
             oracle = column_deletion_rss(design, y, r)
             worst = max(worst, abs(rss0 - oracle) / oracle)
         ok = worst < 1e-8

@@ -812,6 +812,23 @@ class TestConfigFile:
         assert code == 0
         assert json.loads(out.read_text())["seed"] == 9
 
+    @pytest.mark.parametrize("mode", ["select", "bootstrap"])
+    @pytest.mark.parametrize(
+        "line", ["basis_size.X9 = 8", "degree.X9 = 2", "domain.Y = 0:5"],
+        ids=["basis_size", "degree", "domain"],
+    )
+    def test_override_of_absent_predictor_is_usage_error(self, tmp_path, capsys, mode, line):
+        # the curves file holds predictor p0 only
+        paths = small_files(tmp_path)
+        config_path = tmp_path / "job.cfg"
+        config_path.write_text(line + "\n")
+        assert main(["--config", str(config_path), "--mode", mode, "--curves",
+                     str(paths["curves"]), "--responses", str(paths["responses"])]) == 1
+        key = line.split(" = ")[0]
+        predictor = key.split(".")[1]
+        assert (f"error: config key '{key}': no predictor '{predictor}' in "
+                f"{paths['curves']}") in capsys.readouterr().err
+
     def test_override_keeps_predictor_id_as_written(self, tmp_path):
         # '-' in the option name reads as '_', but not in the predictor id
         rng = np.random.default_rng(36)
@@ -987,6 +1004,22 @@ class TestExitCodes:
         assert main(["--mode", "select", "--curves", str(paths["curves"]),
                      "--responses", str(paths["responses"])]) == 2
         assert f"data error: {path}: not UTF-8 text" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["t", "value"])
+    def test_non_utf8_number_is_data_error(self, tmp_path, capsys, field):
+        # the bad byte sits inside a t or value field of line 10, not an id
+        paths = small_files(tmp_path)
+        path = paths["curves"]
+        lines = path.read_bytes().split(b"\n")
+        cells = lines[9].split(b",")
+        column = 2 if field == "t" else 3
+        cells[column] = cells[column][:2] + b"\xff" + cells[column][2:]
+        lines[9] = b",".join(cells)
+        path.write_bytes(b"\n".join(lines))
+        assert main(["--mode", "select", "--curves", str(path),
+                     "--responses", str(paths["responses"])]) == 2
+        assert (f"data error: {path}: not UTF-8 text: cannot decode byte 0xff "
+                "(invalid start byte)") in capsys.readouterr().err
 
     def test_non_utf8_config_is_usage_error(self, tmp_path, capsys):
         config_path = tmp_path / "job.cfg"

@@ -185,7 +185,7 @@ class TestTestPredictor:
         assert statistics.shape == p_values.shape == (2,)
         for r, (statistic, p) in enumerate(zip(statistics, p_values)):
             restricted = fit_restricted(design, y, full, r)
-            expected = (restricted.rss0 - full.rss) / full.sigma2_tilde
+            expected = restricted.rss0 / full.sigma2_tilde - design.n
             assert statistic == pytest.approx(expected, rel=1e-8)
             assert p == pytest.approx(
                 1.0 - chisq_cdf(statistic, block_size(design, r)), abs=1e-12

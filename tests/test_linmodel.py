@@ -42,7 +42,7 @@ class TestFitOls:
         y = design.values @ b
         fit = fit_ols(design, y)
         assert np.max(np.abs(fit.coefficients - b)) < 1e-10
-        assert fit.rss < 1e-16 * (y @ y)
+        assert design.n * fit.sigma2_tilde < 1e-16 * (y @ y)
 
     def test_orthogonal_response(self):
         rng = np.random.default_rng(1)
@@ -52,7 +52,7 @@ class TestFitOls:
         y_perp = y - q @ (q.T @ y)
         fit = fit_ols(design, y_perp)
         assert np.max(np.abs(fit.coefficients)) < 1e-8
-        assert fit.rss == pytest.approx(float(y_perp @ y_perp), rel=1e-10)
+        assert design.n * fit.sigma2_tilde == pytest.approx(float(y_perp @ y_perp), rel=1e-10)
 
     def test_matches_normal_equations_oracle(self, scenario_fit):
         design, y, fit = scenario_fit
@@ -64,8 +64,7 @@ class TestFitOls:
     def test_invariants(self, scenario_fit):
         design, y, fit = scenario_fit
         resid = y - design.values @ fit.coefficients
-        assert fit.rss == pytest.approx(float(resid @ resid), rel=1e-8)
-        assert fit.sigma2_tilde == fit.rss / design.n
+        assert design.n * fit.sigma2_tilde == pytest.approx(float(resid @ resid), rel=1e-8)
         assert np.max(np.abs(design.values.T @ resid)) < 1e-6 * np.linalg.norm(y)
         assert fit.coefficients.shape == (37,) and fit.covariance.shape == (37, 37)
 
@@ -296,7 +295,7 @@ class TestFitRestricted:
             full = fit_ols(design, y)
             statistics, _ = run_test_all(design, y)
             for r in range(3):
-                rss0 = full.rss + statistics[r] * full.sigma2_tilde
+                rss0 = (design.n + statistics[r]) * full.sigma2_tilde
                 oracle = column_deletion_rss(design, y, r)
                 assert abs(rss0 - oracle) < 1e-8 * oracle
 
