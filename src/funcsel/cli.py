@@ -55,15 +55,20 @@ EXIT_NUMERICAL = 3
 # config keys "<name>.<predictor id>" that override one predictor's basis
 _OVERRIDES = ("basis_size", "degree", "domain")
 
-# lines of the curves file read, split and converted at a time. On a
-# 90,000-row file, an ingest in chunks of 4,096 and 1,024 lines took 3% and
-# 13% more CPU time than in chunks of 16,384, and raised the peak RSS by 7.8
-# and 7.4 MB, against 10.0 MB. But after 4,096-line chunks, glibc trimmed
-# the heap under the bootstrap's batch arrays after each batch, and faulted
-# them in again, in 52 of 80 jobs (the 3rd to 12th of 8 processes): 26,700
-# more page faults a job, and about a quarter more CPU time in
-# bootstrap_counts. After 16,384-line chunks it did so in 1 of 80.
+# lines of the curves file split and converted at a time. On a 90,000-row
+# file, an ingest in chunks of 4,096 and 1,024 lines took 3% and 13% more
+# CPU time than in chunks of 16,384, and raised the peak RSS by 7.8 and 7.4
+# MB, against 10.0 MB. But after 4,096-line chunks, glibc trimmed the heap
+# under the bootstrap's batch arrays after each batch, and faulted them in
+# again, in 52 of 80 jobs (the 3rd to 12th of 8 processes): 26,700 more page
+# faults a job, and about a quarter more CPU time in bootstrap_counts. After
+# 16,384-line chunks it did so in 1 of 80.
 CHUNK_LINES = 16384
+# bytes read from the curves file at a time, per line of a chunk: 256 KiB
+# for 16,384-line chunks, a third of a chunk of 47-byte lines, so the memory
+# held scales with the chunk. Cutting a 90,000-row file into chunks took
+# 3-4 ms of CPU time in reads of 16 bytes a line, and 5-8 ms in reads of 64.
+LINE_BYTES = 16
 _CURVES_HEADER = ["sample_id", "predictor_id", "t", "value"]
 
 
@@ -231,20 +236,78 @@ def _runs(
 
 
 def _segments(raw: np.ndarray, begin: np.ndarray, stop: np.ndarray) -> bytes:
-    """The bytes ``raw[begin[i]:stop[i]]`` of ascending disjoint spans, end
-    to end."""
-    edges = np.column_stack((begin, stop)).ravel()
+    """The bytes ``raw[begin[i]:stop[i]]`` of ascending disjoint spans, each
+    followed by a comma, end to end; ``stop`` lies inside ``raw``."""
+    edges = np.column_stack((begin, stop + 1)).ravel()
     spans = np.diff(edges, prepend=0, append=raw.size)
     inside = np.zeros(spans.size, bool)
     inside[1::2] = True
-    return raw[np.repeat(inside, spans)].tobytes()
+    out = raw[np.repeat(inside, spans)]
+    out[np.cumsum(spans[1::2]) - 1] = ord(",")
+    return out.tobytes()
 
 
-def _columns(text: str) -> tuple[list[str], list[str]]:
-    """The two fields of each line of ``text``. Only the caller holds them,
-    so they are freed before the next chunk is read."""
-    cells = text.replace("\n", ",").split(",")
+def _parse_columns(numbers: bytes, rows: int):
+    """The ``t`` and ``value`` columns of ``rows`` rows' "t,value," bytes:
+    float arrays read by numpy in one pass where that read must agree with
+    ``float()``, else the lists of their texts. Only the caller holds
+    either, so they are freed before the next chunk is read.
+
+    numpy reads each field with CPython's own correctly rounded parser, but
+    skips whitespace around it, reads a field of whitespace as -1.0 and
+    reads "nan(...)"; it rejects what is not an ASCII number, such as
+    "1_000" or "١", which ``float()`` reads. So the arrays are kept only for
+    bytes without whitespace, read to their end into 2 × ``rows`` finite
+    numbers. At an unread field numpy raises ValueError; older versions
+    return the numbers before it with a DeprecationWarning, raised only
+    where warnings are errors. The warnings filters are not touched: a
+    change to them, even inside ``catch_warnings``, makes Python show again
+    every warning it has already shown once.
+    """
+    if not any(space in numbers for space in b" \t\r\v\f"):
+        try:
+            parsed = np.fromstring(numbers, sep=",")
+        except (DeprecationWarning, ValueError):
+            parsed = None
+        if parsed is not None and parsed.size == 2 * rows and np.isfinite(parsed).all():
+            return parsed[0::2], parsed[1::2]
+    cells = numbers.decode().split(",")
     return cells[0:-1:2], cells[1::2]
+
+
+def _lines(handle):
+    """The rest of binary ``handle`` in chunks of CHUNK_LINES lines, the
+    last maybe shorter and without its final newline, each with the byte
+    positions of its newlines. The file is read LINE_BYTES * CHUNK_LINES
+    bytes at a time and each read's newlines are found once: the bytes past
+    a chunk's last line carry over to the next chunk with their positions."""
+    rest, ends = b"", np.empty(0, np.intp)
+    while True:
+        blocks, found = [rest], [ends]
+        size, lines = len(rest), ends.size
+        while lines < CHUNK_LINES and (block := handle.read(LINE_BYTES * CHUNK_LINES)):
+            blocks.append(block)
+            found.append(np.flatnonzero(np.frombuffer(block, np.uint8) == ord("\n")) + size)
+            size += len(block)
+            lines += found[-1].size
+        ends = np.concatenate(found)
+        rest = b""
+        if lines >= CHUNK_LINES:
+            # the chunk's last newline is in the last block: the only one
+            # read while the chunk was still short of lines
+            end = int(ends[CHUNK_LINES - 1]) + 1
+            cut = end - (size - len(blocks[-1]))
+            last = memoryview(blocks[-1])
+            rest, blocks[-1] = last[cut:], last[:cut]
+            size = end
+        if not size:
+            return
+        chunk = [b"".join(blocks)]
+        del blocks, found
+        # popped, so that this frame holds no reference to the chunk while
+        # the caller reads it
+        yield chunk.pop(), ends[:CHUNK_LINES]
+        ends = ends[CHUNK_LINES:] - size
 
 
 def _plain_chunks(
@@ -254,11 +317,11 @@ def _plain_chunks(
     ``(counts, blanks, t, value, sample, predictor)`` per chunk of at most
     CHUNK_LINES lines: each non-blank line's number of fields, the line
     numbers of the blank lines, and for the lines before the first without
-    4 fields, the ``t`` and ``value`` texts and the codes of the sample and
-    predictor ids in ``samples`` and ``predictors``. ``handle`` is binary.
-    Raises :class:`_NotPlain` on a quote or on a carriage return not
-    followed by a newline, and UnicodeDecodeError on a chunk that is not
-    UTF-8."""
+    4 fields, the ``t`` and ``value`` columns (see :func:`_parse_columns`)
+    and the codes of the sample and predictor ids in ``samples`` and
+    ``predictors``. ``handle`` is binary. Raises :class:`_NotPlain` on a
+    quote or on a carriage return not followed by a newline, and
+    UnicodeDecodeError on a chunk that is not UTF-8."""
 
     def plain(data: bytes) -> bytes:
         data.decode()  # a newline ends no character, so a chunk decodes alone
@@ -273,14 +336,15 @@ def _plain_chunks(
     header = plain(handle.readline().removeprefix(b"\xef\xbb\xbf"))
     _check_header(header.decode().removesuffix("\n").split(","), path, _CURVES_HEADER)
     line = 2
-    while data := b"".join(islice(handle, CHUNK_LINES)):
-        data = plain(data)
-        if not data.endswith(b"\n"):
-            data += b"\n"
+    for data, ends in _lines(handle):
+        lf = plain(data)
+        if not lf.endswith(b"\n"):
+            lf += b"\n"
+        raw = np.frombuffer(lf, np.uint8)
         # newlines and commas are single bytes in UTF-8, never part of
         # another character, so their byte positions delimit lines and fields
-        raw = np.frombuffer(data, np.uint8)
-        ends = np.flatnonzero(raw == ord("\n"))
+        if lf is not data:  # line ends changed or added
+            ends = np.flatnonzero(raw == ord("\n"))
         commas = np.flatnonzero(raw == ord(","))
         before = np.searchsorted(commas, ends)  # the commas before each line end
         starts = np.concatenate(([0], ends[:-1] + 1))
@@ -296,14 +360,16 @@ def _plain_chunks(
         second = commas[before - 2]
         # the ids are coded once per run of rows with the same id bytes, from
         # the "sample,predictor," of each run's first row
-        ids, lengths = _runs(data, starts, second + 1)
+        ids, lengths = _runs(lf, starts, second + 1)
+        del commas, before, starts
         ids = ids.decode().split(",")
         sample = np.repeat(_code(samples, ids[0:-1:2]), lengths)
         predictor = np.repeat(_code(predictors, ids[1::2]), lengths)
-        numbers = _segments(raw, second + 1, ends + 1)  # "t,value\n" per row
-        # freed before the split, which holds the chunk's numbers at its peak
-        del data, raw, ends, commas, before, starts, second, ids
-        yield counts, blanks, *_columns(numbers.decode()), sample, predictor
+        del ids
+        numbers = _segments(raw, second + 1, ends)  # "t,value," per row
+        # freed before the numbers are read
+        del data, lf, raw, ends, second
+        yield counts, blanks, *_parse_columns(numbers, int(good)), sample, predictor
 
 
 def _csv_chunks(
@@ -337,13 +403,14 @@ def _line_of(row: int, blanks: list[int]) -> int:
     return line
 
 
-def _numbers(
-    t: list[str], value: list[str], counts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The ``t`` and ``value`` columns of a chunk; ValueError if some row
-    has a wrong field count or a ``t`` or ``value`` that is not finite."""
+def _numbers(t, value, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``t`` and ``value`` columns of a chunk, from the lists of their
+    texts or as the arrays already read; ValueError if some row has a wrong
+    field count or a ``t`` or ``value`` that is not finite."""
     if np.any(counts != 4):
         raise ValueError
+    if isinstance(t, np.ndarray):
+        return t, value
     t = np.fromiter(map(float, t), float, counts.size)
     value = np.fromiter(map(float, value), float, counts.size)
     if not (np.isfinite(t).all() and np.isfinite(value).all()):
@@ -352,12 +419,11 @@ def _numbers(
 
 
 def _first_fault(
-    path: str, t: list[str], value: list[str], counts: np.ndarray, first_row: int,
-    blanks: list[int],
+    path: str, t, value, counts: np.ndarray, first_row: int, blanks: list[int]
 ) -> tuple[int, DataError]:
     """The index in its chunk of the first faulty row, read row by row, and
     its error: a wrong field count, or a ``t`` or ``value`` that is not a
-    finite number."""
+    finite number. ``t`` and ``value`` are as :func:`_numbers` takes them."""
     for i, count in enumerate(counts.tolist()):
         line = _line_of(first_row + i, blanks)
         if count != 4:
@@ -464,14 +530,16 @@ def ingest_long_csv(
     every curve of the run has the same grid and per row otherwise. A CSV on
     one regular grid thus gives one block per predictor.
 
-    The curves file is read as bytes, in chunks of at most ``CHUNK_LINES``
-    lines, each checked as UTF-8 once. Each line's field count, and which
-    lines are blank, come from the byte positions of the chunk's newlines
-    and commas. Rows whose id bytes equal the row before's share its codes,
-    so the ids are decoded and looked up once per run of such rows; the
-    ``t`` and ``value`` fields are decoded and split together, with one
-    float conversion per column. Blank lines are accepted anywhere, trailing
-    ones included, at any file length.
+    The curves file is read as bytes in blocks, which are cut into chunks
+    of at most ``CHUNK_LINES`` lines, each checked as UTF-8 once. Each
+    line's field count, and which lines are blank, come from the byte
+    positions of the chunk's newlines and commas. Rows whose id bytes equal
+    the row before's share its codes, so the ids are decoded and looked up
+    once per run of such rows. numpy reads a chunk's ``t`` and ``value``
+    fields in one pass, with CPython's own parser; a chunk whose numbers
+    hold whitespace, an underscore, a non-ASCII digit or a fault is read
+    field by field with ``float()`` instead, with the same results. Blank
+    lines are accepted anywhere, trailing ones included, at any file length.
     A file holding a quote or a bare carriage return is read with the csv
     module instead; it gives the same results and is slower. Either way a
     fault is reported with the line of the first faulty row in the file (a

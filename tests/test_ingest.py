@@ -1,15 +1,18 @@
 """The chunked CSV reader against the per-row reference reader.
 
-``ingest_long_csv`` splits the curves file into chunks of lines and converts
-whole columns at once; ``oracles.ingest_reference`` reads one csv row at a
-time. On generated files the two must give the same ids and responses and,
-per sample and predictor, the same grid and values bit for bit. On a file
-with one fault they must raise the same message. ``CHUNK_LINES`` is drawn
-small, so chunk boundaries fall inside files of a few dozen lines.
+``ingest_long_csv`` reads the curves file in blocks, cuts them into chunks of
+lines and converts whole columns at once; ``oracles.ingest_reference`` reads
+one csv row at a time. On generated files the two must give the same ids and
+responses and, per sample and predictor, the same grid and values bit for
+bit. On a file with one fault they must raise the same message.
+``CHUNK_LINES`` and ``LINE_BYTES`` are drawn small, so chunk boundaries and
+read edges fall inside files of a few dozen lines.
 """
 
+import io
 import tempfile
 import tracemalloc
+import warnings
 from collections import deque
 from pathlib import Path
 from unittest import mock
@@ -45,7 +48,11 @@ layouts = st.fixed_dictionaries(
         "ids": st.sampled_from(["ascii", "non_ascii", "prefix", "long"]),
         "padded": st.sampled_from(["", " ", "\u00a0"]),
         "quoted": st.booleans(),
+        # the t, value and y fields padded with spaces
+        "spaced": st.booleans(),
         "chunk": st.integers(1, 40),
+        # reads of chunk * line_bytes bytes: 1 to 2,560
+        "line_bytes": st.integers(1, 64),
     }
 )
 FAULTS = (
@@ -109,8 +116,8 @@ def _tables(layout, rng):
 
 def _write(path: Path, header: str, rows, layout, rng) -> None:
     """Write ``rows`` under ``header`` as the layout asks: ids padded or
-    quoted (a quoted file is read through the csv module), blank lines at
-    random places, and LF or CRLF line ends."""
+    quoted (a quoted file is read through the csv module), numbers padded,
+    blank lines at random places, and LF or CRLF line ends."""
 
     ids = 2 if header == CURVES_HEADER else 1  # the leading id columns
 
@@ -118,6 +125,8 @@ def _write(path: Path, header: str, rows, layout, rng) -> None:
         is_id = column < ids
         if is_id:
             text = f"{layout['padded']}{text}{layout['padded']}"
+        elif layout.get("spaced"):
+            text = f" {text} "
         if is_id and layout["quoted"]:
             text = f'"{text}"'
         return text
@@ -129,14 +138,17 @@ def _write(path: Path, header: str, rows, layout, rng) -> None:
     path.write_bytes("".join(line + end for line in [header, *lines]).encode())
 
 
-def _inject(fault: str, rows, responses, rng) -> None:
-    """Put one fault of kind ``fault`` into the tables, at a random row."""
+def _inject(fault: str, rows, responses, rng, text: str | None = None) -> None:
+    """Put one fault of kind ``fault`` into the tables, at a random row; a
+    ``t_text`` or ``value_text`` fault writes ``text``, if given."""
     j = int(rng.integers(0, len(rows)))
     k = int(rng.integers(0, len(responses)))
     if fault == "field_count":
         rows[j] = rows[j][: int(rng.choice([1, 3]))] if rng.random() < 0.7 else rows[j] + ["1"]
     elif fault in ("t_text", "value_text"):
-        rows[j][2 if fault == "t_text" else 3] = str(rng.choice(["abc", "", "0x1p-2", "1..5"]))
+        if text is None:
+            text = str(rng.choice(["abc", "", "0x1p-2", "1..5", "  ", "\t"]))
+        rows[j][2 if fault == "t_text" else 3] = text
     elif fault in ("t_nan", "value_inf"):
         text = rng.choice(["nan", "-inf", "Infinity", "1e999"])
         rows[j][2 if fault == "t_nan" else 3] = str(text)
@@ -172,29 +184,41 @@ def _by_curve(curves) -> dict:
     return out
 
 
-def _read_both(directory: Path, chunk: int):
+def _read_both(directory: Path, chunk: int, line_bytes: int = cli.LINE_BYTES):
     """Each reader's result, or its DataError message."""
     paths = (str(directory / "curves.csv"), str(directory / "responses.csv"))
     results = []
     for reader in (cli.ingest_long_csv, ingest_reference):
         try:
-            with mock.patch.object(cli, "CHUNK_LINES", chunk):
+            with mock.patch.object(cli, "CHUNK_LINES", chunk), mock.patch.object(
+                cli, "LINE_BYTES", line_bytes
+            ):
                 results.append(reader(*paths))
         except DataError as exc:
             results.append(str(exc))
     return results
 
 
-def _run(layout, fault=None):
+def _run(layout, fault=None, text=None):
     rng = np.random.default_rng(layout["seed"])
     rows, responses = _tables(layout, rng)
     if fault is not None:
-        _inject(fault, rows, responses, rng)
+        _inject(fault, rows, responses, rng, text)
     with tempfile.TemporaryDirectory() as name:
         directory = Path(name)
         _write(directory / "curves.csv", CURVES_HEADER, rows, layout, rng)
         _write(directory / "responses.csv", RESPONSES_HEADER, responses, layout, rng)
-        return _read_both(directory, layout["chunk"])
+        return _read_both(directory, layout["chunk"], layout.get("line_bytes", cli.LINE_BYTES))
+
+
+def _assert_same(got, expected) -> None:
+    """The two readers gave the same message, or the same result."""
+    if isinstance(expected, str) or isinstance(got, str):
+        assert got == expected
+        return
+    assert got[2:] == expected[2:]
+    assert got[1].tobytes() == expected[1].tobytes()
+    assert _by_curve(got[0]) == _by_curve(expected[0])
 
 
 # chunks of one line, so each blank line is a chunk without data rows
@@ -233,11 +257,8 @@ ID_LAYOUTS = [
 @example(ID_LAYOUTS[3])
 def test_chunked_reader_matches_reference(layout):
     got, expected = _run(layout)
-    curves, y, sample_ids, predictor_ids = got
-    ref_curves, ref_y, ref_samples, ref_predictors = expected
-    assert (sample_ids, predictor_ids) == (ref_samples, ref_predictors)
-    assert y.tobytes() == ref_y.tobytes()
-    assert _by_curve(curves) == _by_curve(ref_curves)
+    assert not isinstance(expected, str), expected
+    _assert_same(got, expected)
 
 
 @property_settings
@@ -253,6 +274,108 @@ def test_single_fault_gives_reference_message(layout, fault):
     got, expected = _run(layout, fault)
     assert isinstance(expected, str), "the injected fault was not reported"
     assert got == expected
+
+
+# texts that numpy's one-pass read and float() could take differently:
+# float() reads "1_000" and "١" (an Arabic-Indic one), numpy reads a field of
+# whitespace as -1.0 and "nan(1)" as nan, and the rest test the edges of both
+NUMBER_TEXTS = ["1_000", "١", "nan(1)", "1.5e", "0x10", "1e400", ".5", "5.", "  ", "\t"]
+TEXT_LAYOUT = {"seed": 11, "samples": 4, "predictors": 2, "grids": "mixed",
+               "shuffle": False, "blank_lines": 1, "crlf": False, "ids": "ascii",
+               "padded": "", "quoted": False, "chunk": 6}
+
+
+@property_settings
+@given(layouts, st.sampled_from(["t", "value"]), st.sampled_from(NUMBER_TEXTS))
+@example(TEXT_LAYOUT, "value", "1_000")
+@example(TEXT_LAYOUT, "t", "١")
+@example(TEXT_LAYOUT, "value", "nan(1)")
+@example(TEXT_LAYOUT, "value", "1.5e")
+@example(TEXT_LAYOUT, "t", "0x10")
+@example(TEXT_LAYOUT, "value", "1e400")
+@example(TEXT_LAYOUT, "t", ".5")
+@example(TEXT_LAYOUT, "value", "5.")
+@example(TEXT_LAYOUT, "value", "  ")
+@example(TEXT_LAYOUT, "t", "\t")
+def test_number_text_gives_reference_result(layout, column, text):
+    _assert_same(*_run(layout, f"{column}_text", text))
+
+
+def test_numbers_are_read_in_one_pass_only_when_exact():
+    t, value = cli._parse_columns(b"0.5,-1e-3,.25,5.,", 2)
+    assert (t.tolist(), value.tolist()) == ([0.5, 0.25], [-1e-3, 5.0])
+    # too few numbers for the rows, spaces, an underscore and a nan: the
+    # texts, for float() to read
+    for numbers, rows, texts in [
+        (b"1,2,", 2, (["1"], ["2"])),
+        (b"1, 2,", 1, (["1"], [" 2"])),
+        (b"1,1_0,", 1, (["1"], ["1_0"])),
+        (b"1,nan(1),", 1, (["1"], ["nan(1)"])),
+    ]:
+        assert cli._parse_columns(numbers, rows) == texts
+
+
+@pytest.mark.parametrize("action", ["ignore", "error"])
+def test_partial_read_of_older_numpy_gives_texts(action):
+    # older numpy warns at an unread field and returns the numbers before it
+    def fromstring(numbers, sep):
+        warnings.warn("string could not be read to its end", DeprecationWarning, stacklevel=2)
+        return np.array([1.0])
+
+    with warnings.catch_warnings():
+        warnings.simplefilter(action, DeprecationWarning)
+        with mock.patch.object(cli.np, "fromstring", fromstring):
+            assert cli._parse_columns(b"1,2_0,", 1) == (["1"], ["2_0"])
+
+
+def test_lines_are_cut_after_every_chunk():
+    # lines of 0 to 300 bytes, some ending in CR LF, read 1 to 40 bytes at a
+    # time: lines straddle reads, some are longer than a read, and CR LF
+    # pairs fall on read edges. Each chunk but the last holds CHUNK_LINES
+    # whole lines, and the chunks give back the file
+    rng = np.random.default_rng(12)
+    lines = [b"x" * int(rng.integers(0, 300)) + rng.choice([b"\n", b"\r\n"])
+             for _ in range(60)]
+    data = b"".join(lines) + b"no final newline"
+    for chunk, line_bytes in [(1, 1), (1, 40), (2, 3), (3, 1), (5, 7), (7, 2), (60, 1)]:
+        with mock.patch.object(cli, "CHUNK_LINES", chunk), mock.patch.object(
+            cli, "LINE_BYTES", line_bytes
+        ):
+            pieces = list(cli._lines(io.BytesIO(data)))
+        assert b"".join(piece for piece, _ in pieces) == data
+        assert [piece.count(b"\n") for piece, _ in pieces] == [chunk] * (60 // chunk) + [
+            60 % chunk
+        ]
+        for piece, ends in pieces:
+            assert ends.tolist() == [i for i, byte in enumerate(piece) if byte == 10]
+
+
+@pytest.mark.parametrize("line_bytes", [1, 2, 5])
+@pytest.mark.parametrize("ids", ["ascii", "long"])
+def test_small_reads_match_reference(tmp_path, ids, line_bytes):
+    # a CRLF file with a byte order mark, in chunks of 3 lines read 3 to 15
+    # bytes at a time: every line straddles a read edge, a line of long ids
+    # spans hundreds of reads, and some CR LF pair falls on a read edge
+    layout = {"seed": 13, "samples": 4, "predictors": 2, "grids": "mixed",
+              "shuffle": False, "blank_lines": 2, "crlf": True, "ids": ids,
+              "padded": "", "quoted": False, "chunk": 3}
+    rng = np.random.default_rng(13)
+    rows, responses = _tables(layout, rng)
+    _write(tmp_path / "curves.csv", CURVES_HEADER, rows, layout, rng)
+    _write(tmp_path / "responses.csv", RESPONSES_HEADER, responses, layout, rng)
+    paths = (str(tmp_path / "curves.csv"), str(tmp_path / "responses.csv"))
+    expected = ingest_reference(*paths)  # which does not skip a byte order mark
+    path = tmp_path / "curves.csv"
+    body = path.read_bytes().split(b"\n", 1)[1]  # the reads start past the header
+    read = layout["chunk"] * line_bytes
+    assert any((at + 1) % read == 0 for at in range(len(body)) if body[at:at + 2] == b"\r\n")
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    with mock.patch.object(cli, "CHUNK_LINES", layout["chunk"]), mock.patch.object(
+        cli, "LINE_BYTES", line_bytes
+    ), mock.patch.object(cli, "_csv_chunks", wraps=cli._csv_chunks) as csv_chunks:
+        got = cli.ingest_long_csv(*paths)
+    assert not csv_chunks.called
+    _assert_same(got, expected)
 
 
 @pytest.mark.parametrize("quoted", [False, True])
