@@ -22,6 +22,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from itertools import chain, islice
@@ -129,6 +130,7 @@ class JobConfig:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
         if not 0 <= self.seed < 2**64:  # the Philox key is a uint64
             raise ValueError(f"--seed must lie in [0, 2**64), got {self.seed}")
+        SimScenario(c=self.c, n=self.n, seed=self.seed)  # the rules of --n and --c
         for predictor, (lo, hi) in self.domain_overrides.items():
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise ValueError(
@@ -314,14 +316,14 @@ def _plain_chunks(
     handle, path: str, samples: dict[str, int], predictors: dict[str, int]
 ):
     """The curves file past its header, split at newlines and commas, as
-    ``(counts, blanks, t, value, sample, predictor)`` per chunk of at most
-    CHUNK_LINES lines: each non-blank line's number of fields, the line
-    numbers of the blank lines, and for the lines before the first without
-    4 fields, the ``t`` and ``value`` columns (see :func:`_parse_columns`)
-    and the codes of the sample and predictor ids in ``samples`` and
-    ``predictors``. ``handle`` is binary. Raises :class:`_NotPlain` on a
-    quote or on a carriage return not followed by a newline, and
-    UnicodeDecodeError on a chunk that is not UTF-8."""
+    ``(blanks, t, value, sample, predictor, short)`` per chunk of at most
+    CHUNK_LINES lines: the line numbers of the blank lines; for the rows
+    before the first line without 4 fields, the ``t`` and ``value`` columns
+    (see :func:`_parse_columns`) and the codes of the ids in ``samples``
+    and ``predictors``; and that line's index among the chunk's data rows
+    and its field count, or None. ``handle`` is binary. Raises
+    :class:`_NotPlain` on a quote or on a carriage return not followed by a
+    newline, and UnicodeDecodeError on a chunk that is not UTF-8."""
 
     def plain(data: bytes) -> bytes:
         data.decode()  # a newline ends no character, so a chunk decodes alone
@@ -355,6 +357,7 @@ def _plain_chunks(
         starts, ends, before = starts[filled], ends[filled], before[filled]
         bad = np.flatnonzero(counts != 4)
         good = bad[0] if bad.size else counts.size
+        short = (int(good), int(counts[good])) if bad.size else None
         starts, ends, before = starts[:good], ends[:good], before[:good]
         # of the 3 commas of a row of 4 fields, the second ends its ids
         second = commas[before - 2]
@@ -369,7 +372,7 @@ def _plain_chunks(
         numbers = _segments(raw, second + 1, ends)  # "t,value," per row
         # freed before the numbers are read
         del data, lf, raw, ends, second
-        yield counts, blanks, *_parse_columns(numbers, int(good)), sample, predictor
+        yield blanks, *_parse_columns(numbers, int(good)), sample, predictor, short
 
 
 def _csv_chunks(
@@ -385,10 +388,11 @@ def _csv_chunks(
         rows = [row for row in rows if row]
         counts = np.fromiter(map(len, rows), np.intp, len(rows))
         bad = np.flatnonzero(counts != 4)
+        short = (int(bad[0]), int(counts[bad[0]])) if bad.size else None
         cells = list(chain.from_iterable(rows[: bad[0]] if bad.size else rows))
         yield (
-            counts, blanks, cells[2::4], cells[3::4],
-            _code(samples, cells[0::4]), _code(predictors, cells[1::4]),
+            blanks, cells[2::4], cells[3::4],
+            _code(samples, cells[0::4]), _code(predictors, cells[1::4]), short,
         )
 
 
@@ -403,37 +407,37 @@ def _line_of(row: int, blanks: list[int]) -> int:
     return line
 
 
-def _numbers(t, value, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ``t`` and ``value`` columns of a chunk, from the lists of their
-    texts or as the arrays already read; ValueError if some row has a wrong
-    field count or a ``t`` or ``value`` that is not finite."""
-    if np.any(counts != 4):
-        raise ValueError
+def _finite_rows(
+    path: str, t, value, first_row: int, blanks: list[int]
+) -> tuple[np.ndarray, np.ndarray, DataError | None]:
+    """A chunk's ``t`` and ``value`` columns, given as the arrays that
+    :func:`_parse_columns` read or as the lists of their texts: float arrays
+    of the rows before the first whose ``t`` or ``value`` is not a finite
+    number, and that row's error, or None. ``first_row`` counts the data
+    rows before the chunk. ``float()`` reads each column's texts once, up to
+    the first that it rejects."""
     if isinstance(t, np.ndarray):
-        return t, value
-    t = np.fromiter(map(float, t), float, counts.size)
-    value = np.fromiter(map(float, value), float, counts.size)
-    if not (np.isfinite(t).all() and np.isfinite(value).all()):
-        raise ValueError
-    return t, value
-
-
-def _first_fault(
-    path: str, t, value, counts: np.ndarray, first_row: int, blanks: list[int]
-) -> tuple[int, DataError]:
-    """The index in its chunk of the first faulty row, read row by row, and
-    its error: a wrong field count, or a ``t`` or ``value`` that is not a
-    finite number. ``t`` and ``value`` are as :func:`_numbers` takes them."""
-    for i, count in enumerate(counts.tolist()):
-        line = _line_of(first_row + i, blanks)
-        if count != 4:
-            return i, DataError(f"{path} line {line}: expected 4 fields, got {count}")
+        return t, value, None  # read only when every number is finite
+    columns, ends = [], []
+    for texts in (t, value):
+        numbers = []
         try:
-            _parse_float(t[i], path, line, "t")
-            _parse_float(value[i], path, line, "value")
-        except DataError as exc:
-            return i, exc
-    raise AssertionError("no faulty row in the chunk")
+            numbers.extend(map(float, texts))
+        except ValueError:  # the numbers before it stay in the list
+            pass
+        numbers = np.array(numbers, float)
+        bad = np.flatnonzero(~np.isfinite(numbers))
+        columns.append(numbers)
+        ends.append(int(bad[0]) if bad.size else numbers.size)  # the first faulty row
+    row = min(ends)
+    if row == len(t):
+        return *columns, None
+    column = ends.index(row)  # t before value in the same row
+    kind = "finite" if row < columns[column].size else "numeric"
+    return columns[0][:row], columns[1][:row], DataError(
+        f"{path} line {_line_of(first_row + row, blanks)}: field "
+        f"'{('t', 'value')[column]}' is not {kind}: {(t, value)[column][row]!r}"
+    )
 
 
 def _code(table: dict[str, int], ids: list[str]) -> np.ndarray:
@@ -462,29 +466,30 @@ def _read_points(path: str, chunks, handle):
     ``(sample_ids, predictor_ids, curve, t, value)``, where ``curve`` is
     ``predictor * len(sample_ids) + sample`` for the indices of a point's
     ids in the sorted id lists. ``chunks(handle, path, samples, predictors)``
-    yields the file's chunks, coding ids in those two tables. Reading stops
-    at the first row with a wrong field count or a bad number; a repeated
-    point before it is reported instead."""
+    yields the file's chunks, coding ids in those two tables, each cut
+    short at its first line without 4 fields. Reading stops at the first
+    row with a wrong field count or a bad number; a repeated point before
+    it is reported instead."""
     samples: dict[str, int] = {}
     predictors: dict[str, int] = {}
     parts = []  # (sample codes, predictor codes, t, value) per chunk
     blanks: list[int] = []
     rows = 0
     fault = None  # the error of the first faulty row
-    for counts, chunk_blanks, t, value, sample, predictor in chunks(
+    for chunk_blanks, t, value, sample, predictor, short in chunks(
         handle, path, samples, predictors
     ):
         blanks += chunk_blanks
-        try:
-            t, value = _numbers(t, value, counts)
-        except ValueError:
-            # keep the rows before the fault: a duplicate point among them
-            # comes first in the file, so it is the error reported
-            good, fault = _first_fault(path, t, value, counts, rows, blanks)
-            t, value = _numbers(t[:good], value[:good], counts[:good])
-            sample, predictor = sample[:good], predictor[:good]
-        parts.append((sample, predictor, t, value))
-        rows += sample.size
+        t, value, fault = _finite_rows(path, t, value, rows, blanks)
+        if fault is None and short is not None:  # a bad number comes before it
+            row, count = short
+            fault = DataError(
+                f"{path} line {_line_of(rows + row, blanks)}: expected 4 fields, got {count}"
+            )
+        # the rows before the fault are kept: a duplicate point among them
+        # comes first in the file, so it is the error reported
+        parts.append((sample[: t.size], predictor[: t.size], t, value))
+        rows += t.size
         if fault is not None:
             break
     if not rows:
@@ -541,11 +546,12 @@ def ingest_long_csv(
     field by field with ``float()`` instead, with the same results. Blank
     lines are accepted anywhere, trailing ones included, at any file length.
     A file holding a quote or a bare carriage return is read with the csv
-    module instead; it gives the same results and is slower. Either way a
-    fault is reported with the line of the first faulty row in the file (a
-    wrong field count, a bad number or a repeated point), counting the
-    header and blank lines. The points are ordered by two stable sorts: by
-    ``t``, then by the curve.
+    module instead; it gives the same results and is slower. Either way
+    reading stops at the first row with a wrong field count or a bad number,
+    and the first faulty row in the file (that one, or a repeated point
+    before it) is reported with its line, counting the header and blank
+    lines. The points are ordered by two stable sorts: by ``t``, then by
+    the curve.
     """
     # reading every file with the csv module, which makes a list per row,
     # made a select job on a 90,000-row file about a quarter slower
@@ -869,6 +875,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     run = {"select": run_select, "bootstrap": run_bootstrap, "simulate": run_simulate}
+    # a warning prints as its message alone: its code location moves with every edit
+    shown = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         run[config.mode](config)
     except (OSError, DataError) as exc:
@@ -881,6 +890,8 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        warnings.formatwarning = shown
     return EXIT_OK
 
 

@@ -20,10 +20,11 @@ the QR while their lower triangles fit in ``OUTER_FLOATS`` floats; past that
 bound, each H comes from the rows of Q scaled by the square roots of the
 counts, as many floats per resample as the design. Their fits come from one
 batched Cholesky factorization, one forward substitution and matrix
-products. No step inverts a general matrix. :func:`sample_qr` also fixes how
-many resamples a batch holds, from the floats of the batch's temporaries
-(``RESAMPLE_FLOATS``), and raises :class:`RankDeficiencyError` when R_zz has
-an exactly zero pivot, since then no resample could be fitted.
+products. No step inverts a general matrix. When the factorization raises,
+the caller fits the batch's resamples on their own rows. :func:`sample_qr`
+also fixes how many resamples a batch holds, from the floats of the batch's
+temporaries (``RESAMPLE_FLOATS``), and raises :class:`RankDeficiencyError`
+when R_zz has an exactly zero pivot, since then no resample could be fitted.
 """
 
 from __future__ import annotations
@@ -184,23 +185,6 @@ def _invert_lower(l: np.ndarray) -> np.ndarray:
     return m
 
 
-def _cholesky(h: np.ndarray, singular: np.ndarray) -> np.ndarray:
-    """Cholesky factors of a stack of H's. When the batched factorization
-    raises, each H is factored alone to find the ones that are not
-    numerically positive definite (data with repeated rows makes them); they
-    are set to I and marked in ``singular``, so the rest keep their fits."""
-    try:
-        return np.linalg.cholesky(h)
-    except np.linalg.LinAlgError:
-        for j in np.flatnonzero(~singular):
-            try:
-                np.linalg.cholesky(h[j])
-            except np.linalg.LinAlgError:
-                singular[j] = True
-                h[j] = np.eye(h.shape[1])
-        return np.linalg.cholesky(h)
-
-
 def fit_resamples(qr: SampleQR, idx: np.ndarray) -> ResampleFits:
     """Fits of the resamples whose row indices are the rows of ``idx``.
 
@@ -215,10 +199,12 @@ def fit_resamples(qr: SampleQR, idx: np.ndarray) -> ResampleFits:
     coefficients are R_zz^{-1} (r_zy + r_yy M' l), RSS is r_yy^2 l_yy^2 and
     V = R_zz^{-1} W R_zz^{-T} = G G' with G = R_zz^{-1} M'. A resample of at
     most k distinct rows has a singular H: its H is set to I before the
-    factorization and it is left uncertified, as is a resample whose H is
-    found not numerically positive definite by the factorization. The
-    batch's temporaries are the b x n counts, the S's when ``qr.outer`` is
-    None, the H's and L's and the k x k M's, G's and V's.
+    factorization and it is left uncertified. An H that is otherwise not
+    numerically positive definite (data with repeated rows can make one)
+    makes the batched factorization raise LinAlgError, for the caller to fit
+    the batch's resamples another way. The batch's temporaries are the b x n
+    counts, the S's when ``qr.outer`` is None, the H's and L's and the k x k
+    M's, G's and V's.
 
     A resample is certified when two bounds hold. ||H||_F ||H^{-1}||_F
     bounds the condition number of the whole (k+1) x (k+1) H; below
@@ -247,7 +233,7 @@ def fit_resamples(qr: SampleQR, idx: np.ndarray) -> ResampleFits:
         h = np.zeros((b, k + 1, k + 1))
         h[:, rows, cols] = counts @ qr.outer
     h[singular] = np.eye(k + 1)
-    l = _cholesky(h, singular)
+    l = np.linalg.cholesky(h)
     r_zy, r_yy = qr.r[:k, k], qr.r[k, k]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         m_inv = _invert_lower(l[:, :k, :k])

@@ -727,6 +727,32 @@ if scipy_modules():
     assert result.stdout.strip()  # the job printed its report
 
 
+def test_condition_warning_prints_its_message_alone(tmp_path):
+    # a warning shown, not recorded, prints as "warning: <message>", without
+    # the code's path and line, and main restores the formatter after the job
+    paths = small_files(tmp_path)
+    argv = ["--mode", "select", "--curves", str(paths["curves"]),
+            "--responses", str(paths["responses"]), "--basis-size", "5", "--q", "0.1"]
+    code = f"""
+import sys
+import warnings
+import funcsel.cli
+
+formatter = warnings.formatwarning
+if funcsel.cli.main({argv!r}) != 0:
+    sys.exit("select job failed")
+if warnings.formatwarning is not formatter:
+    sys.exit("the warning formatter was not restored")
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(funcsel.__file__).resolve().parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert "warning: parameter count k = " in result.stderr
+    assert ".py:" not in result.stderr
+
+
 class TestRunSimulate:
     def test_smoke_and_determinism(self, tmp_path):
         out1 = tmp_path / "sim1.json"
@@ -916,6 +942,8 @@ class TestExitCodes:
             ["--q", "0"],
             ["--q", "1"],
             ["--q", "1.5"],
+            ["--n", "10"],
+            ["--c", "nan"],
             # unknown keys, and values that fail the flag's own conversion
             ["--config", "repz = 50", "job.cfg line 1: unknown key 'repz'"],
             ["--config", "# comment\n\nbasis-sise = 8", "job.cfg line 3: unknown key 'basis-sise'"],
@@ -937,6 +965,10 @@ class TestExitCodes:
             flags = ["--config", str(config_path)]
         elif flags[0] == "--q":
             expected = "q must lie in (0, 1)"
+        elif flags[0] == "--n":
+            expected = "n must be >= 50"
+        elif flags[0] == "--c":
+            expected = "signal strength c must be finite"
         else:
             expected = f"{flags[0]} must be >="
         for mode in ("simulate", "bootstrap"):

@@ -409,22 +409,37 @@ def test_fault_after_blank_lines_in_other_chunks(tmp_path, quoted, fault, messag
 
 @pytest.mark.parametrize("quoted", [False, True])
 @pytest.mark.parametrize(
-    "bad, repeat_at, message",
+    "bad, other, at, message",
     [
-        (9, 3, "line 5: duplicate point for sample 's0', predictor 'p0', t=0.0"),
-        (1, 9, "line 3: field 'value' is not numeric: 'oops'"),
-        (2, 1, "line 3: duplicate point for sample 's0', predictor 'p0', t=0.0"),
+        (9, "duplicate", 3, "line 5: duplicate point for sample 's0', predictor 'p0', t=0.0"),
+        (1, "duplicate", 9, "line 3: field 'value' is not numeric: 'oops'"),
+        (2, "duplicate", 1, "line 3: duplicate point for sample 's0', predictor 'p0', t=0.0"),
+        (2, "field_count", 1, "line 3: expected 4 fields, got 3"),
+        (1, "field_count", 3, "line 3: field 'value' is not numeric: 'oops'"),
+        (8, "field_count", 2, "line 4: expected 4 fields, got 3"),
+        (2, "field_count", 6, "line 4: field 'value' is not numeric: 'oops'"),
+        (2, "t", 2, "line 4: field 't' is not numeric: 'x'"),
+        (3, "t", 1, "line 3: field 't' is not numeric: 'x'"),
+        (1, "t", 3, "line 3: field 'value' is not numeric: 'oops'"),
     ],
-    ids=["duplicate_then_value", "value_then_duplicate", "both_in_one_chunk"],
+    ids=["duplicate_then_value", "value_then_duplicate", "both_in_one_chunk",
+         "count_then_value_in_one_chunk", "value_then_count_in_one_chunk",
+         "count_then_value", "value_then_count", "t_and_value_in_one_row",
+         "t_then_value", "value_then_t"],
 )
-def test_first_of_two_faults_is_reported(tmp_path, quoted, bad, repeat_at, message):
+def test_first_of_two_faults_is_reported(tmp_path, quoted, bad, other, at, message):
     # chunks of 4 lines: 2-5, 6-9, 10-12. Row ``bad`` gets a bad value, then
-    # the first point is repeated at row ``repeat_at``; the earlier line wins.
+    # a repeat of the first point, or a row of 3 fields, is inserted at row
+    # ``at``, or row ``at`` gets a bad t; the earlier line wins, and on one
+    # line the t.
     layout = {"padded": "", "quoted": quoted, "blank_lines": 0, "crlf": False}
     rows = [[f"s{i}", "p0", repr(t), repr(float(i))]
             for i in range(2) for t in np.linspace(0.0, 1.0, 5).tolist()]
     rows[bad][3] = "oops"
-    rows.insert(repeat_at, rows[0][:3] + ["7.5"])
+    if other == "t":
+        rows[at][2] = "x"
+    else:
+        rows.insert(at, rows[0][:3] + (["7.5"] if other == "duplicate" else []))
     _write(tmp_path / "curves.csv", CURVES_HEADER, rows, layout, None)
     _write(tmp_path / "responses.csv", RESPONSES_HEADER, [["s0", "1"], ["s1", "2"]],
            layout, None)

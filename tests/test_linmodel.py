@@ -5,9 +5,11 @@ import pytest
 import scipy.linalg
 
 from funcsel import NumericalError, RankDeficiencyError, SampleSizeError, fit_ols
+from funcsel.cli import bootstrap_counts
 from funcsel.design import DesignMatrix
 from funcsel.inference import block_statistics
 from funcsel.inference import test_all as run_test_all
+from funcsel.inference import test_resamples as run_test_resamples
 from funcsel.linmodel import _invert_lower, fit_resamples, sample_qr
 from funcsel.simgen import SimScenario, coefficient_functions
 
@@ -20,6 +22,7 @@ from conftest import (
 from oracles import (
     block_size,
     block_slice,
+    bootstrap_loop,
     column_deletion_rss,
     fit_restricted,
     noncentrality,
@@ -179,12 +182,12 @@ class TestFitResamples:
         for j in (0, 1, 3, 4, 5):
             _assert_fits_match(fits, j, _explicit_fit(design, y, idx[j]), design.block_offsets)
 
-    def test_repeated_data_rows_leave_the_batch_certified(self):
+    def test_repeated_data_rows_refit_the_batch(self):
         # rows 20-39 repeat rows 0-19: resample 2 draws 20 distinct indices
         # but only 10 distinct rows, fewer than the k + 1 = 14 columns of
         # [Z | y], so its H is singular while passing the distinct-index
-        # screen; the batched Cholesky raises, and only that resample is
-        # left uncertified
+        # screen. The batched Cholesky raises, every resample of the batch
+        # is fitted on its own rows, and resample 2 fails there
         rng = np.random.default_rng(5)
         base, y_base = random_design(rng, 20, (6, 6))
         design = DesignMatrix(values=np.vstack([base.values] * 2),
@@ -192,15 +195,23 @@ class TestFitResamples:
         y = np.concatenate([y_base] * 2)
         idx = rng.integers(0, 40, size=(6, 40))
         idx[2] = np.concatenate([np.arange(10), np.arange(20, 30)])[np.arange(40) % 20]
+        qr = sample_qr(design, y)
         with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(np.stack([
-                np.column_stack([design.values, y])[rows].T
-                @ np.column_stack([design.values, y])[rows] for rows in idx
-            ]))
-        fits = fit_resamples(sample_qr(design, y), idx)
-        np.testing.assert_array_equal(fits.certified, np.arange(6) != 2)
+            fit_resamples(qr, idx)
+        statistics, p_values = run_test_resamples(qr, idx)
+        assert np.isnan(statistics[2]).all() and np.isnan(p_values[2]).all()
         for j in (0, 1, 3, 4, 5):
-            _assert_fits_match(fits, j, _explicit_fit(design, y, idx[j]), design.block_offsets)
+            resampled = DesignMatrix(values=design.values[idx[j]],
+                                     block_offsets=design.block_offsets)
+            np.testing.assert_allclose(
+                statistics[j], run_test_all(resampled, y[idx[j]])[0], rtol=1e-10
+            )
+        # one of these 200 resamples has fewer than 14 distinct rows, as
+        # resample 2 has
+        selected, failed = bootstrap_counts(design, y, "bc", 0.05, 200, 5)
+        expected_counts, expected_failed = bootstrap_loop(design, y, "bc", 0.05, 200, 5)
+        assert failed == expected_failed == 1
+        np.testing.assert_array_equal(selected, expected_counts)
 
     @pytest.mark.parametrize("kept", [0, 60])
     def test_outer_products_kept_only_within_bound(self, monkeypatch, kept):
