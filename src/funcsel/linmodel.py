@@ -35,6 +35,7 @@ import numpy as np
 
 from .design import DesignMatrix
 from .errors import RANK_RTOL, RankDeficiencyError, SampleSizeError, check_rank
+from .smoothing import _invert_lower
 
 __all__ = [
     "FitResult",
@@ -171,18 +172,6 @@ def sample_qr(design: DesignMatrix, y: np.ndarray) -> SampleQR:
         row_norms2=np.einsum("ij,ij->i", design.values, design.values),
         batch=max(1, RESAMPLE_FLOATS // (n + scaled + 2 * (k + 1) ** 2 + 3 * k**2)),
     )
-
-
-def _invert_lower(l: np.ndarray) -> np.ndarray:
-    """Inverses of a stack (b, k, k) of lower-triangular matrices, by forward
-    substitution: row i of L^{-1} from its rows above, one batched
-    vector-matrix product per row."""
-    m = np.zeros_like(l)
-    diag = 1.0 / np.diagonal(l, axis1=1, axis2=2)
-    for i in range(l.shape[1]):
-        m[:, i, :i] = (l[:, i, None, :i] @ m[:, :i, :i])[:, 0] * -diag[:, i, None]
-        m[:, i, i] = diag[:, i]
-    return m
 
 
 def fit_resamples(qr: SampleQR, idx: np.ndarray) -> ResampleFits:

@@ -7,8 +7,11 @@ such grid per row. A shared-grid block is smoothed with a single product
 ``values @ pinv.T`` against the pseudoinverse of the basis evaluated at its
 grid, which is cached by grid. A block of per-row grids is smoothed in
 chunks of rows whose basis matrices hold at most ``ROW_FLOATS`` floats, with
-one basis evaluation and one stacked SVD per chunk. Either way each row
-becomes the ordinary least-squares coefficient vector of its curve. A
+one basis evaluation and one stacked R-only QR of every row's [B | v] per
+chunk: the coefficients come from R by triangular substitution, and a bound
+on the condition number read off R certifies the rank check of every
+well-conditioned row, so that only the rows it cannot certify take an SVD. Either way each
+row becomes the ordinary least-squares coefficient vector of its curve. A
 dataset bundles the per-predictor coefficient matrices together with the
 scalar responses.
 """
@@ -34,8 +37,8 @@ __all__ = ["CurveBlock", "FunctionalDataset", "smooth_block", "build_dataset"]
 
 # floats in the basis matrices of one chunk of per-row grids smoothed
 # together (rows x G x num_basis), which sets the rows per chunk: the basis
-# matrices and the SVD's U of a whole block of r rows take r*G*num_basis
-# floats each, without bound
+# matrices of a whole block of r rows take r*G*num_basis floats, and the
+# [B | v] that the QR factors r*G*(num_basis + 1), without bound
 ROW_FLOATS = 2**19
 
 
@@ -137,9 +140,12 @@ def smooth_block(block: CurveBlock, spec: BasisSpec) -> np.ndarray:
     """Least-squares basis coefficients of every curve, shape (r, num_basis).
 
     A shared grid is smoothed through its cached pseudoinverse, per-row grids
-    through one stacked SVD per chunk of rows (see ``ROW_FLOATS``). An error
-    describes the first curve that cannot be smoothed, and its ``row``
-    attribute is that curve's row in the block (0 for a shared grid).
+    through one stacked R-only QR per chunk of rows (see ``ROW_FLOATS``),
+    whose R screens the rank check: a row it cannot certify gets the exact
+    check from its SVD, so the rows that raise are those whose basis fails
+    :func:`~funcsel.errors.check_rank`. An error describes the first curve
+    that cannot be smoothed, and its ``row`` attribute is that curve's row in
+    the block (0 for a shared grid).
     """
     grids = np.atleast_2d(block.grid)  # (1, G) for a shared grid
     if grids.shape[1] < spec.num_basis:
@@ -170,21 +176,71 @@ def smooth_block(block: CurveBlock, spec: BasisSpec) -> np.ndarray:
     return np.concatenate(parts)
 
 
+def _invert_lower(l: np.ndarray) -> np.ndarray:
+    """Inverses of a stack (b, k, k) of lower-triangular matrices, by forward
+    substitution: row i of L^{-1} from its rows above, one batched
+    vector-matrix product per row."""
+    m = np.zeros_like(l)
+    diag = 1.0 / np.diagonal(l, axis1=1, axis2=2)
+    for i in range(l.shape[1]):
+        m[:, i, :i] = (l[:, i, None, :i] @ m[:, :i, :i])[:, 0] * -diag[:, i, None]
+        m[:, i, i] = diag[:, i]
+    return m
+
+
 def _smooth_rows(
     spec: BasisSpec, grids: np.ndarray, values: np.ndarray, first: int
 ) -> np.ndarray:
     """:func:`smooth_block` of rows ``first``, ``first + 1``, ... of a block
-    of per-row grids."""
-    basis = evaluate_basis_matrix(spec, grids).reshape(*grids.shape, spec.num_basis)
-    u, sv, vt = np.linalg.svd(basis, full_matrices=False)
-    # the criterion of check_rank, row by row; it raises for the first failure
-    deficient = np.flatnonzero(sv[:, -1] / sv[:, 0] < RANK_RTOL)
-    if deficient.size:
-        row = int(deficient[0])
-        _check_basis_rank(sv[row], spec, grids[row], row=first + row)
-    # row i: V diag(1/s) U' v, the pseudoinverse of its basis applied to it
-    projected = (values[:, None, :] @ u)[:, 0, :] / sv
-    return (projected[:, None, :] @ vt)[:, 0, :]
+    of per-row grids.
+
+    Row i's [B | v] is factored by one R-only QR; with R_pp its leading
+    p x p block, the coefficients are R_pp^{-1} R[:p, p]. R_pp has the
+    singular values of B, and ||R_pp||_F ||R_pp^{-1}||_F bounds
+    sigma_max/sigma_min from above, so a row whose bound is below
+    0.5/RANK_RTOL passes the rank check (see below); every other row's B
+    gets the exact check, from its SVD.
+    """
+    p = spec.num_basis
+    basis = evaluate_basis_matrix(spec, grids).reshape(*grids.shape, p)
+    r = np.linalg.qr(np.concatenate([basis, values[:, :, None]], axis=2), mode="r")
+    r_pp = r[:, :p, :p]
+    # A zero pivot makes the inverse inf or NaN, and the bound NaN or inf,
+    # which the screen flags.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        inv_t = _invert_lower(r_pp.transpose(0, 2, 1))  # (R_pp^{-1})'
+        bound2 = np.einsum("bij,bij->b", r_pp, r_pp) * np.einsum("bij,bij->b", inv_t, inv_t)
+    # The factor 2 of the screen covers every rounding error between the
+    # bound and check_rank's ratio. Let u be the unit roundoff, tau =
+    # RANK_RTOL, and the computed bound below 1/(2 tau); the rounding of the
+    # two norms themselves is of order p u, relative, and is left out.
+    # - Substitution: column j of the computed X = (R_pp')^{-1} is a forward
+    #   substitution for L x = e_j, L = R_pp', so |L X - I| <= p u |L| |X|
+    #   to first order (Higham, Accuracy and Stability of Numerical
+    #   Algorithms, ch. 8). Then F = L X - I has ||F||_2 <= eta = p u/(2 tau),
+    #   about 3e-6 at p = 6, and ||R_pp^{-1}||_2 <= ||X||_F / (1 - eta), so
+    #   R_pp's ratio sigma_min/sigma_max is above rho = 2 tau (1 - eta).
+    # - QR: Householder QR of [B | v] has a columnwise backward error (ch.
+    #   19), so R_pp is the exact R factor of B + dB with ||dB||_F <= gamma
+    #   ||B||_F, gamma = c G p u for a small constant c. By Weyl's inequality
+    #   B's singular values are within gamma sqrt(p) sigma_max(B) of R_pp's,
+    #   so B's ratio is above rho (1 - gamma sqrt(p)) - gamma sqrt(p).
+    # - SVD: LAPACK's singular values of B are within c' u sigma_max(B) of
+    #   B's exact ones, for a small c'.
+    # So check_rank reads a ratio above about 2 tau - gamma sqrt(p) - c' u,
+    # which is at least tau while c G p^1.5 u < tau / 2: up to about
+    # 3e4 / c points per curve at p = 6 on these worst-case bounds, and far
+    # more on the errors met in practice, which grow like sqrt(G p) u.
+    flagged = np.flatnonzero(~(bound2 < 0.25 / RANK_RTOL**2))
+    if flagged.size:
+        sv = np.linalg.svd(basis[flagged], full_matrices=False)[1]
+        # the criterion of check_rank, row by row; it raises for the first failure
+        deficient = np.flatnonzero(sv[:, -1] / sv[:, 0] < RANK_RTOL)
+        if deficient.size:
+            row = int(flagged[deficient[0]])
+            _check_basis_rank(sv[deficient[0]], spec, grids[row], row=first + row)
+    # row i: R[:p, p]' (R_pp^{-1})' = (R_pp^{-1} R[:p, p])'
+    return (r[:, None, :p, p] @ inv_t)[:, 0]
 
 
 def build_dataset(

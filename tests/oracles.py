@@ -23,7 +23,8 @@ explicit fit, test and selection per resample, drawn one at a time.
 
 ``smooth_lstsq`` is the reference for the smoothing layer: one curve at a
 time, scipy's B-spline design matrix and ``lstsq``, sharing no code with the
-package's block smoother.
+package's block smoother. ``smooth_rows_lstsq`` applies it to every row of
+a block of per-row grids.
 
 ``evaluate_basis``, ``chisq_cdf`` and ``noncentral_chisq_cdf`` are scalar
 conveniences the tests call: the basis at one point, and scipy's central
@@ -187,6 +188,12 @@ def smooth_lstsq(grid: np.ndarray, values: np.ndarray, spec: BasisSpec) -> np.nd
     basis = BSpline.design_matrix(grid, spec.knot_array, spec.degree).toarray()
     coef, *_ = np.linalg.lstsq(basis, values, rcond=None)
     return coef
+
+
+def smooth_rows_lstsq(grids: np.ndarray, values: np.ndarray, spec: BasisSpec) -> np.ndarray:
+    """Least-squares basis coefficients of each row of a block of per-row
+    grids, one ``smooth_lstsq`` per row, shape (r, num_basis)."""
+    return np.array([smooth_lstsq(grid, row, spec) for grid, row in zip(grids, values)])
 
 
 def bootstrap_loop(

@@ -1,5 +1,6 @@
-"""Property-based checks of the likelihood-ratio statistics from ``test_all``
-and of the selection rules, one row of p-values or many at once.
+"""Property-based checks of the likelihood-ratio statistics from ``test_all``,
+of the selection rules, one row of p-values or many at once, and of the
+smoothing of blocks with one grid per row.
 
 The statistics are read off the single full fit; these properties hold for
 every design and response, so they are checked on random instances rather
@@ -8,15 +9,30 @@ suite, the same from run to run.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from funcsel import (
+    CurveBlock,
+    RankDeficiencyError,
+    evaluate_basis_matrix,
+    make_uniform_basis,
+    smooth_block,
+)
 from funcsel.design import DesignMatrix
+from funcsel.errors import check_rank
 from funcsel.inference import test_all as run_test_all
 from funcsel.selection import selection_mask
 
 from conftest import random_design
-from oracles import block_size, block_slice, column_deletion_rss, selected_by_loop
+from oracles import (
+    block_size,
+    block_slice,
+    column_deletion_rss,
+    selected_by_loop,
+    smooth_rows_lstsq,
+)
 
 REL_TOL = 1e-8
 
@@ -146,3 +162,62 @@ def test_array_rule_matches_per_row_selection(matrix_and_q):
             assert set(np.flatnonzero(chosen)) == expected
             # one row alone is the same rule
             np.testing.assert_array_equal(selection_mask(method, row, q), chosen)
+
+
+# seed, rows, points per curve, and {row: log10 of its point gap} for the
+# rows whose points come in near-coincident clusters (rows taken modulo the
+# row count)
+per_row_instances = st.tuples(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 12),
+    st.integers(6, 12),
+    st.dictionaries(st.integers(0, 11), st.floats(-14.0, -4.0), max_size=4),
+)
+
+
+@property_settings
+@given(per_row_instances)
+# rows 1 and 3 are well enough conditioned to pass the rank check but not to
+# pass the QR screen, so they take the exact check
+@example((1, 5, 8, {1: -9.8, 3: -9.7}))
+def test_per_row_block_matches_row_by_row_rank_check_and_lstsq(instance):
+    # A clustered row has its points in three clusters, one per knot span,
+    # each of points 10**exponent apart: no span is empty, and the ratio
+    # sigma_min/sigma_max of its basis falls with the gap, past RANK_RTOL
+    # below gaps of about 1e-10. The block must raise for exactly the blocks
+    # with a row that fails check_rank on its own SVD, naming the first such
+    # row, and otherwise give each row's least-squares coefficients.
+    seed, rows, points, gaps = instance
+    spec = make_uniform_basis(0.0, 1.0, degree=3, num_basis=6)
+    rng = np.random.default_rng(seed)
+    grids = np.tile(np.linspace(0.0, 1.0, points), (rows, 1))
+    grids[:, 1:-1] += rng.uniform(-0.02, 0.02, (rows, points - 2))
+    for row, exponent in gaps.items():
+        centres = rng.uniform([0.02, 0.36, 0.69], [0.3, 0.63, 0.97])
+        sizes = (points + 2 - np.arange(3)) // 3
+        grids[row % rows] = np.concatenate(
+            [c + 10.0**exponent * np.arange(size) for c, size in zip(centres, sizes)]
+        )
+    basis = evaluate_basis_matrix(spec, grids).reshape(rows, points, spec.num_basis)
+    truth = rng.normal(size=(rows, spec.num_basis))
+    values = (basis @ truth[:, :, None])[:, :, 0]
+    block = CurveBlock(grid=grids, values=values)
+    sv = [np.linalg.svd(b, full_matrices=False)[1] for b in basis]
+    failing = []
+    for row, s in enumerate(sv):
+        try:
+            check_rank(s, "basis")
+        except RankDeficiencyError:
+            failing.append(row)
+    if failing:
+        with pytest.raises(RankDeficiencyError) as caught:
+            smooth_block(block, spec)
+        assert caught.value.row == failing[0]
+        return
+    coefs = smooth_block(block, spec)
+    oracle = smooth_rows_lstsq(grids, values, spec)
+    # both solves are backward stable on data fitted exactly, so each is
+    # within a few cond * eps of the truth
+    cond = np.array([s[0] / s[-1] for s in sv])
+    gap = np.linalg.norm(coefs - oracle, axis=1)
+    assert np.all(gap <= 100 * cond * np.finfo(float).eps * np.linalg.norm(oracle, axis=1))

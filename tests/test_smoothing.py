@@ -147,7 +147,9 @@ class TestSmoothCurve:
 
 
 class TestPerRowBlock:
-    """A block with one grid per row: one basis evaluation and one stacked SVD."""
+    """A block with one grid per row: one basis evaluation and one stacked
+    QR of every row's [B | v] per chunk, whose R screens the rank check; the
+    rows it cannot certify take the exact check, from their SVD."""
 
     def _grids(self, rows, points, rng):
         grids = np.tile(np.linspace(0.0, 1.0, points), (rows, 1))
@@ -185,6 +187,41 @@ class TestPerRowBlock:
         with pytest.raises(error, match=rf"^sample 37, predictor 0: {message}"):
             build_dataset([[before, block]], np.zeros(50), [cubic_basis])
 
+    def _pairs(self, gap):
+        """A point pair in each of the three knot spans, ``gap`` apart."""
+        return (np.array([0.1, 0.5, 0.9])[:, None] + [0.0, gap]).ravel()
+
+    def test_near_coincident_rows_name_the_first(self, cubic_basis):
+        # rows 7 and 12 hold pairs 1e-13 apart, as in the one-row test
+        rng = np.random.default_rng(43)
+        grids = self._grids(20, 6, rng)
+        grids[7] = grids[12] = self._pairs(1e-13)
+        block = CurveBlock(grid=grids, values=rng.normal(size=grids.shape))
+        with pytest.raises(RankDeficiencyError, match="no single knot span is empty") as caught:
+            smooth_block(block, cubic_basis)
+        assert caught.value.row == 7
+
+    def test_row_the_screen_flags_but_the_rank_check_passes(self, cubic_basis):
+        # pairs 1.5e-10 apart: sigma_min/sigma_max of row 7's basis is about
+        # 2e-10, above RANK_RTOL, but its QR bound is above 0.5/RANK_RTOL, so
+        # that row alone takes the exact SVD check and is then smoothed
+        rng = np.random.default_rng(44)
+        grids = self._grids(20, 6, rng)
+        grids[7] = self._pairs(1.5e-10)
+        basis = evaluate_basis_matrix(cubic_basis, grids[7])
+        sv = np.linalg.svd(basis, compute_uv=False)
+        assert 1.5e-10 < sv[-1] / sv[0] < 3e-10
+        truth = rng.normal(size=(20, 6))
+        stacked = evaluate_basis_matrix(cubic_basis, grids).reshape(20, 6, 6)
+        values = np.einsum("rgp,rp->rg", stacked, truth)
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+            coefs = smooth_block(CurveBlock(grid=grids, values=values), cubic_basis)
+        assert [call.args[0].shape for call in svd.call_args_list] == [(1, 6, 6)]
+        np.testing.assert_array_equal(svd.call_args.args[0][0], basis)
+        expected, *_ = np.linalg.lstsq(basis, values[7], rcond=None)
+        cond = sv[0] / sv[-1]
+        gap = np.linalg.norm(coefs[7] - expected)
+        assert gap <= 100 * cond * np.finfo(float).eps * np.linalg.norm(expected)
 
     def test_row_chunks_match_one_chunk(self, cubic_basis):
         # chunks of 3 rows: 0-2, 3-5, 6-8, ..., 18-19; row 7 is in the third
