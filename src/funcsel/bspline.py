@@ -76,7 +76,8 @@ class BasisSpec:
     @property
     def breakpoints(self) -> np.ndarray:
         """Distinct knot values, i.e. the knot-span boundaries."""
-        return np.unique(self.knot_array)
+        kn = self.knot_array  # nondecreasing, so a repeat follows its first
+        return kn[np.append(True, kn[1:] != kn[:-1])]
 
 
 def make_uniform_basis(
@@ -138,9 +139,12 @@ def evaluate_basis_matrix(spec: BasisSpec, ts: np.ndarray) -> np.ndarray:
         values[j] = down[j - 1]
         values[1:j] = down[: j - 1] + up[1:j]
         values[0] = up[0]
-    out = np.zeros((ts.size, spec.num_basis))
-    out[np.arange(ts.size)[:, None], spans[:, None] + np.arange(-degree, 1)] = values.T
-    return out
+    # values[r] goes to column span - degree + r, through the flat view
+    out = np.zeros(ts.size * spec.num_basis)
+    first = np.arange(0, out.size, spec.num_basis) + spans - degree
+    for r in range(degree + 1):
+        out[first + r] = values[r]
+    return out.reshape(ts.size, spec.num_basis)
 
 
 @lru_cache(maxsize=256)

@@ -48,7 +48,7 @@ def p_value(statistic, dof) -> np.ndarray:
     dof = np.asarray(dof)
     if dof.dtype.kind not in "iu" or dof.min(initial=1) < 1:
         raise ValueError(f"dof must be positive integers, got {dof}")
-    distinct = np.unique(dof).tolist()
+    distinct = sorted(set(dof.ravel().tolist()))
     h, dof = np.broadcast_arrays(np.asarray(statistic, dtype=float) / 2.0, dof)
     tail = np.empty(h.shape)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -24,7 +24,7 @@ Randomness uses the counter-based Philox generator keyed by (seed, stream):
 replication j draws from stream j (training) and stream j + 2^32 (test set),
 so each replication's data is independent of how many replications run.
 ``_rng_for`` builds every such generator, the CLI bootstrap's included, and
-is where a seed outside [0, 2^64) is rejected.
+``_check_seed`` rejects a seed outside [0, 2^64), for it and SimScenario.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ class SimScenario:
     def __post_init__(self):
         if self.n < 50:
             raise ValueError(f"n must be >= 50, got {self.n}")
-        _rng_for(self.seed, 0)  # raises here on a seed outside the key range
+        _check_seed(self.seed)
         if not math.isfinite(self.c):
             raise ValueError(f"signal strength c must be finite, got {self.c}")
 
@@ -279,12 +279,17 @@ def _fill_curves(
     return out
 
 
-def _rng_for(seed: int, stream: int) -> np.random.Generator:
-    """The Philox generator keyed (seed, stream), the one place a seed
-    becomes a random stream. Raises ValueError unless 0 <= seed < 2**64,
-    the range of a uint64 key word."""
+def _check_seed(seed: int) -> None:
+    """Raises ValueError unless 0 <= seed < 2**64, the range of a uint64 key
+    word; unlike a call of :func:`_rng_for`, without importing numpy.random."""
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+
+
+def _rng_for(seed: int, stream: int) -> np.random.Generator:
+    """The Philox generator keyed (seed, stream), the one place a seed
+    becomes a random stream."""
+    _check_seed(seed)
     key = np.array([seed, stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 

@@ -139,6 +139,20 @@ class TestEvaluateBasis:
             sums = evaluate_basis_matrix(spec, ts).sum(axis=1)
             assert np.max(np.abs(sums - 1.0)) < 1e-12
 
+    @pytest.mark.parametrize("degree", range(4))
+    def test_each_row_is_nonzero_on_its_span_only(self, degree):
+        # a point in span j (knots[j] <= t < knots[j + 1], the last nonempty
+        # span at the right end) has its degree + 1 values in columns
+        # j - degree .. j, those of the recursion oracle, and zeros elsewhere
+        knots = (0.0,) * degree + (0.0, 0.1, 0.45, 0.5, 0.9, 1.0) + (1.0,) * degree
+        spec = BasisSpec(0.0, 1.0, degree, len(knots) - degree - 1, knots)
+        ts = np.unique(np.concatenate([knots, np.linspace(0.0, 1.0, 41)]))
+        for row, t in zip(evaluate_basis_matrix(spec, ts), ts):
+            span = max(j for j in range(degree, spec.num_basis) if knots[j] <= t)
+            assert np.all(np.delete(row, range(span - degree, span + 1)) == 0.0)
+            expected = [naive_bspline(knots, degree, j, t, 1.0) for j in range(spec.num_basis)]
+            assert row == pytest.approx(expected, abs=1e-12)
+
     def test_nonnegative(self):
         spec = make_uniform_basis(0.0, 1.0, degree=3, num_basis=8)
         ts = np.linspace(0.0, 1.0, 500)

@@ -694,7 +694,9 @@ def test_cli_import_leaves_scipy_linalg_unloaded():
 @pytest.mark.parametrize("mode", ["select", "simulate", "bootstrap"])
 def test_cli_job_loads_no_scipy(tmp_path, mode):
     # the package needs numpy only; importing scipy.special alone took
-    # 0.23-0.33 s on a 2-vCPU machine, more than a select job on a 300x6 CSV
+    # 0.23-0.33 s on a 2-vCPU machine, more than a select job on a 300x6 CSV.
+    # No job needs numpy.ma, and a select job draws no random numbers; each
+    # took 10-16 ms to import after numpy
     paths = small_files(tmp_path)
     files = ["--curves", str(paths["curves"]), "--responses", str(paths["responses"]),
              "--basis-size", "5"]
@@ -705,19 +707,23 @@ def test_cli_job_loads_no_scipy(tmp_path, mode):
         "bootstrap": ["--mode", "bootstrap", *files, "--q", "0.1",
                       "--bootstrap-b", "20", "--seed", "1"],
     }[mode]
+    unneeded = ["scipy", "numpy.ma"] + ["numpy.random"] * (mode == "select")
     code = f"""
 import sys
 import funcsel.cli
 
-def scipy_modules():
-    return sorted(name for name in sys.modules if name.startswith("scipy"))
+def unneeded_modules():
+    return sorted(
+        name for name in sys.modules
+        if any(name == top or name.startswith(top + ".") for top in {unneeded!r})
+    )
 
-if scipy_modules():
-    sys.exit(f"import funcsel.cli loaded {{scipy_modules()}}")
+if unneeded_modules():
+    sys.exit(f"import funcsel.cli loaded {{unneeded_modules()}}")
 if funcsel.cli.main({argv!r}) != 0:
     sys.exit("{mode} job failed")
-if scipy_modules():
-    sys.exit(f"{mode} job loaded {{scipy_modules()}}")
+if unneeded_modules():
+    sys.exit(f"{mode} job loaded {{unneeded_modules()}}")
 """
     env = {**os.environ, "PYTHONPATH": str(Path(funcsel.__file__).resolve().parents[1])}
     result = subprocess.run(

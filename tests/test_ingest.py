@@ -102,6 +102,13 @@ def _tables(layout, rng):
                 rows.append(
                     [sample, _name(layout, "p", m), repr(float(t)), repr(float(value)), k]
                 )
+    edit = layout.get("edit")  # one curve's t edited, before the rows are reordered
+    if edit == "late_swap":  # the last two points of the last curve
+        rows[-2][2:4], rows[-1][2:4] = rows[-1][2:4], rows[-2][2:4]
+    elif edit is not None:  # a middle curve's second point: the third's t, or -0.0
+        seconds = [j for j, row in enumerate(rows) if row[4] == 1]
+        j = seconds[len(seconds) // 2]
+        rows[j][2] = rows[j + 1][2] if edit == "repeat" else "-0.0"  # after t = 0.0
     if layout.get("interleave"):
         rows.sort(key=lambda row: row[4])  # stable: by point, then sample and predictor
     rows = [row[:4] for row in rows]
@@ -247,8 +254,25 @@ ID_LAYOUTS = [
 ]
 
 
+# files whose curves all list their points in increasing t, but for one
+# curve, so the reader must sort that curve by t: its last two points
+# swapped late in the file, or two adjacent points with equal t, one of
+# them 0.0 and the other -0.0 or not. The last two are faults
+EDIT_LAYOUTS = {
+    (edit, quoted): {
+        "seed": 12, "samples": 7, "predictors": 2, "grids": "mixed", "shuffle": False,
+        "blank_lines": 1, "crlf": False, "ids": "ascii", "padded": "", "quoted": quoted,
+        "chunk": 9, "edit": edit,
+    }
+    for edit in ("late_swap", "repeat", "signed_zero")
+    for quoted in (False, True)
+}
+
+
 @property_settings
 @given(layouts)
+@example(EDIT_LAYOUTS["late_swap", False])
+@example(EDIT_LAYOUTS["late_swap", True])
 @example(ONE_LINE_CHUNKS[0])
 @example(ONE_LINE_CHUNKS[1])
 @example(ID_LAYOUTS[0])
@@ -267,6 +291,11 @@ def test_chunked_reader_matches_reference(layout):
 @example(ONE_LINE_CHUNKS[1], "value_text")
 @example(ID_LAYOUTS[0], "duplicate")
 @example(ID_LAYOUTS[2], "t_text")
+@example(EDIT_LAYOUTS["late_swap", False], "duplicate")
+@example(EDIT_LAYOUTS["repeat", False], "missing_response")
+@example(EDIT_LAYOUTS["repeat", True], "y_text")
+@example(EDIT_LAYOUTS["signed_zero", False], "orphan_response")
+@example(EDIT_LAYOUTS["signed_zero", True], "missing_response")
 def test_single_fault_gives_reference_message(layout, fault):
     # with one sample, deleting a (sample, predictor) pair deletes the
     # predictor's only curve: the predictor is then absent, which is no fault
