@@ -59,11 +59,11 @@ _OVERRIDES = ("basis_size", "degree", "domain")
 # lines of the curves file split and converted at a time. On a 90,000-row
 # file, an ingest in chunks of 4,096 and 1,024 lines took 3% and 13% more
 # CPU time than in chunks of 16,384, and raised the peak RSS by 7.8 and 7.4
-# MB, against 10.0 MB. But after 4,096-line chunks, glibc trimmed the heap
-# under the bootstrap's batch arrays after each batch, and faulted them in
-# again, in 52 of 80 jobs (the 3rd to 12th of 8 processes): 26,700 more page
-# faults a job, and about a quarter more CPU time in bootstrap_counts. After
-# 16,384-line chunks it did so in 1 of 80.
+# MB, against 10.0 MB. The chunk size does not change how the bootstrap
+# after the ingest pages, since its batches reuse one workspace: over 8
+# processes of 10 jobs, bootstrap_counts took 1,727 minor faults in each
+# first job and at most 982 in the later ones after 16,384-line chunks, and
+# 2,108 and at most 1,182 after 4,096-line chunks.
 CHUNK_LINES = 16384
 # bytes read from the curves file at a time, per line of a chunk: 256 KiB
 # for 16,384-line chunks, a third of a chunk of 47-byte lines, so the memory
@@ -137,7 +137,13 @@ class JobConfig:
                     f"domain.{predictor} must be finite with lo < hi, got {lo}:{hi}"
                 )
         if self.q != "auto":
-            check_q(float(self.q))
+            try:
+                q = float(self.q)
+            except ValueError:
+                raise ValueError(
+                    f"--q must be a number in (0, 1) or 'auto', got {self.q!r}"
+                ) from None
+            check_q(q)
 
     def basis_of(self, predictor: str | None) -> tuple[int, int]:
         """(degree, basis size) of a predictor; None gives the flags' values."""

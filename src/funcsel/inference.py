@@ -115,8 +115,10 @@ def test_resamples(qr: SampleQR, idx: np.ndarray) -> tuple[np.ndarray, np.ndarra
     try:
         fits = fit_resamples(qr, idx)
         ok = fits.certified
-        statistics[ok] = block_statistics(
-            fits.coefficients[ok], fits.covariance[ok], fits.sigma2_tilde[ok], offsets
+        # a slice when every resample is certified: a mask would copy the V's
+        rows = slice(None) if ok.all() else ok
+        statistics[rows] = block_statistics(
+            fits.coefficients[rows], fits.covariance[rows], fits.sigma2_tilde[rows], offsets
         )
     except (np.linalg.LinAlgError, NumericalError):
         ok = np.zeros(len(idx), bool)

@@ -23,8 +23,14 @@ batched Cholesky factorization, one forward substitution and matrix
 products. No step inverts a general matrix. When the factorization raises,
 the caller fits the batch's resamples on their own rows. :func:`sample_qr`
 also fixes how many resamples a batch holds, from the floats of the batch's
-temporaries (``RESAMPLE_FLOATS``), and raises :class:`RankDeficiencyError`
-when R_zz has an exactly zero pivot, since then no resample could be fitted.
+temporaries (``RESAMPLE_FLOATS``), and allocates those temporaries once
+(:class:`BatchWork`): every batch of a job writes into the same arrays, so
+the C allocator does not hand megabytes back to the system after one batch
+only to fault them in again for the next. It maps each row of [Z | y] to the
+first row equal to it, so that a resample's distinct rows, not its distinct
+indices, decide whether its H is singular. And it raises
+:class:`RankDeficiencyError` when R_zz has an exactly zero pivot, since then
+no resample could be fitted.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from .errors import RANK_RTOL, RankDeficiencyError, SampleSizeError, check_rank
 from .smoothing import _invert_lower
 
 __all__ = [
+    "BatchWork",
     "FitResult",
     "ResampleFits",
     "SampleQR",
@@ -61,7 +68,10 @@ OUTER_FLOATS = 2**20
 # per resample, n row counts, the n x (k+1) scaled rows of Q when no outer
 # products are kept, the (k+1) x (k+1) H and its Cholesky factor L, and the
 # k x k M = L_zz^{-1}, G and V of fit_resamples. That is 71 resamples at
-# n = 300 and k = 37, where larger batches ran no faster
+# n = 300 and k = 37, where larger batches ran no faster. The counts, H, M and
+# G (and the products of the counts with the outer products, which this count
+# leaves out) live in the job's BatchWork; L, V and the scaled rows are new in
+# each batch
 RESAMPLE_FLOATS = 2**19
 
 
@@ -102,6 +112,23 @@ def fit_ols(design: DesignMatrix, y: np.ndarray) -> FitResult:
 
 
 @dataclass(frozen=True, eq=False)
+class BatchWork:
+    """The arrays that :func:`fit_resamples` writes a batch's temporaries
+    into, each with room for ``SampleQR.batch`` resamples: the row counts
+    (batch, n), the lower triangles of the H's (batch, (k+1)(k+2)/2) as one
+    product of the counts with ``SampleQR.outer`` (None when that is None),
+    the H's themselves (batch, k+1, k+1), whose strict upper triangles stay
+    zero, and the k x k M's and transposed G's. :func:`sample_qr` makes one
+    for each :class:`SampleQR`."""
+
+    counts: np.ndarray
+    tri: np.ndarray | None
+    h: np.ndarray
+    m: np.ndarray
+    g_t: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
 class SampleQR:
     """One reduced QR of the full sample, [Z | y] = Q R, kept for refits.
 
@@ -110,9 +137,12 @@ class SampleQR:
     the lower triangle of H = Q' diag(c) Q. ``outer`` is None when the
     products of all n rows do not fit in ``OUTER_FLOATS`` floats; ``q`` is
     Q. ``r_inv`` is the inverse of the design block R_zz. ``row_norms2``
-    holds the squared norms of the design rows. ``batch`` is the number of
-    resamples to pass to :func:`fit_resamples` at a time, the most whose
-    temporaries fit in ``RESAMPLE_FLOATS`` floats (at least 1).
+    holds the squared norms of the design rows. ``first_copy[i]`` is the
+    first row of [Z | y] equal to row i (i itself when no earlier row is).
+    ``batch`` is the most resamples to pass to :func:`fit_resamples` at a
+    time, the most whose temporaries fit in ``RESAMPLE_FLOATS`` floats (at
+    least 1), and ``work`` holds those temporaries from one batch to the
+    next.
     """
 
     design: DesignMatrix
@@ -122,7 +152,9 @@ class SampleQR:
     r: np.ndarray
     r_inv: np.ndarray
     row_norms2: np.ndarray
+    first_copy: np.ndarray
     batch: int
+    work: BatchWork
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,7 +183,8 @@ def sample_qr(design: DesignMatrix, y: np.ndarray) -> SampleQR:
     n, k = design.values.shape
     if n <= k:
         raise SampleSizeError(f"need n > k, got n={n}, k={k}")
-    q, r = np.linalg.qr(np.column_stack([design.values, y]))
+    data = np.column_stack([design.values, y])
+    q, r = np.linalg.qr(data)
     rows, cols = np.tril_indices(k + 1)
     outer = None
     if n * rows.size <= OUTER_FLOATS:
@@ -161,7 +194,15 @@ def sample_qr(design: DesignMatrix, y: np.ndarray) -> SampleQR:
         r_inv = np.asfortranarray(np.linalg.inv(r[:k, :k]))
     except np.linalg.LinAlgError:
         raise RankDeficiencyError("design matrix is exactly singular") from None
+    # equal rows are adjacent in lexicographic order, each run in index order
+    order = np.lexsort(data.T)
+    ordered = data[order]
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    first_copy = np.empty(n, dtype=np.intp)
+    first_copy[order] = order[starts][np.cumsum(starts) - 1]
     scaled = n * (k + 1) if outer is None else 0
+    batch = max(1, RESAMPLE_FLOATS // (n + scaled + 2 * (k + 1) ** 2 + 3 * k**2))
     return SampleQR(
         design=design,
         y=y,
@@ -170,16 +211,27 @@ def sample_qr(design: DesignMatrix, y: np.ndarray) -> SampleQR:
         r=r,
         r_inv=r_inv,
         row_norms2=np.einsum("ij,ij->i", design.values, design.values),
-        batch=max(1, RESAMPLE_FLOATS // (n + scaled + 2 * (k + 1) ** 2 + 3 * k**2)),
+        first_copy=first_copy,
+        batch=batch,
+        work=BatchWork(
+            counts=np.empty((batch, n)),
+            tri=None if outer is None else np.empty((batch, rows.size)),
+            h=np.zeros((batch, k + 1, k + 1)),
+            m=np.zeros((batch, k, k)),
+            g_t=np.empty((batch, k, k)),
+        ),
     )
 
 
 def fit_resamples(qr: SampleQR, idx: np.ndarray) -> ResampleFits:
-    """Fits of the resamples whose row indices are the rows of ``idx``.
+    """Fits of the resamples whose row indices are the rows of ``idx``, at
+    most ``qr.batch`` of them.
 
-    Resample j weights row i of the sample by its count c_i in ``idx[j]``;
-    the lower triangles of all the H = Q' diag(c) Q are one product of the
-    b x n counts with ``qr.outer`` or, when it is None, each H is S'S with
+    Resample j weights row i of the sample by its count c_i in ``idx[j]``,
+    where the draws of rows equal to row i count at the first of them
+    (``qr.first_copy``), whose row of Q they share. The lower triangles of
+    all the H = Q' diag(c) Q are one product of the b x n counts with
+    ``qr.outer`` or, when it is None, each H is S'S with
     S = diag(c)^{1/2} Q. Each H = L L' is factored by one batched Cholesky.
     With H partitioned as [[H_zz, h_zy], [h_zy', h_yy]], L_zz is the factor
     of H_zz, the last row of L is [l', l_yy] with L_zz l = h_zy, and the
@@ -189,11 +241,12 @@ def fit_resamples(qr: SampleQR, idx: np.ndarray) -> ResampleFits:
     V = R_zz^{-1} W R_zz^{-T} = G G' with G = R_zz^{-1} M'. A resample of at
     most k distinct rows has a singular H: its H is set to I before the
     factorization and it is left uncertified. An H that is otherwise not
-    numerically positive definite (data with repeated rows can make one)
-    makes the batched factorization raise LinAlgError, for the caller to fit
-    the batch's resamples another way. The batch's temporaries are the b x n
-    counts, the S's when ``qr.outer`` is None, the H's and L's and the k x k
-    M's, G's and V's.
+    numerically positive definite makes the batched factorization raise
+    LinAlgError, for the caller to fit the batch's resamples another way.
+    The b x n counts, their product with ``qr.outer``, the H's and the k x k
+    M's and G's are written into ``qr.work``, which the next call
+    overwrites; the S's when ``qr.outer`` is None, the L's and the returned
+    arrays are new, and the L's are released before the V's are formed.
 
     A resample is certified when two bounds hold. ||H||_F ||H^{-1}||_F
     bounds the condition number of the whole (k+1) x (k+1) H; below
@@ -210,25 +263,33 @@ def fit_resamples(qr: SampleQR, idx: np.ndarray) -> ResampleFits:
     """
     b, n = idx.shape
     k = qr.r_inv.shape[0]
+    if b > qr.batch:
+        raise ValueError(f"got {b} resamples; at most qr.batch = {qr.batch} fit at a time")
+    work = qr.work
     rows, cols = np.tril_indices(k + 1)
-    counts = np.bincount(
-        (idx + n * np.arange(b)[:, None]).ravel(), minlength=b * n
-    ).reshape(b, n).astype(float)
+    counts = work.counts[:b]
+    counts[...] = np.bincount(
+        (qr.first_copy[idx] + n * np.arange(b)[:, None]).ravel(), minlength=b * n
+    ).reshape(b, n)
     singular = np.count_nonzero(counts, axis=1) <= k
+    h = work.h[:b]
     if qr.outer is None:
         scaled = np.sqrt(counts)[:, :, None] * qr.q
-        h = np.tril(scaled.transpose(0, 2, 1) @ scaled)
+        np.matmul(scaled.transpose(0, 2, 1), scaled, out=h)
+        upper_rows, upper_cols = np.triu_indices(k + 1, 1)
+        h[:, upper_rows, upper_cols] = 0.0
     else:
-        h = np.zeros((b, k + 1, k + 1))
-        h[:, rows, cols] = counts @ qr.outer
+        h[:, rows, cols] = np.matmul(counts, qr.outer, out=work.tri[:b])
     h[singular] = np.eye(k + 1)
     l = np.linalg.cholesky(h)
     r_zy, r_yy = qr.r[:k, k], qr.r[k, k]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        m_inv = _invert_lower(l[:, :k, :k])
+        m_inv = _invert_lower(l[:, :k, :k], out=work.m[:b])
         w_h = (l[:, k, None, :k] @ m_inv)[:, 0]
         schur = l[:, k, k] ** 2
-        g_t = (m_inv.reshape(b * k, k) @ qr.r_inv.T).reshape(b, k, k)  # G'
+        del l  # spent: V can take its memory
+        g_t = work.g_t[:b]  # G'
+        np.matmul(m_inv.reshape(b * k, k), qr.r_inv.T, out=g_t.reshape(b * k, k))
         h_norm = np.sqrt(  # of the symmetric H, from its lower triangle
             2 * np.einsum("bij,bij->b", h, h) - np.einsum("bii,bii->b", h, h)
         )

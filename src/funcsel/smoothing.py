@@ -176,11 +176,13 @@ def smooth_block(block: CurveBlock, spec: BasisSpec) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _invert_lower(l: np.ndarray) -> np.ndarray:
+def _invert_lower(l: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Inverses of a stack (b, k, k) of lower-triangular matrices, by forward
     substitution: row i of L^{-1} from its rows above, one batched
-    vector-matrix product per row."""
-    m = np.zeros_like(l)
+    vector-matrix product per row. They are written into ``out`` when it is
+    given, which must hold zeros above its diagonals, as any earlier result
+    of this function does; only the lower triangles are written."""
+    m = np.zeros_like(l) if out is None else out
     diag = 1.0 / np.diagonal(l, axis1=1, axis2=2)
     for i in range(l.shape[1]):
         m[:, i, :i] = (l[:, i, None, :i] @ m[:, :i, :i])[:, 0] * -diag[:, i, None]

@@ -948,6 +948,8 @@ class TestExitCodes:
             ["--q", "0"],
             ["--q", "1"],
             ["--q", "1.5"],
+            ["--q", "abc"],
+            ["--config", "q = abc", "--q must be a number in (0, 1) or 'auto', got 'abc'"],
             ["--n", "10"],
             ["--c", "nan"],
             # unknown keys, and values that fail the flag's own conversion
@@ -969,6 +971,8 @@ class TestExitCodes:
             config_path.write_text(flags[1] + "\n")
             expected = flags[2]
             flags = ["--config", str(config_path)]
+        elif flags == ["--q", "abc"]:
+            expected = "--q must be a number in (0, 1) or 'auto', got 'abc'"
         elif flags[0] == "--q":
             expected = "q must lie in (0, 1)"
         elif flags[0] == "--n":

@@ -5,13 +5,13 @@ import pytest
 import scipy.linalg
 
 from funcsel import NumericalError, RankDeficiencyError, SampleSizeError, fit_ols
-from funcsel.cli import bootstrap_counts
+from funcsel.cli import _resample_indices, bootstrap_counts
 from funcsel.design import DesignMatrix
 from funcsel.inference import block_statistics
 from funcsel.inference import test_all as run_test_all
 from funcsel.inference import test_resamples as run_test_resamples
 from funcsel.linmodel import _invert_lower, fit_resamples, sample_qr
-from funcsel.simgen import SimScenario, coefficient_functions
+from funcsel.simgen import SimScenario, _rng_for, coefficient_functions
 
 from conftest import (
     project_coefficients,
@@ -168,6 +168,22 @@ class TestFitResamples:
             np.testing.assert_allclose(m, expected, rtol=1e-12, atol=1e-13 * np.abs(expected).max())
             assert not np.triu(m, 1).any()
 
+    @pytest.mark.parametrize("k", [3, 13])
+    def test_invert_lower_into_a_used_buffer(self, k):
+        # the buffer holds the inverses of an earlier stack, as a batch
+        # workspace does from one batch to the next
+        rng = np.random.default_rng(k)
+        first, second = (
+            np.linalg.cholesky(a.transpose(0, 2, 1) @ a) for a in rng.normal(size=(2, 5, 2 * k, k))
+        )
+        buffer = _invert_lower(first)
+        m = _invert_lower(second, out=buffer)
+        assert m is buffer
+        expected = np.linalg.inv(second)
+        np.testing.assert_allclose(m, expected, rtol=1e-12, atol=1e-13 * np.abs(expected).max())
+        np.testing.assert_array_equal(m, _invert_lower(second))
+        assert not np.triu(m, 1).any()
+
     @pytest.mark.parametrize("distinct", [3, 13])
     def test_few_distinct_rows_leave_the_batch_certified(self, distinct):
         # a resample of at most k = 13 distinct rows has a singular H; the
@@ -185,9 +201,9 @@ class TestFitResamples:
     def test_repeated_data_rows_refit_the_batch(self):
         # rows 20-39 repeat rows 0-19: resample 2 draws 20 distinct indices
         # but only 10 distinct rows, fewer than the k + 1 = 14 columns of
-        # [Z | y], so its H is singular while passing the distinct-index
-        # screen. The batched Cholesky raises, every resample of the batch
-        # is fitted on its own rows, and resample 2 fails there
+        # [Z | y], so its H is singular. The screen counts distinct rows,
+        # not indices, so it sets that H to I and the batch's Cholesky does
+        # not raise; resample 2 alone is fitted on its own rows, and fails
         rng = np.random.default_rng(5)
         base, y_base = random_design(rng, 20, (6, 6))
         design = DesignMatrix(values=np.vstack([base.values] * 2),
@@ -196,8 +212,7 @@ class TestFitResamples:
         idx = rng.integers(0, 40, size=(6, 40))
         idx[2] = np.concatenate([np.arange(10), np.arange(20, 30)])[np.arange(40) % 20]
         qr = sample_qr(design, y)
-        with pytest.raises(np.linalg.LinAlgError):
-            fit_resamples(qr, idx)
+        np.testing.assert_array_equal(fit_resamples(qr, idx).certified, np.arange(6) != 2)
         statistics, p_values = run_test_resamples(qr, idx)
         assert np.isnan(statistics[2]).all() and np.isnan(p_values[2]).all()
         for j in (0, 1, 3, 4, 5):
@@ -212,6 +227,71 @@ class TestFitResamples:
         expected_counts, expected_failed = bootstrap_loop(design, y, "bc", 0.05, 200, 5)
         assert failed == expected_failed == 1
         np.testing.assert_array_equal(selected, expected_counts)
+
+    def test_reused_workspace_matches_per_resample_oracle(self):
+        # k = 37 and n = 60: batches of 74, so B = 200 ends in a short batch
+        # of 52, and about half the resamples have at most k distinct rows.
+        # Their H is set to I in the workspace that the batch before left
+        # full of other H's
+        rng = np.random.default_rng(60)
+        z = np.column_stack([np.ones(60), rng.normal(size=(60, 36))])
+        y = z[:, 1:7].sum(axis=1) + rng.normal(size=60)
+        design = DesignMatrix(values=z, block_offsets=(1, 7, 13, 19, 25, 31, 37))
+        qr = sample_qr(design, y)
+        chunks = list(_resample_indices(_rng_for(3, 0), 60, 200, qr.batch))
+        assert [len(idx) for idx in chunks] == [74, 74, 52]
+        for idx in chunks:
+            singular = np.array([np.unique(rows).size <= design.k for rows in idx])
+            assert singular.any() and not singular.all()
+            fits = fit_resamples(qr, idx)
+            assert not fits.certified[singular].any()
+            assert (qr.work.h[: len(idx)][singular] == np.eye(design.k + 1)).all()
+        selected, failed = bootstrap_counts(design, y, "bc", 0.05, 200, 3)
+        expected_counts, expected_failed = bootstrap_loop(design, y, "bc", 0.05, 200, 3)
+        assert 0 < failed == expected_failed < 200
+        np.testing.assert_array_equal(selected, expected_counts)
+
+    def test_fits_outlive_the_next_batch(self):
+        # a batch's fits hold no view of the workspace that the next batch
+        # overwrites
+        rng = np.random.default_rng(11)
+        design, y = random_design(rng, 60, (6, 6, 6))
+        qr = sample_qr(design, y)
+        first, second = rng.integers(0, 60, size=(2, 8, 60))
+        fits = fit_resamples(qr, first)
+        kept = {name: getattr(fits, name).copy() for name in vars(fits)}
+        fit_resamples(qr, second)
+        for name, value in kept.items():
+            np.testing.assert_array_equal(getattr(fits, name), value)
+            for buffer in vars(qr.work).values():
+                assert buffer is None or not np.shares_memory(getattr(fits, name), buffer)
+
+    def test_sample_qrs_used_alternately_match_each_alone(self):
+        # two jobs' workspaces, of different k, do not share state
+        rng = np.random.default_rng(12)
+        cases = [random_design(rng, 50, sizes) for sizes in [(4, 5), (6, 6, 6)]]
+        chunks = [rng.integers(0, 50, size=(3, 7, 50)) for _ in cases]
+
+        def fitted(qr, idx):
+            fits = fit_resamples(qr, idx)
+            return [getattr(fits, name) for name in vars(fits)]
+
+        alone = [
+            [fitted(qr, idx) for idx in case_chunks]
+            for qr, case_chunks in zip((sample_qr(*case) for case in cases), chunks)
+        ]
+        qrs = [sample_qr(*case) for case in cases]
+        for i in range(3):
+            for c, qr in enumerate(qrs):
+                for got, want in zip(fitted(qr, chunks[c][i]), alone[c][i]):
+                    np.testing.assert_array_equal(got, want)
+
+    def test_more_resamples_than_a_batch_rejected(self):
+        rng = np.random.default_rng(13)
+        design, y = random_design(rng, 60, (6,))
+        qr = sample_qr(design, y)
+        with pytest.raises(ValueError, match="at most qr.batch"):
+            fit_resamples(qr, rng.integers(0, 60, size=(qr.batch + 1, 60)))
 
     @pytest.mark.parametrize("kept", [0, 60])
     def test_outer_products_kept_only_within_bound(self, monkeypatch, kept):
@@ -228,6 +308,8 @@ class TestFitResamples:
         idx = rng.integers(0, 60, size=(8, 60))
         fits = fit_resamples(qr, idx)
         assert fits.certified.all()
+        # the bound on ||H||_F reads the lower triangles alone
+        assert not np.triu(qr.work.h[:8], 1).any()
         for j, rows in enumerate(idx):
             _assert_fits_match(fits, j, _explicit_fit(design, y, rows), design.block_offsets)
 

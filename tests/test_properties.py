@@ -1,6 +1,7 @@
 """Property-based checks of the likelihood-ratio statistics from ``test_all``,
-of the selection rules, one row of p-values or many at once, and of the
-smoothing of blocks with one grid per row.
+of the selection rules, one row of p-values or many at once, of the
+smoothing of blocks with one grid per row, and of the bootstrap's batched
+resample fits on data with repeated rows.
 
 The statistics are read off the single full fit; these properties hold for
 every design and response, so they are checked on random instances rather
@@ -20,15 +21,18 @@ from funcsel import (
     make_uniform_basis,
     smooth_block,
 )
+from funcsel.cli import bootstrap_counts
 from funcsel.design import DesignMatrix
 from funcsel.errors import check_rank
 from funcsel.inference import test_all as run_test_all
+from funcsel.linmodel import sample_qr
 from funcsel.selection import selection_mask
 
 from conftest import random_design
 from oracles import (
     block_size,
     block_slice,
+    bootstrap_loop,
     column_deletion_rss,
     selected_by_loop,
     smooth_rows_lstsq,
@@ -221,3 +225,40 @@ def test_per_row_block_matches_row_by_row_rank_check_and_lstsq(instance):
     cond = np.array([s[0] / s[-1] for s in sv])
     gap = np.linalg.norm(coefs - oracle, axis=1)
     assert np.all(gap <= 100 * cond * np.finfo(float).eps * np.linalg.norm(oracle, axis=1))
+
+
+# seed, rows, block sizes, the share of rows that repeat an earlier row (of
+# Z and y both), the batches that the resamples span, and how many
+# resamples short of full the last one is (taken modulo the batch)
+repeated_row_instances = st.tuples(
+    st.integers(0, 2**32 - 1),
+    st.integers(20, 40),
+    st.lists(st.integers(4, 5), min_size=1, max_size=2),
+    st.floats(0.0, 0.5),
+    st.integers(1, 3),
+    st.integers(0, 2**16),
+)
+
+
+@property_settings
+@given(repeated_row_instances, st.sampled_from(("bc", "fdr")))
+def test_bootstrap_on_repeated_rows_matches_per_resample_loop(instance, method):
+    # The batches reuse one workspace, and the screen for resamples of at
+    # most k distinct rows counts rows, not indices. A small RESAMPLE_FLOATS
+    # makes batches of 3 to 12 resamples, so B stays small
+    seed, n, sizes, repeated, batches, short = instance
+    rng = np.random.default_rng(seed)
+    design, y = random_design(rng, n, tuple(sizes))
+    values = design.values.copy()
+    for i in np.sort(rng.choice(np.arange(1, n), int(repeated * n), replace=False)):
+        source = rng.integers(0, i)
+        values[i], y[i] = values[source], y[source]
+    design = DesignMatrix(values=values, block_offsets=design.block_offsets)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("funcsel.linmodel.RESAMPLE_FLOATS", 2**11)
+        batch = sample_qr(design, y).batch
+        b = batches * batch - short % batch
+        selected, failed = bootstrap_counts(design, y, method, 0.05, b, seed)
+    expected_counts, expected_failed = bootstrap_loop(design, y, method, 0.05, b, seed)
+    assert failed == expected_failed
+    np.testing.assert_array_equal(selected, expected_counts)
