@@ -50,6 +50,8 @@ class DesignMatrix:
 
 def check_parameter_count(n: int, k: int) -> None:
     """Emit :class:`ConditionWarning` when k exceeds sqrt(n)/log(n)."""
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
     if k > math.sqrt(n) / math.log(n):
         warnings.warn(
             f"parameter count k = 1 + sum(p_m) = {k} exceeds sqrt(n)/log(n) = "

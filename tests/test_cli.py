@@ -892,6 +892,13 @@ class TestConfigFile:
         record = json.loads(out.read_text().splitlines()[0])
         assert record["predictor"] == "TEMP-MAX" and record["dof"] == 4
 
+    def test_config_with_byte_order_mark(self, tmp_path):
+        # saved with a byte order mark, as the CSV files may be
+        config_path = tmp_path / "job.cfg"
+        config_path.write_bytes(b"\xef\xbb\xbfmode = simulate\n")
+        assert main(["--config", str(config_path), "--c", "0", "--n", "100",
+                     "--reps", "1", "--method", "bc", "--q", "0.05"]) == 0
+
     def test_malformed_config_is_usage_error(self, tmp_path):
         config_path = tmp_path / "job.cfg"
         config_path.write_text("mode simulate\n")
@@ -1084,6 +1091,28 @@ class TestExitCodes:
             f"data error: {path} line {line}: field larger than field limit"
             in capsys.readouterr().err
         )
+
+    @pytest.mark.parametrize("mode", ["select", "simulate"])
+    @pytest.mark.parametrize("where", ["missing_directory", "directory"])
+    def test_unwritable_out_is_data_error_before_any_work(self, tmp_path, capsys, mode, where):
+        # nothing is printed: the path is rejected before the job starts
+        paths = small_files(tmp_path)
+        out = tmp_path / "nope" / "r.jsonl" if where == "missing_directory" else tmp_path
+        assert main(["--mode", mode, "--curves", str(paths["curves"]), "--responses",
+                     str(paths["responses"]), "--basis-size", "4", "--method", "bc",
+                     "--q", "0.05", "--reps", "4", "--n", "100", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"data error: --out {out}")
+
+    def test_failed_job_leaves_existing_report_untouched(self, tmp_path):
+        paths = small_files(tmp_path)
+        paths["responses"].write_text("sample_id,y\n")
+        out = tmp_path / "r.jsonl"
+        out.write_text("earlier report\n")
+        assert main(["--mode", "select", "--curves", str(paths["curves"]),
+                     "--responses", str(paths["responses"]), "--out", str(out)]) == 2
+        assert out.read_text() == "earlier report\n"
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(

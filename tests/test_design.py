@@ -88,6 +88,12 @@ class TestBuildDesign:
         with pytest.warns(ConditionWarning, match="sqrt"):
             check_parameter_count(60, 13)
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_rows_is_value_error(self, n):
+        # log(n) is 0 at n = 1 and undefined at n = 0
+        with pytest.raises(ValueError, match=f"n must be >= 2, got {n}"):
+            check_parameter_count(n, 3)
+
     def test_no_warning_when_k_small(self, recwarn):
         check_parameter_count(40_000, 3)  # sqrt(n)/log(n) = 18.9 > k = 3
         assert not [w for w in recwarn if issubclass(w.category, ConditionWarning)]

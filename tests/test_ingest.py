@@ -1,12 +1,12 @@
 """The chunked CSV reader against the per-row reference reader.
 
-``ingest_long_csv`` reads the curves file in blocks, cuts them into chunks of
-lines and converts whole columns at once; ``oracles.ingest_reference`` reads
-one csv row at a time. On generated files the two must give the same ids and
-responses and, per sample and predictor, the same grid and values bit for
-bit. On a file with one fault they must raise the same message.
-``CHUNK_LINES`` and ``LINE_BYTES`` are drawn small, so chunk boundaries and
-read edges fall inside files of a few dozen lines.
+``ingest_long_csv`` reads the curves file in chunks of lines and converts
+whole columns at once; ``oracles.ingest_reference`` reads one csv row at a
+time. On generated files the two must give the same ids and responses and,
+per sample and predictor, the same grid and values bit for bit. On a file
+with one fault they must raise the same message. ``CHUNK_BYTES`` and
+``CHUNK_LINES`` are drawn small, so read edges and chunk boundaries fall
+inside files of a few dozen lines.
 """
 
 import io
@@ -22,7 +22,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from funcsel import DataError, cli
+from funcsel import DataError, ingest
 
 from oracles import ingest_reference
 
@@ -50,8 +50,9 @@ layouts = st.fixed_dictionaries(
         "quoted": st.booleans(),
         # the t, value and y fields padded with spaces
         "spaced": st.booleans(),
+        # chunks of the csv module of ``chunk`` rows, and reads of chunk *
+        # line_bytes bytes: 1 to 2,560
         "chunk": st.integers(1, 40),
-        # reads of chunk * line_bytes bytes: 1 to 2,560
         "line_bytes": st.integers(1, 64),
     }
 )
@@ -71,6 +72,8 @@ FAULTS = (
     "y_inf",
 )
 property_settings = settings(derandomize=True, deadline=None, max_examples=50)
+# bytes read per row of a csv chunk, for a layout that does not draw them
+LINE_BYTES = 16
 
 
 def _name(layout, prefix: str, j: int) -> str:
@@ -191,14 +194,14 @@ def _by_curve(curves) -> dict:
     return out
 
 
-def _read_both(directory: Path, chunk: int, line_bytes: int = cli.LINE_BYTES):
+def _read_both(directory: Path, chunk: int, line_bytes: int = LINE_BYTES):
     """Each reader's result, or its DataError message."""
     paths = (str(directory / "curves.csv"), str(directory / "responses.csv"))
     results = []
-    for reader in (cli.ingest_long_csv, ingest_reference):
+    for reader in (ingest.ingest_long_csv, ingest_reference):
         try:
-            with mock.patch.object(cli, "CHUNK_LINES", chunk), mock.patch.object(
-                cli, "LINE_BYTES", line_bytes
+            with mock.patch.object(ingest, "CHUNK_LINES", chunk), mock.patch.object(
+                ingest, "CHUNK_BYTES", chunk * line_bytes
             ):
                 results.append(reader(*paths))
         except DataError as exc:
@@ -215,7 +218,7 @@ def _run(layout, fault=None, text=None):
         directory = Path(name)
         _write(directory / "curves.csv", CURVES_HEADER, rows, layout, rng)
         _write(directory / "responses.csv", RESPONSES_HEADER, responses, layout, rng)
-        return _read_both(directory, layout["chunk"], layout.get("line_bytes", cli.LINE_BYTES))
+        return _read_both(directory, layout["chunk"], layout.get("line_bytes", LINE_BYTES))
 
 
 def _assert_same(got, expected) -> None:
@@ -228,11 +231,12 @@ def _assert_same(got, expected) -> None:
     assert _by_curve(got[0]) == _by_curve(expected[0])
 
 
-# chunks of one line, so each blank line is a chunk without data rows
+# chunks of one line, reads of one byte, so each blank line is a chunk
+# without data rows
 ONE_LINE_CHUNKS = [
     {"seed": seed, "samples": 3, "predictors": 2, "grids": grids, "shuffle": shuffle,
      "blank_lines": 4, "crlf": crlf, "ids": ids, "padded": padded, "quoted": False,
-     "chunk": 1}
+     "chunk": 1, "line_bytes": 1}
     for seed, grids, shuffle, crlf, ids, padded in [
         (5, "shared", False, False, "ascii", ""),
         (6, "mixed", True, True, "non_ascii", "\u00a0"),
@@ -331,7 +335,7 @@ def test_number_text_gives_reference_result(layout, column, text):
 
 
 def test_numbers_are_read_in_one_pass_only_when_exact():
-    t, value = cli._parse_columns(b"0.5,-1e-3,.25,5.,", 2)
+    t, value = ingest._parse_columns(b"0.5,-1e-3,.25,5.,", 2)
     assert (t.tolist(), value.tolist()) == ([0.5, 0.25], [-1e-3, 5.0])
     # too few numbers for the rows, spaces, an underscore and a nan: the
     # texts, for float() to read
@@ -341,7 +345,7 @@ def test_numbers_are_read_in_one_pass_only_when_exact():
         (b"1,1_0,", 1, (["1"], ["1_0"])),
         (b"1,nan(1),", 1, (["1"], ["nan(1)"])),
     ]:
-        assert cli._parse_columns(numbers, rows) == texts
+        assert ingest._parse_columns(numbers, rows) == texts
 
 
 @pytest.mark.parametrize("action", ["ignore", "error"])
@@ -353,38 +357,44 @@ def test_partial_read_of_older_numpy_gives_texts(action):
 
     with warnings.catch_warnings():
         warnings.simplefilter(action, DeprecationWarning)
-        with mock.patch.object(cli.np, "fromstring", fromstring):
-            assert cli._parse_columns(b"1,2_0,", 1) == (["1"], ["2_0"])
+        with mock.patch.object(ingest.np, "fromstring", fromstring):
+            assert ingest._parse_columns(b"1,2_0,", 1) == (["1"], ["2_0"])
 
 
 def test_lines_are_cut_after_every_chunk():
     # lines of 0 to 300 bytes, some ending in CR LF, read 1 to 40 bytes at a
     # time: lines straddle reads, some are longer than a read, and CR LF
-    # pairs fall on read edges. Each chunk but the last holds CHUNK_LINES
-    # whole lines, and the chunks give back the file
+    # pairs fall on read edges. Each chunk but the last is the start of the
+    # line that a read began inside and that read up to its last newline;
+    # the chunks give back the file
     rng = np.random.default_rng(12)
     lines = [b"x" * int(rng.integers(0, 300)) + rng.choice([b"\n", b"\r\n"])
              for _ in range(60)]
     data = b"".join(lines) + b"no final newline"
     for chunk, line_bytes in [(1, 1), (1, 40), (2, 3), (3, 1), (5, 7), (7, 2), (60, 1)]:
-        with mock.patch.object(cli, "CHUNK_LINES", chunk), mock.patch.object(
-            cli, "LINE_BYTES", line_bytes
-        ):
-            pieces = list(cli._lines(io.BytesIO(data)))
-        assert b"".join(piece for piece, _ in pieces) == data
-        assert [piece.count(b"\n") for piece, _ in pieces] == [chunk] * (60 // chunk) + [
-            60 % chunk
-        ]
-        for piece, ends in pieces:
-            assert ends.tolist() == [i for i, byte in enumerate(piece) if byte == 10]
+        read = chunk * line_bytes
+        handle, rest = io.BytesIO(data), []
+        with mock.patch.object(ingest, "CHUNK_BYTES", read):
+            pieces = list(iter(lambda: ingest._next_chunk(handle, rest), b""))
+        assert b"".join(pieces) == data
+        assert all(piece.endswith(b"\n") for piece in pieces[:-1])
+        assert not pieces[-1].endswith(b"\n")
+        start = 0
+        for i, piece in enumerate(pieces):
+            end = start + len(piece)
+            first = (end - 1) // read * read  # the read holding the piece's end
+            assert b"\n" not in data[start:first]
+            if i < len(pieces) - 1:
+                assert b"\n" not in data[end:first + read]
+            start = end
 
 
 @pytest.mark.parametrize("line_bytes", [1, 2, 5])
 @pytest.mark.parametrize("ids", ["ascii", "long"])
 def test_small_reads_match_reference(tmp_path, ids, line_bytes):
-    # a CRLF file with a byte order mark, in chunks of 3 lines read 3 to 15
-    # bytes at a time: every line straddles a read edge, a line of long ids
-    # spans hundreds of reads, and some CR LF pair falls on a read edge
+    # a CRLF file with a byte order mark, read 3 to 15 bytes at a time:
+    # every line straddles a read edge, a line of long ids spans hundreds of
+    # reads, and some CR LF pair falls on a read edge
     layout = {"seed": 13, "samples": 4, "predictors": 2, "grids": "mixed",
               "shuffle": False, "blank_lines": 2, "crlf": True, "ids": ids,
               "padded": "", "quoted": False, "chunk": 3}
@@ -399,10 +409,10 @@ def test_small_reads_match_reference(tmp_path, ids, line_bytes):
     read = layout["chunk"] * line_bytes
     assert any((at + 1) % read == 0 for at in range(len(body)) if body[at:at + 2] == b"\r\n")
     path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
-    with mock.patch.object(cli, "CHUNK_LINES", layout["chunk"]), mock.patch.object(
-        cli, "LINE_BYTES", line_bytes
-    ), mock.patch.object(cli, "_csv_chunks", wraps=cli._csv_chunks) as csv_chunks:
-        got = cli.ingest_long_csv(*paths)
+    with mock.patch.object(ingest, "CHUNK_BYTES", read), mock.patch.object(
+        ingest, "_csv_chunks", wraps=ingest._csv_chunks
+    ) as csv_chunks:
+        got = ingest.ingest_long_csv(*paths)
     assert not csv_chunks.called
     _assert_same(got, expected)
 
@@ -417,8 +427,9 @@ def test_small_reads_match_reference(tmp_path, ids, line_bytes):
     ids=["duplicate", "value"],
 )
 def test_fault_after_blank_lines_in_other_chunks(tmp_path, quoted, fault, message):
-    # chunks of 4 lines: 2-5, 6-9, 10-13 and 14; lines 3 and 7 are blank.
-    # The point of line 4 is repeated on line 12, or line 6 holds a bad value.
+    # chunks of 4 lines: 2-5, 6-9, 10-13 and 14, or reads of 48 bytes, cut
+    # after lines 5, 9 and 12; lines 3 and 7 are blank. The point of line 4
+    # is repeated on line 12, or line 6 holds a bad value.
     layout = {"padded": "", "quoted": quoted, "blank_lines": 0, "crlf": False}
     rows = [[f"s{i}", "p0", repr(t), repr(float(i))]
             for i in range(2) for t in np.linspace(0.0, 1.0, 5).tolist()]
@@ -431,7 +442,7 @@ def test_fault_after_blank_lines_in_other_chunks(tmp_path, quoted, fault, messag
     _write(tmp_path / "curves.csv", CURVES_HEADER, rows, layout, None)
     _write(tmp_path / "responses.csv", RESPONSES_HEADER, [["s0", "1"], ["s1", "2"]],
            layout, None)
-    got, expected = _read_both(tmp_path, chunk=4)
+    got, expected = _read_both(tmp_path, chunk=4, line_bytes=12)
     assert got == expected
     assert f"curves.csv {message}" in got
 
@@ -457,10 +468,11 @@ def test_fault_after_blank_lines_in_other_chunks(tmp_path, quoted, fault, messag
          "t_then_value", "value_then_t"],
 )
 def test_first_of_two_faults_is_reported(tmp_path, quoted, bad, other, at, message):
-    # chunks of 4 lines: 2-5, 6-9, 10-12. Row ``bad`` gets a bad value, then
-    # a repeat of the first point, or a row of 3 fields, is inserted at row
-    # ``at``, or row ``at`` gets a bad t; the earlier line wins, and on one
-    # line the t.
+    # chunks of 4 lines: 2-5, 6-9, 10-12, and reads of 64 bytes, put the
+    # two faults in the same chunk or in two. Row ``bad`` gets a bad value,
+    # then a repeat of the first point, or a row of 3 fields, is inserted at
+    # row ``at``, or row ``at`` gets a bad t; the earlier line wins, and on
+    # one line the t.
     layout = {"padded": "", "quoted": quoted, "blank_lines": 0, "crlf": False}
     rows = [[f"s{i}", "p0", repr(t), repr(float(i))]
             for i in range(2) for t in np.linspace(0.0, 1.0, 5).tolist()]
@@ -486,10 +498,10 @@ def test_utf8_byte_order_mark_is_skipped(tmp_path, target):
     rows, responses = _tables(layout, rng)
     _write(tmp_path / "curves.csv", CURVES_HEADER, rows, layout, rng)
     _write(tmp_path / "responses.csv", RESPONSES_HEADER, responses, layout, rng)
-    plain = cli.ingest_long_csv(str(tmp_path / "curves.csv"), str(tmp_path / "responses.csv"))
+    plain = ingest.ingest_long_csv(str(tmp_path / "curves.csv"), str(tmp_path / "responses.csv"))
     path = tmp_path / f"{target}.csv"
     path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
-    marked = cli.ingest_long_csv(str(tmp_path / "curves.csv"), str(tmp_path / "responses.csv"))
+    marked = ingest.ingest_long_csv(str(tmp_path / "curves.csv"), str(tmp_path / "responses.csv"))
     assert marked[1].tobytes() == plain[1].tobytes()
     assert marked[2:] == plain[2:]
     assert _by_curve(marked[0]) == _by_curve(plain[0])
@@ -513,7 +525,7 @@ def test_unusual_line_ends(tmp_path, end, final):
     path = tmp_path / "curves.csv"
     path.write_bytes(path.read_bytes().removesuffix(b"\n").replace(b"\n", end.encode())
                      + final.encode())
-    with mock.patch.object(cli, "_csv_chunks", wraps=cli._csv_chunks) as csv_chunks:
+    with mock.patch.object(ingest, "_csv_chunks", wraps=ingest._csv_chunks) as csv_chunks:
         got, expected = _read_both(tmp_path, layout["chunk"])
     assert csv_chunks.called == (end == "\r")
     for result in (got, expected):
@@ -525,8 +537,9 @@ def test_unusual_line_ends(tmp_path, end, final):
 @pytest.mark.parametrize("quoted", [False, True])
 @pytest.mark.parametrize("fault", [None, "value"])
 def test_chunks_of_blank_lines_only(tmp_path, quoted, fault):
-    # chunks of 5 lines: data on lines 2-6, blank lines 7-11, data on lines
-    # 12-16 and blank lines 17-18, so two chunks hold no data rows
+    # data on lines 2-6, blank lines 7-11, data on lines 12-16 and blank
+    # lines 17-18. In chunks of 5 lines, or reads of 5 bytes, two chunks
+    # hold no data rows: lines 7-11 and 17-18, or 10-11 and 18
     layout = {"padded": "", "quoted": quoted, "blank_lines": 0, "crlf": False}
     rows = [[f"s{i}", "p0", repr(t), repr(float(i))]
             for i in range(2) for t in np.linspace(0.0, 1.0, 5).tolist()]
@@ -537,7 +550,7 @@ def test_chunks_of_blank_lines_only(tmp_path, quoted, fault):
     _write(tmp_path / "curves.csv", CURVES_HEADER, rows, layout, None)
     _write(tmp_path / "responses.csv", RESPONSES_HEADER, [["s0", "1"], ["s1", "2"]],
            layout, None)
-    got, expected = _read_both(tmp_path, chunk=5)
+    got, expected = _read_both(tmp_path, chunk=5, line_bytes=1)
     if fault is None:
         assert got[2:] == expected[2:] == (["s0", "s1"], ["p0"])
         assert got[1].tobytes() == expected[1].tobytes()
@@ -579,7 +592,7 @@ def test_one_curve_out_of_t_order(tmp_path, quoted, repeat):
 
 def test_plain_reader_holds_about_one_chunk(tmp_path):
     # 20,000 rows in the layout of the benchmark's files (0.9 MB), read in
-    # chunks of 1,000 lines, each dropped once read. The traced peak measured
+    # chunks of about 1,000 lines, each dropped once read. The traced peak measured
     # 320 KB (CPython 3.11, numpy 2.4); the bound leaves a 25% margin. A
     # string per row for the ids (444 KB) or the file read whole (1.27 MB)
     # exceeds it.
@@ -592,8 +605,10 @@ def test_plain_reader_holds_about_one_chunk(tmp_path):
             for m in range(4):
                 for t, value in zip(grid, rng.normal(size=50).tolist()):
                     handle.write(f"s{i:04d},X{m + 1},{t!r},{value!r}\n")
-    with mock.patch.object(cli, "CHUNK_LINES", 1000), open(path, "rb") as handle:
-        chunks = cli._plain_chunks(handle, str(path), {}, {})
+    # reads of the byte length of the first 1,000 data lines
+    read = sum(map(len, path.read_bytes().split(b"\n", 1001)[1:1001])) + 1000
+    with mock.patch.object(ingest, "CHUNK_BYTES", read), open(path, "rb") as handle:
+        chunks = ingest._plain_chunks(handle, str(path), {}, {})
         tracemalloc.start()
         try:
             deque(chunks, maxlen=0)
