@@ -367,8 +367,14 @@ def _read_config_file(path: str, parser: _Parser) -> tuple[argparse.Namespace, d
             if not dot:
                 parser.parse_args([flag], namespace=options)
             elif name == "domain":
-                lo, _, hi = value.partition(":")
-                overrides["domain_overrides"][predictor] = (float(lo), float(hi))
+                try:
+                    lo, hi = map(float, value.split(":"))
+                except ValueError:
+                    raise ValueError(
+                        f"domain.{predictor} must be 'lo:hi', two numbers around"
+                        f" a colon, got {value!r}"
+                    ) from None
+                overrides["domain_overrides"][predictor] = (lo, hi)
             else:
                 parsed = getattr(parser.parse_args([flag]), name)
                 overrides[f"{name}_overrides"][predictor] = parsed

@@ -194,13 +194,8 @@ def sample_qr(design: DesignMatrix, y: np.ndarray) -> SampleQR:
         r_inv = np.asfortranarray(np.linalg.inv(r[:k, :k]))
     except np.linalg.LinAlgError:
         raise RankDeficiencyError("design matrix is exactly singular") from None
-    # equal rows are adjacent in lexicographic order, each run in index order
-    order = np.lexsort(data.T)
-    ordered = data[order]
-    starts = np.ones(n, dtype=bool)
-    starts[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
-    first_copy = np.empty(n, dtype=np.intp)
-    first_copy[order] = order[starts][np.cumsum(starts) - 1]
+    _, first, inverse = np.unique(data, axis=0, return_index=True, return_inverse=True)
+    first_copy = first[inverse.reshape(-1)]  # numpy 2.0.0 gives a 2-D inverse
     scaled = n * (k + 1) if outer is None else 0
     batch = max(1, RESAMPLE_FLOATS // (n + scaled + 2 * (k + 1) ** 2 + 3 * k**2))
     return SampleQR(

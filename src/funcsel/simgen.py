@@ -8,11 +8,10 @@ response is a sum of integrals of the true curves against closed-form
 coefficient functions plus noise. A scenario is (c, n, seed); the grid size
 and the two noise multipliers are the module constants ``GRID_SIZE``,
 ``NOISE_X_MULT`` and ``NOISE_Y_MULT``. What a replication shares with every
-other replication of the same c (the grids, the quadrature weights times the
-coefficient functions, and the t-only factors of the curve formulas) is
-computed once per c and cached, read-only; a replication draws its
-parameters and noise and fills its curve arrays in place, bit for bit as the
-plain formulas would.
+other replication of the same c (the grids, the quadrature nodes and the
+quadrature weights times the coefficient functions) is computed once per c
+and cached, read-only; a replication draws its parameters and noise and
+evaluates the six curve formulas.
 
 The Monte Carlo driver runs the full smoothing / design / testing pipeline
 once per replication, one replication after another, and applies any number
@@ -93,8 +92,11 @@ class SimScenario:
         if self.n < 50:
             raise ValueError(f"n must be >= 50, got {self.n}")
         _check_seed(self.seed)
-        if not math.isfinite(self.c):
-            raise ValueError(f"signal strength c must be finite, got {self.c}")
+        # the AMSE squares errors of the size of c, which overflow by c = 1e200
+        if not abs(self.c) <= 1e100:
+            raise ValueError(
+                f"signal strength c must be finite with |c| <= 1e100, got {self.c}"
+            )
 
 
 @dataclass(frozen=True)
@@ -168,38 +170,10 @@ def _quad_rule(lo: float, hi: float, order: int) -> tuple[np.ndarray, np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
-class _Points:
-    """The t-only factors of the curve formulas at a row of points, (1, P)
-    each, every one from the expression the formula applies to t."""
-
-    t: np.ndarray
-    sin_pi: np.ndarray  # sin(pi t)
-    cube: np.ndarray  # t**3
-    square: np.ndarray  # t**2
-    cos_2: np.ndarray  # cos(2 t)
-    exp_third: np.ndarray  # exp(-t / 3)
-
-    @classmethod
-    def at(cls, points: np.ndarray) -> "_Points":
-        t = points[None, :]
-        factors = cls(
-            t=t,
-            sin_pi=np.sin(np.pi * t),
-            cube=t**3,
-            square=t**2,
-            cos_2=np.cos(2.0 * t),
-            exp_third=np.exp(-t / 3.0),
-        )
-        for row in vars(factors).values():
-            row.setflags(write=False)
-        return factors
-
-
-@dataclass(frozen=True, eq=False)
 class _PredictorPlan:
-    """What one predictor's curves share across replications: its grid, the
-    quadrature weights times its coefficient function at the nodes, and the
-    t-only factors at the grid and at the nodes. Every array is read-only.
+    """What one predictor's curves share across replications: its grid, its
+    quadrature nodes, and the quadrature weights times its coefficient
+    function at the nodes. Every array is read-only.
 
     ``weighted_beta`` is None where the coefficient function is zero: the
     predictor's integral then adds exactly 0 to every response, so its
@@ -207,9 +181,8 @@ class _PredictorPlan:
     """
 
     grid: np.ndarray
+    nodes: np.ndarray
     weighted_beta: np.ndarray | None
-    at_grid: _Points
-    at_nodes: _Points
 
 
 @lru_cache(maxsize=32)
@@ -220,63 +193,32 @@ def _plan(c: float) -> tuple[_PredictorPlan, ...]:
         grid = np.linspace(lo, hi, GRID_SIZE)
         nodes, weights = _quad_rule(lo, hi, _QUAD_ORDER)
         weighted_beta = weights * betas[m](nodes)
-        grid.setflags(write=False)
-        weighted_beta.setflags(write=False)
+        for array in (grid, nodes, weighted_beta):
+            array.setflags(write=False)
         if not weighted_beta.any():
             weighted_beta = None
-        plans.append(
-            _PredictorPlan(grid, weighted_beta, _Points.at(grid), _Points.at(nodes))
-        )
+        plans.append(_PredictorPlan(grid, nodes, weighted_beta))
     return tuple(plans)
 
 
-def _fill_curves(
-    params: dict[str, np.ndarray], m: int, x: _Points, out: np.ndarray, tmp: np.ndarray
-) -> np.ndarray:
-    """True curves of predictor m for all samples at the points of ``x``,
-    written into ``out`` (n, P); ``tmp`` is scratch of the same shape.
-
-    The curves, with the sample's parameters a1 .. f3:
-
-    0. ``cos(2*pi*(t - a1)) + a2``
-    1. ``b1*sin(pi*t) + b2``
-    2. ``c1*t**3 + c2*t**2 + c3*t``
-    3. ``sin(2*(t - d1)) + d2*t``
-    4. ``e1*cos(2*t) + e2*t``
-    5. ``f1*exp(-t/3) + f2*t + f3``
-
-    Each runs with the operations, operands and left-to-right order of that
-    expression evaluated by numpy, so the values are the same bits.
-    """
+def _curves(params: dict[str, np.ndarray], m: int, points: np.ndarray) -> np.ndarray:
+    """True curves of predictor m for all samples at ``points``, (n, P),
+    from each sample's parameters a1 .. f3."""
     def col(key: str) -> np.ndarray:
         return params[key][:, None]
 
-    t = x.t
+    t = points[None, :]
     if m == 0:
-        np.subtract(t, col("a1"), out=out)
-        out *= 2.0 * np.pi
-        np.cos(out, out=out)
-        out += col("a2")
-    elif m == 1:
-        np.multiply(col("b1"), x.sin_pi, out=out)
-        out += col("b2")
-    elif m == 2:
-        np.multiply(col("c1"), x.cube, out=out)
-        out += np.multiply(col("c2"), x.square, out=tmp)
-        out += np.multiply(col("c3"), t, out=tmp)
-    elif m == 3:
-        np.subtract(t, col("d1"), out=out)
-        out *= 2.0
-        np.sin(out, out=out)
-        out += np.multiply(col("d2"), t, out=tmp)
-    elif m == 4:
-        np.multiply(col("e1"), x.cos_2, out=out)
-        out += np.multiply(col("e2"), t, out=tmp)
-    elif m == 5:
-        np.multiply(col("f1"), x.exp_third, out=out)
-        out += np.multiply(col("f2"), t, out=tmp)
-        out += col("f3")
-    return out
+        return np.cos(2.0 * np.pi * (t - col("a1"))) + col("a2")
+    if m == 1:
+        return col("b1") * np.sin(np.pi * t) + col("b2")
+    if m == 2:
+        return col("c1") * t**3 + col("c2") * t**2 + col("c3") * t
+    if m == 3:
+        return np.sin(2.0 * (t - col("d1"))) + col("d2") * t
+    if m == 4:
+        return col("e1") * np.cos(2.0 * t) + col("e2") * t
+    return col("f1") * np.exp(-t / 3.0) + col("f2") * t + col("f3")
 
 
 def _check_seed(seed: int) -> None:
@@ -311,16 +253,15 @@ def generate_replication(
     realized ranges of the noise-free signals, times ``NOISE_X_MULT`` and
     ``NOISE_Y_MULT``, which are read on each call.
 
-    What does not depend on the draws (the grids, the quadrature weights
-    times the coefficient functions, and the t-only factors of each curve
-    formula) comes from a plan cached per c. Each call draws the curve
-    parameters and fills one (n, GRID_SIZE) array per predictor in
-    place, with the operations and order of the plain formulas, so the data
-    are the same bits as evaluating those formulas afresh. Of a call's time
-    at n = 300, about 40% is the Philox normal draws and about a quarter the
-    cos and sin of the (n, GRID_SIZE) and (n, 64) arrays of predictors 0 and
-    3; neither can shrink while the random stream layout and the bits of
-    the reports stay fixed.
+    What does not depend on the draws (the grids, the quadrature nodes and
+    the quadrature weights times the coefficient functions) comes from a
+    plan cached per c. Each call draws the curve parameters and evaluates
+    the six curve formulas at the grid and, for a nonzero coefficient
+    function, at the nodes. Of a call's time at n = 300, about 40% is the
+    Philox normal draws and about a quarter the cos and sin of the
+    (n, GRID_SIZE) and (n, 64) arrays of predictors 0 and 3; neither can
+    shrink while the random stream layout and the bits of the reports stay
+    fixed.
     """
     rng = _rng_for(scenario.seed, rep_index)
     n = scenario.n
@@ -329,19 +270,13 @@ def generate_replication(
 
     curves = []
     integrals = np.zeros(n)
-    at_nodes = np.empty((n, _QUAD_ORDER))
-    tmp_nodes = np.empty((n, _QUAD_ORDER))
-    tmp_grid = np.empty((n, GRID_SIZE))
     for m, predictor in enumerate(plan):
-        values = _fill_curves(
-            params, m, predictor.at_grid, np.empty((n, GRID_SIZE)), tmp_grid
-        )
+        values = _curves(params, m, predictor.grid)
         signal_range = float(values.max() - values.min())
         values += rng.normal(0.0, NOISE_X_MULT * signal_range, size=values.shape)
         curves.append((CurveBlock(grid=predictor.grid, values=values),))
         if predictor.weighted_beta is not None:
-            _fill_curves(params, m, predictor.at_nodes, at_nodes, tmp_nodes)
-            integrals += at_nodes @ predictor.weighted_beta
+            integrals += _curves(params, m, predictor.nodes) @ predictor.weighted_beta
 
     response_range = float(integrals.max() - integrals.min())
     integrals += rng.normal(0.0, NOISE_Y_MULT * response_range, size=n)

@@ -968,6 +968,13 @@ class TestExitCodes:
             ["--config", "reps = abc", "job.cfg line 1: argument --reps: invalid int value"],
             ["--config", "method = xyz", "job.cfg line 1: argument --method: invalid choice"],
             ["--config", "degree.p0 = 2.5", "job.cfg line 1: argument --degree: invalid int value"],
+            # a domain that is not two numbers, and a finite c too large
+            ["--config", "domain.p0 = abc:1",
+             "job.cfg line 1: domain.p0 must be 'lo:hi', two numbers around a colon, got 'abc:1'"],
+            ["--config", "domain.p0 = 5",
+             "job.cfg line 1: domain.p0 must be 'lo:hi', two numbers around a colon, got '5'"],
+            ["--c", "1e200"],
+            ["--c=-1e200"],
         ],
     )
     def test_out_of_range_option_is_usage_error(self, tmp_path, capsys, flags):
@@ -984,7 +991,7 @@ class TestExitCodes:
             expected = "q must lie in (0, 1)"
         elif flags[0] == "--n":
             expected = "n must be >= 50"
-        elif flags[0] == "--c":
+        elif flags[0].split("=")[0] == "--c":
             expected = "signal strength c must be finite"
         else:
             expected = f"{flags[0]} must be >="

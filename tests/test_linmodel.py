@@ -228,6 +228,20 @@ class TestFitResamples:
         assert failed == expected_failed == 1
         np.testing.assert_array_equal(selected, expected_counts)
 
+    def test_signed_zero_rows_share_a_first_copy(self):
+        # rows 9 and 7 equal rows 4 and 2 but for the sign of a zero, once
+        # with -0.0 in the later row and once in the earlier one
+        rng = np.random.default_rng(8)
+        design, y = random_design(rng, 30, (6, 6))
+        z = design.values.copy()
+        z[[9, 7]], y[[9, 7]] = z[[4, 2]], y[[4, 2]]
+        z[[4, 9, 2, 7], 3] = 0.0, -0.0, -0.0, 0.0
+        y[[4, 9]] = 0.0, -0.0
+        qr = sample_qr(DesignMatrix(values=z, block_offsets=design.block_offsets), y)
+        expected = np.arange(30)
+        expected[[9, 7]] = 4, 2
+        np.testing.assert_array_equal(qr.first_copy, expected)
+
     def test_reused_workspace_matches_per_resample_oracle(self):
         # k = 37 and n = 60: batches of 74, so B = 200 ends in a short batch
         # of 52, and about half the resamples have at most k distinct rows.

@@ -62,6 +62,15 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="signal strength c must be finite"):
             SimScenario(c=c, n=100, seed=0)
 
+    @pytest.mark.parametrize("c", [1e200, -1e200, 1.01e100])
+    def test_huge_signal_strength(self, c):
+        # a finite c beyond 1e100 is rejected: at 1e200 the AMSE overflows
+        with pytest.raises(ValueError, match=r"finite with \|c\| <= 1e100, got "):
+            SimScenario(c=c, n=100, seed=0)
+
+    def test_largest_signal_strength(self):
+        SimScenario(c=-1e100, n=100, seed=0)
+
 
 class TestTruth:
     def test_null_scenario_index_set(self):
