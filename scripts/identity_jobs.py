@@ -1,6 +1,6 @@
 """Byte identity of the ``funcsel`` command line between two source trees.
 
-Runs 40 jobs with ``python -m funcsel.cli`` under a parent tree and under a
+Runs 60 jobs with ``python -m funcsel.cli`` under a parent tree and under a
 changed tree, with ``OPENBLAS_NUM_THREADS=1``, and compares the stdout, the
 stderr, the exit code and the bytes of the ``--out`` report of each job:
 
@@ -8,12 +8,16 @@ stderr, the exit code and the bytes of the ``--out`` report of each job:
 - ``bootstrap --bootstrap-b 2000`` x ``--seed`` {0, 7} x {bc, fdr} on the
   regular files of input seeds {0, 3, 7};
 - ``simulate --reps 30`` x c {0, 0.4} x n {100, 300} x ``--seed``
-  {0, 2**64 - 1} x {bc, fdr}.
+  {0, 2**64 - 1} x {bc, fdr};
+- ``select`` on 20 altered copies of the input seed 3 curves file, for the
+  reader's faults and layouts: 13 of the regular file (see
+  :func:`_regular_variants`) and 7 of the ragged one (see
+  :func:`_ragged_variants`).
 
-The input CSVs come from ``bench/inputs.py`` and are written to a temporary
-directory. Both trees run a job with the same argument list in the same
-working directory, so paths in messages match. Prints one line per job and
-exits 1 when any job differs.
+The input CSVs come from ``bench/inputs.py`` and are written, with the
+altered copies, to a temporary directory. Both trees run a job with the same
+argument list in the same working directory, so paths in messages match.
+Prints one line per job and exits 1 when any job differs.
 
 Usage::
 
@@ -25,6 +29,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -37,10 +42,90 @@ import inputs  # noqa: E402  (bench/inputs.py)
 
 INPUT_SEEDS = (0, 3, 7)
 METHODS = ("bc", "fdr")
+# the input seed of the altered curves files
+VARIANT_SEED = 3
+# funcsel.ingest.CHUNK_BYTES: the reader's reads past the header line
+CHUNK_BYTES = 256 * 1024
 
 
-def _jobs(files: dict[tuple[int, bool], dict]) -> list[tuple[str, list[str]]]:
-    """(name, argv) of each job."""
+def _field(line: bytes, index: int, value: bytes) -> bytes:
+    """``line`` with its field ``index`` set to ``value``."""
+    fields = line.split(b",")
+    fields[index] = value
+    return b",".join(fields)
+
+
+def _cut(line: bytes) -> bytes:
+    """``line`` without its last field."""
+    return line.rpartition(b",")[0]
+
+
+def _regular_variants(data: bytes) -> dict[str, bytes]:
+    """Altered copies of a regular curves file, by name: each holds one
+    fault, or two, at a line given by its index in the file or by its byte
+    position around the edges of the reader's chunks."""
+    lines = data.split(b"\n")[:-1]  # the file ends with a newline
+    mid, a = len(lines) // 2, 30_000
+
+    def past(offset: int) -> int:
+        """Index of the first line that does not end within data[:offset]."""
+        return data.count(b"\n", 0, data.rfind(b"\n", 0, offset) + 1)
+
+    def edit(changes: dict[int, bytes]) -> bytes:
+        return b"".join(changes.get(i, line) + b"\n" for i, line in enumerate(lines))
+
+    def bad(i: int, index: int = 3) -> bytes:
+        return _field(lines[i], index, b"x")
+
+    second_chunk = past(len(lines[0]) + 1 + CHUNK_BYTES)
+    edge = past(768 * 1024)
+    return {
+        "whitespace value": edit({1000: _field(lines[1000], 3, b" ")}),
+        "1.5e mid-file": edit({mid: _field(lines[mid], 3, b"1.5e")}),
+        "non-UTF-8 byte": edit({mid: _field(lines[mid], 0, b"s\xff")}),
+        "nan t": edit({mid: _field(lines[mid], 2, b"nan")}),
+        "duplicate point": edit({40_000: lines[40_000] + b"\n" + lines[5000]}),
+        "field count 3 lines before a bad value": edit({a: _cut(lines[a]), a + 3: bad(a + 3)}),
+        "field count 3 lines after a bad value": edit({a: bad(a), a + 3: _cut(lines[a + 3])}),
+        "field count 24,000 lines before a bad value": edit(
+            {a: _cut(lines[a]), a + 24_000: bad(a + 24_000)}
+        ),
+        "field count 24,000 lines after a bad value": edit(
+            {a: bad(a), a + 24_000: _cut(lines[a + 24_000])}
+        ),
+        "bad value opening the second chunk": edit({second_chunk: bad(second_chunk)}),
+        "bad t past 768 KiB": edit({edge: bad(edge, 2)}),
+        "blank lines around 768 KiB, then a bad value": edit(
+            {edge: b"\n" + lines[edge] + b"\n\n", edge + 1: bad(edge + 1)}
+        ),
+        "1 MB id": edit({mid: _field(lines[mid], 0, b"s" * 1_000_000)}),
+    }
+
+
+def _ragged_variants(data: bytes) -> dict[str, bytes]:
+    """Altered layouts of a ragged curves file, by name, and one duplicate
+    point; a quoted field sends the file to the reader's csv path."""
+    header, *rows = data.split(b"\n")[:-1]
+    shuffled = rows.copy()
+    random.Random(VARIANT_SEED).shuffle(shuffled)
+
+    def join(body: list[bytes], end: bytes = b"\n") -> bytes:
+        return b"".join(line + end for line in [header, *body])
+
+    return {
+        "shuffled": join(shuffled),
+        "reversed": join(rows[::-1]),
+        "duplicate point": join([*rows[:40_000], rows[5000], *rows[40_000:]]),
+        "quoted": join([b'"' + row.replace(b",", b'",', 1) for row in rows]),
+        "CRLF": join(rows, b"\r\n"),
+        "no final newline": data[:-1],
+        "blank line after every row": join([row + b"\n" for row in rows]),
+    }
+
+
+def _jobs(files: dict[tuple[int, bool], dict], work: Path) -> list[tuple[str, list[str]]]:
+    """(name, argv) of each job; the altered curves files are written to
+    ``work``."""
     jobs = []
     for seed, ragged, method in itertools.product(INPUT_SEEDS, (False, True), METHODS):
         paths = files[seed, ragged]
@@ -64,6 +149,17 @@ def _jobs(files: dict[tuple[int, bool], dict]) -> list[tuple[str, list[str]]]:
             ["--mode", "simulate", "--reps", "30", "--c", c, "--n", str(n),
              "--seed", str(seed), "--method", method],
         ))
+    for ragged, variants in ((False, _regular_variants), (True, _ragged_variants)):
+        paths = files[VARIANT_SEED, ragged]
+        layout = "ragged" if ragged else "regular"
+        data = Path(paths["curves"]).read_bytes()
+        for i, (name, altered) in enumerate(variants(data).items()):
+            curves = work / f"variant_{layout}_{i}.csv"
+            curves.write_bytes(altered)
+            jobs.append((
+                f"select {layout} input{VARIANT_SEED}, {name}",
+                ["--mode", "select", "--curves", str(curves), "--responses", paths["responses"]],
+            ))
     return jobs
 
 
@@ -104,7 +200,7 @@ def main(argv: list[str] | None = None) -> int:
             for seed in INPUT_SEEDS
             for ragged in (False, True)
         }
-        jobs = _jobs(files)
+        jobs = _jobs(files, work)
         for name, job in jobs:
             parent, change = (_run(src, job, work / "report.jsonl", work) for src in trees)
             diff = [part for part, a, b in zip(parts, parent, change) if a != b]

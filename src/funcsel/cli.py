@@ -25,13 +25,13 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .bspline import BasisSpec, make_uniform_basis
-from .design import DesignMatrix, build_design, check_parameter_count
+from .bootstrap import bootstrap_counts
+from .design import build_design, check_parameter_count
 from .errors import DataError, NumericalError, RankDeficiencyError
-from .inference import test_all, test_resamples
+from .inference import test_all
 from .ingest import ingest_long_csv
-from .linmodel import sample_qr
 from .selection import check_method, check_q, default_q, selection_mask
-from .simgen import NUM_PREDICTORS, SimScenario, _rng_for, run_monte_carlo
+from .simgen import NUM_PREDICTORS, SimScenario, run_monte_carlo
 from .smoothing import CurveBlock, build_dataset
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "ingest_long_csv",
     "run_select",
     "run_bootstrap",
-    "bootstrap_counts",
     "run_simulate",
     "main",
 ]
@@ -235,36 +234,6 @@ def run_select(config: JobConfig) -> np.ndarray:
     records.append({"method": method, "q": q, "selected": selected})
     _write_records(config.out, records)
     return mask
-
-
-def _resample_indices(rng: np.random.Generator, n: int, b: int, chunk: int):
-    """The row indices of b bootstrap resamples of n rows, as (chunk, n)
-    arrays (the last one shorter), from ``rng``: the same draws, in the same
-    order, as b draws of n."""
-    for start in range(0, b, chunk):
-        yield rng.integers(0, n, size=(min(chunk, b - start), n))
-
-
-def bootstrap_counts(
-    design: DesignMatrix, y: np.ndarray, method: str, q: float, b: int, seed: int
-) -> tuple[np.ndarray, int]:
-    """How often each predictor is selected over b resamples of the rows,
-    and how many resamples failed their fit (a rank-deficient design, or
-    no more rows than columns). The resamples draw from the Philox stream
-    keyed (seed, 0); a seed outside [0, 2**64) raises ValueError on entry."""
-    rng = _rng_for(seed, 0)
-    selected = np.zeros(design.num_predictors, dtype=int)
-    try:
-        qr = sample_qr(design, y)
-    except NumericalError:
-        return selected, b
-    failed = 0
-    for idx in _resample_indices(rng, design.n, b, qr.batch):
-        _, p_values = test_resamples(qr, idx)
-        fitted = ~np.isnan(p_values[:, 0])
-        failed += int(np.count_nonzero(~fitted))
-        selected += selection_mask(method, p_values[fitted], q).sum(axis=0)
-    return selected, failed
 
 
 def run_bootstrap(config: JobConfig) -> dict:

@@ -5,6 +5,8 @@ smallest singular value falls below ``RANK_RTOL`` times its largest.
 
 # relative singular-value floor of every rank check (basis matrices, designs)
 RANK_RTOL = 1e-10
+# squared ratio bound that passes check_rank with a factor 2 for its rounding
+RANK_BOUND2_MAX = 0.25 / RANK_RTOL**2
 
 
 class DataError(Exception):

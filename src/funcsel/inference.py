@@ -7,9 +7,8 @@ the Wald form b_r' (V_rr)^{-1} b_r with V = (Z'Z)^{-1}, so every test is read
 off the one full fit without refitting. :func:`block_statistics` is the one
 loop over the predictor blocks: it takes the Wald form of every block, for
 one fit or for a batch. :func:`test_all` applies it to the full fit of a
-sample and :func:`test_resamples` to a batch of bootstrap resamples fitted
-together by :func:`~funcsel.linmodel.fit_resamples`; both return plain
-arrays of statistics and p-values. :func:`p_value` takes the chi-square
+sample and returns plain arrays of statistics and p-values; the bootstrap
+applies it to a batch of resamples. :func:`p_value` takes the chi-square
 upper tail in closed form, with numpy and :func:`math.erfc` alone: every dof
 is a basis size, so an integer, and the tail is then a finite sum.
 """
@@ -22,13 +21,12 @@ import numpy as np
 
 from .design import DesignMatrix
 from .errors import NumericalError
-from .linmodel import SampleQR, fit_ols, fit_resamples
+from .linmodel import fit_ols
 
 __all__ = [
     "block_statistics",
     "p_value",
     "test_all",
-    "test_resamples",
 ]
 
 # floor for reported p-values; avoids exact zeros in log-scale output
@@ -99,33 +97,3 @@ def test_all(design: DesignMatrix, y: np.ndarray) -> tuple[np.ndarray, np.ndarra
         full.coefficients, full.covariance, full.sigma2_tilde, design.block_offsets
     )
     return statistics, p_value(statistics, np.diff(design.block_offsets))
-
-
-def test_resamples(qr: SampleQR, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Statistics and p-values, each (b, M), of every predictor on each
-    resample ``idx[j]`` (n row indices into the sample of ``qr``).
-
-    The resamples' fits come together from their row counts. A resample that
-    the count fit does not certify, or every resample of a batch whose count
-    fit or statistics raise, is tested by :func:`test_all` on its explicit
-    rows instead; a resample whose fit fails there has a row of NaN.
-    """
-    offsets = qr.design.block_offsets
-    statistics = np.full((len(idx), len(offsets) - 1), np.nan)
-    try:
-        fits = fit_resamples(qr, idx)
-        ok = fits.certified
-        # a slice when every resample is certified: a mask would copy the V's
-        rows = slice(None) if ok.all() else ok
-        statistics[rows] = block_statistics(
-            fits.coefficients[rows], fits.covariance[rows], fits.sigma2_tilde[rows], offsets
-        )
-    except (np.linalg.LinAlgError, NumericalError):
-        ok = np.zeros(len(idx), bool)
-    for j in np.flatnonzero(~ok):
-        resampled = DesignMatrix(values=qr.design.values[idx[j]], block_offsets=offsets)
-        try:
-            statistics[j] = test_all(resampled, qr.y[idx[j]])[0]
-        except NumericalError:
-            pass
-    return statistics, p_value(statistics, np.diff(offsets))

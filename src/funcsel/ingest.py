@@ -333,7 +333,7 @@ def _read_points(path: str, chunks, handle):
     short at its first line without 4 fields. Reading stops at the first
     row with a wrong field count or a bad number; a repeated point before
     it is reported instead. A file listing each curve in increasing ``t``
-    is ordered by one radix sort on the curve, any other by two sorts."""
+    is ordered by one radix sort on the curve, any other by one lexsort."""
     samples: dict[str, int] = {}
     predictors: dict[str, int] = {}
     parts = []  # (sample codes, predictor codes, t, value) per chunk
@@ -367,13 +367,12 @@ def _read_points(path: str, chunks, handle):
     # the curves sort as the smallest unsigned type that holds them, which
     # numpy sorts by radix up to 65,536 curves. That stable sort is the
     # order when each curve lists its points in strictly increasing t; else
-    # a stable sort by t goes first, so a repeated point follows its first row
+    # one lexsort by (curve, t), stable, so a repeated point follows its first row
     key = curve.astype(np.min_scalar_type(len(sample_ids) * len(predictor_ids)))
     order = np.argsort(key, kind="stable")
     by_curve, by_t = curve[order], t[order]
     if ((by_curve[1:] == by_curve[:-1]) & (by_t[1:] <= by_t[:-1])).any():
-        order = np.argsort(t, kind="stable")
-        order = order[np.argsort(key[order], kind="stable")]
+        order = np.lexsort((t, key))
         by_curve, by_t = curve[order], t[order]
         repeat = (by_curve[1:] == by_curve[:-1]) & (by_t[1:] == by_t[:-1])
         if repeat.any():

@@ -26,7 +26,7 @@ import numpy as np
 
 from .bspline import BasisSpec, evaluate_basis_matrix
 from .errors import (
-    RANK_RTOL,
+    RANK_BOUND2_MAX,
     DataError,
     RankDeficiencyError,
     SampleSizeError,
@@ -233,14 +233,11 @@ def _smooth_rows(
     # which is at least tau while c G p^1.5 u < tau / 2: up to about
     # 3e4 / c points per curve at p = 6 on these worst-case bounds, and far
     # more on the errors met in practice, which grow like sqrt(G p) u.
-    flagged = np.flatnonzero(~(bound2 < 0.25 / RANK_RTOL**2))
+    flagged = np.flatnonzero(~(bound2 < RANK_BOUND2_MAX))
     if flagged.size:
-        sv = np.linalg.svd(basis[flagged], full_matrices=False)[1]
-        # the criterion of check_rank, row by row; it raises for the first failure
-        deficient = np.flatnonzero(sv[:, -1] / sv[:, 0] < RANK_RTOL)
-        if deficient.size:
-            row = int(flagged[deficient[0]])
-            _check_basis_rank(sv[deficient[0]], spec, grids[row], row=first + row)
+        svs = np.linalg.svd(basis[flagged], full_matrices=False)[1]
+        for row, sv in zip(flagged.tolist(), svs):
+            _check_basis_rank(sv, spec, grids[row], row=first + row)
     # row i: R[:p, p]' (R_pp^{-1})' = (R_pp^{-1} R[:p, p])'
     return (r[:, None, :p, p] @ inv_t)[:, 0]
 

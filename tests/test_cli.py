@@ -21,17 +21,11 @@ from funcsel import (
     selection_mask,
     smooth_block,
 )
-from funcsel.cli import (
-    _build_config,
-    _resample_indices,
-    bootstrap_counts,
-    ingest_long_csv,
-    main,
-)
+from funcsel.bootstrap import _resample_indices, bootstrap_counts, sample_qr
+from funcsel.bootstrap import test_resamples as run_test_resamples
+from funcsel.cli import _build_config, ingest_long_csv, main
 from funcsel.design import DesignMatrix
 from funcsel.inference import test_all as run_test_all
-from funcsel.inference import test_resamples as run_test_resamples
-from funcsel.linmodel import sample_qr
 from funcsel.simgen import SimScenario, _rng_for, generate_replication
 from funcsel.smoothing import CurveBlock, FunctionalDataset
 
@@ -610,7 +604,7 @@ class TestRunBootstrap:
         def singular(qr, idx):
             raise np.linalg.LinAlgError("Singular matrix")
 
-        monkeypatch.setattr("funcsel.inference.fit_resamples", singular)
+        monkeypatch.setattr("funcsel.bootstrap.fit_resamples", singular)
         rng = np.random.default_rng(60)
         z = np.column_stack([np.ones(60), rng.normal(size=(60, 36))])
         y = z[:, 1:7].sum(axis=1) + rng.normal(size=60)

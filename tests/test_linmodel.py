@@ -5,13 +5,14 @@ import pytest
 import scipy.linalg
 
 from funcsel import NumericalError, RankDeficiencyError, SampleSizeError, fit_ols
-from funcsel.cli import _resample_indices, bootstrap_counts
+from funcsel.bootstrap import _resample_indices, bootstrap_counts, fit_resamples, sample_qr
+from funcsel.bootstrap import test_resamples as run_test_resamples
 from funcsel.design import DesignMatrix
+from funcsel.errors import RANK_BOUND2_MAX, RANK_RTOL
 from funcsel.inference import block_statistics
 from funcsel.inference import test_all as run_test_all
-from funcsel.inference import test_resamples as run_test_resamples
-from funcsel.linmodel import _invert_lower, fit_resamples, sample_qr
 from funcsel.simgen import SimScenario, _rng_for, coefficient_functions
+from funcsel.smoothing import _invert_lower
 
 from conftest import (
     project_coefficients,
@@ -130,6 +131,15 @@ class TestFitOls:
         design, _ = random_design(rng, 30, (4,))
         with pytest.raises(ValueError, match="shape"):
             fit_ols(design, np.zeros(29))
+
+    @pytest.mark.parametrize("shape", [(60, 2), (59,)])
+    def test_sample_qr_checks_the_response_as_fit_ols_does(self, shape):
+        rng = np.random.default_rng(2)
+        design, _ = random_design(rng, 60, (4,))
+        y = rng.normal(size=shape)
+        for fit in (fit_ols, sample_qr):
+            with pytest.raises(ValueError, match=r"response shape \(.*\) does not match"):
+                fit(design, y)
 
 
 def _explicit_fit(design, y, rows):
@@ -315,7 +325,7 @@ class TestFitResamples:
         rng = np.random.default_rng(7)
         design, y = random_design(rng, 60, (6, 6, 6))
         k = design.k
-        monkeypatch.setattr("funcsel.linmodel.OUTER_FLOATS", 60 * (k + 1) * (k + 2) // 2
+        monkeypatch.setattr("funcsel.bootstrap.OUTER_FLOATS", 60 * (k + 1) * (k + 2) // 2
                             - (kept == 0))
         qr = sample_qr(design, y)
         assert (qr.outer is None) == (kept == 0)
@@ -339,11 +349,31 @@ class TestFitResamples:
         k = 37
         design = DesignMatrix(values=rng.normal(size=(n, k)), block_offsets=(1, *range(7, 38, 6)))
         if lowered:
-            monkeypatch.setattr("funcsel.linmodel.OUTER_FLOATS", n * (k + 1) * (k + 2) // 2 - 1)
+            monkeypatch.setattr("funcsel.bootstrap.OUTER_FLOATS", n * (k + 1) * (k + 2) // 2 - 1)
         qr = sample_qr(design, rng.normal(size=n))
         scaled = n * (k + 1) if qr.outer is None else 0
         assert (qr.outer is None) == (lowered or n == 10_000)
         assert qr.batch == max(1, 2**19 // (n + scaled + 2 * (k + 1) ** 2 + 3 * k**2)) == batch
+
+    def test_rank_bound_within_the_margin_is_not_certified(self):
+        # column 3 scaled by 3.98e-10 puts the identity resample's squared
+        # rank bound between RANK_BOUND2_MAX and 1/RANK_RTOL^2: below the
+        # rank check's own threshold, but without the factor 2 that covers
+        # its rounding, so the resample is fitted on its own rows
+        rng = np.random.default_rng(7)
+        z = np.column_stack([np.ones(60), rng.normal(size=(60, 6))])
+        z[:, 3] *= 3.98e-10
+        y = rng.normal(size=60)
+        design = DesignMatrix(values=z, block_offsets=(1, 4, 7))
+        fits = fit_resamples(sample_qr(design, y), np.arange(60)[None])
+        bound2 = (z**2).sum() * np.trace(fits.covariance[0])
+        assert RANK_BOUND2_MAX <= bound2 < RANK_RTOL**-2
+        assert not fits.certified[0]
+        for method in ("bc", "fdr"):
+            selected, failed = bootstrap_counts(design, y, method, 0.05, 200, 3)
+            expected_counts, expected_failed = bootstrap_loop(design, y, method, 0.05, 200, 3)
+            assert failed == expected_failed
+            np.testing.assert_array_equal(selected, expected_counts)
 
     def test_exactly_singular_design_rejected(self):
         # an all-zero column leaves an exactly zero pivot in R_zz, so no

@@ -21,11 +21,10 @@ from funcsel import (
     make_uniform_basis,
     smooth_block,
 )
-from funcsel.cli import bootstrap_counts
+from funcsel.bootstrap import bootstrap_counts, sample_qr
 from funcsel.design import DesignMatrix
 from funcsel.errors import check_rank
 from funcsel.inference import test_all as run_test_all
-from funcsel.linmodel import sample_qr
 from funcsel.selection import selection_mask
 
 from conftest import random_design
@@ -255,7 +254,7 @@ def test_bootstrap_on_repeated_rows_matches_per_resample_loop(instance, method):
         values[i], y[i] = values[source], y[source]
     design = DesignMatrix(values=values, block_offsets=design.block_offsets)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("funcsel.linmodel.RESAMPLE_FLOATS", 2**11)
+        patch.setattr("funcsel.bootstrap.RESAMPLE_FLOATS", 2**11)
         batch = sample_qr(design, y).batch
         b = batches * batch - short % batch
         selected, failed = bootstrap_counts(design, y, method, 0.05, b, seed)
