@@ -1,6 +1,6 @@
 """Byte identity of the ``funcsel`` command line between two source trees.
 
-Runs 60 jobs with ``python -m funcsel.cli`` under a parent tree and under a
+Runs 67 jobs with ``python -m funcsel.cli`` under a parent tree and under a
 changed tree, with ``OPENBLAS_NUM_THREADS=1``, and compares the stdout, the
 stderr, the exit code and the bytes of the ``--out`` report of each job:
 
@@ -9,6 +9,12 @@ stderr, the exit code and the bytes of the ``--out`` report of each job:
   regular files of input seeds {0, 3, 7};
 - ``simulate --reps 30`` x c {0, 0.4} x n {100, 300} x ``--seed``
   {0, 2**64 - 1} x {bc, fdr};
+- ``select`` on the input seed 3 files, regular and ragged, with bases
+  other than the default: ``--degree 2 --basis-size 9``, ``--degree 0
+  --basis-size 4``, and a ``--config`` of per-predictor overrides
+  (``basis_size.X1 = 12``, ``degree.X2 = 1``, ``domain.X3 = -1.5:1.5``);
+- ``bootstrap --basis-size 8 --bootstrap-b 200`` on the regular input seed
+  3 files;
 - ``select`` on 20 altered copies of the input seed 3 curves file, for the
   reader's faults and layouts: 13 of the regular file (see
   :func:`_regular_variants`) and 7 of the ragged one (see
@@ -149,6 +155,27 @@ def _jobs(files: dict[tuple[int, bool], dict], work: Path) -> list[tuple[str, li
             ["--mode", "simulate", "--reps", "30", "--c", c, "--n", str(n),
              "--seed", str(seed), "--method", method],
         ))
+    config = work / "bases.cfg"
+    config.write_text("basis_size.X1 = 12\ndegree.X2 = 1\ndomain.X3 = -1.5:1.5\n")
+    bases = {
+        "--degree 2 --basis-size 9": ["--degree", "2", "--basis-size", "9"],
+        "--degree 0 --basis-size 4": ["--degree", "0", "--basis-size", "4"],
+        "per-predictor config": ["--config", str(config)],
+    }
+    for (name, flags), ragged in itertools.product(bases.items(), (False, True)):
+        paths = files[VARIANT_SEED, ragged]
+        layout = "ragged" if ragged else "regular"
+        jobs.append((
+            f"select {layout} input{VARIANT_SEED}, {name}",
+            ["--mode", "select", "--curves", paths["curves"],
+             "--responses", paths["responses"], *flags],
+        ))
+    paths = files[VARIANT_SEED, False]
+    jobs.append((
+        f"bootstrap regular input{VARIANT_SEED}, --basis-size 8",
+        ["--mode", "bootstrap", "--curves", paths["curves"], "--responses",
+         paths["responses"], "--basis-size", "8", "--bootstrap-b", "200"],
+    ))
     for ragged, variants in ((False, _regular_variants), (True, _ragged_variants)):
         paths = files[VARIANT_SEED, ragged]
         layout = "ragged" if ragged else "regular"

@@ -175,7 +175,7 @@ def sample_qr(design: DesignMatrix, y: np.ndarray) -> SampleQR:
     except np.linalg.LinAlgError:
         raise RankDeficiencyError("design matrix is exactly singular") from None
     _, first, inverse = np.unique(data, axis=0, return_index=True, return_inverse=True)
-    first_copy = first[inverse.reshape(-1)]  # numpy 2.0.0 gives a 2-D inverse
+    first_copy = first[inverse]
     scaled = n * (k + 1) if outer is None else 0
     batch = max(1, RESAMPLE_FLOATS // (n + scaled + 2 * (k + 1) ** 2 + 3 * k**2))
     return SampleQR(

@@ -1,4 +1,4 @@
-"""B-spline bases: clamped knot construction, evaluation, and Gram matrices.
+"""B-spline bases: clamped uniform knots, evaluation, and Gram matrices.
 
 A basis is described by an immutable :class:`BasisSpec`. Evaluation uses the
 Cox-de Boor triangular scheme, run on all points of a call at once; the Gram
@@ -12,7 +12,8 @@ checked once per fit, in :func:`~funcsel.linmodel.fit_ols`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -27,47 +28,36 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BasisSpec:
-    """A clamped B-spline basis on [domain_lo, domain_hi].
+    """A clamped B-spline basis on [domain_lo, domain_hi] with uniform knots.
 
-    ``knots`` is the full knot vector of length ``num_basis + degree + 1``,
-    with the first and last knots repeated ``degree + 1`` times.
+    ``knots``, the full knot vector of length ``num_basis + degree + 1``, is
+    derived: the ends repeated ``degree + 1`` times around the
+    ``num_basis - degree - 1`` equally spaced interior knots of the open
+    domain. Domain, degree and size fix it, so it takes no part in equality.
     """
 
     domain_lo: float
     domain_hi: float
     degree: int
     num_basis: int
-    knots: tuple[float, ...]
+    knots: tuple[float, ...] = field(init=False, compare=False)
 
     def __post_init__(self):
-        if self.degree < 0:
-            raise ValueError(f"degree must be >= 0, got {self.degree}")
-        if self.num_basis <= self.degree:
+        lo, hi, degree = self.domain_lo, self.domain_hi, self.degree
+        if degree < 0:
+            raise ValueError(f"degree must be >= 0, got {degree}")
+        if self.num_basis <= degree:
+            raise ValueError(f"num_basis ({self.num_basis}) must exceed degree ({degree})")
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ValueError(f"domain_lo ({lo}) must be < domain_hi ({hi}), both finite")
+        interior = np.linspace(lo, hi, self.num_basis - degree + 1)[1:-1]
+        knots = (lo,) * (degree + 1) + tuple(interior.tolist()) + (hi,) * (degree + 1)
+        if not np.all(np.diff(knots[degree : self.num_basis + 1]) > 0):
             raise ValueError(
-                f"num_basis ({self.num_basis}) must exceed degree ({self.degree})"
+                f"interior knots must lie strictly inside the domain and increase; "
+                f"{self.num_basis - degree - 1} equally spaced in [{lo}, {hi}] do not"
             )
-        if not self.domain_lo < self.domain_hi:
-            raise ValueError(
-                f"domain_lo ({self.domain_lo}) must be < domain_hi ({self.domain_hi})"
-            )
-        expected = self.num_basis + self.degree + 1
-        if len(self.knots) != expected:
-            raise ValueError(
-                f"knot vector length {len(self.knots)} != num_basis + degree + 1 = {expected}"
-            )
-        kn = np.asarray(self.knots, dtype=float)
-        if np.any(np.diff(kn) < 0):
-            raise ValueError("knots must be nondecreasing")
-        mult = self.degree + 1
-        if not (np.all(kn[:mult] == self.domain_lo) and np.all(kn[-mult:] == self.domain_hi)):
-            raise ValueError(
-                f"first and last knots must equal the domain endpoints with multiplicity {mult}"
-            )
-        interior = kn[mult:-mult]
-        if interior.size and not (
-            np.all(interior > self.domain_lo) and np.all(interior < self.domain_hi)
-        ):
-            raise ValueError("interior knots must lie strictly inside the domain")
+        object.__setattr__(self, "knots", knots)
 
     @property
     def knot_array(self) -> np.ndarray:
@@ -83,25 +73,9 @@ class BasisSpec:
 def make_uniform_basis(
     domain_lo: float, domain_hi: float, degree: int = 3, num_basis: int = 6
 ) -> BasisSpec:
-    """Clamped knot vector with equally spaced interior knots.
-
-    Places ``num_basis - degree - 1`` interior knots uniformly in the open
-    domain, with endpoint multiplicity ``degree + 1``.
-    """
-    if degree < 0 or num_basis <= degree:
-        raise ValueError(
-            f"need num_basis > degree >= 0, got degree={degree}, num_basis={num_basis}"
-        )
-    if not domain_lo < domain_hi:
-        raise ValueError(f"need domain_lo < domain_hi, got [{domain_lo}, {domain_hi}]")
-    n_interior = num_basis - degree - 1
-    interior = np.linspace(domain_lo, domain_hi, n_interior + 2)[1:-1]
-    knots = (
-        (float(domain_lo),) * (degree + 1)
-        + tuple(float(t) for t in interior)
-        + (float(domain_hi),) * (degree + 1)
-    )
-    return BasisSpec(float(domain_lo), float(domain_hi), degree, num_basis, knots)
+    """The clamped basis of ``num_basis`` functions of ``degree`` with
+    uniform knots on [domain_lo, domain_hi] (see :class:`BasisSpec`)."""
+    return BasisSpec(float(domain_lo), float(domain_hi), degree, num_basis)
 
 
 def evaluate_basis_matrix(spec: BasisSpec, ts: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ import numpy as np
 from .bspline import BasisSpec, make_uniform_basis
 from .bootstrap import bootstrap_counts
 from .design import build_design, check_parameter_count
-from .errors import DataError, NumericalError, RankDeficiencyError
+from .errors import DataError, NumericalError, RankDeficiencyError, quoted_id
 from .inference import test_all
 from .ingest import ingest_long_csv
 from .selection import check_method, check_q, default_q, selection_mask
@@ -150,8 +150,8 @@ def _bases_for(
         for predictor in getattr(config, f"{name}_overrides"):
             if predictor not in predictor_ids:
                 raise ValueError(
-                    f"config key '{name}.{predictor}': no predictor "
-                    f"'{predictor}' in {config.curves}"
+                    f"config key {quoted_id(name + '.' + predictor)}: no predictor "
+                    f"{quoted_id(predictor)} in {config.curves}"
                 )
     bases = []
     for predictor, blocks in zip(predictor_ids, curves):
@@ -162,8 +162,8 @@ def _bases_for(
             hi = max(block.grid[..., -1].max() for block in blocks)
             if not lo < hi:
                 raise DataError(
-                    f"{config.curves}: every point of predictor '{predictor}' has "
-                    f"t = {lo}; a basis needs a range of t"
+                    f"{config.curves}: every point of predictor {quoted_id(predictor)} "
+                    f"has t = {lo}; a basis needs a range of t"
                 )
         else:
             lo, hi = domain
@@ -181,9 +181,12 @@ def _selection_pipeline(config: JobConfig):
     except (DataError, RankDeficiencyError) as exc:
         # the library names the curve by its positions; name the file and ids
         i, m, last = exc.curve
-        where = f"sample '{sample_ids[i]}', predictor '{predictor_ids[m]}'"
+        where = f"sample {quoted_id(sample_ids[i])}, predictor {quoted_id(predictor_ids[m])}"
         if last is not None:
-            where += f" (grid shared by samples '{sample_ids[i]}'-'{sample_ids[last]}')"
+            where += (
+                f" (grid shared by samples {quoted_id(sample_ids[i])}-"
+                f"{quoted_id(sample_ids[last])})"
+            )
         raise type(exc)(f"{config.curves}: {where}: {exc.__cause__}") from exc
     design = build_design(dataset)
     check_parameter_count(design.n, design.k)

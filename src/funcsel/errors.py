@@ -1,12 +1,24 @@
-"""Exception and warning types shared across the package, and the one rank
+"""Exception and warning types shared across the package, the one rank
 criterion: a matrix that must have full column rank is rejected when its
-smallest singular value falls below ``RANK_RTOL`` times its largest.
+smallest singular value falls below ``RANK_RTOL`` times its largest, and the
+one form of an id in a message.
 """
 
 # relative singular-value floor of every rank check (basis matrices, designs)
 RANK_RTOL = 1e-10
 # squared ratio bound that passes check_rank with a factor 2 for its rounding
 RANK_BOUND2_MAX = 0.25 / RANK_RTOL**2
+
+# characters of an id that a message shows
+ID_CHARS = 80
+
+
+def quoted_id(name: str) -> str:
+    """``name`` in quotes, for a message; a longer id than ``ID_CHARS``
+    characters shows its first ``ID_CHARS`` and its length."""
+    if len(name) <= ID_CHARS:
+        return f"'{name}'"
+    return f"'{name[:ID_CHARS]}...' ({len(name)} characters)"
 
 
 class DataError(Exception):

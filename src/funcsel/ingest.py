@@ -22,7 +22,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, quoted_id
 from .smoothing import CurveBlock
 
 __all__ = ["ingest_long_csv"]
@@ -141,16 +141,12 @@ def _parse_columns(numbers: bytes, rows: int):
     reads "nan(...)"; it rejects what is not an ASCII number, such as
     "1_000" or "١", which ``float()`` reads. So the arrays are kept only for
     bytes without whitespace, read to their end into 2 × ``rows`` finite
-    numbers. At an unread field numpy raises ValueError; older versions
-    return the numbers before it with a DeprecationWarning, raised only
-    where warnings are errors. The warnings filters are not touched: a
-    change to them, even inside ``catch_warnings``, makes Python show again
-    every warning it has already shown once.
+    numbers. At an unread field numpy raises ValueError.
     """
     if not any(space in numbers for space in b" \t\r\v\f"):
         try:
             parsed = np.fromstring(numbers, sep=",")
-        except (DeprecationWarning, ValueError):
+        except ValueError:
             parsed = None
         if parsed is not None and parsed.size == 2 * rows and np.isfinite(parsed).all():
             return parsed[0::2], parsed[1::2]
@@ -380,8 +376,8 @@ def _read_points(path: str, chunks, handle):
             predictor, sample = divmod(int(curve[row]), len(sample_ids))
             raise DataError(
                 f"{path} line {_line_of(row, blanks)}: duplicate point for sample "
-                f"'{sample_ids[sample]}', predictor '{predictor_ids[predictor]}', "
-                f"t={float(t[row])}"
+                f"{quoted_id(sample_ids[sample])}, predictor "
+                f"{quoted_id(predictor_ids[predictor])}, t={float(t[row])}"
             )
     if fault is not None:
         raise fault
@@ -423,20 +419,20 @@ def ingest_long_csv(
             name = row[0].strip()
             if name in responses:
                 raise DataError(
-                    f"{responses_path} line {lineno}: duplicate sample_id '{name}'"
+                    f"{responses_path} line {lineno}: duplicate sample_id {quoted_id(name)}"
                 )
             responses[name] = _parse_float(row[1], responses_path, lineno, "y")
 
     missing = [s for s in sample_ids if s not in responses]
     if missing:
         raise DataError(
-            f"{responses_path}: missing response for sample_id '{missing[0]}'"
+            f"{responses_path}: missing response for sample_id {quoted_id(missing[0])}"
         )
     known = set(sample_ids)
     extra = [s for s in responses if s not in known]
     if extra:
         raise DataError(
-            f"{responses_path}: sample_id '{extra[0]}' has no curves in {curves_path}"
+            f"{responses_path}: sample_id {quoted_id(extra[0])} has no curves in {curves_path}"
         )
     curves = _curve_blocks(curves_path, sample_ids, predictor_ids, curve, t, value)
     y = np.array([responses[s] for s in sample_ids])
@@ -457,8 +453,8 @@ def _curve_blocks(
     if not counts.all():
         m, i = divmod(int(np.argmin(counts)), n)
         raise DataError(
-            f"{path}: sample '{sample_ids[i]}' has no rows for predictor "
-            f"'{predictor_ids[m]}'"
+            f"{path}: sample {quoted_id(sample_ids[i])} has no rows for predictor "
+            f"{quoted_id(predictor_ids[m])}"
         )
     offsets = np.concatenate(([0], np.cumsum(counts)))
     curves: list[list[CurveBlock]] = []

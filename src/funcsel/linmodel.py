@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import DesignMatrix
-from .errors import SampleSizeError, check_rank
+from .errors import DataError, SampleSizeError, check_rank
 
 __all__ = ["FitResult", "fit_ols"]
 
@@ -35,11 +35,15 @@ class FitResult:
 
 
 def _checked_response(design: DesignMatrix, y: np.ndarray) -> np.ndarray:
-    """``y`` as floats, with one value per design row; n > k or SampleSizeError."""
+    """``y`` as floats, with one finite value per design row; n > k or
+    SampleSizeError."""
     y = np.asarray(y, dtype=float)
     n, k = design.values.shape
     if y.shape != (n,):
         raise ValueError(f"response shape {y.shape} does not match design rows {n}")
+    if not np.isfinite(y).all():
+        row = int(np.argmin(np.isfinite(y)))
+        raise DataError(f"response at row {row} is not finite: {y[row]}")
     if n <= k:
         raise SampleSizeError(f"need n > k, got n={n}, k={k}")
     return y
@@ -48,9 +52,10 @@ def _checked_response(design: DesignMatrix, y: np.ndarray) -> np.ndarray:
 def fit_ols(design: DesignMatrix, y: np.ndarray) -> FitResult:
     """Ordinary least squares from one QR of [Z | y].
 
-    Raises :class:`SampleSizeError` unless n > k, and
-    :class:`RankDeficiencyError` when the relative smallest singular value
-    of the design falls below ``errors.RANK_RTOL`` (1e-10).
+    Raises :class:`DataError` for a non-finite response,
+    :class:`SampleSizeError` unless n > k, and :class:`RankDeficiencyError`
+    when the relative smallest singular value of the design falls below
+    ``errors.RANK_RTOL`` (1e-10).
     """
     y = _checked_response(design, y)
     n, k = design.values.shape

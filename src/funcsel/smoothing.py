@@ -48,7 +48,7 @@ class CurveBlock:
 
     ``values`` is (r, G), one row per curve. ``grid`` is either (G,), one
     grid shared by every row, or (r, G), one grid per row; every grid is
-    strictly increasing.
+    strictly increasing, and every entry of both is finite.
     """
 
     grid: np.ndarray
@@ -65,6 +65,11 @@ class CurveBlock:
                 f"{values.shape}: need a one-dimensional grid of length "
                 f"{values.shape[1]}, shared by every curve, or one grid per curve"
             )
+        for name, array in (("grid", grid), ("values", values)):
+            if not np.isfinite(array).all():
+                finite = np.isfinite(array).all(axis=-1)
+                row = "shared by every row" if finite.ndim == 0 else f"of row {np.argmin(finite)}"
+                raise DataError(f"{name} {row} has a non-finite entry")
         if grid.size and np.any(np.diff(grid, axis=-1) <= 0):
             raise DataError("grid must be strictly increasing (no duplicate points)")
         object.__setattr__(self, "grid", grid)

@@ -26,6 +26,10 @@ time, scipy's B-spline design matrix and ``lstsq``, sharing no code with the
 package's block smoother. ``smooth_rows_lstsq`` applies it to every row of
 a block of per-row grids.
 
+``uniform_knots_reference`` is the clamped uniform knot vector as it was
+first built, from the domain, degree and size, which the package's basis
+derives and must match bit for bit.
+
 ``evaluate_basis``, ``chisq_cdf`` and ``noncentral_chisq_cdf`` are scalar
 conveniences the tests call: the basis at one point, and scipy's central
 and noncentral chi-square CDFs with their arguments checked. ``block_slice``
@@ -57,6 +61,7 @@ from funcsel import (
     fit_ols,
 )
 from funcsel.design import DesignMatrix
+from funcsel.errors import quoted_id
 from funcsel.inference import test_all as run_test_all
 from funcsel.linmodel import FitResult
 from funcsel import simgen
@@ -281,7 +286,7 @@ def ingest_reference(
             if key in seen:
                 raise DataError(
                     f"{curves_path} line {lineno}: duplicate point for sample "
-                    f"'{sample}', predictor '{predictor}', t={t}"
+                    f"{quoted_id(sample)}, predictor {quoted_id(predictor)}, t={t}"
                 )
             seen.add(key)
             points.setdefault((sample, predictor), []).append((t, value))
@@ -301,7 +306,7 @@ def ingest_reference(
             sample = row[0].strip()
             if sample in responses:
                 raise DataError(
-                    f"{responses_path} line {lineno}: duplicate sample_id '{sample}'"
+                    f"{responses_path} line {lineno}: duplicate sample_id {quoted_id(sample)}"
                 )
             responses[sample] = _reference_float(row[1], responses_path, lineno, "y")
 
@@ -310,12 +315,12 @@ def ingest_reference(
     missing = [s for s in sample_ids if s not in responses]
     if missing:
         raise DataError(
-            f"{responses_path}: missing response for sample_id '{missing[0]}'"
+            f"{responses_path}: missing response for sample_id {quoted_id(missing[0])}"
         )
     extra = [s for s in responses if s not in set(sample_ids)]
     if extra:
         raise DataError(
-            f"{responses_path}: sample_id '{extra[0]}' has no curves in {curves_path}"
+            f"{responses_path}: sample_id {quoted_id(extra[0])} has no curves in {curves_path}"
         )
 
     curves: list[list[CurveBlock]] = []
@@ -326,8 +331,8 @@ def ingest_reference(
             pts = points.get((sample, predictor))
             if pts is None:
                 raise DataError(
-                    f"{curves_path}: sample '{sample}' has no rows for predictor "
-                    f"'{predictor}'"
+                    f"{curves_path}: sample {quoted_id(sample)} has no rows for predictor "
+                    f"{quoted_id(predictor)}"
                 )
             pts.sort()
             t, values = np.array(pts).T
@@ -340,6 +345,21 @@ def ingest_reference(
         curves.append(blocks)
     y = np.array([responses[s] for s in sample_ids])
     return curves, y, sample_ids, predictor_ids
+
+
+def uniform_knots_reference(
+    domain_lo: float, domain_hi: float, degree: int, num_basis: int
+) -> tuple[float, ...]:
+    """The clamped uniform knot vector as ``make_uniform_basis`` first built
+    it: ``degree + 1`` copies of each end around ``num_basis - degree - 1``
+    equally spaced interior knots."""
+    n_interior = num_basis - degree - 1
+    interior = np.linspace(domain_lo, domain_hi, n_interior + 2)[1:-1]
+    return (
+        (float(domain_lo),) * (degree + 1)
+        + tuple(float(t) for t in interior)
+        + (float(domain_hi),) * (degree + 1)
+    )
 
 
 def evaluate_basis(spec: BasisSpec, t: float) -> np.ndarray:

@@ -1,7 +1,11 @@
 """B-spline construction, evaluation, and Gram matrices against oracles."""
 
+from dataclasses import FrozenInstanceError, fields
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from funcsel import (
     BasisSpec,
@@ -10,7 +14,7 @@ from funcsel import (
     make_uniform_basis,
 )
 
-from oracles import evaluate_basis
+from oracles import evaluate_basis, uniform_knots_reference
 
 
 def naive_bspline(knots, degree, j, t, domain_hi):
@@ -81,34 +85,61 @@ class TestMakeUniformBasis:
 
 
 class TestBasisSpecValidation:
-    def test_wrong_knot_count(self):
-        with pytest.raises(ValueError, match="knot vector length"):
-            BasisSpec(0.0, 1.0, 1, 2, (0.0, 0.0, 1.0))
-
-    def test_decreasing_knots(self):
-        with pytest.raises(ValueError, match="nondecreasing"):
-            BasisSpec(0.0, 1.0, 0, 2, (0.0, 0.7, 0.5))
-
-    def test_unclamped_endpoints(self):
-        with pytest.raises(ValueError, match="multiplicity"):
-            BasisSpec(0.0, 1.0, 1, 3, (0.0, 0.2, 0.5, 1.0, 1.0))
-
     def test_interior_on_boundary(self):
+        # 1e16 + 4 lies two doubles above 1e16, so the 5 equally spaced
+        # interior knots round to 1e16, three times 1e16 + 2, and 1e16 + 4
         with pytest.raises(ValueError, match="strictly inside"):
-            BasisSpec(0.0, 1.0, 1, 3, (0.0, 0.0, 1.0, 1.0, 1.0))
+            make_uniform_basis(1e16, 1e16 + 4, 3, 9)
 
     @pytest.mark.parametrize(
         "args, message",
         [
-            ((0.0, 1.0, -1, 2, (0.0, 1.0)), r"degree must be >= 0, got -1"),
-            ((0.0, 1.0, 2, 2, (0.0,) * 3 + (1.0,) * 2), r"num_basis \(2\) must exceed degree \(2\)"),
-            ((1.0, 1.0, 1, 2, (1.0,) * 4), r"domain_lo \(1.0\) must be < domain_hi \(1.0\)"),
+            ((0.0, 1.0, -1, 2), r"degree must be >= 0, got -1"),
+            ((0.0, 1.0, 2, 2), r"num_basis \(2\) must exceed degree \(2\)"),
+            ((1.0, 1.0, 1, 2), r"domain_lo \(1.0\) must be < domain_hi \(1.0\)"),
         ],
         ids=["negative_degree", "too_few_functions", "empty_domain"],
     )
     def test_degree_size_and_domain(self, args, message):
         with pytest.raises(ValueError, match=message):
             BasisSpec(*args)
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(0.0, np.inf), (-np.inf, 0.0), (-np.inf, np.inf), (np.nan, 1.0), (0.0, np.nan)],
+        ids=["inf_hi", "inf_lo", "inf_both", "nan_lo", "nan_hi"],
+    )
+    def test_non_finite_domain(self, lo, hi):
+        with pytest.raises(ValueError, match="both finite"):
+            make_uniform_basis(lo, hi, 3, 4)
+
+    def test_knots_are_derived(self):
+        spec = make_uniform_basis(0.0, 1.0, degree=2, num_basis=5)
+        assert [f.name for f in fields(BasisSpec) if f.init] == [
+            "domain_lo", "domain_hi", "degree", "num_basis",
+        ]
+        assert spec == BasisSpec(0.0, 1.0, 2, 5)
+        assert hash(spec) == hash(BasisSpec(0.0, 1.0, 2, 5))
+        with pytest.raises(FrozenInstanceError):
+            spec.knots = (0.0,) * 8
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(
+        st.integers(0, 5),
+        st.integers(1, 30),
+        st.floats(-6.0, 6.0),
+        st.floats(-6.0, 6.0),
+        st.sampled_from((-1.0, 0.0, 1.0)),
+    )
+    @example(5, 30, -6.0, 6.0, 1.0)  # the narrowest spans, far from zero
+    def test_knots_match_reference_bit_for_bit(self, degree, extra, log_width, log_offset, sign):
+        # widths and offsets from 1e-6 to 1e6, at and off zero
+        lo = sign * 10.0**log_offset
+        hi = lo + 10.0**log_width
+        spec = make_uniform_basis(lo, hi, degree, degree + extra)
+        expected = uniform_knots_reference(lo, hi, degree, degree + extra)
+        assert np.array(spec.knots).tobytes() == np.array(expected).tobytes()
+        assert all(type(knot) is float for knot in spec.knots)
 
 
 class TestEvaluateBasis:
@@ -144,14 +175,17 @@ class TestEvaluateBasis:
         # a point in span j (knots[j] <= t < knots[j + 1], the last nonempty
         # span at the right end) has its degree + 1 values in columns
         # j - degree .. j, those of the recursion oracle, and zeros elsewhere
-        knots = (0.0,) * degree + (0.0, 0.1, 0.45, 0.5, 0.9, 1.0) + (1.0,) * degree
-        spec = BasisSpec(0.0, 1.0, degree, len(knots) - degree - 1, knots)
-        ts = np.unique(np.concatenate([knots, np.linspace(0.0, 1.0, 41)]))
-        for row, t in zip(evaluate_basis_matrix(spec, ts), ts):
-            span = max(j for j in range(degree, spec.num_basis) if knots[j] <= t)
-            assert np.all(np.delete(row, range(span - degree, span + 1)) == 0.0)
-            expected = [naive_bspline(knots, degree, j, t, 1.0) for j in range(spec.num_basis)]
-            assert row == pytest.approx(expected, abs=1e-12)
+        for lo, hi, extra in [(0.0, 1.0, 1), (0.0, 1.0, 5), (-2.5, 0.75, 3), (10.0, 13.0, 8)]:
+            spec = make_uniform_basis(lo, hi, degree, degree + extra)
+            knots = spec.knots
+            ts = np.unique(np.concatenate([knots, np.linspace(lo, hi, 41)]))
+            for row, t in zip(evaluate_basis_matrix(spec, ts), ts):
+                span = max(j for j in range(degree, spec.num_basis) if knots[j] <= t)
+                assert np.all(np.delete(row, range(span - degree, span + 1)) == 0.0)
+                expected = [
+                    naive_bspline(knots, degree, j, t, hi) for j in range(spec.num_basis)
+                ]
+                assert row == pytest.approx(expected, abs=1e-12)
 
     def test_nonnegative(self):
         spec = make_uniform_basis(0.0, 1.0, degree=3, num_basis=8)

@@ -25,6 +25,7 @@ from funcsel.bootstrap import _resample_indices, bootstrap_counts, sample_qr
 from funcsel.bootstrap import test_resamples as run_test_resamples
 from funcsel.cli import _build_config, ingest_long_csv, main
 from funcsel.design import DesignMatrix
+from funcsel.errors import quoted_id
 from funcsel.inference import test_all as run_test_all
 from funcsel.simgen import SimScenario, _rng_for, generate_replication
 from funcsel.smoothing import CurveBlock, FunctionalDataset
@@ -372,6 +373,82 @@ class TestIngest:
         assert code == 2
         err = capsys.readouterr().err
         assert f"data error: {curves_path}: every point of predictor 'w' has t = 0.5" in err
+
+
+def _append(path, lines):
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.writelines(line + "\n" for line in lines)
+
+
+class TestLongIds:
+    """An id of up to 80 characters prints whole in a message; a longer one
+    as its first 80 characters and its length, so a 1 MB id cannot make a
+    1 MB line."""
+
+    # each fault's exit code and message, with {id} where the id shows;
+    # _alter puts the fault into the files of small_files
+    FAULTS = {
+        "missing_response": (2, "missing response for sample_id {id}"),
+        "duplicate_response": (2, "line 15: duplicate sample_id {id}"),
+        "no_curves": (2, "sample_id {id} has no curves in"),
+        "no_rows": (2, "sample 's01' has no rows for predictor {id}"),
+        "duplicate_point": (2, "line 99: duplicate point for sample {id}, predictor 'p0', t=0.5"),
+        "constant_t": (2, "every point of predictor {id} has t = 0.5"),
+        "bad_grid": (2, "sample {id}, predictor 'p0': grid has 4 points"),
+        "absent_override": (1, "no predictor {id} in"),
+    }
+
+    @staticmethod
+    def _alter(paths, fault, name, config):
+        curves, responses = paths["curves"], paths["responses"]
+        if fault == "missing_response":
+            _append(curves, [f"{name},p0,0.5,1.0"])
+        elif fault == "duplicate_response":
+            _append(responses, [f"{name},1.0", f"{name},2.0"])
+        elif fault == "no_curves":
+            _append(responses, [f"{name},1.0"])
+        elif fault == "no_rows":
+            _append(curves, [f"s00,{name},0.5,1.0"])
+        elif fault == "duplicate_point":
+            _append(curves, [f"{name},p0,0.5,1.0", f"{name},p0,0.5,2.0"])
+            _append(responses, [f"{name},1.0"])
+        elif fault == "constant_t":
+            _append(curves, [f"s{i:02d},{name},0.5,1.0" for i in range(12)])
+        elif fault == "bad_grid":
+            _append(curves, [f"{name},p0,{t},1.0" for t in (0.0, 0.25, 0.5, 1.0)])
+            _append(responses, [f"{name},1.0"])
+        else:
+            config.write_text(f"degree.{name} = 2\n")
+            return ["--config", str(config)]
+        return []
+
+    # a 1 MB id in the curves file takes the reader seconds, and one in the
+    # responses file exceeds csv.field_size_limit(); 1,000 characters are cut
+    # the same way, and a 1 MB id reaches the message through a config key
+    @pytest.mark.parametrize("length", [80, 1000])
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_id_in_message(self, tmp_path, capsys, fault, length):
+        paths = small_files(tmp_path)
+        name = "s" * length
+        extra = self._alter(paths, fault, name, tmp_path / "job.cfg")
+        code = main(["--mode", "select", "--curves", str(paths["curves"]),
+                     "--responses", str(paths["responses"]), *extra])
+        err = capsys.readouterr().err
+        expected_code, message = self.FAULTS[fault]
+        shown = f"'{name}'" if length <= 80 else f"'{'s' * 80}...' (1000 characters)"
+        assert code == expected_code
+        assert message.format(id=shown) in err
+        assert len(err) < 1000
+
+    def test_1mb_id(self, tmp_path, capsys):
+        paths = small_files(tmp_path)
+        extra = self._alter(paths, "absent_override", "s" * 1_000_000, tmp_path / "job.cfg")
+        assert main(["--mode", "select", "--curves", str(paths["curves"]),
+                     "--responses", str(paths["responses"]), *extra]) == 1
+        err = capsys.readouterr().err
+        assert f"no predictor '{'s' * 80}...' (1000000 characters) in" in err
+        assert len(err) < 1000
+        assert quoted_id("s" * 1_000_000) == f"'{'s' * 80}...' (1000000 characters)"
 
 
 class TestRoundTrip:

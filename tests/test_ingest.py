@@ -12,7 +12,6 @@ inside files of a few dozen lines.
 import io
 import tempfile
 import tracemalloc
-import warnings
 from collections import deque
 from pathlib import Path
 from unittest import mock
@@ -346,19 +345,6 @@ def test_numbers_are_read_in_one_pass_only_when_exact():
         (b"1,nan(1),", 1, (["1"], ["nan(1)"])),
     ]:
         assert ingest._parse_columns(numbers, rows) == texts
-
-
-@pytest.mark.parametrize("action", ["ignore", "error"])
-def test_partial_read_of_older_numpy_gives_texts(action):
-    # older numpy warns at an unread field and returns the numbers before it
-    def fromstring(numbers, sep):
-        warnings.warn("string could not be read to its end", DeprecationWarning, stacklevel=2)
-        return np.array([1.0])
-
-    with warnings.catch_warnings():
-        warnings.simplefilter(action, DeprecationWarning)
-        with mock.patch.object(ingest.np, "fromstring", fromstring):
-            assert ingest._parse_columns(b"1,2_0,", 1) == (["1"], ["2_0"])
 
 
 def test_lines_are_cut_after_every_chunk():

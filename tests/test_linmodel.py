@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from funcsel import NumericalError, RankDeficiencyError, SampleSizeError, fit_ols
+from funcsel import (
+    DataError,
+    NumericalError,
+    RankDeficiencyError,
+    SampleSizeError,
+    fit_ols,
+)
 from funcsel.bootstrap import _resample_indices, bootstrap_counts, fit_resamples, sample_qr
 from funcsel.bootstrap import test_resamples as run_test_resamples
 from funcsel.design import DesignMatrix
@@ -140,6 +146,23 @@ class TestFitOls:
         for fit in (fit_ols, sample_qr):
             with pytest.raises(ValueError, match=r"response shape \(.*\) does not match"):
                 fit(design, y)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_response_is_a_data_error(self, bad):
+        # unchecked, test_all returns NaN statistics here, and the bootstrap
+        # counts the 32 of 50 resamples that draw row 2 as failed
+        rng = np.random.default_rng(1)
+        design, _ = random_design(rng, 60, (4, 4))
+        y = rng.normal(size=60)
+        y[2] = bad
+        for run in (
+            lambda: fit_ols(design, y),
+            lambda: sample_qr(design, y),
+            lambda: run_test_all(design, y),
+            lambda: bootstrap_counts(design, y, "bc", 0.05, 50, 1),
+        ):
+            with pytest.raises(DataError, match="response at row 2 is not finite"):
+                run()
 
 
 def _explicit_fit(design, y, rows):

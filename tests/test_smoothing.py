@@ -52,6 +52,19 @@ class TestRawCurve:
         with pytest.raises(DataError, match="strictly increasing"):
             CurveBlock(grid=grids, values=np.zeros((3, 5)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_name_their_row(self, bad):
+        grids = np.tile(np.linspace(0.0, 1.0, 5), (3, 1))
+        values = np.zeros((3, 5))
+        values[2, 1] = bad
+        with pytest.raises(DataError, match="values of row 2 has a non-finite entry"):
+            CurveBlock(grid=grids[0], values=values)
+        grids[1, 4] = bad
+        with pytest.raises(DataError, match="grid of row 1 has a non-finite entry"):
+            CurveBlock(grid=grids, values=np.zeros((3, 5)))
+        with pytest.raises(DataError, match="grid shared by every row has a non-finite"):
+            CurveBlock(grid=grids[1], values=np.zeros((3, 5)))
+
     def test_not_one_dimensional(self):
         with pytest.raises(DataError, match="one-dimensional"):
             CurveBlock(grid=np.zeros((2, 2)), values=np.zeros((1, 4)))
