@@ -1,6 +1,6 @@
 """Byte identity of the ``funcsel`` command line between two source trees.
 
-Runs 67 jobs with ``python -m funcsel.cli`` under a parent tree and under a
+Runs 74 jobs with ``python -m funcsel.cli`` under a parent tree and under a
 changed tree, with ``OPENBLAS_NUM_THREADS=1``, and compares the stdout, the
 stderr, the exit code and the bytes of the ``--out`` report of each job:
 
@@ -15,10 +15,11 @@ stderr, the exit code and the bytes of the ``--out`` report of each job:
   (``basis_size.X1 = 12``, ``degree.X2 = 1``, ``domain.X3 = -1.5:1.5``);
 - ``bootstrap --basis-size 8 --bootstrap-b 200`` on the regular input seed
   3 files;
-- ``select`` on 20 altered copies of the input seed 3 curves file, for the
-  reader's faults and layouts: 13 of the regular file (see
-  :func:`_regular_variants`) and 7 of the ragged one (see
-  :func:`_ragged_variants`).
+- ``select`` on 27 altered copies of the input seed 3 curves file, for the
+  reader's faults, layouts and number forms: 17 of the regular file (see
+  :func:`_regular_variants`) and 10 of the ragged one (see
+  :func:`_ragged_variants`), 3 of each with the ``value`` column in other
+  forms (see :func:`_number_variants`).
 
 The input CSVs come from ``bench/inputs.py`` and are written, with the
 altered copies, to a temporary directory. Both trees run a job with the same
@@ -33,7 +34,9 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import decimal
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -66,10 +69,51 @@ def _cut(line: bytes) -> bytes:
     return line.rpartition(b",")[0]
 
 
+def _midpoint_19(x: float) -> str:
+    """The midpoint between ``x`` and the next double up, cut to 19
+    significant digits: a decimal that rounds to a double midpoint in 64
+    bits of significand but not in more."""
+    exact = decimal.Context(prec=2000)
+    up = math.nextafter(x, math.inf)
+    midpoint = exact.divide(exact.add(decimal.Decimal(x), decimal.Decimal(up)), 2)
+    return format(decimal.Context(prec=19, rounding=decimal.ROUND_DOWN).plus(midpoint), ".18e")
+
+
+def _number_variants(data: bytes) -> dict[str, bytes]:
+    """Copies of a curves file with its ``value`` column written in other
+    number forms, by name."""
+    header, *rows = data.split(b"\n")[:-1]
+
+    def values(form) -> bytes:
+        """The file with the value text of row ``i`` set to ``form(i, text)``."""
+        lines = [header]
+        for i, row in enumerate(rows):
+            head, _, text = row.rpartition(b",")
+            lines.append(head + b"," + form(i, text.decode()).encode())
+        return b"".join(line + b"\n" for line in lines)
+
+    # rows spread over the file's chunks, each given one form
+    odd = {
+        1000: lambda text: "+1.5",
+        7000: lambda text: "-0",
+        20_000: lambda text: ".5",
+        33_000: lambda text: "5.",
+        46_000: lambda text: "%.19e" % float(text),  # a 20-digit mantissa
+        59_000: lambda text: _midpoint_19(float(text)),
+        72_000: lambda text: _midpoint_19(-float(text)),
+    }
+    return {
+        "values in %.6e": values(lambda i, text: "%.6e" % float(text)),
+        "values in %.15g": values(lambda i, text: "%.15g" % float(text)),
+        "values in other forms": values(lambda i, text: odd[i](text) if i in odd else text),
+    }
+
+
 def _regular_variants(data: bytes) -> dict[str, bytes]:
     """Altered copies of a regular curves file, by name: each holds one
     fault, or two, at a line given by its index in the file or by its byte
-    position around the edges of the reader's chunks."""
+    position around the edges of the reader's chunks; and the copies of
+    :func:`_number_variants`."""
     lines = data.split(b"\n")[:-1]  # the file ends with a newline
     mid, a = len(lines) // 2, 30_000
 
@@ -105,12 +149,15 @@ def _regular_variants(data: bytes) -> dict[str, bytes]:
             {edge: b"\n" + lines[edge] + b"\n\n", edge + 1: bad(edge + 1)}
         ),
         "1 MB id": edit({mid: _field(lines[mid], 0, b"s" * 1_000_000)}),
+        "1 MB bad t": edit({mid: _field(lines[mid], 2, b"x" * 1_000_000)}),
+        **_number_variants(data),
     }
 
 
 def _ragged_variants(data: bytes) -> dict[str, bytes]:
-    """Altered layouts of a ragged curves file, by name, and one duplicate
-    point; a quoted field sends the file to the reader's csv path."""
+    """Altered layouts of a ragged curves file, by name, one duplicate point
+    and the copies of :func:`_number_variants`; a quoted field sends the
+    file to the reader's csv path."""
     header, *rows = data.split(b"\n")[:-1]
     shuffled = rows.copy()
     random.Random(VARIANT_SEED).shuffle(shuffled)
@@ -119,6 +166,7 @@ def _ragged_variants(data: bytes) -> dict[str, bytes]:
         return b"".join(line + end for line in [header, *body])
 
     return {
+        **_number_variants(data),
         "shuffled": join(shuffled),
         "reversed": join(rows[::-1]),
         "duplicate point": join([*rows[:40_000], rows[5000], *rows[40_000:]]),

@@ -1,7 +1,7 @@
 """Exception and warning types shared across the package, the one rank
 criterion: a matrix that must have full column rank is rejected when its
 smallest singular value falls below ``RANK_RTOL`` times its largest, and the
-one form of an id in a message.
+one form of an id or a field's text in a message.
 """
 
 # relative singular-value floor of every rank check (basis matrices, designs)
@@ -16,9 +16,19 @@ ID_CHARS = 80
 def quoted_id(name: str) -> str:
     """``name`` in quotes, for a message; a longer id than ``ID_CHARS``
     characters shows its first ``ID_CHARS`` and its length."""
-    if len(name) <= ID_CHARS:
-        return f"'{name}'"
-    return f"'{name[:ID_CHARS]}...' ({len(name)} characters)"
+    return _shown(name, lambda text: f"'{text}'")
+
+
+def quoted_text(text: str) -> str:
+    """``text`` as ``repr`` shows it, for a message, cut as
+    :func:`quoted_id` cuts an id."""
+    return _shown(text, repr)
+
+
+def _shown(text: str, quote) -> str:
+    if len(text) <= ID_CHARS:
+        return quote(text)
+    return f"{quote(text[:ID_CHARS] + '...')} ({len(text)} characters)"
 
 
 class DataError(Exception):

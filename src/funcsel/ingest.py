@@ -5,9 +5,11 @@ The curves file is read as bytes, ``CHUNK_BYTES`` at a time, and each read
 is cut after its last newline; the partial line past it opens the next
 chunk. A chunk is checked as UTF-8 once, split into lines and fields at the
 byte positions of its newlines and commas, and its ids are decoded once per
-run of rows with the same id bytes. numpy reads its ``t`` and ``value``
-fields in one pass where that agrees with ``float()``. A file holding a
-quote or a bare carriage return is read with the csv module instead,
+run of rows with the same id bytes. Its ``t`` and ``value`` fields are
+converted from the chunk's bytes, one pass per column, by a vectorized
+decimal kernel that is exact where it reads a field (:func:`_fast_floats`);
+``float()`` reads the fields it declines. A file holding a quote or a bare
+carriage return is read with the csv module instead,
 ``CHUNK_LINES`` rows at a time, with the same results. Either way reading
 stops at the first faulty row, and the points are then sorted by curve and
 ``t`` and cut into each predictor's blocks.
@@ -22,7 +24,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .errors import DataError, quoted_id
+from .errors import DataError, quoted_id, quoted_text
 from .smoothing import CurveBlock
 
 __all__ = ["ingest_long_csv"]
@@ -34,6 +36,9 @@ CHUNK_BYTES = 256 * 1024
 # rows of a file read with the csv module at a time; a quoted field may
 # hold a newline, so its chunks are counted in rows, not cut at bytes
 CHUNK_LINES = 16384
+# zero bytes before a chunk of the plain reader, which reads up to 24 bytes
+# before a field
+_PAD = 24
 _CURVES_HEADER = ["sample_id", "predictor_id", "t", "value"]
 
 
@@ -42,11 +47,11 @@ def _parse_float(text: str, path: str, line: int, field_name: str) -> float:
         value = float(text)
     except ValueError:
         raise DataError(
-            f"{path} line {line}: field '{field_name}' is not numeric: {text!r}"
+            f"{path} line {line}: field '{field_name}' is not numeric: {quoted_text(text)}"
         ) from None
     if not math.isfinite(value):
         raise DataError(
-            f"{path} line {line}: field '{field_name}' is not finite: {text!r}"
+            f"{path} line {line}: field '{field_name}' is not finite: {quoted_text(text)}"
         )
     return value
 
@@ -94,64 +99,243 @@ class _NotPlain(Exception):
 
 
 def _runs(
-    data: bytes, begin: np.ndarray, stop: np.ndarray
+    raw: np.ndarray, words: np.ndarray, begin: np.ndarray, stop: np.ndarray
 ) -> tuple[bytes, np.ndarray]:
-    """Runs of consecutive rows whose fields ``data[begin[r]:stop[r]]`` are
+    """Runs of consecutive rows whose fields ``raw[begin[r]:stop[r]]`` are
     equal in bytes: the fields of the runs' first rows, end to end, and the
-    runs' lengths."""
+    runs' lengths. ``words[i]`` is the little-endian word of ``raw[i:i + 8]``."""
     size = stop - begin
-    # the 8 bytes from each offset of ``data`` as one little-endian word
-    words = np.ndarray(len(data), "<u8", data + bytes(8), strides=(1,))
     same = np.zeros(begin.size, bool)
     same[1:] = size[1:] == size[:-1]
     # compare fields of equal length with the one before, 8 bytes at a time,
-    # the bytes past their end shifted out, while they still agree
-    for start in range(0, int(size.max(initial=0)), 8):
-        rows = np.flatnonzero(same & (size > start))
+    # the bytes past their end shifted out, while they still agree: each
+    # pass compares only the rows still equal and longer than ``start``
+    rows = np.flatnonzero(same & (size > 0))
+    start = 0
+    while rows.size:
         past = 8 * np.maximum(start + 8 - size[rows], 0).astype(np.uint64)
         differ = words[begin[rows] + start] ^ words[begin[rows - 1] + start]
-        same[rows] = differ << past == 0
+        equal = differ << past == 0
+        same[rows[~equal]] = False
+        start += 8
+        rows = rows[equal & (size[rows] > start)]
     firsts = np.flatnonzero(~same)
     size, begin = size[firsts], begin[firsts]
     at = np.arange(size.sum()) + np.repeat(begin - (np.cumsum(size) - size), size)
     lengths = np.diff(firsts, append=same.size)
-    return np.frombuffer(data, np.uint8)[at].tobytes(), lengths
+    return raw[at].tobytes(), lengths
 
 
-def _segments(raw: np.ndarray, begin: np.ndarray, stop: np.ndarray) -> bytes:
-    """The bytes ``raw[begin[i]:stop[i]]`` of ascending disjoint spans, each
-    followed by a comma, end to end; ``stop`` lies inside ``raw``."""
-    edges = np.column_stack((begin, stop + 1)).ravel()
-    spans = np.diff(edges, prepend=0, append=raw.size)
-    inside = np.zeros(spans.size, bool)
-    inside[1::2] = True
-    out = raw[np.repeat(inside, spans)]
-    out[np.cumsum(spans[1::2]) - 1] = ord(",")
-    return out.tobytes()
+def _has_extended_floats() -> bool:
+    """Whether ``np.longdouble`` holds a 64-bit significand, rounds its
+    arithmetic to all 64 bits and stores the significand in its first 8 of
+    16 bytes, as the x87 format does."""
+    one = np.longdouble(1)
+    if np.finfo(np.longdouble).nmant != 63 or one + np.longdouble(2) ** -63 == one:
+        return False
+    probe = np.array([1.5], np.longdouble)
+    return probe.itemsize == 16 and int(probe.view(np.uint64)[0]) == 3 << 62
 
 
-def _parse_columns(numbers: bytes, rows: int):
-    """The ``t`` and ``value`` columns of ``rows`` rows' "t,value," bytes:
-    float arrays read by numpy in one pass where that read must agree with
-    ``float()``, else the lists of their texts. Only the caller holds
-    either, so they are freed before the next chunk is read.
+# Whether the decimal kernel reads in extended floats. With a 64-bit
+# significand, an integer m < 10**19 and 10**e for e <= 27 are exact, so
+# m * 10**e and m / 10**e in np.longdouble are rounded once, and rounding
+# that to a double gives float()'s bits unless it lands on a midpoint between
+# two doubles (Clinger, "How to Read Floating Point Numbers Accurately",
+# 1990). Otherwise the kernel keeps to Clinger's fast path, m <= 2**53 and
+# e <= 22, where the one rounding is the double's.
+_EXTENDED = _has_extended_floats()
+# 10**0, 10**1, ... and their negatives, exact in each kind of float
+_POWERS = {
+    kind: np.multiply.outer((1, -1), np.cumprod([1] + [10] * (size - 1), dtype=kind)).ravel()
+    for kind, size in ((np.longdouble, 28), (np.float64, 23))
+}
+# _MASKS[j, i]: of 3 words of 24 bytes, the bytes of word j before the i-th
+_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)[
+    np.clip(np.arange(25) - 8 * np.arange(3)[:, None], 0, 8)
+]
 
-    numpy reads each field with CPython's own correctly rounded parser, but
-    skips whitespace around it, reads a field of whitespace as -1.0 and
-    reads "nan(...)"; it rejects what is not an ASCII number, such as
-    "1_000" or "١", which ``float()`` reads. So the arrays are kept only for
-    bytes without whitespace, read to their end into 2 × ``rows`` finite
-    numbers. At an unread field numpy raises ValueError.
-    """
-    if not any(space in numbers for space in b" \t\r\v\f"):
+
+def _keep_before(words: np.ndarray, count: np.ndarray) -> None:
+    """Zero each column of 3 words of 24 bytes from its ``count``-th byte on."""
+    for word, masks in zip(words, _MASKS):
+        word &= masks[count]
+
+
+def _mantissas(raw: np.ndarray, blocks: np.ndarray, first: np.ndarray, end: np.ndarray):
+    """The digits ``raw[first[i]:end[i]]``, with at most one dot, as
+    ``(m, scale, ok)``: the integer of the digits, the negated count of
+    digits past the dot, and whether the text is at most 24 bytes of ASCII
+    digits and at most one dot, holding a digit, with m below 10**19.
+    ``blocks[i]`` holds the 24 bytes from ``raw[i]``, and the 24 bytes up to
+    each end are read."""
+    # the 24 bytes up to each end, as 3 rows of words
+    window = blocks[end - 24].view("<u8").reshape(-1, 3).T.copy()
+    skip = first - end + 24  # the window's bytes before the field
+    ok = skip >= 0
+    skip = np.maximum(skip, 0)
+    # a byte 0x80 where the window holds no ASCII digit, whose top bit then
+    # is set or which is below 0x30 or above 0x39
+    low = window & 0x7F7F7F7F7F7F7F7F
+    other = low + 0x4646464646464646
+    low += 0x5050505050505050
+    other |= np.invert(low, out=low)
+    other |= window
+    other &= 0x8080808080808080
+    # gathered into the bits of one mask, byte i of the window at bit i,
+    # then shifted past the bytes before the field
+    other >>= 7
+    other *= 0x0102040810204080
+    other >>= 56
+    pack = other[1] << 8
+    pack |= other[0]
+    other[2] <<= 16
+    pack |= other[2]
+    pack >>= skip.astype(np.uint64)
+    del low, other
+    # the first such byte: at most one, a dot
+    below = np.negative(pack)
+    below &= pack
+    below -= 1
+    dots = np.bitwise_count(below).astype(np.intp)
+    dots += skip
+    dotted = np.bitwise_count(pack) == 1
+    dotted &= raw[end - 24 + np.minimum(dots, 24)] == ord(".")
+    ok &= (pack == 0) | dotted
+    del below, pack
+    # the digits with the dot taken out, the bytes up to it one byte later,
+    # and the bytes before the first digit '0'
+    shifted = window << 8
+    shifted[1:] |= window[:2] >> 56
+    shifted ^= window
+    _keep_before(shifted, np.where(dotted, dots + 1, 0))
+    window ^= shifted
+    fill = skip + dotted
+    ok &= fill < 24
+    shifted = np.bitwise_xor(window, 0x3030303030303030, out=shifted)
+    _keep_before(shifted, np.minimum(fill, 24))
+    window ^= shifted
+    del shifted
+    # the integer of each word's 8 digits, by three multiply and shift steps
+    window &= 0x0F0F0F0F0F0F0F0F
+    window *= 2561
+    window >>= 8
+    window &= 0x00FF00FF00FF00FF
+    window *= 6553601
+    window >>= 16
+    window &= 0x0000FFFF0000FFFF
+    window *= 42949672960001
+    window >>= 32
+    ok &= window[0] < 1000  # so m < 10**19
+    m = window[0] * 10**16
+    m += window[1] * 10**8
+    m += window[2]
+    scale = np.where(dotted, dots - 23, 0)  # the digits past the dot, negated
+    return m, scale, ok
+
+
+def _exponents(raw: np.ndarray, begin: np.ndarray, stop: np.ndarray):
+    """Of each field ``raw[begin[i]:stop[i]]``: the position of the last "e"
+    or "E" among its last 5 bytes, or 0; the exponent after it; and whether
+    the field has such an "e" past its first byte, followed by a sign or
+    none and then by digits only."""
+    mark = np.zeros(stop.size, np.intp)
+    for back in range(5, 0, -1):
+        at = stop - back
+        np.copyto(mark, at, where=(raw[at] | 0x20) == ord("e"))
+    sign = raw[mark + 1]
+    minus = sign == ord("-")
+    first = mark + 1 + (minus | (sign == ord("+")))  # the first digit
+    ok = (mark > begin) & (first < stop)
+    value = np.zeros(stop.size, np.intp)
+    for back in range(4, 0, -1):
+        at = stop - back
+        inside = at >= first
+        digit = raw[at] - ord("0")
+        ok &= (digit < 10) | ~inside
+        value *= 10
+        value += np.where(inside, digit, 0)
+    return mark, np.where(minus, -value, value), ok
+
+
+def _fast_floats(raw: np.ndarray, blocks: np.ndarray, begin: np.ndarray, stop: np.ndarray):
+    """The fields ``raw[begin[i]:stop[i]]`` as float64 values, and a mask of
+    the fields declined, whose values are void.
+
+    A field is read if it is an optional "-", then ASCII digits with at
+    most one dot (at most 24 bytes, holding a digit), then an optional
+    exponent of at most 5 bytes: "e" or "E", a sign or none, and digits;
+    if its digits, without the dot, make an integer m and its value
+    m * 10**scale keeps within the bound of ``_EXTENDED``; and, with
+    extended floats, if m * 10**scale does not round to a midpoint between
+    two doubles. Every other field is declined: one with a "+",
+    whitespace, "_", a non-ASCII digit, "nan" or "inf", 20 significant
+    digits and so on. ``blocks[i]`` holds the 24 bytes from ``raw[i]``, and
+    the 24 bytes before each field are read."""
+    negative = raw[begin] == ord("-")
+    first = begin + negative
+    m, scale, ok = _mantissas(raw, blocks, first, stop)
+    retry = np.flatnonzero(~ok)
+    if retry.size:
+        mark, power, found = _exponents(raw, begin[retry], stop[retry])
+        retry, mark, power = retry[found], mark[found], power[found]
+        m[retry], scale[retry], ok[retry] = _mantissas(raw, blocks, first[retry], mark)
+        scale[retry] += power
+    kind = np.longdouble if _EXTENDED else np.float64
+    powers = _POWERS[kind]
+    size = powers.size // 2
+    ok &= np.abs(scale) < size
+    if not _EXTENDED:
+        ok &= m <= 2**53
+    # m times or over 10**|scale|, signed as the field is
+    exact = m.astype(kind)
+    tens = powers[np.minimum(np.abs(scale), size - 1) + size * negative]
+    up = np.flatnonzero(scale > 0)
+    product = exact[up] * tens[up]
+    exact /= tens
+    exact[up] = product
+    del tens, product
+    if _EXTENDED:  # not on a midpoint: the low 11 of 64 bits are not 0x400
+        ok &= exact.view(np.uint64)[::2] & 0x7FF != 0x400
+    return exact.astype(np.float64), ~ok
+
+
+def _floats(
+    data: bytes, raw: np.ndarray, blocks: np.ndarray, begin: np.ndarray, stop: np.ndarray
+):
+    """The fields ``data[begin[i]:stop[i]]`` as a float array, or None if one
+    is not a finite number: :func:`_fast_floats` reads the fields it can,
+    and ``float()`` the others."""
+    values, declined = _fast_floats(raw, blocks, begin, stop)
+    for i in np.flatnonzero(declined).tolist():
         try:
-            parsed = np.fromstring(numbers, sep=",")
+            values[i] = value = float(data[begin[i]:stop[i]].decode())
         except ValueError:
-            parsed = None
-        if parsed is not None and parsed.size == 2 * rows and np.isfinite(parsed).all():
-            return parsed[0::2], parsed[1::2]
-    cells = numbers.decode().split(",")
-    return cells[0:-1:2], cells[1::2]
+            return None
+        if not math.isfinite(value):
+            return None
+    return values
+
+
+def _parse_columns(
+    data: bytes, raw: np.ndarray, blocks: np.ndarray,
+    second: np.ndarray, third: np.ndarray, ends: np.ndarray,
+):
+    """The ``t`` and ``value`` columns of a chunk whose rows hold their
+    second and third commas at ``second`` and ``third`` and end at ``ends``:
+    float arrays if every field is a finite number, else the lists of their
+    texts. Each column is read in one pass (see :func:`_floats`)."""
+    bounds = ((second + 1, third), (third + 1, ends))
+    columns = []
+    for begin, stop in bounds:
+        column = _floats(data, raw, blocks, begin, stop)
+        if column is None:
+            return [
+                [data[a:b].decode() for a, b in zip(begin.tolist(), stop.tolist())]
+                for begin, stop in bounds
+            ]
+        columns.append(column)
+    return columns
 
 
 def _next_chunk(handle, rest: list[bytes]) -> bytes:
@@ -178,10 +362,11 @@ def _plain_chunks(
     """The curves file past its header, split at newlines and commas, as
     ``(blanks, t, value, sample, predictor, short)`` per chunk of
     :func:`_next_chunk`: the line numbers of the blank lines; for the rows
-    before the first line without 4 fields, the ``t`` and ``value`` columns
-    (see :func:`_parse_columns`) and the codes of the ids in ``samples``
-    and ``predictors``; and that line's index among the chunk's data rows
-    and its field count, or None. ``handle`` is binary. Raises
+    before the first line without 4 fields, the ``t`` and ``value`` columns,
+    converted from the chunk's bytes at the field bounds that its commas
+    and newlines give (see :func:`_parse_columns`), and the codes of the
+    ids in ``samples`` and ``predictors``; and that line's index among the
+    chunk's data rows and its field count, or None. ``handle`` is binary. Raises
     :class:`_NotPlain` on a quote or on a carriage return not followed by a
     newline, and UnicodeDecodeError on a chunk that is not UTF-8."""
 
@@ -200,15 +385,22 @@ def _plain_chunks(
     line, rest = 2, []
     while data := _next_chunk(handle, rest):
         data = plain(data)
-        if not data.endswith(b"\n"):
-            data += b"\n"
+        # the chunk, ending in a newline, between _PAD zero bytes and 8, so
+        # that the 24 bytes before any field and the 8 from any of its bytes
+        # can be read
+        ending = b"" if data.endswith(b"\n") else b"\n"
+        data = b"".join((bytes(_PAD), data, ending, bytes(8)))
         raw = np.frombuffer(data, np.uint8)
+        # the 8 bytes from each offset of ``data`` as one little-endian
+        # word, and the 24 bytes from it as one block
+        words = np.ndarray(raw.size - 7, "<u8", data, strides=(1,))
+        blocks = np.ndarray(raw.size - 23, "V24", data, strides=(1,))
         # newlines and commas are single bytes in UTF-8, never part of
         # another character, so their byte positions delimit lines and fields
         ends = np.flatnonzero(raw == ord("\n"))
         commas = np.flatnonzero(raw == ord(","))
         before = np.searchsorted(commas, ends)  # the commas before each line end
-        starts = np.concatenate(([0], ends[:-1] + 1))
+        starts = np.concatenate(([_PAD], ends[:-1] + 1))
         filled = starts < ends
         blanks = (line + np.flatnonzero(~filled)).tolist()
         line += ends.size
@@ -218,20 +410,26 @@ def _plain_chunks(
         good = bad[0] if bad.size else counts.size
         short = (int(good), int(counts[good])) if bad.size else None
         starts, ends, before = starts[:good], ends[:good], before[:good]
-        # of the 3 commas of a row of 4 fields, the second ends its ids
-        second = commas[before - 2]
+        # of the 3 commas of a row of 4 fields, the second ends its ids and
+        # the third its t
+        second, third = commas[before - 2], commas[before - 1]
         # the ids are coded once per run of rows with the same id bytes, from
         # the "sample,predictor," of each run's first row
-        ids, lengths = _runs(data, starts, second + 1)
+        ids, lengths = _runs(raw, words, starts, second + 1)
         del commas, before, starts
         ids = ids.decode().split(",")
         sample = np.repeat(_code(samples, ids[0:-1:2]), lengths)
         predictor = np.repeat(_code(predictors, ids[1::2]), lengths)
         del ids
-        numbers = _segments(raw, second + 1, ends)  # "t,value," per row
-        # freed before the numbers are read
-        del data, raw, ends, second
-        yield blanks, *_parse_columns(numbers, int(good)), sample, predictor, short
+        t, value = _parse_columns(data, raw, blocks, second, third, ends)
+        del data, raw, words, blocks, ends, second, third
+        if isinstance(t, np.ndarray):
+            # copied once the chunk is freed, so that the columns, which are
+            # kept until the file is read, take its place in memory rather
+            # than lie among the pages it leaves free: on the ragged bench
+            # file the copy held the ingest's peak RSS 1.4 MB lower
+            t, value = t.copy(), value.copy()
+        yield blanks, t, value, sample, predictor, short
 
 
 def _csv_chunks(
@@ -295,7 +493,7 @@ def _finite_rows(
     kind = "finite" if row < columns[column].size else "numeric"
     return columns[0][:row], columns[1][:row], DataError(
         f"{path} line {_line_of(first_row + row, blanks)}: field "
-        f"'{('t', 'value')[column]}' is not {kind}: {(t, value)[column][row]!r}"
+        f"'{('t', 'value')[column]}' is not {kind}: {quoted_text((t, value)[column][row])}"
     )
 
 

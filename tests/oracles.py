@@ -61,7 +61,7 @@ from funcsel import (
     fit_ols,
 )
 from funcsel.design import DesignMatrix
-from funcsel.errors import quoted_id
+from funcsel.errors import quoted_id, quoted_text
 from funcsel.inference import test_all as run_test_all
 from funcsel.linmodel import FitResult
 from funcsel import simgen
@@ -243,11 +243,11 @@ def _reference_float(text: str, path: str, line: int, field_name: str) -> float:
         value = float(text)
     except ValueError:
         raise DataError(
-            f"{path} line {line}: field '{field_name}' is not numeric: {text!r}"
+            f"{path} line {line}: field '{field_name}' is not numeric: {quoted_text(text)}"
         ) from None
     if not math.isfinite(value):
         raise DataError(
-            f"{path} line {line}: field '{field_name}' is not finite: {text!r}"
+            f"{path} line {line}: field '{field_name}' is not finite: {quoted_text(text)}"
         )
     return value
 

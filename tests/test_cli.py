@@ -1,5 +1,6 @@
 """CLI: CSV ingestion, selection, bootstrap, simulation, exit codes."""
 
+import csv
 import json
 import os
 import subprocess
@@ -25,7 +26,7 @@ from funcsel.bootstrap import _resample_indices, bootstrap_counts, sample_qr
 from funcsel.bootstrap import test_resamples as run_test_resamples
 from funcsel.cli import _build_config, ingest_long_csv, main
 from funcsel.design import DesignMatrix
-from funcsel.errors import quoted_id
+from funcsel.errors import quoted_id, quoted_text
 from funcsel.inference import test_all as run_test_all
 from funcsel.simgen import SimScenario, _rng_for, generate_replication
 from funcsel.smoothing import CurveBlock, FunctionalDataset
@@ -422,9 +423,9 @@ class TestLongIds:
             return ["--config", str(config)]
         return []
 
-    # a 1 MB id in the curves file takes the reader seconds, and one in the
-    # responses file exceeds csv.field_size_limit(); 1,000 characters are cut
-    # the same way, and a 1 MB id reaches the message through a config key
+    # a 1 MB id in the responses file exceeds csv.field_size_limit();
+    # 1,000 characters are cut the same way, and a 1 MB id reaches the
+    # message through a config key or the curves file
     @pytest.mark.parametrize("length", [80, 1000])
     @pytest.mark.parametrize("fault", FAULTS)
     def test_id_in_message(self, tmp_path, capsys, fault, length):
@@ -449,6 +450,60 @@ class TestLongIds:
         assert f"no predictor '{'s' * 80}...' (1000000 characters) in" in err
         assert len(err) < 1000
         assert quoted_id("s" * 1_000_000) == f"'{'s' * 80}...' (1000000 characters)"
+
+    @pytest.mark.parametrize("column", ["sample", "predictor"])
+    def test_1mb_id_in_curves(self, tmp_path, capsys, column):
+        # a sample id on one row, without a response; or a predictor id on
+        # 12 rows in a run, each at t = 0.5
+        paths = small_files(tmp_path)
+        name = "s" * 1_000_000
+        if column == "sample":
+            _append(paths["curves"], [f"{name},p0,0.5,1.0"])
+        else:
+            _append(paths["curves"], [f"s{i:02d},{name},0.5,1.0" for i in range(12)])
+        assert main(["--mode", "select", "--curves", str(paths["curves"]),
+                     "--responses", str(paths["responses"])]) == 2
+        err = capsys.readouterr().err
+        message = {"sample": "missing response for sample_id {id}",
+                   "predictor": "every point of predictor {id} has t = 0.5"}[column]
+        assert message.format(id=f"'{'s' * 80}...' (1000000 characters)") in err
+        assert len(err) < 1000
+
+
+class TestLongNumberTexts:
+    """A faulty number's text prints as repr shows it up to 80 characters,
+    and longer as its first 80 characters and its length."""
+
+    @pytest.mark.parametrize("length", [80, 1_000_000])
+    def test_bad_t(self, tmp_path, capsys, length):
+        paths = small_files(tmp_path)
+        _append(paths["curves"], [f"s00,p0,{'x' * length},1.0"])
+        assert main(["--mode", "select", "--curves", str(paths["curves"]),
+                     "--responses", str(paths["responses"])]) == 2
+        err = capsys.readouterr().err
+        shown = repr("x" * 80) if length <= 80 else f"'{'x' * 80}...' (1000000 characters)"
+        assert f"c.csv line 98: field 't' is not numeric: {shown}" in err
+        assert len(err) < 1000
+
+    def test_bad_y(self, tmp_path, capsys):
+        # past the default csv.field_size_limit(), which would reject the
+        # field before it is read as a number
+        paths = small_files(tmp_path)
+        text = "1" * 199_999 + "x"
+        lines = paths["responses"].read_text().splitlines()
+        lines[3] = f"s02,{text}"
+        paths["responses"].write_text("\n".join(lines) + "\n")
+        limit = csv.field_size_limit(1_000_000)
+        try:
+            code = main(["--mode", "select", "--curves", str(paths["curves"]),
+                         "--responses", str(paths["responses"])])
+        finally:
+            csv.field_size_limit(limit)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"r.csv line 4: field 'y' is not numeric: '{'1' * 80}...' (200000 characters)" in err
+        assert len(err) < 1000
+        assert quoted_text("'\n") == repr("'\n")
 
 
 class TestRoundTrip:

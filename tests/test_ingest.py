@@ -9,7 +9,10 @@ with one fault they must raise the same message. ``CHUNK_BYTES`` and
 inside files of a few dozen lines.
 """
 
+import decimal
 import io
+import itertools
+import math
 import tempfile
 import tracemalloc
 from collections import deque
@@ -308,10 +311,12 @@ def test_single_fault_gives_reference_message(layout, fault):
     assert got == expected
 
 
-# texts that numpy's one-pass read and float() could take differently:
-# float() reads "1_000" and "١" (an Arabic-Indic one), numpy reads a field of
-# whitespace as -1.0 and "nan(1)" as nan, and the rest test the edges of both
-NUMBER_TEXTS = ["1_000", "١", "nan(1)", "1.5e", "0x10", "1e400", ".5", "5.", "  ", "\t"]
+# texts at the edges of the decimal kernel's grammar: float() reads "1_000",
+# "١" (an Arabic-Indic one), "+1.5" and a 20-digit integer, which the kernel
+# declines; the kernel reads "1E5", "-0", ".5" and "5."; and the others are
+# faults
+NUMBER_TEXTS = ["1_000", "١", "nan(1)", "1.5e", "0x10", "1e400", ".5", "5.", "  ", "\t",
+                "+1.5", "1E5", "-0", "9" * 20]
 TEXT_LAYOUT = {"seed": 11, "samples": 4, "predictors": 2, "grids": "mixed",
                "shuffle": False, "blank_lines": 1, "crlf": False, "ids": "ascii",
                "padded": "", "quoted": False, "chunk": 6}
@@ -333,18 +338,117 @@ def test_number_text_gives_reference_result(layout, column, text):
     _assert_same(*_run(layout, f"{column}_text", text))
 
 
+def _kernel(texts: list[str]):
+    """The decimal kernel's values and declined mask for ``texts`` as the
+    ``t`` fields of one chunk, laid out as the plain reader lays one out."""
+    data = bytes(ingest._PAD) + "".join(f"s,p,{text},0\n" for text in texts).encode()
+    data += bytes(8)
+    raw = np.frombuffer(data, np.uint8)
+    blocks = np.ndarray(raw.size - 23, "V24", data, strides=(1,))
+    commas = np.flatnonzero(raw == ord(","))
+    return ingest._fast_floats(raw, blocks, commas[1::3] + 1, commas[2::3])
+
+
+def _bits(values) -> list[bytes]:
+    return [np.float64(value).tobytes() for value in values]
+
+
+def _double(bits: int) -> float:
+    return float(np.array(bits, np.uint64).view(np.float64))
+
+
+def _midpoint_texts(x: float) -> list[str]:
+    """The exact midpoint between ``x`` and the next double up, cut to 19
+    significant digits, in exponent and positional form."""
+    exact = decimal.Context(prec=2000)
+    up = math.nextafter(x, math.inf)
+    midpoint = exact.divide(exact.add(decimal.Decimal(x), decimal.Decimal(up)), 2)
+    cut = decimal.Context(prec=19, rounding=decimal.ROUND_DOWN).plus(midpoint)
+    return [format(cut, ".18e"), format(cut, "f")]
+
+
+FORMATS = [repr, "%.17g".__mod__, "%.15g".__mod__, "%.6f".__mod__, "%.19f".__mod__,
+           "%.6e".__mod__]
+finite_doubles = st.one_of(
+    st.integers(0, 2**64 - 1).map(_double).filter(math.isfinite),  # any bit pattern
+    st.builds(lambda mantissa, power: mantissa * 10.0**power,  # decimals of any size
+              st.floats(-10, 10), st.integers(-30, 30)),
+)
+number_texts = st.one_of(
+    st.builds(lambda x, form: form(x), finite_doubles, st.sampled_from(FORMATS)),
+    finite_doubles.flatmap(lambda x: st.sampled_from(_midpoint_texts(abs(x)))),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.lists(number_texts, min_size=1, max_size=30))
+@example(["-0", ".5", "-.5", "5.", "9007199254740993", "9" * 19, "9" * 20, "1e27", "1e-27",
+          "1e28", "-0.0", "0.1", "1e-5", "2.5E+10", "00000000000000000000001.5"])
+def test_kernel_matches_float_bit_for_bit(texts):
+    # the kernel where it reads, and a column of the plain reader, which
+    # float() completes, give float()'s bits, in either bound of the kernel
+    expected = _bits(map(float, texts))
+    body = "".join(f"s,p,{text},{text}\n" for text in texts).encode()
+    for extended in {ingest._EXTENDED, False}:
+        with mock.patch.object(ingest, "_EXTENDED", extended):
+            values, declined = _kernel(texts)
+            chunk = next(ingest._plain_chunks(io.BytesIO(CURVES_HEADER.encode() + b"\n" + body),
+                                              "c.csv", {}, {}))
+        assert [a for a, out in zip(_bits(values), declined) if not out] == [
+            b for b, out in zip(expected, declined) if not out
+        ]
+        assert _bits(chunk[1]) == _bits(chunk[2]) == expected
+
+
 def test_numbers_are_read_in_one_pass_only_when_exact():
-    t, value = ingest._parse_columns(b"0.5,-1e-3,.25,5.,", 2)
-    assert (t.tolist(), value.tolist()) == ([0.5, 0.25], [-1e-3, 5.0])
-    # too few numbers for the rows, spaces, an underscore and a nan: the
-    # texts, for float() to read
-    for numbers, rows, texts in [
-        (b"1,2,", 2, (["1"], ["2"])),
-        (b"1, 2,", 1, (["1"], [" 2"])),
-        (b"1,1_0,", 1, (["1"], ["1_0"])),
-        (b"1,nan(1),", 1, (["1"], ["nan(1)"])),
-    ]:
-        assert ingest._parse_columns(numbers, rows) == texts
+    # the fields the decimal kernel reads with extended floats and within
+    # Clinger's bound, and those it leaves to float(): a midpoint between
+    # two doubles (2**53 + 1), a 20th significant digit, a power of ten past
+    # 10**27, text outside its grammar, and a mantissa of more than 24 bytes
+    either = ["-0", ".5", "-.5", "5.", "0", "9007199254740992", "1e22", "1e-22", "2.5E+10",
+              "-1.5e-3", "0.000001", "123.456e2"]
+    extended_only = ["9" * 19, "1e27", "1e-27", "0.1234567890123456789", "9007199254740994"]
+    neither = ["9007199254740993", "9" * 20, "1e28", "1e-28", "+1", "1_0", "\u0661", " 1",
+               "1 ", "nan", "inf", "", "-", ".", "-.", "e5", "1e", "1.5e", "1e+", "0x10",
+               "1..5", "--1", "1.5e1.0", "0." + "0" * 23 + "1"]
+    for extended in {ingest._EXTENDED, False}:
+        with mock.patch.object(ingest, "_EXTENDED", extended):
+            texts = either + extended_only + neither
+            values, declined = _kernel(texts)
+        read = either + extended_only * extended
+        assert [text for text, out in zip(texts, declined) if not out] == read
+        assert _bits(values[: len(read)]) == _bits(map(float, read))
+    # the powers of ten are exact in both kinds of float
+    for kind, powers in ingest._POWERS.items():
+        size = powers.size // 2
+        assert [int(p) for p in powers] == [10**i for i in range(size)] + [
+            -(10**i) for i in range(size)
+        ]
+
+
+def test_runs_match_bytes_reference():
+    # fields of 0 to 10,000 bytes in runs of 1 to 3 equal rows, a field of
+    # the same length as the one before differing from it in one byte
+    rng = np.random.default_rng(14)
+    fields = []
+    for _ in range(400):
+        if fields and rng.random() < 0.4:
+            field = bytearray(fields[-1])
+            if field:
+                field[int(rng.integers(0, len(field)))] ^= 1
+        else:
+            length = int(rng.choice([0, 1, 7, 8, 9, 16, 17, 100, 9_999, 10_000]))
+            field = bytearray(rng.integers(97, 99, length, dtype=np.uint8).tobytes())
+        fields += [bytes(field)] * int(rng.integers(1, 4))
+    data = bytes(ingest._PAD) + b"".join(field + b"," for field in fields) + bytes(8)
+    raw = np.frombuffer(data, np.uint8)
+    words = np.ndarray(raw.size - 7, "<u8", data, strides=(1,))
+    stop = np.flatnonzero(raw == ord(","))
+    begin = np.concatenate(([ingest._PAD], stop[:-1] + 1))
+    ids, lengths = ingest._runs(raw, words, begin, stop)
+    runs = [(key, len(list(group))) for key, group in itertools.groupby(fields)]
+    assert ids == b"".join(key for key, _ in runs)
+    assert lengths.tolist() == [count for _, count in runs]
 
 
 def test_lines_are_cut_after_every_chunk():
