@@ -1,6 +1,6 @@
 """Byte identity of the ``funcsel`` command line between two source trees.
 
-Runs 74 jobs with ``python -m funcsel.cli`` under a parent tree and under a
+Runs 77 jobs with ``python -m funcsel.cli`` under a parent tree and under a
 changed tree, with ``OPENBLAS_NUM_THREADS=1``, and compares the stdout, the
 stderr, the exit code and the bytes of the ``--out`` report of each job:
 
@@ -15,6 +15,10 @@ stderr, the exit code and the bytes of the ``--out`` report of each job:
   (``basis_size.X1 = 12``, ``degree.X2 = 1``, ``domain.X3 = -1.5:1.5``);
 - ``bootstrap --basis-size 8 --bootstrap-b 200`` on the regular input seed
   3 files;
+- ``bootstrap --bootstrap-b 200`` on the same files and ``simulate --reps
+  5 --c 0.4``, each with ``seed = 7`` from a ``--config`` file;
+- ``select --basis-size 100000`` on the same files, whose parameter count
+  exceeds n (exit 3);
 - ``select`` on 27 altered copies of the input seed 3 curves file, for the
   reader's faults, layouts and number forms: 17 of the regular file (see
   :func:`_regular_variants`) and 10 of the ragged one (see
@@ -224,6 +228,22 @@ def _jobs(files: dict[tuple[int, bool], dict], work: Path) -> list[tuple[str, li
         ["--mode", "bootstrap", "--curves", paths["curves"], "--responses",
          paths["responses"], "--basis-size", "8", "--bootstrap-b", "200"],
     ))
+    seeded = work / "seed.cfg"
+    seeded.write_text("seed = 7\n")
+    jobs.append((
+        f"bootstrap regular input{VARIANT_SEED}, seed 7 from --config",
+        ["--mode", "bootstrap", "--curves", paths["curves"], "--responses",
+         paths["responses"], "--bootstrap-b", "200", "--config", str(seeded)],
+    ))
+    jobs.append((
+        "simulate c=0.4 n=300, seed 7 from --config",
+        ["--mode", "simulate", "--reps", "5", "--c", "0.4", "--config", str(seeded)],
+    ))
+    jobs.append((
+        f"select regular input{VARIANT_SEED}, --basis-size 100000",
+        ["--mode", "select", "--curves", paths["curves"], "--responses",
+         paths["responses"], "--basis-size", "100000"],
+    ))
     for ragged, variants in ((False, _regular_variants), (True, _ragged_variants)):
         paths = files[VARIANT_SEED, ragged]
         layout = "ragged" if ragged else "regular"
@@ -240,8 +260,7 @@ def _jobs(files: dict[tuple[int, bool], dict], work: Path) -> list[tuple[str, li
 
 def _run(src: Path, argv: list[str], out: Path, cwd: Path) -> tuple[bytes, ...]:
     """stdout, stderr, exit code and ``--out`` bytes of one job under ``src``."""
-    env = {k: v for k, v in os.environ.items() if k != "FUNCSEL_SEED"}
-    env.update(PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
     done = subprocess.run(
         [sys.executable, "-m", "funcsel.cli", *argv, "--out", str(out)],
         cwd=cwd, env=env, capture_output=True,

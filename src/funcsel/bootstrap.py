@@ -57,8 +57,8 @@ from .design import DesignMatrix
 from .errors import RANK_BOUND2_MAX, NumericalError, RankDeficiencyError
 from .inference import block_statistics, p_value, test_all
 from .linmodel import _checked_response
-from .selection import selection_mask
-from .simgen import _rng_for
+from .seeds import rng_for
+from .selection import check_method, check_q, selection_mask
 from .smoothing import _invert_lower
 
 __all__ = [
@@ -303,8 +303,14 @@ def bootstrap_counts(
     """How often each predictor is selected over b resamples of the rows,
     and how many resamples failed their fit (a rank-deficient design, or
     no more rows than columns). The resamples draw from the Philox stream
-    keyed (seed, 0); a seed outside [0, 2**64) raises ValueError on entry."""
-    rng = _rng_for(seed, 0)
+    keyed (seed, 0). A b below 1, an unknown method, a q outside (0, 1) or
+    a seed that :func:`~funcsel.seeds.check_seed` rejects raises ValueError
+    on entry, before any fit."""
+    if b < 1:
+        raise ValueError(f"b must be >= 1, got {b}")
+    check_method(method)
+    check_q(q)
+    rng = rng_for(seed, 0)
     selected = np.zeros(design.num_predictors, dtype=int)
     try:
         qr = sample_qr(design, y)

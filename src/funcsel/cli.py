@@ -4,10 +4,10 @@ Every option is declared once, as a field of :class:`JobConfig`: the field
 name gives the flag and the config-file key, the default gives the default
 and the flag's type, and ``JobConfig.__post_init__`` is the one range check.
 A value comes from its flag, else from the optional flat ``key = value``
-config file, else (the seed only) from the FUNCSEL_SEED environment
-variable, else from the default. Config lines go through the same argparse
-conversions and choices as flags, and an unknown key is rejected. A usage
-error prints the usage line and the reason.
+config file, else from the default; no environment variable is read. The
+seed's range is the rule of :mod:`funcsel.seeds`. Config lines go through
+the same argparse conversions and choices as flags, and an unknown key is
+rejected. A usage error prints the usage line and the reason.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical error.
 """
@@ -32,7 +32,7 @@ from .inference import test_all
 from .ingest import ingest_long_csv
 from .selection import check_method, check_q, default_q, selection_mask
 from .simgen import NUM_PREDICTORS, SimScenario, run_monte_carlo
-from .smoothing import CurveBlock, build_dataset
+from .smoothing import CurveBlock, build_dataset, check_sample_size
 
 __all__ = [
     "JobConfig",
@@ -107,9 +107,7 @@ class JobConfig:
         for name, value, low in checks:
             if value < low:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
-        if not 0 <= self.seed < 2**64:  # the Philox key is a uint64
-            raise ValueError(f"--seed must lie in [0, 2**64), got {self.seed}")
-        SimScenario(c=self.c, n=self.n, seed=self.seed)  # the rules of --n and --c
+        SimScenario(c=self.c, n=self.n, seed=self.seed)  # the rules of --n, --c, --seed
         for predictor, (lo, hi) in self.domain_overrides.items():
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise ValueError(
@@ -143,9 +141,12 @@ def _bases_for(
     config: JobConfig,
     predictor_ids: list[str],
     curves: list[list[CurveBlock]],
+    n: int,
 ) -> tuple[BasisSpec, ...]:
     """One basis per predictor, from the flags and the config overrides; an
-    override for a predictor absent from the curves file is a usage error."""
+    override for a predictor absent from the curves file is a usage error.
+    The parameter count is checked against n before any basis is built, so
+    that an impossible basis size fails before its knots take memory."""
     for name in _OVERRIDES:
         for predictor in getattr(config, f"{name}_overrides"):
             if predictor not in predictor_ids:
@@ -153,9 +154,8 @@ def _bases_for(
                     f"config key {quoted_id(name + '.' + predictor)}: no predictor "
                     f"{quoted_id(predictor)} in {config.curves}"
                 )
-    bases = []
+    domains = []
     for predictor, blocks in zip(predictor_ids, curves):
-        degree, num_basis = config.basis_of(predictor)
         domain = config.domain_overrides.get(predictor)
         if domain is None:
             lo = min(block.grid[..., 0].min() for block in blocks)
@@ -165,17 +165,21 @@ def _bases_for(
                     f"{config.curves}: every point of predictor {quoted_id(predictor)} "
                     f"has t = {lo}; a basis needs a range of t"
                 )
-        else:
-            lo, hi = domain
-        bases.append(make_uniform_basis(lo, hi, degree=degree, num_basis=num_basis))
-    return tuple(bases)
+            domain = (lo, hi)
+        domains.append(domain)
+    shapes = [config.basis_of(predictor) for predictor in predictor_ids]
+    check_sample_size(n, [num_basis for _, num_basis in shapes])
+    return tuple(
+        make_uniform_basis(lo, hi, degree=degree, num_basis=num_basis)
+        for (lo, hi), (degree, num_basis) in zip(domains, shapes)
+    )
 
 
 def _selection_pipeline(config: JobConfig):
     curves, y, sample_ids, predictor_ids = ingest_long_csv(
         config.curves, config.responses
     )
-    bases = _bases_for(config, predictor_ids, curves)
+    bases = _bases_for(config, predictor_ids, curves, y.size)
     try:
         dataset = build_dataset(curves, y, bases)
     except (DataError, RankDeficiencyError) as exc:
@@ -363,12 +367,6 @@ def _build_config(argv: list[str] | None) -> JobConfig:
         _read_config_file(path, parser) if path else (argparse.Namespace(), {})
     )
     args = parser.parse_args(argv, namespace=options)  # flags win over the file
-    env_seed = os.environ.get("FUNCSEL_SEED")
-    if args.seed is None and env_seed is not None:
-        try:
-            args.seed = int(env_seed)
-        except ValueError:
-            raise ValueError(f"FUNCSEL_SEED is not an integer: {env_seed!r}") from None
     given = {name: getattr(args, name) for name in _OPTIONS}
     return JobConfig(**{k: v for k, v in given.items() if v is not None}, **overrides)
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import DesignMatrix
-from .errors import DataError, SampleSizeError, check_rank
+from .errors import DataError, check_rank
+from .smoothing import check_sample_size
 
 __all__ = ["FitResult", "fit_ols"]
 
@@ -38,14 +39,13 @@ def _checked_response(design: DesignMatrix, y: np.ndarray) -> np.ndarray:
     """``y`` as floats, with one finite value per design row; n > k or
     SampleSizeError."""
     y = np.asarray(y, dtype=float)
-    n, k = design.values.shape
+    n = design.n
     if y.shape != (n,):
         raise ValueError(f"response shape {y.shape} does not match design rows {n}")
     if not np.isfinite(y).all():
         row = int(np.argmin(np.isfinite(y)))
         raise DataError(f"response at row {row} is not finite: {y[row]}")
-    if n <= k:
-        raise SampleSizeError(f"need n > k, got n={n}, k={k}")
+    check_sample_size(n, np.diff(design.block_offsets).tolist())
     return y
 
 

@@ -19,11 +19,10 @@ of (method, q) selection rules to the one set of p-values, with one report
 per rule of correct-selection counts, selection frequencies, and
 out-of-sample AMSE.
 
-Randomness uses the counter-based Philox generator keyed by (seed, stream):
-replication j draws from stream j (training) and stream j + 2^32 (test set),
-so each replication's data is independent of how many replications run.
-``_rng_for`` builds every such generator, the CLI bootstrap's included, and
-``_check_seed`` rejects a seed outside [0, 2^64), for it and SimScenario.
+Randomness follows the seed rule of :mod:`funcsel.seeds`: replication j
+draws from the Philox stream (seed, j) for its training set and
+(seed, j + 2^32) for its test set, so each replication's data is independent
+of how many replications run.
 """
 
 from __future__ import annotations
@@ -39,6 +38,7 @@ from .bspline import make_uniform_basis
 from .design import build_design, check_parameter_count
 from .errors import DataError, NumericalError
 from .inference import test_all
+from .seeds import check_seed, rng_for
 from .selection import check_method, check_q, selection_mask
 from .smoothing import CurveBlock, build_dataset
 
@@ -91,7 +91,7 @@ class SimScenario:
     def __post_init__(self):
         if self.n < 50:
             raise ValueError(f"n must be >= 50, got {self.n}")
-        _check_seed(self.seed)
+        check_seed(self.seed)
         # the AMSE squares errors of the size of c, which overflow by c = 1e200
         if not abs(self.c) <= 1e100:
             raise ValueError(
@@ -221,21 +221,6 @@ def _curves(params: dict[str, np.ndarray], m: int, points: np.ndarray) -> np.nda
     return col("f1") * np.exp(-t / 3.0) + col("f2") * t + col("f3")
 
 
-def _check_seed(seed: int) -> None:
-    """Raises ValueError unless 0 <= seed < 2**64, the range of a uint64 key
-    word; unlike a call of :func:`_rng_for`, without importing numpy.random."""
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
-
-
-def _rng_for(seed: int, stream: int) -> np.random.Generator:
-    """The Philox generator keyed (seed, stream), the one place a seed
-    becomes a random stream."""
-    _check_seed(seed)
-    key = np.array([seed, stream], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def generate_replication(
     scenario: SimScenario, rep_index: int
 ) -> tuple[tuple[tuple[CurveBlock], ...], np.ndarray, SimTruth]:
@@ -263,7 +248,7 @@ def generate_replication(
     shrink while the random stream layout and the bits of the reports stay
     fixed.
     """
-    rng = _rng_for(scenario.seed, rep_index)
+    rng = rng_for(scenario.seed, rep_index)
     n = scenario.n
     params = _draw_curve_params(rng, n)
     plan = _plan(scenario.c)

@@ -33,7 +33,13 @@ from .errors import (
     check_rank,
 )
 
-__all__ = ["CurveBlock", "FunctionalDataset", "smooth_block", "build_dataset"]
+__all__ = [
+    "CurveBlock",
+    "FunctionalDataset",
+    "smooth_block",
+    "build_dataset",
+    "check_sample_size",
+]
 
 # floats in the basis matrices of one chunk of per-row grids smoothed
 # together (rows x G x num_basis), which sets the rows per chunk: the basis
@@ -247,6 +253,15 @@ def _smooth_rows(
     return (r[:, None, :p, p] @ inv_t)[:, 0]
 
 
+def check_sample_size(n: int, basis_sizes: Sequence[int]) -> None:
+    """Raise :class:`SampleSizeError` unless n exceeds the parameter count
+    k = 1 + sum(p_m) of predictors with ``basis_sizes`` p_m; a caller that
+    knows the sizes before it builds the bases can check them first."""
+    k = 1 + sum(basis_sizes)
+    if n <= k:
+        raise SampleSizeError(f"need n > k = 1 + sum(p_m): got n={n}, k={k}")
+
+
 def build_dataset(
     curves: Sequence[Sequence[CurveBlock]],
     responses: np.ndarray,
@@ -277,11 +292,7 @@ def build_dataset(
             raise DataError(
                 f"predictor {m} has {rows} curves; responses length is {n}"
             )
-    k = 1 + sum(spec.num_basis for spec in bases)
-    if n <= k:
-        raise SampleSizeError(
-            f"need n > k = 1 + sum(p_m): got n={n}, k={k}"
-        )
+    check_sample_size(n, [spec.num_basis for spec in bases])
     coefs = []
     for m, (blocks, spec) in enumerate(zip(curves, bases)):
         parts = []

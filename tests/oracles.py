@@ -65,6 +65,7 @@ from funcsel.errors import quoted_id, quoted_text
 from funcsel.inference import test_all as run_test_all
 from funcsel.linmodel import FitResult
 from funcsel import simgen
+from funcsel.seeds import rng_for
 from funcsel.simgen import (
     DOMAINS,
     NUM_PREDICTORS,
@@ -75,7 +76,6 @@ from funcsel.simgen import (
     _QUAD_ORDER,
     _draw_curve_params,
     _quad_rule,
-    _rng_for,
 )
 from funcsel.smoothing import CurveBlock
 
@@ -414,7 +414,7 @@ def generate_replication_reference(
     """One synthetic dataset: noisy gridded curves, responses, and the truth.
     Reads the grid size and the noise multipliers from ``funcsel.simgen`` at
     each call, as the package's generator does."""
-    rng = _rng_for(scenario.seed, rep_index)
+    rng = rng_for(scenario.seed, rep_index)
     n = scenario.n
     params = _draw_curve_params(rng, n)
     betas = coefficient_functions(scenario.c)

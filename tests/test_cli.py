@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -28,7 +29,8 @@ from funcsel.cli import _build_config, ingest_long_csv, main
 from funcsel.design import DesignMatrix
 from funcsel.errors import quoted_id, quoted_text
 from funcsel.inference import test_all as run_test_all
-from funcsel.simgen import SimScenario, _rng_for, generate_replication
+from funcsel.seeds import rng_for
+from funcsel.simgen import SimScenario, generate_replication
 from funcsel.smoothing import CurveBlock, FunctionalDataset
 
 from conftest import standard_bases
@@ -690,7 +692,7 @@ class TestRunBootstrap:
     @pytest.mark.parametrize("chunk", [45, 300])
     def test_chunked_draws_equal_per_resample_draws(self, chunk):
         seed, n, b = 7, 300, 2000
-        chunks = list(_resample_indices(_rng_for(seed, 0), n, b, chunk))
+        chunks = list(_resample_indices(rng_for(seed, 0), n, b, chunk))
         assert len(chunks[-1]) == b % chunk
         rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
         expected = np.array([rng.integers(0, n, size=n) for _ in range(b)])
@@ -699,7 +701,7 @@ class TestRunBootstrap:
     def test_resample_statistics_match_explicit_fits(self, sim_files):
         _, _, curves, y = sim_files
         design = build_design(build_dataset(curves, y, standard_bases()))
-        idx = next(_resample_indices(_rng_for(4, 0), design.n, 5, 5))
+        idx = next(_resample_indices(rng_for(4, 0), design.n, 5, 5))
         statistics, p_values = run_test_resamples(sample_qr(design, y), idx)
         for j, rows in enumerate(idx):
             resampled = DesignMatrix(
@@ -753,6 +755,26 @@ class TestRunBootstrap:
         design = DesignMatrix(values=rng.normal(size=(60, 7)), block_offsets=(1, 7))
         with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
             bootstrap_counts(design, rng.normal(size=60), "bc", 0.05, 2, seed)
+
+    @pytest.mark.parametrize(
+        "b, method, q, reason",
+        [
+            (0, "bc", 0.05, r"b must be >= 1, got 0"),
+            (-5, "bc", 0.05, r"b must be >= 1, got -5"),
+            (10, "lasso", 0.05, r"unknown method 'lasso'"),
+            (10, "fdr", 1.5, r"q must lie in \(0, 1\), got 1.5"),
+        ],
+    )
+    def test_arguments_checked_on_entry(self, monkeypatch, b, method, q, reason):
+        # every argument is checked on entry, before the QR
+        def reached(*args):
+            raise AssertionError("sample_qr reached")
+
+        monkeypatch.setattr("funcsel.bootstrap.sample_qr", reached)
+        rng = np.random.default_rng(60)
+        design = DesignMatrix(values=rng.normal(size=(60, 7)), block_offsets=(1, 7))
+        with pytest.raises(ValueError, match=reason):
+            bootstrap_counts(design, rng.normal(size=60), method, q, b, 0)
 
     @pytest.mark.parametrize("defect", ["zero", "tiny", "near threshold", "near repeat"])
     def test_singular_design_fails_every_resample(self, defect):
@@ -905,25 +927,18 @@ class TestRunSimulate:
         assert report["replications"] == 3
         assert report["n"] == 100
 
-    def test_env_seed_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FUNCSEL_SEED", "77")
+    @pytest.mark.parametrize("value", ["77", "abc"])
+    def test_env_seed_ignored(self, tmp_path, monkeypatch, value):
+        # the seed comes from --seed, the config file or the default only;
+        # a <PACKAGE>_SEED variable, a seed or junk, leaves the default 0
+        monkeypatch.setenv(funcsel.__name__.upper() + "_SEED", value)
         out = tmp_path / "sim.json"
         code = main(
             ["--mode", "simulate", "--c", "0", "--n", "100", "--reps", "1",
              "--method", "bc", "--q", "0.05", "--out", str(out)]
         )
         assert code == 0
-        assert json.loads(out.read_text())["seed"] == 77
-
-    def test_flag_beats_env_seed(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FUNCSEL_SEED", "77")
-        out = tmp_path / "sim.json"
-        code = main(
-            ["--mode", "simulate", "--c", "0", "--n", "100", "--reps", "1",
-             "--method", "bc", "--q", "0.05", "--seed", "3", "--out", str(out)]
-        )
-        assert code == 0
-        assert json.loads(out.read_text())["seed"] == 3
+        assert json.loads(out.read_text())["seed"] == 0
 
     def test_condition_warning_once_per_job(self):
         # k = 37 > sqrt(300)/log(300) = 3.04: a job warns once, not once per
@@ -959,8 +974,7 @@ class TestConfigFile:
         assert report["method"] == "bc"
         assert report["replications"] == 2
 
-    def test_config_beats_env_seed(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FUNCSEL_SEED", "77")
+    def test_config_supplies_seed(self, tmp_path):
         config_path = tmp_path / "job.cfg"
         config_path.write_text("seed = 9\n")
         out = tmp_path / "sim.json"
@@ -1144,22 +1158,32 @@ class TestExitCodes:
         assert main(["--mode", "simulate", "--reps", "1"]) == 3
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
-    def test_seed_outside_uint64_is_usage_error(self, tmp_path, capsys, monkeypatch, seed):
+    def test_seed_outside_uint64_is_usage_error(self, tmp_path, capsys, seed):
         # the Philox key is a uint64; the files do not exist, so exit 1
         # shows that the seed is rejected before any input is read
         files = ["--curves", str(tmp_path / "nope.csv"),
                  "--responses", str(tmp_path / "nope2.csv")]
         for mode in ("simulate", "bootstrap"):
             assert main(["--mode", mode, *files, "--seed", seed]) == 1
-            assert "--seed must lie in [0, 2**64)" in capsys.readouterr().err
-        monkeypatch.setenv("FUNCSEL_SEED", seed)
-        assert main(["--mode", "bootstrap", *files]) == 1
-        assert "--seed must lie in [0, 2**64)" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert f"error: seed must lie in [0, 2**64), got {seed}" in err
 
-    def test_non_integer_env_seed_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("FUNCSEL_SEED", "abc")
-        assert main(["--mode", "simulate", "--reps", "1"]) == 1
-        assert "error: FUNCSEL_SEED is not an integer: 'abc'" in capsys.readouterr().err
+    def test_impossible_parameter_count_fails_before_the_bases(self, tmp_path, capsys):
+        # k = 200,001 against n = 12: the count is checked before a basis of
+        # 200,000 functions, whose knots alone are MBs of Python floats, is built
+        paths = small_files(tmp_path)
+        tracemalloc.start()
+        try:
+            code = main(["--mode", "select", "--curves", str(paths["curves"]),
+                         "--responses", str(paths["responses"]),
+                         "--basis-size", "200000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "numerical error: need n > k = 1 + sum(p_m): got n=12, k=200001" in err
+        assert peak < 10e6
 
     def test_duplicate_response_is_data_error(self, tmp_path, capsys):
         # lines 2-13 hold samples s00-s11; line 14 repeats s03

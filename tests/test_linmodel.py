@@ -17,7 +17,8 @@ from funcsel.design import DesignMatrix
 from funcsel.errors import RANK_BOUND2_MAX, RANK_RTOL
 from funcsel.inference import block_statistics
 from funcsel.inference import test_all as run_test_all
-from funcsel.simgen import SimScenario, _rng_for, coefficient_functions
+from funcsel.seeds import rng_for
+from funcsel.simgen import SimScenario, coefficient_functions
 from funcsel.smoothing import _invert_lower
 
 from conftest import (
@@ -285,7 +286,7 @@ class TestFitResamples:
         y = z[:, 1:7].sum(axis=1) + rng.normal(size=60)
         design = DesignMatrix(values=z, block_offsets=(1, 7, 13, 19, 25, 31, 37))
         qr = sample_qr(design, y)
-        chunks = list(_resample_indices(_rng_for(3, 0), 60, 200, qr.batch))
+        chunks = list(_resample_indices(rng_for(3, 0), 60, 200, qr.batch))
         assert [len(idx) for idx in chunks] == [74, 74, 52]
         for idx in chunks:
             singular = np.array([np.unique(rows).size <= design.k for rows in idx])

@@ -9,12 +9,18 @@ than at fixed points. ``derandomize=True`` keeps the examples, and so the
 suite, the same from run to run.
 """
 
+import json
+import tempfile
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from funcsel import (
+    ConditionWarning,
     CurveBlock,
     RankDeficiencyError,
     evaluate_basis_matrix,
@@ -22,6 +28,7 @@ from funcsel import (
     smooth_block,
 )
 from funcsel.bootstrap import bootstrap_counts, sample_qr
+from funcsel.cli import main
 from funcsel.design import DesignMatrix
 from funcsel.errors import check_rank
 from funcsel.inference import test_all as run_test_all
@@ -261,3 +268,106 @@ def test_bootstrap_on_repeated_rows_matches_per_resample_loop(instance, method):
     expected_counts, expected_failed = bootstrap_loop(design, y, method, 0.05, b, seed)
     assert failed == expected_failed
     np.testing.assert_array_equal(selected, expected_counts)
+
+
+# End to end through the command line: a select job's statistics and
+# p-values do not depend on how a predictor's curves are measured (an
+# offset or a unit of the values, an affine map of t with the domain
+# inferred from the file), on the ids' names, or on the order of the
+# samples; and the order of the rows does not change the report at all.
+ALTERATIONS = ("shift", "scale", "affine t", "flip t", "rename")
+E2E_REL_TOL = 1e-9
+
+cli_instances = st.tuples(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(("shared", "ragged", "varying")),
+    st.integers(2, 3),
+    st.integers(0, 2),
+    st.lists(st.sampled_from(ALTERATIONS), min_size=1, max_size=3, unique=True),
+    st.booleans(),
+)
+
+
+def _long_rows(rng, layout, num_predictors, n=40):
+    """(sample, predictor, t, value) rows of n samples, and their responses:
+    smooth curves of five random parameters plus noise, on grids of 8-15
+    points that spread over each predictor's domain, and a response linear
+    in the parameters plus noise."""
+    rows = []
+    y = rng.normal(scale=0.5, size=n)
+    for m in range(num_predictors):
+        lo = rng.uniform(-2.0, 2.0)
+        hi = lo + rng.uniform(0.5, 3.0)
+        params = rng.normal(size=(n, 5))
+        y += params @ rng.normal(scale=0.3, size=5)
+        size = rng.integers(8, 16)
+        shared = (np.arange(size) + rng.uniform(size=size)) / size
+        for i in range(n):
+            if layout == "varying":
+                size = rng.integers(8, 16)
+            u = shared if layout == "shared" else (np.arange(size) + rng.uniform(size=size)) / size
+            a = params[i]
+            values = (a[0] + a[1] * u + a[2] * u**2 + a[3] * np.sin(np.pi * u)
+                      + a[4] * np.cos(2.0 * np.pi * u) + rng.normal(scale=0.05, size=u.size))
+            rows += [(f"s{i:02d}", f"p{m + 1}", lo + (hi - lo) * t, v) for t, v in zip(u, values)]
+    return rows, y
+
+
+def _select_report(directory, name, rows, responses):
+    """The ``--out`` report of a select job on these rows, as bytes."""
+    curves, ys, out = (directory / f"{name}.{kind}" for kind in ("c.csv", "r.csv", "jsonl"))
+    curves.write_text("sample_id,predictor_id,t,value\n" + "".join(
+        f"{s},{p},{float(t)!r},{float(v)!r}\n" for s, p, t, v in rows))
+    ys.write_text("sample_id,y\n" + "".join(f"{s},{float(v)!r}\n" for s, v in responses))
+    code = main(["--mode", "select", "--curves", str(curves), "--responses", str(ys),
+                 "--basis-size", "5", "--q", "0.05", "--out", str(out)])
+    assert code == 0
+    return out.read_bytes()
+
+
+def _by_predictor(report: bytes) -> dict:
+    records = [json.loads(line) for line in report.splitlines()]
+    return {r["predictor"]: (r["statistic"], r["p_value"]) for r in records[:-1]}
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(cli_instances)
+def test_select_report_invariant_to_units_ids_and_row_order(instance):
+    seed, layout, num_predictors, target, changes, rename_samples = instance
+    rng = np.random.default_rng(seed)
+    rows, y = _long_rows(rng, layout, num_predictors)
+    target = f"p{target % num_predictors + 1}"
+    renamed = "a" + target  # sorts before every other predictor id
+    sample_names = {f"s{i:02d}": f"s{j:02d}" for i, j in enumerate(
+        rng.permutation(y.size) if rename_samples else range(y.size))}
+
+    def alter(row):
+        s, p, t, v = row
+        if p == target:
+            v = v + 5.0 if "shift" in changes else v
+            v = v * 1000.0 if "scale" in changes else v
+            t = 2.0 * t + 1.0 if "affine t" in changes else t
+            t = -t if "flip t" in changes else t
+            p = renamed if "rename" in changes else p
+        return sample_names[s], p, t, v
+
+    responses = [(f"s{i:02d}", v) for i, v in enumerate(y)]
+    with warnings.catch_warnings(), tempfile.TemporaryDirectory() as tmp:
+        warnings.simplefilter("ignore", ConditionWarning)
+        directory = Path(tmp)
+        base = _select_report(directory, "base", rows, responses)
+        altered = _select_report(
+            directory, "altered", [alter(row) for row in rows],
+            [(sample_names[s], v) for s, v in responses],
+        )
+        shuffled = _select_report(
+            directory, "shuffled", [rows[i] for i in rng.permutation(len(rows))], responses
+        )
+    assert shuffled == base
+    expected = _by_predictor(base)
+    got = {
+        (target if p == renamed else p): values for p, values in _by_predictor(altered).items()
+    }
+    assert got.keys() == expected.keys()
+    for predictor, values in expected.items():
+        np.testing.assert_allclose(got[predictor], values, rtol=E2E_REL_TOL, atol=0)

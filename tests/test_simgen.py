@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+from funcsel.seeds import rng_for
 from funcsel.simgen import (
     DOMAINS,
     GRID_SIZE,
@@ -18,7 +19,6 @@ from funcsel.simgen import (
     run_monte_carlo,
     true_index_set,
     _draw_curve_params,
-    _rng_for,
 )
 
 from oracles import curve_values_reference, generate_replication_reference
@@ -95,7 +95,7 @@ class TestGenerateReplication:
     def test_noise_free_curves_and_responses(self, noise_free):
         scenario = SimScenario(c=0.8, n=60, seed=5)
         curves, y, truth = generate_replication(scenario, 0)
-        params = _draw_curve_params(_rng_for(scenario.seed, 0), 60)
+        params = _draw_curve_params(rng_for(scenario.seed, 0), 60)
         betas = coefficient_functions(0.8)
         # observed values equal the true curves exactly
         for m in range(NUM_PREDICTORS):
@@ -111,7 +111,7 @@ class TestGenerateReplication:
         scenario = SimScenario(c=0.0, n=60, seed=5)
         _, y, truth = generate_replication(scenario, 0)
         assert truth.true_indices == frozenset({0, 1, 3})
-        params = _draw_curve_params(_rng_for(scenario.seed, 0), 60)
+        params = _draw_curve_params(rng_for(scenario.seed, 0), 60)
         betas = coefficient_functions(0.0)
         # the only nonzero coefficient functions
         oracle = sum(simpson_integral(params, m, betas[m]) for m in (0, 1, 3))
@@ -119,7 +119,7 @@ class TestGenerateReplication:
 
     def test_quadrature_against_simpson_oracle(self):
         scenario = SimScenario(c=0.8, n=100, seed=11)
-        params = _draw_curve_params(_rng_for(scenario.seed, 0), 100)
+        params = _draw_curve_params(rng_for(scenario.seed, 0), 100)
         lo, hi = DOMAINS[4]
         oracle = simpson_integral(params, 4, lambda t: 0.8 * np.sin(np.pi * t))
         nodes, weights = np.polynomial.legendre.leggauss(64)
