@@ -1,6 +1,6 @@
 """Byte identity of the ``funcsel`` command line between two source trees.
 
-Runs 77 jobs with ``python -m funcsel.cli`` under a parent tree and under a
+Runs 83 jobs with ``python -m funcsel.cli`` under a parent tree and under a
 changed tree, with ``OPENBLAS_NUM_THREADS=1``, and compares the stdout, the
 stderr, the exit code and the bytes of the ``--out`` report of each job:
 
@@ -19,11 +19,13 @@ stderr, the exit code and the bytes of the ``--out`` report of each job:
   5 --c 0.4``, each with ``seed = 7`` from a ``--config`` file;
 - ``select --basis-size 100000`` on the same files, whose parameter count
   exceeds n (exit 3);
-- ``select`` on 27 altered copies of the input seed 3 curves file, for the
+- ``select`` on 31 altered copies of the input seed 3 curves file, for the
   reader's faults, layouts and number forms: 17 of the regular file (see
-  :func:`_regular_variants`) and 10 of the ragged one (see
+  :func:`_regular_variants`) and 14 of the ragged one (see
   :func:`_ragged_variants`), 3 of each with the ``value`` column in other
-  forms (see :func:`_number_variants`).
+  forms (see :func:`_number_variants`), and 5 of the ragged ones quoted;
+- ``select`` on the regular input seed 3 curves with a responses file whose
+  ``y`` on one line is ``abc`` or ``inf``.
 
 The input CSVs come from ``bench/inputs.py`` and are written, with the
 altered copies, to a temporary directory. Both trees run a job with the same
@@ -81,6 +83,15 @@ def _midpoint_19(x: float) -> str:
     up = math.nextafter(x, math.inf)
     midpoint = exact.divide(exact.add(decimal.Decimal(x), decimal.Decimal(up)), 2)
     return format(decimal.Context(prec=19, rounding=decimal.ROUND_DOWN).plus(midpoint), ".18e")
+
+
+def _quoted(data: bytes) -> bytes:
+    """A curves file with the sample id of each line past its header quoted,
+    which sends it to the reader's csv path."""
+    header, *rows = data.split(b"\n")[:-1]
+    return b"".join(
+        line + b"\n" for line in [header, *(b'"' + row.replace(b",", b'",', 1) for row in rows)]
+    )
 
 
 def _number_variants(data: bytes) -> dict[str, bytes]:
@@ -159,25 +170,37 @@ def _regular_variants(data: bytes) -> dict[str, bytes]:
 
 
 def _ragged_variants(data: bytes) -> dict[str, bytes]:
-    """Altered layouts of a ragged curves file, by name, one duplicate point
-    and the copies of :func:`_number_variants`; a quoted field sends the
-    file to the reader's csv path."""
+    """Altered layouts of a ragged curves file, by name, one duplicate point,
+    the copies of :func:`_number_variants`, and quoted copies (see
+    :func:`_quoted`), faulty or not."""
     header, *rows = data.split(b"\n")[:-1]
     shuffled = rows.copy()
     random.Random(VARIANT_SEED).shuffle(shuffled)
+    mid, a = len(rows) // 2, 30_000
 
     def join(body: list[bytes], end: bytes = b"\n") -> bytes:
         return b"".join(line + end for line in [header, *body])
 
+    def quoted_edit(changes: dict[int, bytes]) -> bytes:
+        """The file quoted, with row ``i`` set to ``changes[i]``."""
+        return _quoted(join([changes.get(i, row) for i, row in enumerate(rows)]))
+
+    numbers = _number_variants(data)
     return {
-        **_number_variants(data),
+        **numbers,
         "shuffled": join(shuffled),
         "reversed": join(rows[::-1]),
         "duplicate point": join([*rows[:40_000], rows[5000], *rows[40_000:]]),
-        "quoted": join([b'"' + row.replace(b",", b'",', 1) for row in rows]),
+        "quoted": _quoted(data),
         "CRLF": join(rows, b"\r\n"),
         "no final newline": data[:-1],
         "blank line after every row": join([row + b"\n" for row in rows]),
+        "quoted, values in other forms": _quoted(numbers["values in other forms"]),
+        "quoted, bad value mid-file": quoted_edit({mid: _field(rows[mid], 3, b"x")}),
+        "quoted, nan t": quoted_edit({mid: _field(rows[mid], 2, b"nan")}),
+        "quoted, field count 3 lines after a bad value": quoted_edit(
+            {a: _field(rows[a], 3, b"x"), a + 3: _cut(rows[a + 3])}
+        ),
     }
 
 
@@ -255,6 +278,15 @@ def _jobs(files: dict[tuple[int, bool], dict], work: Path) -> list[tuple[str, li
                 f"select {layout} input{VARIANT_SEED}, {name}",
                 ["--mode", "select", "--curves", str(curves), "--responses", paths["responses"]],
             ))
+    paths = files[VARIANT_SEED, False]
+    lines = Path(paths["responses"]).read_bytes().split(b"\n")
+    for y in (b"abc", b"inf"):
+        responses = work / f"responses_y_{y.decode()}.csv"
+        responses.write_bytes(b"\n".join([*lines[:100], _field(lines[100], 1, y), *lines[101:]]))
+        jobs.append((
+            f"select regular input{VARIANT_SEED}, responses y = {y.decode()} on line 101",
+            ["--mode", "select", "--curves", paths["curves"], "--responses", str(responses)],
+        ))
     return jobs
 
 

@@ -9,9 +9,11 @@ run of rows with the same id bytes. Its ``t`` and ``value`` fields are
 converted from the chunk's bytes, one pass per column, by a vectorized
 decimal kernel that is exact where it reads a field (:func:`_fast_floats`);
 ``float()`` reads the fields it declines. A file holding a quote or a bare
-carriage return is read with the csv module instead,
-``CHUNK_LINES`` rows at a time, with the same results. Either way reading
-stops at the first faulty row, and the points are then sorted by curve and
+carriage return is read with the csv module instead, ``CHUNK_LINES`` rows
+at a time; its ``t`` and ``value`` texts are laid end to end in one buffer
+and converted the same way. Either chunker hands back float columns cut at
+the chunk's first faulty row, a short row or a bad number, and that row's
+reason; reading stops there, and the points are then sorted by curve and
 ``t`` and cut into each predictor's blocks.
 """
 
@@ -20,7 +22,7 @@ from __future__ import annotations
 import csv
 import math
 from contextlib import contextmanager
-from itertools import chain, islice
+from itertools import islice
 
 import numpy as np
 
@@ -36,24 +38,30 @@ CHUNK_BYTES = 256 * 1024
 # rows of a file read with the csv module at a time; a quoted field may
 # hold a newline, so its chunks are counted in rows, not cut at bytes
 CHUNK_LINES = 16384
-# zero bytes before a chunk of the plain reader, which reads up to 24 bytes
-# before a field
+# zero bytes before the fields of a chunk, as the decimal kernel reads up
+# to 24 bytes before a field
 _PAD = 24
 _CURVES_HEADER = ["sample_id", "predictor_id", "t", "value"]
+
+
+def _number_fault(field_name: str, text: str) -> str:
+    """Why the field ``text``, which is not a finite number, is faulty."""
+    try:
+        float(text)
+        kind = "finite"
+    except ValueError:
+        kind = "numeric"
+    return f"field '{field_name}' is not {kind}: {quoted_text(text)}"
 
 
 def _parse_float(text: str, path: str, line: int, field_name: str) -> float:
     try:
         value = float(text)
+        if math.isfinite(value):
+            return value
     except ValueError:
-        raise DataError(
-            f"{path} line {line}: field '{field_name}' is not numeric: {quoted_text(text)}"
-        ) from None
-    if not math.isfinite(value):
-        raise DataError(
-            f"{path} line {line}: field '{field_name}' is not finite: {quoted_text(text)}"
-        )
-    return value
+        pass
+    raise DataError(f"{path} line {line}: {_number_fault(field_name, text)}")
 
 
 def _check_header(first: list[str] | None, path: str, header: list[str]) -> None:
@@ -300,42 +308,39 @@ def _fast_floats(raw: np.ndarray, blocks: np.ndarray, begin: np.ndarray, stop: n
     return exact.astype(np.float64), ~ok
 
 
-def _floats(
-    data: bytes, raw: np.ndarray, blocks: np.ndarray, begin: np.ndarray, stop: np.ndarray
-):
-    """The fields ``data[begin[i]:stop[i]]`` as a float array, or None if one
-    is not a finite number: :func:`_fast_floats` reads the fields it can,
-    and ``float()`` the others."""
+def _floats(data: bytes, begin: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, int]:
+    """The fields ``data[begin[i]:stop[i]]`` before the first that is not a
+    finite number, as a float array, and that field's index, or the field
+    count: :func:`_fast_floats` reads the fields it can, and ``float()``
+    the others. ``data`` holds ``_PAD`` bytes before the first field and
+    one past the last."""
+    raw = np.frombuffer(data, np.uint8)
+    blocks = np.ndarray(raw.size - 23, "V24", data, strides=(1,))  # 24 bytes from each offset
     values, declined = _fast_floats(raw, blocks, begin, stop)
     for i in np.flatnonzero(declined).tolist():
         try:
-            values[i] = value = float(data[begin[i]:stop[i]].decode())
+            values[i] = float(data[begin[i]:stop[i]].decode())
         except ValueError:
-            return None
-        if not math.isfinite(value):
-            return None
-    return values
+            return values[:i], i
+        if not math.isfinite(values[i]):
+            return values[:i], i
+    return values, values.size
 
 
-def _parse_columns(
-    data: bytes, raw: np.ndarray, blocks: np.ndarray,
-    second: np.ndarray, third: np.ndarray, ends: np.ndarray,
-):
-    """The ``t`` and ``value`` columns of a chunk whose rows hold their
-    second and third commas at ``second`` and ``third`` and end at ``ends``:
-    float arrays if every field is a finite number, else the lists of their
-    texts. Each column is read in one pass (see :func:`_floats`)."""
-    bounds = ((second + 1, third), (third + 1, ends))
-    columns = []
-    for begin, stop in bounds:
-        column = _floats(data, raw, blocks, begin, stop)
-        if column is None:
-            return [
-                [data[a:b].decode() for a, b in zip(begin.tolist(), stop.tolist())]
-                for begin, stop in bounds
-            ]
-        columns.append(column)
-    return columns
+def _parse_columns(data: bytes, first: np.ndarray, third: np.ndarray, ends: np.ndarray):
+    """``(t, value, fault)`` of the rows of a chunk whose ``t`` field runs
+    from ``first`` to ``third`` and whose ``value`` field from ``third + 1``
+    to ``ends``: float columns of the rows before the first whose ``t`` or
+    ``value`` is not a finite number, and that row's ``(index, reason)``,
+    or None. Each column is read in one pass (see :func:`_floats`), the
+    ``value`` column only up to the first bad ``t``, so that on one row
+    the ``t`` is reported."""
+    t, rows = _floats(data, first, third)
+    value, bad = _floats(data, third[:rows] + 1, ends[:rows])
+    if bad == ends.size:
+        return t, value, None
+    name, begin, stop = ("value", third + 1, ends) if bad < rows else ("t", first, third)
+    return t[:bad], value, (bad, _number_fault(name, data[begin[bad]:stop[bad]].decode()))
 
 
 def _next_chunk(handle, rest: list[bytes]) -> bytes:
@@ -356,19 +361,34 @@ def _next_chunk(handle, rest: list[bytes]) -> bytes:
     return chunk
 
 
+def _short_row(counts: np.ndarray) -> tuple[int, tuple[int, str] | None]:
+    """The count of rows before the first without 4 fields, of the field
+    ``counts`` of a chunk's data rows, and that row's ``(index, reason)``,
+    or None."""
+    bad = np.flatnonzero(counts != 4)
+    if not bad.size:
+        return counts.size, None
+    row = int(bad[0])
+    return row, (row, f"expected 4 fields, got {counts[row]}")
+
+
 def _plain_chunks(
     handle, path: str, samples: dict[str, int], predictors: dict[str, int]
 ):
     """The curves file past its header, split at newlines and commas, as
-    ``(blanks, t, value, sample, predictor, short)`` per chunk of
-    :func:`_next_chunk`: the line numbers of the blank lines; for the rows
-    before the first line without 4 fields, the ``t`` and ``value`` columns,
-    converted from the chunk's bytes at the field bounds that its commas
-    and newlines give (see :func:`_parse_columns`), and the codes of the
-    ids in ``samples`` and ``predictors``; and that line's index among the
-    chunk's data rows and its field count, or None. ``handle`` is binary. Raises
-    :class:`_NotPlain` on a quote or on a carriage return not followed by a
-    newline, and UnicodeDecodeError on a chunk that is not UTF-8."""
+    ``(blanks, t, value, sample, predictor, fault)`` per chunk of
+    :func:`_next_chunk`: the line numbers of the blank lines; the float
+    ``t`` and ``value`` columns of the data rows before the chunk's first
+    faulty row, converted from the chunk's bytes at the field bounds that
+    its commas and newlines give (see :func:`_parse_columns`); the
+    ``np.uint32`` codes of the ids in ``samples`` and ``predictors``, of
+    those rows at least; and that row's index among the chunk's data rows
+    and the reason it is faulty, or None. A row is faulty if it has not 4
+    fields or if its ``t`` or ``value`` is not a finite number; of a bad
+    number and a short row, the first is taken. ``handle`` is binary.
+    Raises :class:`_NotPlain` on a quote or on a carriage return not
+    followed by a newline, and UnicodeDecodeError on a chunk that is not
+    UTF-8."""
 
     def plain(data: bytes) -> bytes:
         data.decode()  # a newline ends no character, so a chunk decodes alone
@@ -391,10 +411,8 @@ def _plain_chunks(
         ending = b"" if data.endswith(b"\n") else b"\n"
         data = b"".join((bytes(_PAD), data, ending, bytes(8)))
         raw = np.frombuffer(data, np.uint8)
-        # the 8 bytes from each offset of ``data`` as one little-endian
-        # word, and the 24 bytes from it as one block
+        # the 8 bytes from each offset of ``data`` as one little-endian word
         words = np.ndarray(raw.size - 7, "<u8", data, strides=(1,))
-        blocks = np.ndarray(raw.size - 23, "V24", data, strides=(1,))
         # newlines and commas are single bytes in UTF-8, never part of
         # another character, so their byte positions delimit lines and fields
         ends = np.flatnonzero(raw == ord("\n"))
@@ -404,52 +422,56 @@ def _plain_chunks(
         filled = starts < ends
         blanks = (line + np.flatnonzero(~filled)).tolist()
         line += ends.size
-        counts = np.diff(before, prepend=0)[filled] + 1
-        starts, ends, before = starts[filled], ends[filled], before[filled]
-        bad = np.flatnonzero(counts != 4)
-        good = bad[0] if bad.size else counts.size
-        short = (int(good), int(counts[good])) if bad.size else None
-        starts, ends, before = starts[:good], ends[:good], before[:good]
+        good, short = _short_row(np.diff(before, prepend=0)[filled] + 1)
+        rows = np.flatnonzero(filled)[:good]  # the data rows before a short one
+        starts, ends, before = starts[rows], ends[rows], before[rows]
         # of the 3 commas of a row of 4 fields, the second ends its ids and
         # the third its t
         second, third = commas[before - 2], commas[before - 1]
         # the ids are coded once per run of rows with the same id bytes, from
         # the "sample,predictor," of each run's first row
         ids, lengths = _runs(raw, words, starts, second + 1)
-        del commas, before, starts
+        del commas, before, starts, rows
         ids = ids.decode().split(",")
         sample = np.repeat(_code(samples, ids[0:-1:2]), lengths)
         predictor = np.repeat(_code(predictors, ids[1::2]), lengths)
         del ids
-        t, value = _parse_columns(data, raw, blocks, second, third, ends)
-        del data, raw, words, blocks, ends, second, third
-        if isinstance(t, np.ndarray):
-            # copied once the chunk is freed, so that the columns, which are
-            # kept until the file is read, take its place in memory rather
-            # than lie among the pages it leaves free: on the ragged bench
-            # file the copy held the ingest's peak RSS 1.4 MB lower
-            t, value = t.copy(), value.copy()
-        yield blanks, t, value, sample, predictor, short
+        t, value, fault = _parse_columns(data, second + 1, third, ends)
+        del data, raw, words, ends, second, third
+        # copied once the chunk is freed, so that the columns, which are
+        # kept until the file is read, take its place in memory rather than
+        # lie among the pages it leaves free: on the ragged bench file the
+        # copy held the ingest's peak RSS 1.4 MB lower
+        yield blanks, t.copy(), value.copy(), sample, predictor, fault or short
 
 
 def _csv_chunks(
     handle, path: str, samples: dict[str, int], predictors: dict[str, int]
 ):
     """:func:`_plain_chunks` read with the csv module, so quoted fields are
-    unquoted; a line number counts the csv rows before it."""
+    unquoted; a line number counts the csv rows before it. The ``t`` and
+    ``value`` texts of the rows are laid end to end in one buffer, each
+    followed by a comma, and converted as the plain chunks are."""
     reader = _csv_reader(handle, path, _CURVES_HEADER)
     line = 2
     while rows := list(islice(reader, CHUNK_LINES)):
         blanks = [line + i for i, row in enumerate(rows) if not row]
         line += len(rows)
         rows = [row for row in rows if row]
-        counts = np.fromiter(map(len, rows), np.intp, len(rows))
-        bad = np.flatnonzero(counts != 4)
-        short = (int(bad[0]), int(counts[bad[0]])) if bad.size else None
-        cells = list(chain.from_iterable(rows[: bad[0]] if bad.size else rows))
+        good, short = _short_row(np.fromiter(map(len, rows), np.intp, len(rows)))
+        rows = rows[:good]
+        fields = [text.encode() for row in rows for text in row[2:]]
+        sizes = np.fromiter(map(len, fields), np.intp, len(fields))
+        # each field's end: the comma after it
+        stops = np.cumsum(sizes + 1) + (_PAD - 1)
+        data = b"".join((bytes(_PAD), b",".join(fields), b","))
+        del fields
+        t, value, fault = _parse_columns(
+            data, stops[0::2] - sizes[0::2], stops[0::2], stops[1::2]
+        )
         yield (
-            blanks, cells[2::4], cells[3::4],
-            _code(samples, cells[0::4]), _code(predictors, cells[1::4]), short,
+            blanks, t, value, _code(samples, [row[0] for row in rows]),
+            _code(predictors, [row[1] for row in rows]), fault or short,
         )
 
 
@@ -464,39 +486,6 @@ def _line_of(row: int, blanks: list[int]) -> int:
     return line
 
 
-def _finite_rows(
-    path: str, t, value, first_row: int, blanks: list[int]
-) -> tuple[np.ndarray, np.ndarray, DataError | None]:
-    """A chunk's ``t`` and ``value`` columns, given as the arrays that
-    :func:`_parse_columns` read or as the lists of their texts: float arrays
-    of the rows before the first whose ``t`` or ``value`` is not a finite
-    number, and that row's error, or None. ``first_row`` counts the data
-    rows before the chunk. ``float()`` reads each column's texts once, up to
-    the first that it rejects."""
-    if isinstance(t, np.ndarray):
-        return t, value, None  # read only when every number is finite
-    columns, ends = [], []
-    for texts in (t, value):
-        numbers = []
-        try:
-            numbers.extend(map(float, texts))
-        except ValueError:  # the numbers before it stay in the list
-            pass
-        numbers = np.array(numbers, float)
-        bad = np.flatnonzero(~np.isfinite(numbers))
-        columns.append(numbers)
-        ends.append(int(bad[0]) if bad.size else numbers.size)  # the first faulty row
-    row = min(ends)
-    if row == len(t):
-        return *columns, None
-    column = ends.index(row)  # t before value in the same row
-    kind = "finite" if row < columns[column].size else "numeric"
-    return columns[0][:row], columns[1][:row], DataError(
-        f"{path} line {_line_of(first_row + row, blanks)}: field "
-        f"'{('t', 'value')[column]}' is not {kind}: {quoted_text((t, value)[column][row])}"
-    )
-
-
 def _code(table: dict[str, int], ids: list[str]) -> np.ndarray:
     """The codes of the stripped ``ids``, adding unseen ids to ``table``.
     The table keeps a copy of each new id: the chunk's own cell would keep
@@ -507,7 +496,7 @@ def _code(table: dict[str, int], ids: list[str]) -> np.ndarray:
         if key not in table:
             table[key.encode().decode()] = len(table)
         codes[name] = table[key]
-    return np.fromiter(map(codes.__getitem__, ids), np.intp, len(ids))
+    return np.fromiter(map(codes.__getitem__, ids), np.uint32, len(ids))
 
 
 def _sorted_ids(table: dict[str, int], codes: np.ndarray) -> tuple[list[str], np.ndarray]:
@@ -524,26 +513,24 @@ def _read_points(path: str, chunks, handle):
     ``predictor * len(sample_ids) + sample`` for the indices of a point's
     ids in the sorted id lists. ``chunks(handle, path, samples, predictors)``
     yields the file's chunks, coding ids in those two tables, each cut
-    short at its first line without 4 fields. Reading stops at the first
-    row with a wrong field count or a bad number; a repeated point before
-    it is reported instead. A file listing each curve in increasing ``t``
-    is ordered by one radix sort on the curve, any other by one lexsort."""
+    short at its first faulty row (see :func:`_plain_chunks`). Reading
+    stops at the first row with a wrong field count or a bad number; a
+    repeated point before it is reported instead. A file listing each
+    curve in increasing ``t`` is ordered by one radix sort on the curve,
+    any other by one lexsort."""
     samples: dict[str, int] = {}
     predictors: dict[str, int] = {}
     parts = []  # (sample codes, predictor codes, t, value) per chunk
     blanks: list[int] = []
     rows = 0
     fault = None  # the error of the first faulty row
-    for chunk_blanks, t, value, sample, predictor, short in chunks(
+    for chunk_blanks, t, value, sample, predictor, faulty in chunks(
         handle, path, samples, predictors
     ):
         blanks += chunk_blanks
-        t, value, fault = _finite_rows(path, t, value, rows, blanks)
-        if fault is None and short is not None:  # a bad number comes before it
-            row, count = short
-            fault = DataError(
-                f"{path} line {_line_of(rows + row, blanks)}: expected 4 fields, got {count}"
-            )
+        if faulty is not None:
+            row, reason = faulty
+            fault = DataError(f"{path} line {_line_of(rows + row, blanks)}: {reason}")
         # the rows before the fault are kept: a duplicate point among them
         # comes first in the file, so it is the error reported
         parts.append((sample[: t.size], predictor[: t.size], t, value))

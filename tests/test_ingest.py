@@ -320,6 +320,8 @@ NUMBER_TEXTS = ["1_000", "١", "nan(1)", "1.5e", "0x10", "1e400", ".5", "5.", " 
 TEXT_LAYOUT = {"seed": 11, "samples": 4, "predictors": 2, "grids": "mixed",
                "shuffle": False, "blank_lines": 1, "crlf": False, "ids": "ascii",
                "padded": "", "quoted": False, "chunk": 6}
+# the same file with quoted ids, read through the csv module
+QUOTED_TEXT_LAYOUT = {**TEXT_LAYOUT, "quoted": True}
 
 
 @property_settings
@@ -334,6 +336,10 @@ TEXT_LAYOUT = {"seed": 11, "samples": 4, "predictors": 2, "grids": "mixed",
 @example(TEXT_LAYOUT, "value", "5.")
 @example(TEXT_LAYOUT, "value", "  ")
 @example(TEXT_LAYOUT, "t", "\t")
+@example(QUOTED_TEXT_LAYOUT, "value", "1_000")
+@example(QUOTED_TEXT_LAYOUT, "t", "+1.5")
+@example(QUOTED_TEXT_LAYOUT, "value", "1e400")
+@example(QUOTED_TEXT_LAYOUT, "t", "  ")
 def test_number_text_gives_reference_result(layout, column, text):
     _assert_same(*_run(layout, f"{column}_text", text))
 
@@ -385,19 +391,26 @@ number_texts = st.one_of(
 @example(["-0", ".5", "-.5", "5.", "9007199254740993", "9" * 19, "9" * 20, "1e27", "1e-27",
           "1e28", "-0.0", "0.1", "1e-5", "2.5E+10", "00000000000000000000001.5"])
 def test_kernel_matches_float_bit_for_bit(texts):
-    # the kernel where it reads, and a column of the plain reader, which
-    # float() completes, give float()'s bits, in either bound of the kernel
+    # the kernel where it reads, and a column of the plain reader or of the
+    # csv reader (a file with one quoted id), which float() completes, give
+    # float()'s bits, in either bound of the kernel
     expected = _bits(map(float, texts))
-    body = "".join(f"s,p,{text},{text}\n" for text in texts).encode()
+    body = "".join(f"s,p,{text},{text}\n" for text in texts)
+    quoted = f'{CURVES_HEADER}\n"s"{body.removeprefix("s")}'  # the first row's id quoted
     for extended in {ingest._EXTENDED, False}:
         with mock.patch.object(ingest, "_EXTENDED", extended):
             values, declined = _kernel(texts)
-            chunk = next(ingest._plain_chunks(io.BytesIO(CURVES_HEADER.encode() + b"\n" + body),
-                                              "c.csv", {}, {}))
+            chunk = next(ingest._plain_chunks(
+                io.BytesIO(f"{CURVES_HEADER}\n{body}".encode()), "c.csv", {}, {}
+            ))
+            csv_chunk = next(ingest._csv_chunks(io.StringIO(quoted), "c.csv", {}, {}))
         assert [a for a, out in zip(_bits(values), declined) if not out] == [
             b for b, out in zip(expected, declined) if not out
         ]
         assert _bits(chunk[1]) == _bits(chunk[2]) == expected
+        assert csv_chunk[1].dtype == csv_chunk[2].dtype == np.float64
+        assert _bits(csv_chunk[1]) == _bits(csv_chunk[2]) == expected
+        assert chunk[5] is None and csv_chunk[5] is None
 
 
 def test_numbers_are_read_in_one_pass_only_when_exact():
@@ -577,6 +590,48 @@ def test_first_of_two_faults_is_reported(tmp_path, quoted, bad, other, at, messa
     got, expected = _read_both(tmp_path, chunk=4)
     assert got == expected
     assert f"curves.csv {message}" in got
+
+
+@pytest.mark.parametrize("quoted", [False, True])
+@pytest.mark.parametrize("column", ["t", "value"])
+@pytest.mark.parametrize("number, short", [(3, 6), (6, 3)], ids=["number_first", "short_first"])
+def test_bad_number_and_short_row_in_one_chunk(tmp_path, quoted, column, number, short):
+    # 10 data rows on lines 2-11, read as one chunk: row ``number`` gets a
+    # bad t or value 3 lines before or after row ``short`` loses its value;
+    # the earlier line is reported
+    layout = {"padded": "", "quoted": quoted, "blank_lines": 0, "crlf": False}
+    rows = [[f"s{i}", "p0", repr(t), repr(float(i))]
+            for i in range(2) for t in np.linspace(0.0, 1.0, 5).tolist()]
+    rows[number][2 if column == "t" else 3] = "oops"
+    rows[short] = rows[short][:3]
+    _write(tmp_path / "curves.csv", CURVES_HEADER, rows, layout, None)
+    _write(tmp_path / "responses.csv", RESPONSES_HEADER, [["s0", "1"], ["s1", "2"]],
+           layout, None)
+    with mock.patch.object(ingest, "_csv_chunks", wraps=ingest._csv_chunks) as csv_chunks:
+        got, expected = _read_both(tmp_path, chunk=40, line_bytes=64)
+    assert csv_chunks.called == quoted
+    assert got == expected
+    if number < short:
+        message = f"line {number + 2}: field '{column}' is not numeric: 'oops'"
+    else:
+        message = f"line {short + 2}: expected 4 fields, got 3"
+    assert f"curves.csv {message}" in got
+
+
+@pytest.mark.parametrize("quoted", [False, True])
+def test_chunk_codes_take_at_most_4_bytes(quoted):
+    # the sample and predictor codes are kept until the whole file is read
+    lines = [f"s{i},p{m},0.5,1.5\n" for i in range(300) for m in range(6)]
+    if quoted:
+        lines[0] = '"s0",p0,0.5,1.5\n'
+        text = CURVES_HEADER + "\n" + "".join(lines)
+        chunks = ingest._csv_chunks(io.StringIO(text), "c.csv", {}, {})
+    else:
+        data = f"{CURVES_HEADER}\n{''.join(lines)}".encode()
+        chunks = ingest._plain_chunks(io.BytesIO(data), "c.csv", {}, {})
+    for _, t, _, sample, predictor, _ in chunks:
+        assert sample.size == predictor.size == t.size
+        assert sample.itemsize <= 4 and predictor.itemsize <= 4
 
 
 @pytest.mark.parametrize("target", ["curves", "responses"])
