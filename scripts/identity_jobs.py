@@ -59,8 +59,6 @@ INPUT_SEEDS = (0, 3, 7)
 METHODS = ("bc", "fdr")
 # the input seed of the altered curves files
 VARIANT_SEED = 3
-# funcsel.ingest.CHUNK_BYTES: the reader's reads past the header line
-CHUNK_BYTES = 256 * 1024
 
 
 def _field(line: bytes, index: int, value: bytes) -> bytes:
@@ -124,10 +122,11 @@ def _number_variants(data: bytes) -> dict[str, bytes]:
     }
 
 
-def _regular_variants(data: bytes) -> dict[str, bytes]:
+def _regular_variants(data: bytes, chunk_bytes: int) -> dict[str, bytes]:
     """Altered copies of a regular curves file, by name: each holds one
     fault, or two, at a line given by its index in the file or by its byte
-    position around the edges of the reader's chunks; and the copies of
+    position around the edges of the reader's chunks, whose reads past the
+    header line are ``chunk_bytes`` long; and the copies of
     :func:`_number_variants`."""
     lines = data.split(b"\n")[:-1]  # the file ends with a newline
     mid, a = len(lines) // 2, 30_000
@@ -142,7 +141,7 @@ def _regular_variants(data: bytes) -> dict[str, bytes]:
     def bad(i: int, index: int = 3) -> bytes:
         return _field(lines[i], index, b"x")
 
-    second_chunk = past(len(lines[0]) + 1 + CHUNK_BYTES)
+    second_chunk = past(len(lines[0]) + 1 + chunk_bytes)
     edge = past(768 * 1024)
     return {
         "whitespace value": edit({1000: _field(lines[1000], 3, b" ")}),
@@ -204,9 +203,12 @@ def _ragged_variants(data: bytes) -> dict[str, bytes]:
     }
 
 
-def _jobs(files: dict[tuple[int, bool], dict], work: Path) -> list[tuple[str, list[str]]]:
+def _jobs(
+    files: dict[tuple[int, bool], dict], work: Path, chunk_bytes: int
+) -> list[tuple[str, list[str]]]:
     """(name, argv) of each job; the altered curves files are written to
-    ``work``."""
+    ``work``, those of :func:`_regular_variants` for reads of
+    ``chunk_bytes``."""
     jobs = []
     for seed, ragged, method in itertools.product(INPUT_SEEDS, (False, True), METHODS):
         paths = files[seed, ragged]
@@ -267,11 +269,12 @@ def _jobs(files: dict[tuple[int, bool], dict], work: Path) -> list[tuple[str, li
         ["--mode", "select", "--curves", paths["curves"], "--responses",
          paths["responses"], "--basis-size", "100000"],
     ))
-    for ragged, variants in ((False, _regular_variants), (True, _ragged_variants)):
+    for ragged in (False, True):
         paths = files[VARIANT_SEED, ragged]
         layout = "ragged" if ragged else "regular"
         data = Path(paths["curves"]).read_bytes()
-        for i, (name, altered) in enumerate(variants(data).items()):
+        variants = _ragged_variants(data) if ragged else _regular_variants(data, chunk_bytes)
+        for i, (name, altered) in enumerate(variants.items()):
             curves = work / f"variant_{layout}_{i}.csv"
             curves.write_bytes(altered)
             jobs.append((
@@ -288,6 +291,16 @@ def _jobs(files: dict[tuple[int, bool], dict], work: Path) -> list[tuple[str, li
             ["--mode", "select", "--curves", paths["curves"], "--responses", str(responses)],
         ))
     return jobs
+
+
+def _chunk_bytes(src: Path) -> int:
+    """``funcsel.ingest.CHUNK_BYTES`` under ``src``: the reader's reads past
+    the header line."""
+    done = subprocess.run(
+        [sys.executable, "-c", "from funcsel.ingest import CHUNK_BYTES; print(CHUNK_BYTES)"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, check=True,
+    )
+    return int(done.stdout)
 
 
 def _run(src: Path, argv: list[str], out: Path, cwd: Path) -> tuple[bytes, ...]:
@@ -326,7 +339,9 @@ def main(argv: list[str] | None = None) -> int:
             for seed in INPUT_SEEDS
             for ragged in (False, True)
         }
-        jobs = _jobs(files, work)
+        # the changed tree's reads, so that its second chunk opens on the
+        # faulty line of "bad value opening the second chunk"
+        jobs = _jobs(files, work, _chunk_bytes(trees[1]))
         for name, job in jobs:
             parent, change = (_run(src, job, work / "report.jsonl", work) for src in trees)
             diff = [part for part, a, b in zip(parts, parent, change) if a != b]

@@ -16,7 +16,10 @@ row of L is [l', l_yy] with L_zz l = h_zy, and the Schur complement
 h_yy - h_zy' W h_zy, W = H_zz^{-1}, is l_yy^2. With M = L_zz^{-1} by forward
 substitution, W h_zy = M' l, so the coefficients are
 R_zz^{-1} (r_zy + r_yy M' l), RSS is r_yy^2 l_yy^2 and
-V = R_zz^{-1} W R_zz^{-T} = G G' with G = R_zz^{-1} M'. No step inverts a
+V = R_zz^{-1} W R_zz^{-T} = G G' with G = R_zz^{-1} M'. The tests read only
+the diagonal blocks V_rr = G_r G_r' of V, G_r the rows of G over block r's
+columns; G is upper triangular, so G_r is zero left of the block's first
+column, and V_rr is formed from the rest of G_r alone. No step inverts a
 general matrix.
 
 A resample's count fit is certified when two bounds hold. ||H||_F
@@ -83,12 +86,13 @@ COUNT_COND_MAX = 1e6
 OUTER_FLOATS = 2**20
 
 # floats in one batch of resamples fitted together, which sets its size b:
-# per resample, n row counts, the n x (k+1) scaled rows of Q when no outer
-# products are kept, the (k+1) x (k+1) H and its Cholesky factor L, and the
-# k x k M = L_zz^{-1}, G and V of fit_resamples. That is 71 resamples at
-# n = 300 and k = 37, where larger batches ran no faster. The counts, H, M and
-# G (and the products of the counts with the outer products, which this count
-# leaves out) live in the job's BatchWork; L, V and the scaled rows are new in
+# per resample, n row counts, the (k+1)(k+2)/2 products of the counts with
+# the outer products when those are kept and the n x (k+1) scaled rows of Q
+# when not, the (k+1) x (k+1) H and its Cholesky factor L, the k x k
+# M = L_zz^{-1} and G of fit_resamples, and the sum of k_r^2 of V's diagonal
+# blocks. That is 76 resamples at n = 300 and k = 37 in six blocks of 6,
+# where larger batches ran no faster. The counts, their products, H, M and G
+# live in the job's BatchWork; L, V's blocks and the scaled rows are new in
 # each batch
 RESAMPLE_FLOATS = 2**19
 
@@ -143,14 +147,15 @@ class SampleQR:
 class ResampleFits:
     """Least-squares fits of a batch of b resamples of the rows.
 
-    ``covariance[j]`` is V = (Z_j' Z_j)^{-1} of resample j. ``certified[j]``
+    ``covariance_blocks[r][j]`` is V_rr, the diagonal block over predictor
+    r's columns of V = (Z_j' Z_j)^{-1} of resample j. ``certified[j]``
     is True when the count algebra of resample j is well conditioned and
     clears the rank check of :func:`~funcsel.linmodel.fit_ols` by a factor 2
     (see the module docstring); the other rows may hold no meaningful fit.
     """
 
     coefficients: np.ndarray
-    covariance: np.ndarray
+    covariance_blocks: tuple[np.ndarray, ...]
     sigma2_tilde: np.ndarray
     certified: np.ndarray
 
@@ -176,8 +181,9 @@ def sample_qr(design: DesignMatrix, y: np.ndarray) -> SampleQR:
         raise RankDeficiencyError("design matrix is exactly singular") from None
     _, first, inverse = np.unique(data, axis=0, return_index=True, return_inverse=True)
     first_copy = first[inverse]
-    scaled = n * (k + 1) if outer is None else 0
-    batch = max(1, RESAMPLE_FLOATS // (n + scaled + 2 * (k + 1) ** 2 + 3 * k**2))
+    products = n * (k + 1) if outer is None else rows.size
+    blocks = int(np.sum(np.diff(design.block_offsets) ** 2))
+    batch = max(1, RESAMPLE_FLOATS // (n + products + 2 * (k + 1) ** 2 + 2 * k**2 + blocks))
     return SampleQR(
         design=design,
         y=y,
@@ -212,7 +218,7 @@ def fit_resamples(qr: SampleQR, idx: np.ndarray) -> ResampleFits:
     The b x n counts, their product with ``qr.outer``, the H's and the k x k
     M's and G's are written into ``qr.work``, which the next call
     overwrites; the S's when ``qr.outer`` is None, the L's and the returned
-    arrays are new, and the L's are released before the V's are formed.
+    arrays are new, and the L's are released before V's blocks are formed.
     """
     b, n = idx.shape
     k = qr.r_inv.shape[0]
@@ -251,9 +257,12 @@ def fit_resamples(qr: SampleQR, idx: np.ndarray) -> ResampleFits:
         cond_bound = h_norm * (w_trace + schur_term)
         rank_bound = (counts @ qr.row_norms2) * np.einsum("bij,bij->b", g_t, g_t)
         certified = ~singular & (cond_bound < COUNT_COND_MAX) & (rank_bound < RANK_BOUND2_MAX)
+    offsets = qr.design.block_offsets
+    # block r's columns of G' from its first row on, the nonzeros of G_r'
+    panels = [g_t[:, lo:, lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
     return ResampleFits(
         coefficients=(r_zy + r_yy * w_h) @ qr.r_inv.T,
-        covariance=g_t.transpose(0, 2, 1) @ g_t,
+        covariance_blocks=tuple(panel.transpose(0, 2, 1) @ panel for panel in panels),
         sigma2_tilde=r_yy**2 * schur / n,
         certified=certified,
     )
@@ -273,10 +282,11 @@ def test_resamples(qr: SampleQR, idx: np.ndarray) -> tuple[np.ndarray, np.ndarra
     try:
         fits = fit_resamples(qr, idx)
         ok = fits.certified
-        # a slice when every resample is certified: a mask would copy the V's
+        # a slice when every resample is certified: a mask would copy V's blocks
         rows = slice(None) if ok.all() else ok
+        blocks = [v_rr[rows] for v_rr in fits.covariance_blocks]
         statistics[rows] = block_statistics(
-            fits.coefficients[rows], fits.covariance[rows], fits.sigma2_tilde[rows], offsets
+            fits.coefficients[rows], blocks, fits.sigma2_tilde[rows], offsets
         )
     except (np.linalg.LinAlgError, NumericalError):
         ok = np.zeros(len(idx), bool)

@@ -1,10 +1,11 @@
 """B-spline bases: clamped uniform knots, evaluation, and Gram matrices.
 
 A basis is described by an immutable :class:`BasisSpec`. Evaluation uses the
-Cox-de Boor triangular scheme, run on all points of a call at once; the Gram
-matrix of pairwise basis integrals is computed with Gauss-Legendre quadrature
-per knot span, which is exact for the piecewise-polynomial integrand (degree+1
-nodes integrate polynomials of degree 2*degree exactly). It is cached per
+Cox-de Boor triangular scheme, run on all points of a call at once and in
+place, in a few preallocated rows of n values; the Gram matrix of pairwise
+basis integrals is computed with Gauss-Legendre quadrature per knot span,
+which is exact for the piecewise-polynomial integrand (degree+1 nodes
+integrate polynomials of degree 2*degree exactly). It is cached per
 basis, and :func:`~funcsel.design.build_design` reads it there for each
 predictor, so callers never build or pass Gram matrices. The design's rank is
 checked once per fit, in :func:`~funcsel.linmodel.fit_ols`.
@@ -85,7 +86,10 @@ def evaluate_basis_matrix(spec: BasisSpec, ts: np.ndarray) -> np.ndarray:
     the span is nonempty; at t == domain_hi the last nonempty span is used,
     which realizes the left-limit convention at the right endpoint. The
     degree+1 basis functions nonzero on each span come from the triangular
-    Cox-de Boor recurrence, run for all points at once.
+    Cox-de Boor recurrence, run for all points at once. Each level of the
+    triangle is written in place over (degree+1, n) rows, with the
+    floating-point operations, in the same order, of the recurrence on
+    fresh arrays, so every value is the same to the bit.
     """
     ts = np.asarray(ts, dtype=float).ravel()
     outside = ~((ts >= spec.domain_lo) & (ts <= spec.domain_hi))
@@ -94,31 +98,42 @@ def evaluate_basis_matrix(spec: BasisSpec, ts: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"t={t} outside the basis domain [{spec.domain_lo}, {spec.domain_hi}]"
         )
-    degree = spec.degree
+    degree, p, n = spec.degree, spec.num_basis, ts.size
     kn = spec.knot_array
-    spans = np.searchsorted(kn, ts, side="right") - 1
-    np.clip(spans, degree, spec.num_basis - 1, out=spans)
+    # the first of the degree+1 functions nonzero on each point's span
+    first = np.searchsorted(kn, ts, side="right")
+    first -= degree + 1
+    np.clip(first, 0, p - 1 - degree, out=first)
     # row j holds t - knots[span+1-j] and knots[span+j] - t; row 0 is unused
-    steps = np.arange(degree + 1)[:, None]
-    left = ts - kn[spans + 1 - steps]
-    right = kn[spans + steps] - ts
-    # values[r] is the r-th nonzero function on each point's span; level j
-    # of the triangle splits each value of level j-1 between two neighbours
-    values = np.empty((degree + 1, ts.size))
-    values[0] = 1.0
+    left = np.empty((degree + 1, n))
+    right = np.empty((degree + 1, n))
     for j in range(1, degree + 1):
-        tmp = values[:j] / (right[1 : j + 1] + left[j:0:-1])
-        up = right[1 : j + 1] * tmp
-        down = left[j:0:-1] * tmp
-        values[j] = down[j - 1]
-        values[1:j] = down[: j - 1] + up[1:j]
-        values[0] = up[0]
-    # values[r] goes to column span - degree + r, through the flat view
-    out = np.zeros(ts.size * spec.num_basis)
-    first = np.arange(0, out.size, spec.num_basis) + spans - degree
+        np.subtract(ts, kn[degree + 1 - j :].take(first), out=left[j])
+        np.subtract(kn[degree + j :].take(first), ts, out=right[j])
+    # values[r] is the r-th nonzero function on each point's span; level j
+    # of the triangle splits each value of level j-1 between two neighbours:
+    # with tmp = values[r] / (right[r+1] + left[j-r]), values[r] becomes
+    # down + right[r+1] * tmp, where down = left[j-r+1] * tmp of r-1 (none
+    # at r = 0), and values[j] the last down. Until then values[j] holds
+    # each down, from one r to the next
+    values = np.empty((degree + 1, n))
+    values[0] = 1.0
+    tmp = np.empty(n)
+    for j in range(1, degree + 1):
+        for r in range(j):
+            np.add(right[r + 1], left[j - r], out=tmp)
+            np.divide(values[r], tmp, out=tmp)
+            np.multiply(right[r + 1], tmp, out=values[r])
+            if r:
+                np.add(values[j], values[r], out=values[r])
+            np.multiply(left[j - r], tmp, out=values[j])
+    # values[r] goes to column first + r, through the flat view
+    out = np.zeros(n * p)
+    first += np.arange(0, out.size, p)
     for r in range(degree + 1):
-        out[first + r] = values[r]
-    return out.reshape(ts.size, spec.num_basis)
+        out[first] = values[r]
+        first += 1
+    return out.reshape(n, p)
 
 
 @lru_cache(maxsize=256)

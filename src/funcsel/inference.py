@@ -6,11 +6,13 @@ with p_r degrees of freedom. RSS0 - RSS, the cost of zeroing block r, equals
 the Wald form b_r' (V_rr)^{-1} b_r with V = (Z'Z)^{-1}, so every test is read
 off the one full fit without refitting. :func:`block_statistics` is the one
 loop over the predictor blocks: it takes the Wald form of every block, for
-one fit or for a batch. :func:`test_all` applies it to the full fit of a
-sample and returns plain arrays of statistics and p-values; the bootstrap
-applies it to a batch of resamples. :func:`p_value` takes the chi-square
-upper tail in closed form, with numpy and :func:`math.erfc` alone: every dof
-is a basis size, so an integer, and the tail is then a finite sum.
+one fit or for a batch, from the diagonal blocks V_rr alone.
+:func:`test_all` applies it to the full fit of a sample and returns plain
+arrays of statistics and p-values; the bootstrap applies it to a batch of
+resamples, whose V_rr it forms without the rest of V. :func:`p_value` takes
+the chi-square upper tail in closed form, with numpy and :func:`math.erfc`
+alone: every dof is a basis size, so an integer, and the tail is then a
+finite sum.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .linmodel import fit_ols
 
 __all__ = [
     "block_statistics",
+    "diagonal_blocks",
     "p_value",
     "test_all",
 ]
@@ -67,19 +70,26 @@ def p_value(statistic, dof) -> np.ndarray:
     return np.clip(tail, P_VALUE_FLOOR, 1.0)
 
 
-def block_statistics(coefficients, covariance, sigma2, offsets) -> np.ndarray:
+def diagonal_blocks(covariance, offsets) -> list[np.ndarray]:
+    """Views of the diagonal blocks V_rr (..., k_r, k_r) of covariances V
+    (..., k, k), block r over columns ``offsets[r]:offsets[r + 1]``."""
+    return [covariance[..., lo:hi, lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
+
+
+def block_statistics(coefficients, blocks, sigma2, offsets) -> np.ndarray:
     """Statistics (..., M) of every predictor block, from fits with
-    coefficients (..., k), covariances V (..., k, k) and variance estimates
+    coefficients (..., k), the diagonal blocks V_rr (..., k_r, k_r) of their
+    covariances V, one per predictor in ``blocks``, and variance estimates
     ``sigma2`` over any leading batch axes; block r spans columns
     ``offsets[r]:offsets[r + 1]``. The statistic of block r is the Wald form
     b_r' (V_rr)^{-1} b_r / sigma2, floored at 0 against roundoff. Raises
     :class:`NumericalError` naming the first predictor whose V_rr is
     singular."""
     statistics = np.empty(np.shape(coefficients)[:-1] + (len(offsets) - 1,))
-    for r, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
+    for r, (lo, hi, v_rr) in enumerate(zip(offsets[:-1], offsets[1:], blocks)):
         b_r = coefficients[..., lo:hi]
         try:
-            v_inv_b = np.linalg.solve(covariance[..., lo:hi, lo:hi], b_r[..., None])
+            v_inv_b = np.linalg.solve(v_rr, b_r[..., None])
         except np.linalg.LinAlgError as exc:
             raise NumericalError(
                 f"singular covariance block while testing predictor {r}: {exc}"
@@ -93,7 +103,7 @@ def test_all(design: DesignMatrix, y: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """Fit once; the statistics and p-values, each (M,), of every predictor
     tested against that shared full fit."""
     full = fit_ols(design, y)
-    statistics = block_statistics(
-        full.coefficients, full.covariance, full.sigma2_tilde, design.block_offsets
-    )
-    return statistics, p_value(statistics, np.diff(design.block_offsets))
+    offsets = design.block_offsets
+    blocks = diagonal_blocks(full.covariance, offsets)
+    statistics = block_statistics(full.coefficients, blocks, full.sigma2_tilde, offsets)
+    return statistics, p_value(statistics, np.diff(offsets))

@@ -31,10 +31,12 @@ from .smoothing import CurveBlock
 
 __all__ = ["ingest_long_csv"]
 
-# bytes of the curves file read at a time, about 5,600 lines of 47 bytes.
-# On a 90,000-row file, reads of 256 KiB to 1 MiB took the same CPU time,
-# and the ingest's traced peak was 5.8 MB up to 512 KiB, 6.6 MB at 768 KiB.
-CHUNK_BYTES = 256 * 1024
+# bytes of the curves file read at a time, about 11,000 lines of 47 bytes.
+# On the 90,000-row bench files, reads of 512 KiB took 33.6 ms against
+# 34.7 ms at 256 KiB (ragged; 32.9 against 34.2 regular; medians of 38,
+# alternating, on a 2-CPU x86-64 container), with the same traced peak of
+# 5.25 MB; at 1 MiB the peak rose to 6.69 MB
+CHUNK_BYTES = 512 * 1024
 # rows of a file read with the csv module at a time; a quoted field may
 # hold a newline, so its chunks are counted in rows, not cut at bytes
 CHUNK_LINES = 16384
@@ -450,8 +452,9 @@ def _csv_chunks(
 ):
     """:func:`_plain_chunks` read with the csv module, so quoted fields are
     unquoted; a line number counts the csv rows before it. The ``t`` and
-    ``value`` texts of the rows are laid end to end in one buffer, each
-    followed by a comma, and converted as the plain chunks are."""
+    ``value`` texts of the rows are joined with commas and encoded once, to
+    one buffer where each is followed by a comma, and converted as the
+    plain chunks are."""
     reader = _csv_reader(handle, path, _CURVES_HEADER)
     line = 2
     while rows := list(islice(reader, CHUNK_LINES)):
@@ -460,12 +463,17 @@ def _csv_chunks(
         rows = [row for row in rows if row]
         good, short = _short_row(np.fromiter(map(len, rows), np.intp, len(rows)))
         rows = rows[:good]
-        fields = [text.encode() for row in rows for text in row[2:]]
-        sizes = np.fromiter(map(len, fields), np.intp, len(fields))
+        texts = [text for row in rows for text in row[2:]]
+        data = ",".join(texts)
+        # a field's byte count is its length when the chunk's text is ASCII
+        sizes = np.fromiter(
+            map(len, texts) if data.isascii() else (len(text.encode()) for text in texts),
+            np.intp, len(texts),
+        )
         # each field's end: the comma after it
         stops = np.cumsum(sizes + 1) + (_PAD - 1)
-        data = b"".join((bytes(_PAD), b",".join(fields), b","))
-        del fields
+        data = b"".join((bytes(_PAD), data.encode(), b","))
+        del texts
         t, value, fault = _parse_columns(
             data, stops[0::2] - sizes[0::2], stops[0::2], stops[1::2]
         )

@@ -28,7 +28,10 @@ a block of per-row grids.
 
 ``uniform_knots_reference`` is the clamped uniform knot vector as it was
 first built, from the domain, degree and size, which the package's basis
-derives and must match bit for bit.
+derives and must match bit for bit. ``evaluate_basis_matrix_reference`` is
+the Cox-de Boor evaluation as it was written before it ran in place, on
+fresh (degree+1, n) index and value arrays, which the package's basis must
+match bit for bit.
 
 ``evaluate_basis``, ``chisq_cdf`` and ``noncentral_chisq_cdf`` are scalar
 conveniences the tests call: the basis at one point, and scipy's central
@@ -360,6 +363,35 @@ def uniform_knots_reference(
         + tuple(float(t) for t in interior)
         + (float(domain_hi),) * (degree + 1)
     )
+
+
+def evaluate_basis_matrix_reference(spec: BasisSpec, ts: np.ndarray) -> np.ndarray:
+    """The basis at ``ts``, shape (len(ts), num_basis), by the triangular
+    Cox-de Boor recurrence as ``evaluate_basis_matrix`` first ran it: the
+    knots gathered through (degree+1, n) index arrays and each level of the
+    triangle formed from fresh slices. ``ts`` must lie in the domain."""
+    ts = np.asarray(ts, dtype=float).ravel()
+    degree = spec.degree
+    kn = spec.knot_array
+    spans = np.searchsorted(kn, ts, side="right") - 1
+    np.clip(spans, degree, spec.num_basis - 1, out=spans)
+    steps = np.arange(degree + 1)[:, None]
+    left = ts - kn[spans + 1 - steps]
+    right = kn[spans + steps] - ts
+    values = np.empty((degree + 1, ts.size))
+    values[0] = 1.0
+    for j in range(1, degree + 1):
+        tmp = values[:j] / (right[1 : j + 1] + left[j:0:-1])
+        up = right[1 : j + 1] * tmp
+        down = left[j:0:-1] * tmp
+        values[j] = down[j - 1]
+        values[1:j] = down[: j - 1] + up[1:j]
+        values[0] = up[0]
+    out = np.zeros(ts.size * spec.num_basis)
+    first = np.arange(0, out.size, spec.num_basis) + spans - degree
+    for r in range(degree + 1):
+        out[first + r] = values[r]
+    return out.reshape(ts.size, spec.num_basis)
 
 
 def evaluate_basis(spec: BasisSpec, t: float) -> np.ndarray:

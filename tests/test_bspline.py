@@ -14,7 +14,7 @@ from funcsel import (
     make_uniform_basis,
 )
 
-from oracles import evaluate_basis, uniform_knots_reference
+from oracles import evaluate_basis, evaluate_basis_matrix_reference, uniform_knots_reference
 
 
 def naive_bspline(knots, degree, j, t, domain_hi):
@@ -161,6 +161,31 @@ class TestEvaluateBasis:
             ]
             assert got == pytest.approx(expected, abs=1e-12)
             assert got.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(
+        st.integers(0, 5),
+        st.integers(1, 12),
+        st.floats(-6.0, 6.0),
+        st.floats(-6.0, 6.0),
+        st.sampled_from((-1.0, 0.0, 1.0)),
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+    )
+    @example(5, 12, -6.0, 6.0, 1.0, [0.5])  # the narrowest spans, far from zero
+    def test_matches_reference_bit_for_bit(
+        self, degree, extra, log_width, log_offset, sign, fractions
+    ):
+        # every knot, both ends and interior points of shifted and negative
+        # domains, against the recurrence on fresh arrays: a change of
+        # rounding fails here, where a tolerance would let it pass
+        lo = sign * 10.0**log_offset
+        spec = make_uniform_basis(lo, lo + 10.0**log_width, degree, degree + extra)
+        lo, hi = spec.domain_lo, spec.domain_hi
+        interior = np.clip(lo + np.array(fractions) * (hi - lo), lo, hi)
+        ts = np.concatenate([spec.knot_array, [lo, hi], interior])
+        got = evaluate_basis_matrix(spec, ts)
+        expected = evaluate_basis_matrix_reference(spec, ts)
+        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
 
     def test_partition_of_unity_random_points(self):
         rng = np.random.default_rng(7)

@@ -8,7 +8,7 @@ from scipy.special import chdtrc, chdtri
 
 from funcsel import NumericalError, fit_ols
 from funcsel.design import DesignMatrix
-from funcsel.inference import P_VALUE_FLOOR, block_statistics, p_value
+from funcsel.inference import P_VALUE_FLOOR, block_statistics, diagonal_blocks, p_value
 from funcsel.inference import test_all as run_test_all
 
 from conftest import random_design
@@ -212,9 +212,10 @@ class TestTestPredictor:
         covariance[block_slice(design, 1)] = 0.0
         covariance[:, block_slice(design, 1)] = 0.0
         coefficients, sigma2 = full.coefficients, full.sigma2_tilde
-        assert block_statistics(coefficients, covariance, sigma2, offsets[:2])[0] > 0.0
+        blocks = diagonal_blocks(covariance, offsets)
+        assert block_statistics(coefficients, blocks, sigma2, offsets[:2])[0] > 0.0
         with pytest.raises(NumericalError, match="predictor 1"):
-            block_statistics(coefficients, covariance, sigma2, offsets)
+            block_statistics(coefficients, blocks, sigma2, offsets)
 
     def test_null_p_values_uniform(self):
         # fixed design, pure-noise responses: p-values follow Uniform(0,1);
@@ -257,12 +258,12 @@ class TestTestAll:
         covariance = np.stack([fit.covariance for fit in fits])
         sigma2 = np.array([fit.sigma2_tilde for fit in fits])
         offsets = design.block_offsets
-        batch = block_statistics(coefficients, covariance, sigma2, offsets)
+        blocks = diagonal_blocks(covariance, offsets)
+        batch = block_statistics(coefficients, blocks, sigma2, offsets)
         assert batch.shape == (7, 3)
         for row, fit in zip(batch, fits):
-            single = block_statistics(
-                fit.coefficients, fit.covariance, fit.sigma2_tilde, offsets
-            )
+            blocks = diagonal_blocks(fit.covariance, offsets)
+            single = block_statistics(fit.coefficients, blocks, fit.sigma2_tilde, offsets)
             np.testing.assert_array_equal(row, single)
 
     def test_permutation_null_uniform(self):

@@ -340,6 +340,7 @@ QUOTED_TEXT_LAYOUT = {**TEXT_LAYOUT, "quoted": True}
 @example(QUOTED_TEXT_LAYOUT, "t", "+1.5")
 @example(QUOTED_TEXT_LAYOUT, "value", "1e400")
 @example(QUOTED_TEXT_LAYOUT, "t", "  ")
+@example(QUOTED_TEXT_LAYOUT, "t", "١")  # 2 bytes of UTF-8 in 1 character
 def test_number_text_gives_reference_result(layout, column, text):
     _assert_same(*_run(layout, f"{column}_text", text))
 

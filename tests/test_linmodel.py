@@ -15,7 +15,7 @@ from funcsel.bootstrap import _resample_indices, bootstrap_counts, fit_resamples
 from funcsel.bootstrap import test_resamples as run_test_resamples
 from funcsel.design import DesignMatrix
 from funcsel.errors import RANK_BOUND2_MAX, RANK_RTOL
-from funcsel.inference import block_statistics
+from funcsel.inference import block_statistics, diagonal_blocks
 from funcsel.inference import test_all as run_test_all
 from funcsel.seeds import rng_for
 from funcsel.simgen import SimScenario, coefficient_functions
@@ -173,15 +173,22 @@ def _explicit_fit(design, y, rows):
 
 def _assert_fits_match(fits, j, expected, offsets):
     np.testing.assert_allclose(fits.sigma2_tilde[j], expected.sigma2_tilde, rtol=1e-10)
+    blocks = [v_rr[j] for v_rr in fits.covariance_blocks]
+    expected_blocks = diagonal_blocks(expected.covariance, offsets)
+    assert len(blocks) == len(expected_blocks)
     for got, want in [(fits.coefficients[j], expected.coefficients),
-                      (fits.covariance[j], expected.covariance)]:
+                      *zip(blocks, expected_blocks)]:
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
     np.testing.assert_allclose(
-        block_statistics(fits.coefficients[j], fits.covariance[j], fits.sigma2_tilde[j], offsets),
-        block_statistics(expected.coefficients, expected.covariance,
-                         expected.sigma2_tilde, offsets),
+        block_statistics(fits.coefficients[j], blocks, fits.sigma2_tilde[j], offsets),
+        block_statistics(expected.coefficients, expected_blocks, expected.sigma2_tilde, offsets),
         rtol=1e-10,
     )
+
+
+def _fit_arrays(fits):
+    """Every array of a batch's fits, V's blocks one by one."""
+    return [fits.coefficients, *fits.covariance_blocks, fits.sigma2_tilde, fits.certified]
 
 
 class TestFitResamples:
@@ -277,8 +284,8 @@ class TestFitResamples:
         np.testing.assert_array_equal(qr.first_copy, expected)
 
     def test_reused_workspace_matches_per_resample_oracle(self):
-        # k = 37 and n = 60: batches of 74, so B = 200 ends in a short batch
-        # of 52, and about half the resamples have at most k distinct rows.
+        # k = 37 and n = 60: batches of 78, so B = 200 ends in a short batch
+        # of 44, and about half the resamples have at most k distinct rows.
         # Their H is set to I in the workspace that the batch before left
         # full of other H's
         rng = np.random.default_rng(60)
@@ -287,7 +294,7 @@ class TestFitResamples:
         design = DesignMatrix(values=z, block_offsets=(1, 7, 13, 19, 25, 31, 37))
         qr = sample_qr(design, y)
         chunks = list(_resample_indices(rng_for(3, 0), 60, 200, qr.batch))
-        assert [len(idx) for idx in chunks] == [74, 74, 52]
+        assert [len(idx) for idx in chunks] == [78, 78, 44]
         for idx in chunks:
             singular = np.array([np.unique(rows).size <= design.k for rows in idx])
             assert singular.any() and not singular.all()
@@ -307,12 +314,12 @@ class TestFitResamples:
         qr = sample_qr(design, y)
         first, second = rng.integers(0, 60, size=(2, 8, 60))
         fits = fit_resamples(qr, first)
-        kept = {name: getattr(fits, name).copy() for name in vars(fits)}
+        kept = [array.copy() for array in _fit_arrays(fits)]
         fit_resamples(qr, second)
-        for name, value in kept.items():
-            np.testing.assert_array_equal(getattr(fits, name), value)
+        for array, value in zip(_fit_arrays(fits), kept, strict=True):
+            np.testing.assert_array_equal(array, value)
             for buffer in vars(qr.work).values():
-                assert buffer is None or not np.shares_memory(getattr(fits, name), buffer)
+                assert buffer is None or not np.shares_memory(array, buffer)
 
     def test_sample_qrs_used_alternately_match_each_alone(self):
         # two jobs' workspaces, of different k, do not share state
@@ -321,8 +328,7 @@ class TestFitResamples:
         chunks = [rng.integers(0, 50, size=(3, 7, 50)) for _ in cases]
 
         def fitted(qr, idx):
-            fits = fit_resamples(qr, idx)
-            return [getattr(fits, name) for name in vars(fits)]
+            return _fit_arrays(fit_resamples(qr, idx))
 
         alone = [
             [fitted(qr, idx) for idx in case_chunks]
@@ -331,7 +337,7 @@ class TestFitResamples:
         qrs = [sample_qr(*case) for case in cases]
         for i in range(3):
             for c, qr in enumerate(qrs):
-                for got, want in zip(fitted(qr, chunks[c][i]), alone[c][i]):
+                for got, want in zip(fitted(qr, chunks[c][i]), alone[c][i], strict=True):
                     np.testing.assert_array_equal(got, want)
 
     def test_more_resamples_than_a_batch_rejected(self):
@@ -364,20 +370,23 @@ class TestFitResamples:
     # n = 300 keeps the outer products within OUTER_FLOATS, unless the bound
     # is lowered below them; n = 10,000 never keeps them
     @pytest.mark.parametrize(
-        "n, lowered, batch", [(300, False, 71), (300, True, 28), (10_000, False, 1)]
+        "n, lowered, batch", [(300, False, 76), (300, True, 29), (10_000, False, 1)]
     )
     def test_batch_fills_resample_floats(self, monkeypatch, n, lowered, batch):
-        # per resample: n counts, n x (k+1) scaled rows of Q without outer
-        # products, the (k+1) x (k+1) H and L, and three k x k matrices
+        # per resample: n counts, the (k+1)(k+2)/2 products of the counts
+        # with the outer products or the n x (k+1) scaled rows of Q without
+        # them, the (k+1) x (k+1) H and L, two k x k matrices and the six
+        # 6 x 6 diagonal blocks of V
         rng = np.random.default_rng(n)
         k = 37
         design = DesignMatrix(values=rng.normal(size=(n, k)), block_offsets=(1, *range(7, 38, 6)))
         if lowered:
             monkeypatch.setattr("funcsel.bootstrap.OUTER_FLOATS", n * (k + 1) * (k + 2) // 2 - 1)
         qr = sample_qr(design, rng.normal(size=n))
-        scaled = n * (k + 1) if qr.outer is None else 0
+        products = n * (k + 1) if qr.outer is None else (k + 1) * (k + 2) // 2
         assert (qr.outer is None) == (lowered or n == 10_000)
-        assert qr.batch == max(1, 2**19 // (n + scaled + 2 * (k + 1) ** 2 + 3 * k**2)) == batch
+        per_resample = n + products + 2 * (k + 1) ** 2 + 2 * k**2 + 6 * 6**2
+        assert qr.batch == max(1, 2**19 // per_resample) == batch
 
     def test_rank_bound_within_the_margin_is_not_certified(self):
         # column 3 scaled by 3.98e-10 puts the identity resample's squared
@@ -390,7 +399,7 @@ class TestFitResamples:
         y = rng.normal(size=60)
         design = DesignMatrix(values=z, block_offsets=(1, 4, 7))
         fits = fit_resamples(sample_qr(design, y), np.arange(60)[None])
-        bound2 = (z**2).sum() * np.trace(fits.covariance[0])
+        bound2 = (z**2).sum() * np.trace(fit_ols(design, y).covariance)
         assert RANK_BOUND2_MAX <= bound2 < RANK_RTOL**-2
         assert not fits.certified[0]
         for method in ("bc", "fdr"):
