@@ -13,9 +13,8 @@ from .bspline import (
     gram_matrix,
     make_uniform_basis,
 )
-from .design import DesignMatrix, build_design, check_parameter_count
+from .design import DesignMatrix, build_design
 from .errors import (
-    ConditionWarning,
     DataError,
     NumericalError,
     RankDeficiencyError,
@@ -42,8 +41,6 @@ __all__ = [
     "make_uniform_basis",
     "DesignMatrix",
     "build_design",
-    "check_parameter_count",
-    "ConditionWarning",
     "DataError",
     "NumericalError",
     "RankDeficiencyError",

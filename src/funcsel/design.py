@@ -4,24 +4,18 @@ Row i of the design is (1, W_i1' J_1, ..., W_iM' J_M): the intercept followed
 by one block per predictor, each block being the coefficient vector multiplied
 by the Gram matrix of that predictor's basis. Assembly does not check the
 rank; :func:`~funcsel.linmodel.fit_ols` does, once per fit, from its R factor.
-Nor does it warn about the parameter count: a job calls
-:func:`check_parameter_count` once, where it first knows n and k, so a Monte
-Carlo run or a bootstrap warns once rather than once per design.
 """
 
 from __future__ import annotations
 
-import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bspline import gram_matrix
-from .errors import ConditionWarning
 from .smoothing import FunctionalDataset
 
-__all__ = ["DesignMatrix", "build_design", "check_parameter_count"]
+__all__ = ["DesignMatrix", "build_design"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,20 +40,6 @@ class DesignMatrix:
     @property
     def num_predictors(self) -> int:
         return len(self.block_offsets) - 1
-
-
-def check_parameter_count(n: int, k: int) -> None:
-    """Emit :class:`ConditionWarning` when k exceeds sqrt(n)/log(n)."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    if k > math.sqrt(n) / math.log(n):
-        warnings.warn(
-            f"parameter count k = 1 + sum(p_m) = {k} exceeds sqrt(n)/log(n) = "
-            f"{math.sqrt(n) / math.log(n):.2f}; the selection consistency regime "
-            "is not guaranteed",
-            ConditionWarning,
-            stacklevel=2,
-        )
 
 
 def build_design(data: FunctionalDataset) -> DesignMatrix:

@@ -1,7 +1,7 @@
-"""Exception and warning types shared across the package, the one rank
-criterion: a matrix that must have full column rank is rejected when its
-smallest singular value falls below ``RANK_RTOL`` times its largest, and the
-one form of an id or a field's text in a message.
+"""Exception types shared across the package, the one rank criterion: a
+matrix that must have full column rank is rejected when its smallest
+singular value falls below ``RANK_RTOL`` times its largest, and the one form
+of an id or a field's text in a message.
 """
 
 # relative singular-value floor of every rank check (basis matrices, designs)
@@ -45,14 +45,6 @@ class RankDeficiencyError(NumericalError):
 
 class SampleSizeError(NumericalError):
     """The sample size does not exceed the number of model parameters."""
-
-
-class ConditionWarning(UserWarning):
-    """The parameter count k = 1 + sum(p_m) exceeds sqrt(n)/log(n).
-
-    The fit is still computed when the design has full numerical rank, but
-    the consistency regime for the selection procedure is not guaranteed.
-    """
 
 
 def check_rank(sv, what: str) -> None:

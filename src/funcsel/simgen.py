@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bspline import make_uniform_basis
-from .design import build_design, check_parameter_count
+from .design import build_design
 from .errors import DataError, NumericalError
 from .inference import test_all
 from .seeds import check_seed, rng_for
@@ -258,13 +258,13 @@ def generate_replication(
     for m, predictor in enumerate(plan):
         values = _curves(params, m, predictor.grid)
         signal_range = float(values.max() - values.min())
-        values += rng.normal(0.0, NOISE_X_MULT * signal_range, size=values.shape)
+        values += NOISE_X_MULT * signal_range * rng.standard_normal(values.shape)
         curves.append((CurveBlock(grid=predictor.grid, values=values),))
         if predictor.weighted_beta is not None:
             integrals += _curves(params, m, predictor.nodes) @ predictor.weighted_beta
 
     response_range = float(integrals.max() - integrals.min())
-    integrals += rng.normal(0.0, NOISE_Y_MULT * response_range, size=n)
+    integrals += NOISE_Y_MULT * response_range * rng.standard_normal(n)
 
     truth = SimTruth(true_indices=true_index_set(scenario.c))
     return tuple(curves), integrals, truth
@@ -325,9 +325,7 @@ def run_monte_carlo(
     one after another, in index order. A replication counts as correct when
     the selected set equals the true relevant set exactly.
     Failed replications (numerically degenerate data) are skipped and
-    counted, for every rule. The parameter count is checked once, before the
-    replications, so a run emits :class:`~funcsel.errors.ConditionWarning`
-    at most once.
+    counted, for every rule.
     """
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
@@ -337,7 +335,6 @@ def run_monte_carlo(
     bases = tuple(
         make_uniform_basis(lo, hi, degree=3, num_basis=_NUM_BASIS) for lo, hi in DOMAINS
     )
-    check_parameter_count(scenario.n, 1 + sum(spec.num_basis for spec in bases))
 
     succeeded = []
     for rep in range(replications):

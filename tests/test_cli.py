@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +13,6 @@ import pytest
 
 import funcsel
 from funcsel import (
-    ConditionWarning,
     DataError,
     NumericalError,
     build_dataset,
@@ -881,30 +879,25 @@ if unneeded_modules():
     assert result.stdout.strip()  # the job printed its report
 
 
-def test_condition_warning_prints_its_message_alone(tmp_path):
-    # a warning shown, not recorded, prints as "warning: <message>", without
-    # the code's path and line, and main restores the formatter after the job
+@pytest.mark.parametrize("mode", ["select", "simulate", "bootstrap"])
+def test_clean_job_writes_nothing_to_stderr(tmp_path, mode):
+    # stderr is for errors: a job that succeeds prints its report on stdout
+    # and nothing else, whatever its parameter count k against n
     paths = small_files(tmp_path)
-    argv = ["--mode", "select", "--curves", str(paths["curves"]),
-            "--responses", str(paths["responses"]), "--basis-size", "5", "--q", "0.1"]
-    code = f"""
-import sys
-import warnings
-import funcsel.cli
-
-formatter = warnings.formatwarning
-if funcsel.cli.main({argv!r}) != 0:
-    sys.exit("select job failed")
-if warnings.formatwarning is not formatter:
-    sys.exit("the warning formatter was not restored")
-"""
+    files = ["--curves", str(paths["curves"]), "--responses", str(paths["responses"]),
+             "--basis-size", "5"]
+    argv = {
+        "select": ["--mode", "select", *files, "--q", "0.1"],
+        "simulate": ["--mode", "simulate", "--c", "0.4", "--n", "100", "--reps", "2"],
+        "bootstrap": ["--mode", "bootstrap", *files, "--q", "0.1", "--bootstrap-b", "20"],
+    }[mode]
     env = {**os.environ, "PYTHONPATH": str(Path(funcsel.__file__).resolve().parents[1])}
     result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        [sys.executable, "-m", "funcsel.cli", *argv], env=env, capture_output=True, text=True
     )
     assert result.returncode == 0, result.stderr
-    assert "warning: parameter count k = " in result.stderr
-    assert ".py:" not in result.stderr
+    assert result.stdout.strip()
+    assert result.stderr == ""
 
 
 class TestRunSimulate:
@@ -939,19 +932,6 @@ class TestRunSimulate:
         )
         assert code == 0
         assert json.loads(out.read_text())["seed"] == 0
-
-    def test_condition_warning_once_per_job(self):
-        # k = 37 > sqrt(300)/log(300) = 3.04: a job warns once, not once per
-        # design, and a second job in the same process warns again
-        for _ in range(2):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                code = main(["--mode", "simulate", "--c", "0.4", "--n", "300", "--reps", "16",
-                             "--method", "fdr", "--q", "0.01"])
-            assert code == 0
-            caught = [w for w in caught if issubclass(w.category, ConditionWarning)]
-            assert len(caught) == 1
-            assert "k = 1 + sum(p_m) = 37" in str(caught[0].message)
 
 
 class TestConfigFile:

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from funcsel import (
-    ConditionWarning,
     FunctionalDataset,
     RankDeficiencyError,
     build_design,
-    check_parameter_count,
     evaluate_basis_matrix,
     fit_ols,
     gram_matrix,
@@ -82,30 +80,6 @@ class TestBuildDesign:
             integrand = (basis_fine @ coefs.T).T * (basis_fine @ b)
             rhs = integrand @ weights
             assert np.max(np.abs(lhs - rhs)) < 1e-8 * max(np.max(np.abs(rhs)), 1.0)
-
-    def test_condition_warning_fires_when_k_large(self):
-        # k = 13 > sqrt(60)/log(60) = 1.89
-        with pytest.warns(ConditionWarning, match="sqrt"):
-            check_parameter_count(60, 13)
-
-    @pytest.mark.parametrize("n", [0, 1])
-    def test_fewer_than_two_rows_is_value_error(self, n):
-        # log(n) is 0 at n = 1 and undefined at n = 0
-        with pytest.raises(ValueError, match=f"n must be >= 2, got {n}"):
-            check_parameter_count(n, 3)
-
-    def test_no_warning_when_k_small(self, recwarn):
-        check_parameter_count(40_000, 3)  # sqrt(n)/log(n) = 18.9 > k = 3
-        assert not [w for w in recwarn if issubclass(w.category, ConditionWarning)]
-
-    def test_assembly_does_not_warn(self, recwarn):
-        # k = 13 > sqrt(60)/log(60), but the check belongs to the job, not to
-        # every design it builds
-        rng = np.random.default_rng(0)
-        bases = [make_uniform_basis(0.0, 1.0, degree=3, num_basis=6)] * 2
-        coefs = [rng.normal(size=(60, 6)), rng.normal(size=(60, 6))]
-        build_design(_dataset(bases, coefs, np.zeros(60)))
-        assert not [w for w in recwarn if issubclass(w.category, ConditionWarning)]
 
     def test_rank_deficiency_detected(self):
         # assembly leaves the rank to the fit, which rejects a duplicated block

@@ -16,6 +16,7 @@ from oracles import (
     block_size,
     block_slice,
     chisq_cdf,
+    column_deletion_rss,
     fit_restricted,
     noncentral_chisq_cdf,
 )
@@ -280,3 +281,26 @@ class TestTestAll:
             grid = np.sort(p_values[:, r])
             ks = np.max(np.abs(grid - positions))
             assert ks < 1.628 / np.sqrt(n_perm)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="the Wald form b_r'(V_rr)^-1 b_r loses digits on an ill-conditioned "
+        "design that still passes fit_ols's rank check",
+    )
+    def test_near_collinear_block_matches_column_deletion_oracle(self):
+        # columns 4 and 5, both in predictor 1's block, differ by noise of sd
+        # 1e-7, so sigma_min/sigma_max of the design is 3.4e-8 > RANK_RTOL;
+        # predictor 1 reads 1.3906 against the likelihood-ratio value 1.3330
+        rng = np.random.default_rng(0)
+        z = np.column_stack([np.ones(60), rng.standard_normal((60, 9))])
+        z[:, 5] = z[:, 4] + 1e-7 * rng.standard_normal(60)
+        y = z[:, 1] + z[:, 8] + rng.standard_normal(60)
+        design = DesignMatrix(values=z, block_offsets=(1, 4, 7, 10))
+        coef, *_ = np.linalg.lstsq(z, y, rcond=None)
+        rss = float(np.sum((y - z @ coef) ** 2))
+        oracle = [
+            (column_deletion_rss(design, y, r) - rss) / (rss / design.n)
+            for r in range(design.num_predictors)
+        ]
+        np.testing.assert_allclose(run_test_all(design, y)[0], oracle, rtol=1e-6)
