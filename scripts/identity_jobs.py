@@ -1,6 +1,6 @@
 """Byte identity of the ``funcsel`` command line between two source trees.
 
-Runs 83 jobs with ``python -m funcsel.cli`` under a parent tree and under a
+Runs 87 jobs with ``python -m funcsel.cli`` under a parent tree and under a
 changed tree, with ``OPENBLAS_NUM_THREADS=1``, and compares the stdout, the
 stderr, the exit code and the bytes of the ``--out`` report of each job:
 
@@ -9,6 +9,8 @@ stderr, the exit code and the bytes of the ``--out`` report of each job:
   regular files of input seeds {0, 3, 7};
 - ``simulate --reps 30`` x c {0, 0.4} x n {100, 300} x ``--seed``
   {0, 2**64 - 1} x {bc, fdr};
+- ``simulate --reps 10 --c 1.5`` x n {50, 1000} x {bc, fdr}: the smallest
+  n and a large one, for the arrays the replications are generated into;
 - ``select`` on the input seed 3 files, regular and ragged, with bases
   other than the default: ``--degree 2 --basis-size 9``, ``--degree 0
   --basis-size 4``, and a ``--config`` of per-predictor overrides
@@ -30,7 +32,8 @@ stderr, the exit code and the bytes of the ``--out`` report of each job:
 The input CSVs come from ``bench/inputs.py`` and are written, with the
 altered copies, to a temporary directory. Both trees run a job with the same
 argument list in the same working directory, so paths in messages match.
-Prints one line per job and exits 1 when any job differs.
+Prints one line per job, and for a job whose stderr differs the first
+differing stderr line of each tree; exits 1 when any job differs.
 
 Usage::
 
@@ -232,6 +235,11 @@ def _jobs(
             ["--mode", "simulate", "--reps", "30", "--c", c, "--n", str(n),
              "--seed", str(seed), "--method", method],
         ))
+    for n, method in itertools.product((50, 1000), METHODS):
+        jobs.append((
+            f"simulate {method} c=1.5 n={n} --reps 10",
+            ["--mode", "simulate", "--reps", "10", "--c", "1.5", "--n", str(n), "--method", method],
+        ))
     config = work / "bases.cfg"
     config.write_text("basis_size.X1 = 12\ndegree.X2 = 1\ndomain.X3 = -1.5:1.5\n")
     bases = {
@@ -315,6 +323,18 @@ def _run(src: Path, argv: list[str], out: Path, cwd: Path) -> tuple[bytes, ...]:
     return done.stdout, done.stderr, str(done.returncode).encode(), report
 
 
+def _first_difference(a: bytes, b: bytes) -> tuple[str, str]:
+    """The first line at which ``a`` and ``b`` differ, from each side, as
+    text cut to 200 characters; ``<end>`` past the last line of a side."""
+    for line_a, line_b in itertools.zip_longest(a.splitlines(), b.splitlines()):
+        if line_a != line_b:
+            return tuple(
+                "<end>" if line is None else repr(line.decode(errors="replace")[:200])
+                for line in (line_a, line_b)
+            )
+    return "<end>", "<end>"  # the lines agree; only their endings differ
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent-src", required=True, type=Path,
@@ -348,6 +368,10 @@ def main(argv: list[str] | None = None) -> int:
             differ += bool(diff)
             status = "DIFFERS in " + ", ".join(diff) if diff else "same"
             print(f"{name}: exit {change[2].decode()}, {status}", flush=True)
+            if "stderr" in diff:
+                lines = _first_difference(parent[1], change[1])
+                for tree, line in zip(("parent", "change"), lines):
+                    print(f"    {tree} stderr: {line}", flush=True)
     print(f"{len(jobs) - differ} of {len(jobs)} jobs identical")
     return 1 if differ else 0
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+from funcsel import simgen
 from funcsel.seeds import rng_for
 from funcsel.simgen import (
     DOMAINS,
@@ -18,7 +19,9 @@ from funcsel.simgen import (
     generate_replication,
     run_monte_carlo,
     true_index_set,
+    _Workspace,
     _draw_curve_params,
+    _generate,
 )
 
 from oracles import curve_values_reference, generate_replication_reference
@@ -187,6 +190,27 @@ class TestGenerateReplication:
                 assert np.array_equal(block.values, ref_block.values)
                 assert np.array_equal(block.grid, ref_block.grid)
 
+    @pytest.mark.parametrize("n", [50, 300])
+    @pytest.mark.parametrize("c", [0.0, 0.4, 0.8])
+    def test_same_bits_through_one_reused_workspace(self, c, n):
+        # run_monte_carlo writes each replication's training set, then its
+        # test set, into one workspace: nothing of an earlier data set may
+        # reach a later one, also where c = 0 skips the node curves of
+        # predictors 2 and 4
+        scenario = SimScenario(c=c, n=n, seed=4)
+        work = _Workspace.for_samples(n)
+        for rep in (0, 1, 7):
+            for stream in (rep, rep + 2**32):
+                curves, y, _ = _generate(scenario, stream, work)
+                ref_curves, ref_y, _ = generate_replication_reference(scenario, stream)
+                assert np.array_equal(y, ref_y)
+                for m, ((block,), (ref_block,)) in enumerate(
+                    zip(curves, ref_curves, strict=True)
+                ):
+                    assert block.values is work.values[m]
+                    assert np.array_equal(block.values, ref_block.values)
+                    assert np.array_equal(block.grid, ref_block.grid)
+
     def test_shared_grid_is_read_only(self):
         # the grid is shared by every replication of the scenario, so a
         # caller that wrote to it would corrupt all later ones
@@ -274,6 +298,39 @@ class TestRunMonteCarlo:
                     rule,
                     field.name,
                 )
+
+    @pytest.mark.parametrize("c", [0.0, 0.4])
+    def test_reused_workspace_equals_fresh_workspaces(self, monkeypatch, c):
+        # a replication's test set overwrites its training curves in the one
+        # workspace of the run, so it must come after every read of them
+        scenario = SimScenario(c=c, n=100, seed=0)
+        reused = run_monte_carlo(scenario, FIXTURE_RULES, 8)
+        generate = simgen._generate
+        monkeypatch.setattr(
+            simgen,
+            "_generate",
+            lambda scenario, stream, work: generate(
+                scenario, stream, _Workspace.for_samples(scenario.n)
+            ),
+        )
+        fresh = run_monte_carlo(scenario, FIXTURE_RULES, 8)
+        for rule, a, b in zip(FIXTURE_RULES, reused, fresh, strict=True):
+            for field in dataclasses.fields(MonteCarloReport):
+                assert getattr(a, field.name) == getattr(b, field.name), (
+                    rule,
+                    field.name,
+                )
+
+    def test_one_workspace_per_run(self, monkeypatch):
+        # replicating into fresh arrays would fault their pages in again
+        # each time the allocator has handed them back
+        made = []
+        for_samples = _Workspace.for_samples
+        monkeypatch.setattr(
+            _Workspace, "for_samples", lambda n: made.append(n) or for_samples(n)
+        )
+        run_monte_carlo(SimScenario(c=0.4, n=60, seed=0), [("fdr", 0.05)], 3)
+        assert made == [60]
 
     def test_failed_replication_counts_for_every_rule(self, noise_free):
         scenario = SimScenario(c=0.8, n=300, seed=0)
