@@ -11,10 +11,9 @@ and the two noise multipliers are the module constants ``GRID_SIZE``,
 other replication of the same c (the grids, the quadrature nodes and the
 quadrature weights times the coefficient functions) is computed once per c
 and cached, read-only; a replication draws its parameters and noise and
-evaluates the six curve formulas. It evaluates them in place, into arrays
-that the Monte Carlo driver allocates once per run and that every data set
-of the run is written into, so that no replication faults their pages in
-again.
+evaluates the six curve formulas in place. The Monte Carlo driver has every
+data set of a run written into one curve array, so that no replication
+faults the pages of its curves in again.
 
 The Monte Carlo driver runs the full smoothing / design / testing pipeline
 once per replication, one replication after another, and applies any number
@@ -38,7 +37,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bspline import make_uniform_basis
-from .design import DesignMatrix, build_design
+from .design import build_design
 from .errors import DataError, NumericalError
 from .inference import test_all
 from .seeds import check_seed, rng_for
@@ -204,32 +203,6 @@ def _plan(c: float) -> tuple[_PredictorPlan, ...]:
     return tuple(plans)
 
 
-@dataclass(frozen=True, eq=False)
-class _Workspace:
-    """The arrays that one generation of n samples' curves is written into.
-
-    ``values[m]`` holds predictor m's curves on its grid, and ``noise`` the
-    curve noise draws, each (n, GRID_SIZE); ``noise`` is also the scratch of
-    the grid formulas, which are done before the draw. ``at_nodes`` holds a
-    predictor's curves at its quadrature nodes and ``scratch`` is their
-    scratch, each (n, _QUAD_ORDER). A generation overwrites every array.
-    """
-
-    values: tuple[np.ndarray, ...]
-    noise: np.ndarray
-    at_nodes: np.ndarray
-    scratch: np.ndarray
-
-    @classmethod
-    def for_samples(cls, n: int) -> _Workspace:
-        return cls(
-            values=tuple(np.empty((n, GRID_SIZE)) for _ in range(NUM_PREDICTORS)),
-            noise=np.empty((n, GRID_SIZE)),
-            at_nodes=np.empty((n, _QUAD_ORDER)),
-            scratch=np.empty((n, _QUAD_ORDER)),
-        )
-
-
 def _curves(
     params: dict[str, np.ndarray], m: int, points: np.ndarray, out: np.ndarray, tmp: np.ndarray
 ) -> np.ndarray:
@@ -295,38 +268,43 @@ def generate_replication(
     (n, GRID_SIZE) and (n, 64) arrays of predictors 0 and 3, which the
     random stream layout and the bits of the reports fix.
 
-    Each call writes its curves into a workspace of its own, so its values
-    are fresh. :func:`run_monte_carlo` instead writes every data set of a
-    run into one workspace: allocating and freeing those arrays and their
-    temporaries for each data set let the C allocator hand their pages back
-    to the system and fault them in again, about 7,200 minor page faults in
-    a 16-replication run at n = 300, against none with the one workspace.
+    Each call writes its curves into a fresh (NUM_PREDICTORS, n, GRID_SIZE)
+    array, predictor m's block values being its row m, and each curve
+    formula runs in place there. :func:`run_monte_carlo` instead writes every data set of a
+    run into one such array: allocating and freeing the curve arrays for each
+    data set let the C allocator hand their pages back to the system and
+    fault them in again, about 5,800-7,300 minor page faults in a
+    16-replication run at n = 300, against none with the one array.
     """
-    return _generate(scenario, rep_index, _Workspace.for_samples(scenario.n))
+    return _generate(scenario, rep_index, np.empty((NUM_PREDICTORS, scenario.n, GRID_SIZE)))
 
 
 def _generate(
-    scenario: SimScenario, stream: int, work: _Workspace
+    scenario: SimScenario, stream: int, out: np.ndarray
 ) -> tuple[tuple[tuple[CurveBlock], ...], np.ndarray, SimTruth]:
-    """:func:`generate_replication` from the stream ``stream``, with the
-    curve values written into ``work``: they are valid until ``work`` is
-    next used. The responses are a fresh array."""
+    """:func:`generate_replication` from the stream ``stream``, with predictor
+    m's curve values written into ``out[m]``, ``out`` being
+    (NUM_PREDICTORS, n, GRID_SIZE). The responses are a fresh array."""
     rng = rng_for(scenario.seed, stream)
     n = scenario.n
     params = _draw_curve_params(rng, n)
     plan = _plan(scenario.c)
 
+    # the noise array is also the grid formulas' scratch: they run before the draw
+    noise = np.empty((n, GRID_SIZE))
+    at_nodes = np.empty((n, _QUAD_ORDER))
+    node_scratch = np.empty((n, _QUAD_ORDER))
     curves = []
     integrals = np.zeros(n)
     for m, predictor in enumerate(plan):
-        values = _curves(params, m, predictor.grid, work.values[m], work.noise)
+        values = _curves(params, m, predictor.grid, out[m], noise)
         signal_range = float(values.max() - values.min())
-        noise = rng.standard_normal(out=work.noise)
+        rng.standard_normal(out=noise)
         noise *= NOISE_X_MULT * signal_range
         values += noise
         curves.append((CurveBlock(grid=predictor.grid, values=values),))
         if predictor.weighted_beta is not None:
-            at_nodes = _curves(params, m, predictor.nodes, work.at_nodes, work.scratch)
+            _curves(params, m, predictor.nodes, at_nodes, node_scratch)
             integrals += at_nodes @ predictor.weighted_beta
 
     response_range = float(integrals.max() - integrals.min())
@@ -346,34 +324,25 @@ def _reduced_prediction(
     return z_test[:, columns] @ coef
 
 
-def _generated_design(
-    scenario: SimScenario, stream: int, bases, work: _Workspace
-) -> tuple[DesignMatrix, np.ndarray, SimTruth]:
-    """The design, responses and truth of the data set of stream ``stream``.
-    Its curves live in ``work`` and do not leave this call: the design is
-    computed from them, and the responses are fresh."""
-    curves, y, truth = _generate(scenario, stream, work)
-    return build_design(build_dataset(curves, y, bases)), y, truth
-
-
 def _run_one_replication(
     scenario: SimScenario,
     rules: tuple[tuple[str, float], ...],
     rep: int,
     bases,
-    work: _Workspace,
+    values: np.ndarray,
 ) -> list[tuple[bool, np.ndarray, float]]:
     """Each rule's (correct, mask, test-set MSE) on replication ``rep``; its
-    training set and then its test set are generated into ``work``."""
-    design, y, truth = _generated_design(scenario, rep, bases, work)
+    training curves and then its test curves are generated into ``values``."""
+    curves, y, truth = _generate(scenario, rep, values)
+    design = build_design(build_dataset(curves, y, bases))
     p_values = test_all(design, y)[1]
     masks = [selection_mask(method, p_values, q) for method, q in rules]
 
     # out-of-sample MSE of the model refit on the selected predictors only,
-    # once per distinct selection
-    design_test, y_test, _ = _generated_design(
-        scenario, rep + _TEST_STREAM_OFFSET, bases, work
-    )
+    # once per distinct selection; the test curves overwrite the training
+    # curves, which are not read again once smoothed into the design
+    curves_test, y_test, _ = _generate(scenario, rep + _TEST_STREAM_OFFSET, values)
+    design_test = build_design(build_dataset(curves_test, y_test, bases))
     block_widths = np.diff([0, *design.block_offsets])
     mse_by_mask = {}
     outcomes = []
@@ -403,11 +372,9 @@ def run_monte_carlo(
     one vector of p-values, and the test-set refit runs once per distinct
     selection. So the reports of several rules cost about one pass, and each
     equals the report of a run with that rule alone. The replications run
-    one after another, in index order, and each generates its training set
-    and then its test set into one workspace kept for the run, its training
-    curves read into the design before the test set overwrites them. A
-    replication counts as correct when the selected set equals the true
-    relevant set exactly.
+    one after another, in index order, and generate their curves into one
+    array allocated for the run. A replication counts as correct when the
+    selected set equals the true relevant set exactly.
     Failed replications (numerically degenerate data) are skipped and
     counted, for every rule.
     """
@@ -420,11 +387,11 @@ def run_monte_carlo(
         make_uniform_basis(lo, hi, degree=3, num_basis=_NUM_BASIS) for lo, hi in DOMAINS
     )
 
-    work = _Workspace.for_samples(scenario.n)
+    values = np.empty((NUM_PREDICTORS, scenario.n, GRID_SIZE))
     succeeded = []
     for rep in range(replications):
         try:
-            succeeded.append(_run_one_replication(scenario, rules, rep, bases, work))
+            succeeded.append(_run_one_replication(scenario, rules, rep, bases, values))
         except (NumericalError, DataError):
             pass
     failed = replications - len(succeeded)

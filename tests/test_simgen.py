@@ -19,7 +19,6 @@ from funcsel.simgen import (
     generate_replication,
     run_monte_carlo,
     true_index_set,
-    _Workspace,
     _draw_curve_params,
     _generate,
 )
@@ -192,22 +191,22 @@ class TestGenerateReplication:
 
     @pytest.mark.parametrize("n", [50, 300])
     @pytest.mark.parametrize("c", [0.0, 0.4, 0.8])
-    def test_same_bits_through_one_reused_workspace(self, c, n):
-        # run_monte_carlo writes each replication's training set, then its
-        # test set, into one workspace: nothing of an earlier data set may
+    def test_same_bits_through_one_reused_array(self, c, n):
+        # run_monte_carlo writes each replication's training curves, then its
+        # test curves, into one array: nothing of an earlier data set may
         # reach a later one, also where c = 0 skips the node curves of
         # predictors 2 and 4
         scenario = SimScenario(c=c, n=n, seed=4)
-        work = _Workspace.for_samples(n)
+        out = np.empty((NUM_PREDICTORS, n, GRID_SIZE))
         for rep in (0, 1, 7):
             for stream in (rep, rep + 2**32):
-                curves, y, _ = _generate(scenario, stream, work)
+                curves, y, _ = _generate(scenario, stream, out)
                 ref_curves, ref_y, _ = generate_replication_reference(scenario, stream)
                 assert np.array_equal(y, ref_y)
                 for m, ((block,), (ref_block,)) in enumerate(
                     zip(curves, ref_curves, strict=True)
                 ):
-                    assert block.values is work.values[m]
+                    assert np.shares_memory(block.values, out[m])
                     assert np.array_equal(block.values, ref_block.values)
                     assert np.array_equal(block.grid, ref_block.grid)
 
@@ -300,18 +299,16 @@ class TestRunMonteCarlo:
                 )
 
     @pytest.mark.parametrize("c", [0.0, 0.4])
-    def test_reused_workspace_equals_fresh_workspaces(self, monkeypatch, c):
-        # a replication's test set overwrites its training curves in the one
-        # workspace of the run, so it must come after every read of them
+    def test_reused_array_equals_fresh_arrays(self, monkeypatch, c):
+        # a replication's test curves overwrite its training curves in the one
+        # array of the run, so they must come after every read of them
         scenario = SimScenario(c=c, n=100, seed=0)
         reused = run_monte_carlo(scenario, FIXTURE_RULES, 8)
         generate = simgen._generate
         monkeypatch.setattr(
             simgen,
             "_generate",
-            lambda scenario, stream, work: generate(
-                scenario, stream, _Workspace.for_samples(scenario.n)
-            ),
+            lambda scenario, stream, out: generate(scenario, stream, np.empty_like(out)),
         )
         fresh = run_monte_carlo(scenario, FIXTURE_RULES, 8)
         for rule, a, b in zip(FIXTURE_RULES, reused, fresh, strict=True):
@@ -320,17 +317,6 @@ class TestRunMonteCarlo:
                     rule,
                     field.name,
                 )
-
-    def test_one_workspace_per_run(self, monkeypatch):
-        # replicating into fresh arrays would fault their pages in again
-        # each time the allocator has handed them back
-        made = []
-        for_samples = _Workspace.for_samples
-        monkeypatch.setattr(
-            _Workspace, "for_samples", lambda n: made.append(n) or for_samples(n)
-        )
-        run_monte_carlo(SimScenario(c=0.4, n=60, seed=0), [("fdr", 0.05)], 3)
-        assert made == [60]
 
     def test_failed_replication_counts_for_every_rule(self, noise_free):
         scenario = SimScenario(c=0.8, n=300, seed=0)
