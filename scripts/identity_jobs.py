@@ -32,8 +32,12 @@ stderr, the exit code and the bytes of the ``--out`` report of each job:
 The input CSVs come from ``bench/inputs.py`` and are written, with the
 altered copies, to a temporary directory. Both trees run a job with the same
 argument list in the same working directory, so paths in messages match.
-Prints one line per job, and for a job whose stderr differs the first
-differing stderr line of each tree; exits 1 when any job differs.
+Prints one line per job; for a job whose stderr differs, the first differing
+stderr line of each tree; and for a job whose ``--out`` differs, the largest
+relative difference among the report's numbers under each key
+(``statistic``, ``p_value``, ``q``, ...) and whether every other field (ids,
+dofs, selections) is equal, which tells roundoff from a changed result.
+Exits 1 when any job differs.
 
 Usage::
 
@@ -45,6 +49,7 @@ from __future__ import annotations
 import argparse
 import decimal
 import itertools
+import json
 import math
 import os
 import random
@@ -335,6 +340,44 @@ def _first_difference(a: bytes, b: bytes) -> tuple[str, str]:
     return "<end>", "<end>"  # the lines agree; only their endings differ
 
 
+def _compare(a, b, path: str, gaps: dict[str, float], others: list[str]) -> None:
+    """Walk two parsed reports together: keep in ``gaps`` the largest
+    relative difference of a pair of floats under each top-level key of a
+    record, and append to ``others`` the path of every other field that
+    differs, ints and strings among them."""
+    if isinstance(a, float) and isinstance(b, float):
+        gap = 0.0
+        if a != b and not (math.isnan(a) and math.isnan(b)):
+            gap = abs(a - b) / max(abs(a), abs(b))
+        key = path.split(".")[1] if "." in path else path
+        gaps[key] = max(gaps.get(key, 0.0), gap)
+    elif isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        for key in a:
+            _compare(a[key], b[key], f"{path}.{key}", gaps, others)
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (item_a, item_b) in enumerate(zip(a, b)):
+            _compare(item_a, item_b, f"{path}[{i}]", gaps, others)
+    elif type(a) is not type(b) or a != b:
+        others.append(path)
+
+
+def _report_difference(a: bytes, b: bytes) -> str:
+    """How two ``--out`` reports of JSON lines differ: the largest relative
+    difference among their numbers under each key, and whether every other
+    field is equal."""
+    try:
+        reports = [[json.loads(line) for line in report.splitlines()] for report in (a, b)]
+    except ValueError:
+        return "not both JSON reports"
+    gaps, others = {}, []
+    _compare(*reports, "", gaps, others)
+    numbers = ", ".join(f"{key} {gap:.3g}" for key, gap in sorted(gaps.items()))
+    fields = "every other field equal"
+    if others:
+        fields = "other fields differ: " + ", ".join(others[:5])
+    return f"largest relative difference of {numbers or 'no numbers'}; {fields}"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent-src", required=True, type=Path,
@@ -372,6 +415,8 @@ def main(argv: list[str] | None = None) -> int:
                 lines = _first_difference(parent[1], change[1])
                 for tree, line in zip(("parent", "change"), lines):
                     print(f"    {tree} stderr: {line}", flush=True)
+            if "--out" in diff:
+                print(f"    --out: {_report_difference(parent[3], change[3])}", flush=True)
     print(f"{len(jobs) - differ} of {len(jobs)} jobs identical")
     return 1 if differ else 0
 

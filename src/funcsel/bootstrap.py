@@ -25,20 +25,22 @@ general matrix.
 A resample's count fit is certified when two bounds hold. ||H||_F
 ||H^{-1}||_F bounds cond(H); below ``COUNT_COND_MAX`` it shows H positive
 definite and keeps W and the Schur complement, which cancels when a resample
-is fitted almost exactly, to about ten digits. And ||R_c||_F ||R_c^{-1}||_F,
-for the R factor R_c = L_zz' R_zz of the resample's design, bounds its
-sigma_max/sigma_min; a square below ``errors.RANK_BOUND2_MAX`` clears the
-rank check of :func:`~funcsel.linmodel.fit_ols` by a factor 2, which covers
-the rounding of that check's QR and SVD, as in ``smoothing._smooth_rows``.
-The norms are at hand: ||H^{-1}||_F <= trace(W) + (1 + |W h_zy|)^2 / schur
-from the block inverse of H, since ||W||_F <= trace(W) = ||M||_F^2 for the
+is fitted almost exactly, to about ten digits. And the rank bound
+||R_c||_F^2 ||R_c^{-1}||_F^2, for the R factor R_c = L_zz' R_zz of the
+resample's design, bounds its cond^2 and must be below ``WALD_BOUND2_MAX``:
+the Wald form b_r' (V_rr)^{-1} b_r / sigma2 of the statistics erred by up to
+0.56 u times the rank bound (u the unit roundoff) on near-collinear designs,
+at every decade of the bound up to 1e15, so by about 6e-8 at the cap, which
+is 1e11 inside the rank check of :func:`~funcsel.linmodel.fit_ols`. The
+norms are at hand: ||H^{-1}||_F <= trace(W) + (1 + |W h_zy|)^2 / schur from
+the block inverse of H, since ||W||_F <= trace(W) = ||M||_F^2 for the
 positive semidefinite W = M'M; ||R_c||_F^2 = sum_i c_i ||z_i||^2 and
-||R_c^{-1}||_F^2 = trace(V) = ||G||_F^2. That the factor also covers the
-rounding of the bound is a first-order estimate, not a proof: Q's
-orthogonality, R_zz^{-1} and W err by about n u, cond(R_zz) u and cond(H) u
-relative (u the unit roundoff), under 1e-3 for a certified resample. Every
-other resample, and every resample of a batch whose factorization raises,
-:func:`test_resamples` fits on its own rows.
+||R_c^{-1}||_F^2 = trace(V) = ||G||_F^2. Q's orthogonality, R_zz^{-1} and W
+err by about n u, cond(R_zz) u and cond(H) u relative, under 1e-3 for a
+certified resample, so the bounds hold to first order. Every other
+resample, and every resample of a batch whose factorization raises,
+:func:`test_resamples` tests by :func:`~funcsel.inference.test_all` on its
+own rows.
 
 :func:`sample_qr` also fixes how many resamples a batch holds, from the
 floats of the batch's temporaries (``RESAMPLE_FLOATS``), and allocates those
@@ -57,8 +59,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import DesignMatrix
-from .errors import RANK_BOUND2_MAX, NumericalError, RankDeficiencyError
-from .inference import block_statistics, p_value, test_all
+from .errors import NumericalError, RankDeficiencyError
+from .inference import p_value, test_all
 from .linmodel import _checked_response
 from .seeds import rng_for
 from .selection import check_method, check_q, selection_mask
@@ -77,6 +79,9 @@ __all__ = [
 # largest bound on cond(H) at which fit_resamples trusts its algebra (the
 # bound reads about 234 at H = I for k = 37)
 COUNT_COND_MAX = 1e6
+
+# largest rank bound (>= cond^2 of a resample's design) of a certified fit
+WALD_BOUND2_MAX = 1e9
 
 # most floats of row-wise outer products of Q that sample_qr keeps (8 MB):
 # n (k+1)(k+2)/2 is 222,300 at n = 300 and k = 37, and fits up to n = 1,415
@@ -150,8 +155,8 @@ class ResampleFits:
     ``covariance_blocks[r][j]`` is V_rr, the diagonal block over predictor
     r's columns of V = (Z_j' Z_j)^{-1} of resample j. ``certified[j]``
     is True when the count algebra of resample j is well conditioned and
-    clears the rank check of :func:`~funcsel.linmodel.fit_ols` by a factor 2
-    (see the module docstring); the other rows may hold no meaningful fit.
+    its rank bound is below ``WALD_BOUND2_MAX`` (see the module docstring);
+    the other rows may hold no meaningful fit.
     """
 
     coefficients: np.ndarray
@@ -256,7 +261,7 @@ def fit_resamples(qr: SampleQR, idx: np.ndarray) -> ResampleFits:
         schur_term = (1.0 + np.linalg.norm(w_h, axis=1)) ** 2 / schur
         cond_bound = h_norm * (w_trace + schur_term)
         rank_bound = (counts @ qr.row_norms2) * np.einsum("bij,bij->b", g_t, g_t)
-        certified = ~singular & (cond_bound < COUNT_COND_MAX) & (rank_bound < RANK_BOUND2_MAX)
+        certified = ~singular & (cond_bound < COUNT_COND_MAX) & (rank_bound < WALD_BOUND2_MAX)
     offsets = qr.design.block_offsets
     # block r's columns of G' from its first row on, the nonzeros of G_r'
     panels = [g_t[:, lo:, lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
@@ -266,6 +271,19 @@ def fit_resamples(qr: SampleQR, idx: np.ndarray) -> ResampleFits:
         sigma2_tilde=r_yy**2 * schur / n,
         certified=certified,
     )
+
+
+def _block_statistics(coefficients, blocks, sigma2, offsets) -> np.ndarray:
+    """Statistics (b, M), the Wald forms b_r' (V_rr)^{-1} b_r / sigma2 floored
+    at 0, of b fits with coefficients (b, k), diagonal blocks ``blocks[r]``
+    (b, k_r, k_r) of V over columns ``offsets[r]:offsets[r + 1]`` and
+    variance estimates ``sigma2`` (b,). A singular V_rr raises LinAlgError."""
+    statistics = np.empty((len(coefficients), len(offsets) - 1))
+    for r, (lo, hi, v_rr) in enumerate(zip(offsets[:-1], offsets[1:], blocks)):
+        b_r = coefficients[:, lo:hi]
+        rss_increase = (b_r[:, None, :] @ np.linalg.solve(v_rr, b_r[:, :, None]))[:, 0, 0]
+        statistics[:, r] = np.maximum(rss_increase / sigma2, 0.0)
+    return statistics
 
 
 def test_resamples(qr: SampleQR, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -285,10 +303,10 @@ def test_resamples(qr: SampleQR, idx: np.ndarray) -> tuple[np.ndarray, np.ndarra
         # a slice when every resample is certified: a mask would copy V's blocks
         rows = slice(None) if ok.all() else ok
         blocks = [v_rr[rows] for v_rr in fits.covariance_blocks]
-        statistics[rows] = block_statistics(
+        statistics[rows] = _block_statistics(
             fits.coefficients[rows], blocks, fits.sigma2_tilde[rows], offsets
         )
-    except (np.linalg.LinAlgError, NumericalError):
+    except np.linalg.LinAlgError:
         ok = np.zeros(len(idx), bool)
     for j in np.flatnonzero(~ok):
         resampled = DesignMatrix(values=qr.design.values[idx[j]], block_offsets=offsets)

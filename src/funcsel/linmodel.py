@@ -5,8 +5,8 @@ its leading k x k block R_zz is the R factor of Z, its last column holds Q'y
 in the first k rows and the residual norm in row k, so the coefficients are
 R_zz^{-1} (Q'y) and RSS = R[k, k]^2 without forming Q or the fitted values.
 R_zz has the singular values of Z, so the rank check reads them there. The
-fit keeps V = (Z'Z)^{-1} = R_zz^{-1} R_zz^{-T}, whose diagonal blocks the
-per-predictor tests need, so no test refits.
+fit keeps R_zz^{-1} and Q'y, from which the per-predictor tests read each
+block's likelihood-ratio statistic, so no test refits.
 """
 
 from __future__ import annotations
@@ -26,12 +26,14 @@ __all__ = ["FitResult", "fit_ols"]
 class FitResult:
     """Unrestricted least-squares fit.
 
-    ``covariance`` is V = (Z'Z)^{-1}. ``sigma2_tilde`` is the
-    maximum-likelihood variance estimate RSS/n.
+    ``r_inv`` is R_zz^{-1}, the inverse of the R factor of the design, and
+    ``qty`` is Q'y, so the coefficients are ``r_inv @ qty``.
+    ``sigma2_tilde`` is the maximum-likelihood variance estimate RSS/n.
     """
 
     coefficients: np.ndarray
-    covariance: np.ndarray
+    r_inv: np.ndarray
+    qty: np.ndarray
     sigma2_tilde: float
 
 
@@ -64,6 +66,7 @@ def fit_ols(design: DesignMatrix, y: np.ndarray) -> FitResult:
     r_inv = np.asfortranarray(np.linalg.inv(r[:k, :k]))
     return FitResult(
         coefficients=r_inv @ r[:k, k],
-        covariance=r_inv @ r_inv.T,
+        r_inv=r_inv,
+        qty=r[:k, k],
         sigma2_tilde=float(r[k, k] ** 2) / n,
     )

@@ -23,7 +23,7 @@ from funcsel import (
 )
 from funcsel.bootstrap import _resample_indices, bootstrap_counts, sample_qr
 from funcsel.bootstrap import test_resamples as run_test_resamples
-from funcsel.cli import _build_config, ingest_long_csv, main
+from funcsel.cli import _build_config, _selection_pipeline, ingest_long_csv, main
 from funcsel.design import DesignMatrix
 from funcsel.errors import quoted_id, quoted_text
 from funcsel.inference import test_all as run_test_all
@@ -32,7 +32,10 @@ from funcsel.simgen import SimScenario, generate_replication
 from funcsel.smoothing import CurveBlock, FunctionalDataset
 
 from conftest import standard_bases
-from oracles import bootstrap_loop, smooth_lstsq
+from oracles import bootstrap_loop, column_deletion_rss, smooth_lstsq
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import inputs  # noqa: E402  (bench/inputs.py, the benchmark's input files)
 
 
 def write_curves(path, rows):
@@ -629,6 +632,53 @@ class TestRunSelect:
             if not selection_mask("bc", p_values, q).any():
                 empty += 1
         assert empty / runs >= 1 - q * 2
+
+
+@pytest.fixture(scope="module")
+def near_linear_files(tmp_path_factory):
+    """The benchmark's regular input files of seed 3 with predictor X3's
+    curves replaced by lines a_i + b_i t plus noise of sd 1e-7: X3's smoothed
+    block is close to rank 2, and the design passes the rank check with
+    sigma_max/sigma_min 2.4e9."""
+    grids, values, y = inputs.make_dataset(3, False)
+    rng = np.random.default_rng(3)
+    a, b = rng.normal(size=(2, inputs.SAMPLES, 1))
+    values[2] = a + b * grids[2] + 1e-7 * rng.normal(size=grids[2].shape)
+    directory = tmp_path_factory.mktemp("near_linear")
+    return inputs.write_csvs(str(directory), (grids, values, y))
+
+
+class TestNearLinearPredictor:
+    def _argv(self, files, mode):
+        return ["--mode", mode, "--curves", files["curves"], "--responses", files["responses"]]
+
+    def test_select_statistics_match_column_deletion_oracle(self, near_linear_files, tmp_path):
+        # the Wald form b_r'(V_rr)^-1 b_r read X3 as 3.986 against the
+        # oracle's 4.054
+        out = tmp_path / "select.jsonl"
+        argv = self._argv(near_linear_files, "select")
+        assert main([*argv, "--out", str(out)]) == 0
+        records = [json.loads(line) for line in out.read_text().splitlines()[:-1]]
+        design, y, predictor_ids = _selection_pipeline(_build_config(argv))
+        sv = np.linalg.svd(design.values, compute_uv=False)
+        assert 1e9 < sv[0] / sv[-1] < 1e10
+        coef, *_ = np.linalg.lstsq(design.values, y, rcond=None)
+        rss = float(np.sum((y - design.values @ coef) ** 2))
+        assert [record["predictor"] for record in records] == predictor_ids
+        for r, record in enumerate(records):
+            oracle = (column_deletion_rss(design, y, r) - rss) / (rss / design.n)
+            assert abs(record["statistic"] - oracle) <= 1e-6 * max(abs(oracle), 1.0)
+
+    def test_bootstrap_matches_per_resample_loop(self, near_linear_files):
+        # while test_all took the Wald form too, 10 of these 200 resamples
+        # failed on a singular V_rr (87 of 2,000 in a bootstrap job with
+        # --seed 3)
+        design, y, _ = _selection_pipeline(_build_config(self._argv(near_linear_files, "select")))
+        q = 1 / np.sqrt(design.n)
+        selected, failed = bootstrap_counts(design, y, "bc", q, 200, 3)
+        expected_counts, expected_failed = bootstrap_loop(design, y, "bc", q, 200, 3)
+        assert failed == expected_failed == 0
+        np.testing.assert_array_equal(selected, expected_counts)
 
 
 class TestRunBootstrap:

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import chdtrc, chdtri
 
-from funcsel import NumericalError, fit_ols
+from funcsel import fit_ols
+from funcsel.bootstrap import _block_statistics
 from funcsel.design import DesignMatrix
-from funcsel.inference import P_VALUE_FLOOR, block_statistics, diagonal_blocks, p_value
+from funcsel.inference import P_VALUE_FLOOR, p_value
 from funcsel.inference import test_all as run_test_all
 
 from conftest import random_design
@@ -201,29 +202,13 @@ class TestTestPredictor:
         y = design.values @ b + 1e-6 * rng.normal(size=design.n)
         assert run_test_all(design, y)[1][0] == P_VALUE_FLOOR
 
-    def test_singular_covariance_block_is_numerical_error(self):
-        # a resample can make a block's covariance singular; the bootstrap
-        # counts that as a failed resample, so it must not escape as numpy's
-        # LinAlgError
-        rng = np.random.default_rng(18)
-        design, y = random_design(rng, 40, (4, 5))
-        full = fit_ols(design, y)
-        offsets = design.block_offsets
-        covariance = full.covariance.copy()
-        covariance[block_slice(design, 1)] = 0.0
-        covariance[:, block_slice(design, 1)] = 0.0
-        coefficients, sigma2 = full.coefficients, full.sigma2_tilde
-        blocks = diagonal_blocks(covariance, offsets)
-        assert block_statistics(coefficients, blocks, sigma2, offsets[:2])[0] > 0.0
-        with pytest.raises(NumericalError, match="predictor 1"):
-            block_statistics(coefficients, blocks, sigma2, offsets)
-
     def test_null_p_values_uniform(self):
         # fixed design, pure-noise responses: p-values follow Uniform(0,1);
         # n large relative to k keeps the chi-square approximation tight.
         # One QR of the design serves all 2000 responses, drawn in the order
         # of one fit per response: b = R^{-1} Q'y, RSS = |y|^2 - |Q'y|^2,
-        # and the statistic is the Wald form that test_all uses.
+        # and the statistic is the Wald form, which on this well-conditioned
+        # design agrees with test_all's column-deletion form.
         rng = np.random.default_rng(15)
         design, _ = random_design(rng, 8000, (4, 5))
         q, r = np.linalg.qr(design.values)
@@ -250,22 +235,29 @@ class TestTestPredictor:
 
 class TestTestAll:
     def test_batch_equals_per_row_calls(self):
-        # a (b, M) batch of fits gives, bit for bit, the statistics of
-        # calling block_statistics on each fit alone
+        # the bootstrap's Wald kernel gives a (b, M) batch of fits, bit for
+        # bit, the statistics of each fit alone as a batch of one, and on
+        # these well-conditioned designs those of test_all
         rng = np.random.default_rng(16)
         design, _ = random_design(rng, 40, (4, 5, 6))
-        fits = [fit_ols(design, rng.normal(size=design.n)) for _ in range(7)]
-        coefficients = np.stack([fit.coefficients for fit in fits])
-        covariance = np.stack([fit.covariance for fit in fits])
-        sigma2 = np.array([fit.sigma2_tilde for fit in fits])
+        responses = rng.normal(size=(7, design.n))
+        fits = [fit_ols(design, y) for y in responses]
         offsets = design.block_offsets
-        blocks = diagonal_blocks(covariance, offsets)
-        batch = block_statistics(coefficients, blocks, sigma2, offsets)
+
+        def wald(fits):
+            blocks = [
+                np.stack([fit.r_inv[lo:hi] @ fit.r_inv[lo:hi].T for fit in fits])
+                for lo, hi in zip(offsets[:-1], offsets[1:])
+            ]
+            coefficients = np.stack([fit.coefficients for fit in fits])
+            sigma2 = np.array([fit.sigma2_tilde for fit in fits])
+            return _block_statistics(coefficients, blocks, sigma2, offsets)
+
+        batch = wald(fits)
         assert batch.shape == (7, 3)
-        for row, fit in zip(batch, fits):
-            blocks = diagonal_blocks(fit.covariance, offsets)
-            single = block_statistics(fit.coefficients, blocks, fit.sigma2_tilde, offsets)
-            np.testing.assert_array_equal(row, single)
+        for row, fit, y in zip(batch, fits, responses):
+            np.testing.assert_array_equal(row, wald([fit])[0])
+            np.testing.assert_allclose(row, run_test_all(design, y)[0], rtol=1e-10)
 
     def test_permutation_null_uniform(self):
         rng = np.random.default_rng(17)
@@ -282,16 +274,11 @@ class TestTestAll:
             ks = np.max(np.abs(grid - positions))
             assert ks < 1.628 / np.sqrt(n_perm)
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="the Wald form b_r'(V_rr)^-1 b_r loses digits on an ill-conditioned "
-        "design that still passes fit_ols's rank check",
-    )
     def test_near_collinear_block_matches_column_deletion_oracle(self):
         # columns 4 and 5, both in predictor 1's block, differ by noise of sd
         # 1e-7, so sigma_min/sigma_max of the design is 3.4e-8 > RANK_RTOL;
-        # predictor 1 reads 1.3906 against the likelihood-ratio value 1.3330
+        # the Wald form b_r'(V_rr)^-1 b_r read predictor 1 as 1.3906 against
+        # the likelihood-ratio value 1.3330
         rng = np.random.default_rng(0)
         z = np.column_stack([np.ones(60), rng.standard_normal((60, 9))])
         z[:, 5] = z[:, 4] + 1e-7 * rng.standard_normal(60)

@@ -1,5 +1,7 @@
 """Full least squares, the restricted-fit oracles, and noncentrality."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -11,11 +13,17 @@ from funcsel import (
     SampleSizeError,
     fit_ols,
 )
-from funcsel.bootstrap import _resample_indices, bootstrap_counts, fit_resamples, sample_qr
+from funcsel.bootstrap import (
+    WALD_BOUND2_MAX,
+    _block_statistics,
+    _resample_indices,
+    bootstrap_counts,
+    fit_resamples,
+    sample_qr,
+)
 from funcsel.bootstrap import test_resamples as run_test_resamples
 from funcsel.design import DesignMatrix
 from funcsel.errors import RANK_BOUND2_MAX, RANK_RTOL
-from funcsel.inference import block_statistics, diagonal_blocks
 from funcsel.inference import test_all as run_test_all
 from funcsel.seeds import rng_for
 from funcsel.simgen import SimScenario, coefficient_functions
@@ -77,19 +85,22 @@ class TestFitOls:
         resid = y - design.values @ fit.coefficients
         assert design.n * fit.sigma2_tilde == pytest.approx(float(resid @ resid), rel=1e-8)
         assert np.max(np.abs(design.values.T @ resid)) < 1e-6 * np.linalg.norm(y)
-        assert fit.coefficients.shape == (37,) and fit.covariance.shape == (37, 37)
+        assert fit.coefficients.shape == fit.qty.shape == (37,)
+        assert fit.r_inv.shape == (37, 37)
 
     def test_covariance_is_inverse_gram(self, scenario_fit):
-        # V = R^{-1} R^{-T} against an explicit inverse of Z'Z
-        design, _, fit = scenario_fit
+        # V = R^{-1} R^{-T} against an explicit inverse of Z'Z, and
+        # |Q'y|^2 + RSS = |y|^2
+        design, y, fit = scenario_fit
         oracle = np.linalg.inv(design.values.T @ design.values)
         scale = np.max(np.abs(oracle))
-        assert np.max(np.abs(fit.covariance - oracle)) < 1e-6 * scale
+        assert np.max(np.abs(fit.r_inv @ fit.r_inv.T - oracle)) < 1e-6 * scale
+        assert fit.qty @ fit.qty + design.n * fit.sigma2_tilde == pytest.approx(y @ y, rel=1e-12)
 
     def test_bit_identical_to_solve_triangular_oracle(self, scenario_fit):
         # R_zz^{-1} from numpy's inverse of the triangular R_zz, in Fortran
         # order, equals scipy's triangular solve bit for bit, and so do the
-        # coefficients and V computed from it
+        # coefficients computed from it
         rng = np.random.default_rng(5)
         cases = [scenario_fit[:2]] + [
             random_design(rng, n, blocks)
@@ -101,7 +112,8 @@ class TestFitOls:
             r_inv = scipy.linalg.solve_triangular(r[:k, :k], np.eye(k))
             fit = fit_ols(design, y)
             np.testing.assert_array_equal(fit.coefficients, r_inv @ r[:k, k])
-            np.testing.assert_array_equal(fit.covariance, r_inv @ r_inv.T)
+            np.testing.assert_array_equal(fit.r_inv, r_inv)
+            np.testing.assert_array_equal(fit.qty, r[:k, k])
 
     def test_rank_deficient_rejected(self):
         rng = np.random.default_rng(2)
@@ -166,22 +178,25 @@ class TestFitOls:
                 run()
 
 
-def _explicit_fit(design, y, rows):
-    resampled = DesignMatrix(values=design.values[rows], block_offsets=design.block_offsets)
-    return fit_ols(resampled, y[rows])
-
-
-def _assert_fits_match(fits, j, expected, offsets):
+def _assert_fits_match(fits, j, design, y, rows):
+    """Resample j of a batch's fits against the fit and the statistics of
+    its own rows of the sample."""
+    offsets = design.block_offsets
+    resampled = DesignMatrix(values=design.values[rows], block_offsets=offsets)
+    expected = fit_ols(resampled, y[rows])
     np.testing.assert_allclose(fits.sigma2_tilde[j], expected.sigma2_tilde, rtol=1e-10)
-    blocks = [v_rr[j] for v_rr in fits.covariance_blocks]
-    expected_blocks = diagonal_blocks(expected.covariance, offsets)
+    blocks = [v_rr[j : j + 1] for v_rr in fits.covariance_blocks]
+    expected_blocks = [
+        expected.r_inv[lo:hi] @ expected.r_inv[lo:hi].T for lo, hi in zip(offsets[:-1], offsets[1:])
+    ]
     assert len(blocks) == len(expected_blocks)
     for got, want in [(fits.coefficients[j], expected.coefficients),
-                      *zip(blocks, expected_blocks)]:
+                      *zip((block[0] for block in blocks), expected_blocks)]:
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
     np.testing.assert_allclose(
-        block_statistics(fits.coefficients[j], blocks, fits.sigma2_tilde[j], offsets),
-        block_statistics(expected.coefficients, expected_blocks, expected.sigma2_tilde, offsets),
+        _block_statistics(fits.coefficients[j : j + 1], blocks, fits.sigma2_tilde[j : j + 1],
+                          offsets)[0],
+        run_test_all(resampled, y[rows])[0],
         rtol=1e-10,
     )
 
@@ -237,7 +252,7 @@ class TestFitResamples:
         fits = fit_resamples(sample_qr(design, y), idx)
         np.testing.assert_array_equal(fits.certified, np.arange(6) != 2)
         for j in (0, 1, 3, 4, 5):
-            _assert_fits_match(fits, j, _explicit_fit(design, y, idx[j]), design.block_offsets)
+            _assert_fits_match(fits, j, design, y, idx[j])
 
     def test_repeated_data_rows_refit_the_batch(self):
         # rows 20-39 repeat rows 0-19: resample 2 draws 20 distinct indices
@@ -365,7 +380,7 @@ class TestFitResamples:
         # the bound on ||H||_F reads the lower triangles alone
         assert not np.triu(qr.work.h[:8], 1).any()
         for j, rows in enumerate(idx):
-            _assert_fits_match(fits, j, _explicit_fit(design, y, rows), design.block_offsets)
+            _assert_fits_match(fits, j, design, y, rows)
 
     # n = 300 keeps the outer products within OUTER_FLOATS, unless the bound
     # is lowered below them; n = 10,000 never keeps them
@@ -390,23 +405,43 @@ class TestFitResamples:
 
     def test_rank_bound_within_the_margin_is_not_certified(self):
         # column 3 scaled by 3.98e-10 puts the identity resample's squared
-        # rank bound between RANK_BOUND2_MAX and 1/RANK_RTOL^2: below the
-        # rank check's own threshold, but without the factor 2 that covers
-        # its rounding, so the resample is fitted on its own rows
+        # rank bound between RANK_BOUND2_MAX and 1/RANK_RTOL^2: the design
+        # just passes the rank check, but the bound is far above
+        # WALD_BOUND2_MAX, so the resample is fitted on its own rows
         rng = np.random.default_rng(7)
         z = np.column_stack([np.ones(60), rng.normal(size=(60, 6))])
         z[:, 3] *= 3.98e-10
         y = rng.normal(size=60)
         design = DesignMatrix(values=z, block_offsets=(1, 4, 7))
         fits = fit_resamples(sample_qr(design, y), np.arange(60)[None])
-        bound2 = (z**2).sum() * np.trace(fit_ols(design, y).covariance)
-        assert RANK_BOUND2_MAX <= bound2 < RANK_RTOL**-2
+        bound2 = (z**2).sum() * np.sum(fit_ols(design, y).r_inv ** 2)
+        assert WALD_BOUND2_MAX < RANK_BOUND2_MAX <= bound2 < RANK_RTOL**-2
         assert not fits.certified[0]
         for method in ("bc", "fdr"):
             selected, failed = bootstrap_counts(design, y, method, 0.05, 200, 3)
             expected_counts, expected_failed = bootstrap_loop(design, y, method, 0.05, 200, 3)
             assert failed == expected_failed
             np.testing.assert_array_equal(selected, expected_counts)
+
+    def test_singular_covariance_block_refits_the_batch(self, monkeypatch):
+        # a resample can make a block's covariance numerically singular: the
+        # Wald form then raises numpy's LinAlgError, which must not escape,
+        # and every resample of the batch is tested on its own rows instead
+        rng = np.random.default_rng(18)
+        design, y = random_design(rng, 40, (4, 5))
+        qr = sample_qr(design, y)
+        idx = rng.integers(0, 40, size=(5, 40))
+        fits = fit_resamples(qr, idx)
+        blocks = [v_rr.copy() for v_rr in fits.covariance_blocks]
+        blocks[1][2] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            _block_statistics(fits.coefficients, blocks, fits.sigma2_tilde, design.block_offsets)
+        singular = dataclasses.replace(fits, covariance_blocks=tuple(blocks))
+        monkeypatch.setattr("funcsel.bootstrap.fit_resamples", lambda qr, idx: singular)
+        statistics, _ = run_test_resamples(qr, idx)
+        for rows, row in zip(idx, statistics):
+            resampled = DesignMatrix(values=design.values[rows], block_offsets=design.block_offsets)
+            np.testing.assert_array_equal(row, run_test_all(resampled, y[rows])[0])
 
     def test_exactly_singular_design_rejected(self):
         # an all-zero column leaves an exactly zero pivot in R_zz, so no
@@ -418,23 +453,23 @@ class TestFitResamples:
         with pytest.raises(RankDeficiencyError, match="exactly singular"):
             sample_qr(design, rng.normal(size=40))
 
-    def test_no_inverse_needed(self, monkeypatch):
+    def test_no_inverse_needed(self):
         # the resample fits take a Cholesky factor and forward substitution,
         # never np.linalg.inv
         rng = np.random.default_rng(3)
         design, y = random_design(rng, 60, (6, 6, 6))
         qr = sample_qr(design, y)
         idx = rng.integers(0, 60, size=(8, 60))
-        expected = [_explicit_fit(design, y, rows) for rows in idx]
 
         def no_inverse(*args, **kwargs):
             raise AssertionError("np.linalg.inv called")
 
-        monkeypatch.setattr(np.linalg, "inv", no_inverse)
-        fits = fit_resamples(qr, idx)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np.linalg, "inv", no_inverse)
+            fits = fit_resamples(qr, idx)
         assert fits.certified.all()
-        for j, fit in enumerate(expected):
-            _assert_fits_match(fits, j, fit, design.block_offsets)
+        for j, rows in enumerate(idx):
+            _assert_fits_match(fits, j, design, y, rows)
 
 
 class TestFitRestricted:
