@@ -2,15 +2,16 @@
 
 The statistic for predictor r is (RSS0 - RSS) / sigma2_tilde with
 sigma2_tilde = RSS/n from the full fit, referred to a central chi-square
-with p_r degrees of freedom. :func:`test_all` reads each RSS0 - RSS off the one full fit in the
-column-deletion form of least squares. With Z = Q R_zz, Z' Q R_zz^{-T} = I,
-so the rows of R_zz^{-1} over block r's columns lo:hi, zero left of column
-lo, span what deleting the block takes from Z's column space, in the
-coordinates of Q. RSS0 - RSS is |t|^2 for t the first k_r entries of the
-last column of the R factor of [R_zz^{-1}[lo:hi, lo:]' | (Q'y)[lo:]]: no
-covariance is formed and no condition number squared. :func:`p_value` takes the chi-square upper tail in closed form,
-with numpy and :func:`math.erfc` alone: every dof is a basis size, so an
-integer, and the tail is then a finite sum.
+with p_r degrees of freedom. :func:`test_all` reads each RSS0 - RSS off the
+one full fit in the column-deletion form of least squares. With Z = Q R_zz,
+Z' Q R_zz^{-T} = I, so the rows of R_zz^{-1} over block r's columns lo:hi,
+zero left of column lo, span what deleting the block takes from Z's column
+space, in the coordinates of Q. RSS0 - RSS is |t|^2 for t the first k_r
+entries of the last column of the R factor of
+[R_zz^{-1}[lo:hi, lo:]' | (Q'y)[lo:]]: no covariance is formed and no
+condition number squared. :func:`p_value` takes the chi-square upper tail in
+closed form, with numpy and :func:`math.erfc` alone: every dof is a basis
+size, so an integer, and the tail is then a finite sum.
 """
 
 from __future__ import annotations
