@@ -29,6 +29,13 @@ stderr, the exit code and the bytes of the ``--out`` report of each job:
 - ``select`` on the regular input seed 3 curves with a responses file whose
   ``y`` on one line is ``abc`` or ``inf``.
 
+Three of these jobs, one per mode (``THREAD_PAIR_JOBS``), also run under
+the changed tree with ``OPENBLAS_NUM_THREADS=2`` and are compared in the
+same four parts with the changed tree's run at one thread. A ``simulate``
+job draws each data set on a helper thread at both counts where it may use
+two CPUs, so its pair also checks that the draws beside a threaded BLAS
+move no bit.
+
 The input CSVs come from ``bench/inputs.py`` and are written, with the
 altered copies, to a temporary directory. Both trees run a job with the same
 argument list in the same working directory, so paths in messages match.
@@ -37,7 +44,7 @@ stderr line of each tree; and for a job whose ``--out`` differs, the largest
 relative difference among the report's numbers under each key
 (``statistic``, ``p_value``, ``q``, ...) and whether every other field (ids,
 dofs, selections) is equal, which tells roundoff from a changed result.
-Exits 1 when any job differs.
+Exits 1 when any job or thread pair differs.
 
 Usage::
 
@@ -67,6 +74,13 @@ INPUT_SEEDS = (0, 3, 7)
 METHODS = ("bc", "fdr")
 # the input seed of the altered curves files
 VARIANT_SEED = 3
+# jobs also run under the changed tree at two BLAS threads, one per mode
+THREAD_PAIR_JOBS = (
+    "select fdr ragged input3",
+    "bootstrap fdr regular input3 seed7",
+    "simulate fdr c=0.4 n=300 seed=0",
+)
+PARTS = ("stdout", "stderr", "exit code", "--out")
 
 
 def _field(line: bytes, index: int, value: bytes) -> bytes:
@@ -316,9 +330,12 @@ def _chunk_bytes(src: Path) -> int:
     return int(done.stdout)
 
 
-def _run(src: Path, argv: list[str], out: Path, cwd: Path) -> tuple[bytes, ...]:
-    """stdout, stderr, exit code and ``--out`` bytes of one job under ``src``."""
-    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+def _run(
+    src: Path, argv: list[str], out: Path, cwd: Path, threads: str = "1"
+) -> tuple[bytes, ...]:
+    """stdout, stderr, exit code and ``--out`` bytes of one job under ``src``
+    at ``threads`` BLAS threads."""
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
     done = subprocess.run(
         [sys.executable, "-m", "funcsel.cli", *argv, "--out", str(out)],
         cwd=cwd, env=env, capture_output=True,
@@ -378,6 +395,20 @@ def _report_difference(a: bytes, b: bytes) -> str:
     return f"largest relative difference of {numbers or 'no numbers'}; {fields}"
 
 
+def _print_comparison(name: str, sides: tuple[str, str], a: tuple, b: tuple) -> bool:
+    """Print how the runs ``a`` and ``b`` of one job compare; True when they
+    differ."""
+    diff = [part for part, x, y in zip(PARTS, a, b) if x != y]
+    status = "DIFFERS in " + ", ".join(diff) if diff else "same"
+    print(f"{name}: exit {b[2].decode()}, {status}", flush=True)
+    if "stderr" in diff:
+        for side, line in zip(sides, _first_difference(a[1], b[1])):
+            print(f"    {side} stderr: {line}", flush=True)
+    if "--out" in diff:
+        print(f"    --out: {_report_difference(a[3], b[3])}", flush=True)
+    return bool(diff)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent-src", required=True, type=Path,
@@ -390,8 +421,7 @@ def main(argv: list[str] | None = None) -> int:
         if not (src / "funcsel" / "cli.py").is_file():
             parser.error(f"{src} holds no funcsel/cli.py")
 
-    parts = ("stdout", "stderr", "exit code", "--out")
-    differ = 0
+    differ = pairs_differ = 0
     with tempfile.TemporaryDirectory(prefix="identity_jobs_") as tmp:
         work = Path(tmp)
         files = {
@@ -405,20 +435,22 @@ def main(argv: list[str] | None = None) -> int:
         # the changed tree's reads, so that its second chunk opens on the
         # faulty line of "bad value opening the second chunk"
         jobs = _jobs(files, work, _chunk_bytes(trees[1]))
+        missing = set(THREAD_PAIR_JOBS) - {name for name, _ in jobs}
+        if missing:
+            parser.error(f"no job named {sorted(missing)}")
         for name, job in jobs:
             parent, change = (_run(src, job, work / "report.jsonl", work) for src in trees)
-            diff = [part for part, a, b in zip(parts, parent, change) if a != b]
-            differ += bool(diff)
-            status = "DIFFERS in " + ", ".join(diff) if diff else "same"
-            print(f"{name}: exit {change[2].decode()}, {status}", flush=True)
-            if "stderr" in diff:
-                lines = _first_difference(parent[1], change[1])
-                for tree, line in zip(("parent", "change"), lines):
-                    print(f"    {tree} stderr: {line}", flush=True)
-            if "--out" in diff:
-                print(f"    --out: {_report_difference(parent[3], change[3])}", flush=True)
+            differ += _print_comparison(name, ("parent", "change"), parent, change)
+            if name in THREAD_PAIR_JOBS:
+                two = _run(trees[1], job, work / "report.jsonl", work, threads="2")
+                pairs_differ += _print_comparison(
+                    f"{name}, change at OPENBLAS_NUM_THREADS=2 against 1",
+                    ("1 thread", "2 threads"), change, two,
+                )
     print(f"{len(jobs) - differ} of {len(jobs)} jobs identical")
-    return 1 if differ else 0
+    pairs = len(THREAD_PAIR_JOBS)
+    print(f"{pairs - pairs_differ} of {pairs} thread pairs identical")
+    return 1 if differ or pairs_differ else 0
 
 
 if __name__ == "__main__":

@@ -9,7 +9,9 @@ seed's range is the rule of :mod:`funcsel.seeds`. Config lines go through
 the same argparse conversions and choices as flags, and an unknown key is
 rejected. A usage error prints the usage line and the reason.
 
-Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical error.
+Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical error,
+141 standard output closed by its reader (128 + SIGPIPE, as a shell reports
+a tool that SIGPIPE ended).
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
+EXIT_BROKEN_PIPE = 141
 
 # config keys "<name>.<predictor id>" that override one predictor's basis
 _OVERRIDES = ("basis_size", "degree", "domain")
@@ -380,6 +383,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_out(config.out)
         run[config.mode](config)
+        sys.stdout.flush()  # so that a closed stdout shows here, not at exit
+    except BrokenPipeError:
+        # the reader has gone, as in `funcsel ... | head -1`: stdout's
+        # descriptor now leads to os.devnull, so the flush at exit writes
+        # what is left in its buffer there and not into the closed pipe
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (OSError, DataError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

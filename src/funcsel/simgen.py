@@ -10,16 +10,19 @@ and the two noise multipliers are the module constants ``GRID_SIZE``,
 ``NOISE_X_MULT`` and ``NOISE_Y_MULT``. What a replication shares with every
 other replication of the same c (the grids, the quadrature nodes and the
 quadrature weights times the coefficient functions) is computed once per c
-and cached, read-only; a replication draws its parameters and noise and
-evaluates the six curve formulas in place. The Monte Carlo driver has every
-data set of a run written into one curve array, so that no replication
+and cached, read-only; a data set makes all its draws first, its parameters
+and its noise, and then evaluates the six curve formulas in place. The Monte
+Carlo driver has the curves of every training set of a run written into one
+array and those of every test set into another, so that no replication
 faults the pages of its curves in again.
 
 The Monte Carlo driver runs the full smoothing / design / testing pipeline
-once per replication, one replication after another, and applies any number
-of (method, q) selection rules to the one set of p-values, with one report
-per rule of correct-selection counts, selection frequencies, and
-out-of-sample AMSE.
+once per replication, the replications one after another, and applies any
+number of (method, q) selection rules to the one set of p-values, with one
+report per rule of correct-selection counts, selection frequencies, and
+out-of-sample AMSE. The draws of each data set are made while the data set
+before it is used: on a helper thread when the process may use two CPUs,
+else inline. No bit of a report depends on which.
 
 Randomness follows the seed rule of :mod:`funcsel.seeds`: replication j
 draws from the Philox stream (seed, j) for its training set and
@@ -30,6 +33,8 @@ of how many replications run.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -261,57 +266,184 @@ def generate_replication(
 
     What does not depend on the draws (the grids, the quadrature nodes and
     the quadrature weights times the coefficient functions) comes from a
-    plan cached per c. Each call draws the curve parameters and evaluates
-    the six curve formulas at the grid and, for a nonzero coefficient
-    function, at the nodes. Of a call's time at n = 300, about 40% is the
-    Philox normal draws and about a quarter the cos and sin of the
-    (n, GRID_SIZE) and (n, 64) arrays of predictors 0 and 3, which the
-    random stream layout and the bits of the reports fix.
+    plan cached per c. Each call first makes every draw of the data set
+    (:func:`_draw`: the curve parameters, the curve noise and the response
+    noise, in the order of the random stream layout), then evaluates the six
+    curve formulas at the grid and, for a nonzero coefficient function, at
+    the nodes, and scales and adds the noise (:func:`_generate`). Of a
+    call's time at n = 300, about 45% is the draws and about a quarter the
+    cos and sin of the (n, GRID_SIZE) and (n, 64) arrays of predictors 0
+    and 3, which the random stream layout and the bits of the reports fix.
 
     Each call writes its curves into a fresh (NUM_PREDICTORS, n, GRID_SIZE)
-    array, predictor m's block values being its row m, and each curve
-    formula runs in place there. :func:`run_monte_carlo` instead writes every data set of a
-    run into one such array: allocating and freeing the curve arrays for each
-    data set let the C allocator hand their pages back to the system and
-    fault them in again, about 5,800-7,300 minor page faults in a
-    16-replication run at n = 300, against none with the one array.
+    array, predictor m's block values being its row m: the draws write the
+    curve noise there, and each curve is added to its noise in place.
+    :func:`run_monte_carlo` instead writes every training set of a run into
+    one such array and every test set into another: allocating and freeing
+    the curve arrays for each data set let the C allocator hand their pages
+    back to the system and fault them in again, about 5,800-7,300 minor page
+    faults in a 16-replication run at n = 300, against none with arrays
+    kept for the run.
     """
-    return _generate(scenario, rep_index, np.empty((NUM_PREDICTORS, scenario.n, GRID_SIZE)))
+    values = np.empty((NUM_PREDICTORS, scenario.n, GRID_SIZE))
+    return _generate(scenario, *_draw(scenario, rep_index, values), values)
+
+
+def _draw(
+    scenario: SimScenario, stream: int, noise: np.ndarray
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Every draw of the data set of stream ``stream``, in the order of the
+    random stream layout: the curve parameters, which are returned; the curve
+    noise of predictors 0 to 5, written into ``noise``, (NUM_PREDICTORS, n,
+    GRID_SIZE), in one fill that gives the bits of six fills of (n,
+    GRID_SIZE) one after another; and the n response normals, returned
+    unscaled. No call here reaches BLAS, and numpy's fills release the GIL."""
+    rng = rng_for(scenario.seed, stream)
+    params = _draw_curve_params(rng, scenario.n)
+    rng.standard_normal(out=noise)
+    return params, rng.standard_normal(scenario.n)
 
 
 def _generate(
-    scenario: SimScenario, stream: int, out: np.ndarray
+    scenario: SimScenario,
+    params: dict[str, np.ndarray],
+    response_noise: np.ndarray,
+    values: np.ndarray,
 ) -> tuple[tuple[tuple[CurveBlock], ...], np.ndarray, SimTruth]:
-    """:func:`generate_replication` from the stream ``stream``, with predictor
-    m's curve values written into ``out[m]``, ``out`` being
-    (NUM_PREDICTORS, n, GRID_SIZE). The responses are a fresh array."""
-    rng = rng_for(scenario.seed, stream)
+    """The data set of what :func:`_draw` drew into ``params``,
+    ``response_noise`` and ``values``. Predictor m's noise in ``values[m]``
+    is scaled in place and its true curves are added in, so ``values[m]``
+    becomes its block's values: noise + curve, which has the bits of
+    curve + noise, as IEEE addition commutes. The responses are
+    ``response_noise``, scaled in place, plus the integrals: a fresh array."""
     n = scenario.n
-    params = _draw_curve_params(rng, n)
     plan = _plan(scenario.c)
-
-    # the noise array is also the grid formulas' scratch: they run before the draw
-    noise = np.empty((n, GRID_SIZE))
-    at_nodes = np.empty((n, _QUAD_ORDER))
-    node_scratch = np.empty((n, _QUAD_ORDER))
+    # a predictor's curves and the formulas' scratch, at the nodes and, in
+    # the same memory, at the grid: each grid curve is read before the nodes'
+    work = np.empty((2, n * max(GRID_SIZE, _QUAD_ORDER)))
+    at_nodes, node_scratch = (row[: n * _QUAD_ORDER].reshape(n, _QUAD_ORDER) for row in work)
+    curve, scratch = (row[: n * GRID_SIZE].reshape(n, GRID_SIZE) for row in work)
     curves = []
     integrals = np.zeros(n)
     for m, predictor in enumerate(plan):
-        values = _curves(params, m, predictor.grid, out[m], noise)
-        signal_range = float(values.max() - values.min())
-        rng.standard_normal(out=noise)
-        noise *= NOISE_X_MULT * signal_range
-        values += noise
-        curves.append((CurveBlock(grid=predictor.grid, values=values),))
+        _curves(params, m, predictor.grid, curve, scratch)
+        block = values[m]
+        block *= NOISE_X_MULT * float(curve.max() - curve.min())
+        block += curve
+        curves.append((CurveBlock(grid=predictor.grid, values=block),))
         if predictor.weighted_beta is not None:
             _curves(params, m, predictor.nodes, at_nodes, node_scratch)
             integrals += at_nodes @ predictor.weighted_beta
 
     response_range = float(integrals.max() - integrals.min())
-    integrals += NOISE_Y_MULT * response_range * rng.standard_normal(n)
+    response_noise *= NOISE_Y_MULT * response_range
+    integrals += response_noise
 
     truth = SimTruth(true_indices=true_index_set(scenario.c))
     return tuple(curves), integrals, truth
+
+
+def _use_helper() -> bool:
+    """Whether :class:`_DrawAhead` draws on a helper thread: only where the
+    process may use two CPUs or more, so that the helper can have a CPU of
+    its own."""
+    return len(os.sched_getaffinity(0)) >= 2
+
+
+class _DrawAhead:
+    """The data sets of a run in stream order (replication 0's training
+    set, its test set, replication 1's training set, ...), each one's draws
+    made while the data set before it is used.
+
+    :meth:`take` requests the draws of the data set after the one it
+    returns, then builds the one it returns. On a helper thread, started by
+    ``with`` when :func:`_use_helper` allows it, those draws run beside the
+    caller's work on the returned data set; otherwise the same calls run
+    inline at the point of the request. The helper runs only :func:`_draw`,
+    so it calls no BLAS. It is stopped and joined on leaving the ``with``,
+    on errors too, and an exception it raises is raised by the next
+    :meth:`take` or :meth:`skip`.
+
+    Training sets draw their curve noise into one array kept for the run,
+    test sets into another. So data set i's array is written again when data
+    set i + 2 is requested, by the :meth:`take` of data set i + 1, and by
+    then data set i has been smoothed into its design and its curves are
+    not read again.
+    """
+
+    def __init__(self, scenario: SimScenario, replications: int):
+        self._scenario = scenario
+        self._count = 2 * replications
+        self._values = np.empty((2, NUM_PREDICTORS, scenario.n, GRID_SIZE))
+        self._drawn: dict[int, tuple[dict[str, np.ndarray], np.ndarray]] = {}
+        self.taken = 0
+        self._helper = None
+        self._error: BaseException | None = None
+        self._stop = False
+
+    def __enter__(self) -> _DrawAhead:
+        # data set 0 is drawn on the calling thread: a process's first Philox
+        # generator takes about 0.8 MB, which on a helper would come from a
+        # malloc arena of the helper's own and stay resident beside the heap
+        self._draw_data_set(0)
+        if _use_helper():
+            self._requested = threading.Semaphore(0)
+            self._ready = threading.Semaphore(1)  # for data set 0
+            self._helper = threading.Thread(target=self._draw_requested, daemon=True)
+            self._helper.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self._helper is not None:
+            self._stop = True
+            self._requested.release()
+            self._helper.join()
+
+    def _draw_data_set(self, i: int) -> None:
+        rep, test = divmod(i, 2)
+        stream = rep + test * _TEST_STREAM_OFFSET
+        self._drawn[i] = _draw(self._scenario, stream, self._values[test])
+
+    def _draw_requested(self) -> None:
+        for i in range(1, self._count):
+            self._requested.acquire()
+            if self._stop:
+                return
+            try:
+                self._draw_data_set(i)
+            except BaseException as exc:
+                self._error = exc
+                return
+            finally:
+                self._ready.release()
+
+    def _request(self, i: int) -> None:
+        if i >= self._count:
+            return
+        if self._helper is None:
+            self._draw_data_set(i)
+        else:
+            self._requested.release()
+
+    def _next_draws(self) -> tuple[int, tuple[dict[str, np.ndarray], np.ndarray]]:
+        i = self.taken
+        self.taken += 1
+        self._request(i + 1)
+        if self._helper is not None:
+            if self._error is None:
+                self._ready.acquire()
+            if self._error is not None:
+                raise self._error
+        return i, self._drawn.pop(i)
+
+    def take(self) -> tuple[tuple[tuple[CurveBlock], ...], np.ndarray, SimTruth]:
+        """The next data set, as :func:`generate_replication` returns it."""
+        i, (params, response_noise) = self._next_draws()
+        return _generate(self._scenario, params, response_noise, self._values[i % 2])
+
+    def skip(self) -> None:
+        """Pass over the next data set: its draws are made, and dropped."""
+        self._next_draws()
 
 
 def _reduced_prediction(
@@ -325,23 +457,18 @@ def _reduced_prediction(
 
 
 def _run_one_replication(
-    scenario: SimScenario,
-    rules: tuple[tuple[str, float], ...],
-    rep: int,
-    bases,
-    values: np.ndarray,
+    rules: tuple[tuple[str, float], ...], bases, data_sets: _DrawAhead
 ) -> list[tuple[bool, np.ndarray, float]]:
-    """Each rule's (correct, mask, test-set MSE) on replication ``rep``; its
-    training curves and then its test curves are generated into ``values``."""
-    curves, y, truth = _generate(scenario, rep, values)
+    """Each rule's (correct, mask, test-set MSE) on the replication whose
+    training set and then test set ``data_sets`` gives next."""
+    curves, y, truth = data_sets.take()
     design = build_design(build_dataset(curves, y, bases))
     p_values = test_all(design, y)[1]
     masks = [selection_mask(method, p_values, q) for method, q in rules]
 
     # out-of-sample MSE of the model refit on the selected predictors only,
-    # once per distinct selection; the test curves overwrite the training
-    # curves, which are not read again once smoothed into the design
-    curves_test, y_test, _ = _generate(scenario, rep + _TEST_STREAM_OFFSET, values)
+    # once per distinct selection
+    curves_test, y_test, _ = data_sets.take()
     design_test = build_design(build_dataset(curves_test, y_test, bases))
     block_widths = np.diff([0, *design.block_offsets])
     mse_by_mask = {}
@@ -372,11 +499,13 @@ def run_monte_carlo(
     one vector of p-values, and the test-set refit runs once per distinct
     selection. So the reports of several rules cost about one pass, and each
     equals the report of a run with that rule alone. The replications run
-    one after another, in index order, and generate their curves into one
-    array allocated for the run. A replication counts as correct when the
-    selected set equals the true relevant set exactly.
+    one after another, in index order, and each data set's draws are made
+    while the data set before it is used: on a helper thread when the
+    process may use two CPUs, else inline (see :class:`_DrawAhead`). Either
+    way every report has the same bits. A replication counts as correct
+    when the selected set equals the true relevant set exactly.
     Failed replications (numerically degenerate data) are skipped and
-    counted, for every rule.
+    counted, for every rule; a failed training set's test set is not built.
     """
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
@@ -387,13 +516,14 @@ def run_monte_carlo(
         make_uniform_basis(lo, hi, degree=3, num_basis=_NUM_BASIS) for lo, hi in DOMAINS
     )
 
-    values = np.empty((NUM_PREDICTORS, scenario.n, GRID_SIZE))
     succeeded = []
-    for rep in range(replications):
-        try:
-            succeeded.append(_run_one_replication(scenario, rules, rep, bases, values))
-        except (NumericalError, DataError):
-            pass
+    with _DrawAhead(scenario, replications) as data_sets:
+        for _ in range(replications):
+            try:
+                succeeded.append(_run_one_replication(rules, bases, data_sets))
+            except (NumericalError, DataError):
+                if data_sets.taken % 2:  # the training set failed
+                    data_sets.skip()
     failed = replications - len(succeeded)
     denom = max(len(succeeded), 1)
     reports = []

@@ -38,6 +38,11 @@ conveniences the tests call: the basis at one point, and scipy's central
 and noncentral chi-square CDFs with their arguments checked. ``block_slice``
 and ``block_size`` read one predictor's columns off a design's offsets.
 
+``monte_carlo_loop`` is the serial reference of ``run_monte_carlo``: each
+replication's training set and then its test set from
+``generate_replication`` on fresh arrays, drawn as they are needed, and
+each rule's selection, refit and sums taken one rule at a time.
+
 ``generate_replication_reference`` is the synthetic-data generator as it
 was first written, with ``curve_values_reference``: each predictor's curves
 evaluated from the full formula on fresh arrays at every call. The package's
@@ -62,6 +67,7 @@ from funcsel import (
     NumericalError,
     evaluate_basis_matrix,
     fit_ols,
+    make_uniform_basis,
 )
 from funcsel.design import DesignMatrix
 from funcsel.errors import quoted_id, quoted_text
@@ -72,6 +78,7 @@ from funcsel.seeds import rng_for
 from funcsel.simgen import (
     DOMAINS,
     NUM_PREDICTORS,
+    MonteCarloReport,
     SimScenario,
     SimTruth,
     coefficient_functions,
@@ -473,3 +480,61 @@ def generate_replication_reference(
 
     truth = SimTruth(true_indices=true_index_set(scenario.c))
     return tuple(curves), responses, truth
+
+
+def monte_carlo_loop(
+    scenario: SimScenario, rules: list[tuple[str, float]], replications: int
+) -> tuple[MonteCarloReport, ...]:
+    """The reports of ``run_monte_carlo`` from a serial loop over the
+    replications. Smoothing, design and tests go through the names that
+    ``funcsel.simgen`` calls them by, so a test that monkeypatches one of
+    them reaches both; a replication that raises ``NumericalError`` or
+    ``DataError`` is counted as failed, and its test set, if not yet drawn,
+    is never drawn."""
+    bases = tuple(make_uniform_basis(lo, hi, degree=3, num_basis=6) for lo, hi in DOMAINS)
+    outcomes = []
+    for rep in range(replications):
+        try:
+            curves, y, truth = simgen.generate_replication(scenario, rep)
+            design = simgen.build_design(simgen.build_dataset(curves, y, bases))
+            p_values = simgen.test_all(design, y)[1]
+            curves, y_test, _ = simgen.generate_replication(scenario, rep + 2**32)
+            design_test = simgen.build_design(simgen.build_dataset(curves, y_test, bases))
+        except (NumericalError, DataError):
+            continue
+        per_rule = []
+        for method, q in rules:
+            selected = selected_by_loop(method, list(p_values), q)
+            offsets = design.block_offsets
+            columns = [0] + [
+                column for r in sorted(selected) for column in range(offsets[r], offsets[r + 1])
+            ]
+            coef, *_ = np.linalg.lstsq(design.values[:, columns], y, rcond=None)
+            predicted = design_test.values[:, columns] @ coef
+            mse = float(np.mean((y_test - predicted) ** 2))
+            per_rule.append((selected == truth.true_indices, selected, mse))
+        outcomes.append(per_rule)
+    succeeded = len(outcomes)
+    denom = max(succeeded, 1)
+    reports = []
+    for r, (method, q) in enumerate(rules):
+        counts = np.zeros(NUM_PREDICTORS)
+        mse_sum = 0.0
+        for _, selected, mse in (per_rule[r] for per_rule in outcomes):
+            counts[sorted(selected)] += 1
+            mse_sum += mse
+        reports.append(
+            MonteCarloReport(
+                method=method,
+                q=q,
+                c=scenario.c,
+                n=scenario.n,
+                seed=scenario.seed,
+                replications=replications,
+                failed=replications - succeeded,
+                correct_count=sum(per_rule[r][0] for per_rule in outcomes),
+                amse=mse_sum / denom,
+                selection_frequencies=tuple(counts / denom),
+            )
+        )
+    return tuple(reports)

@@ -1,6 +1,7 @@
 """CLI: CSV ingestion, selection, bootstrap, simulation, exit codes."""
 
 import csv
+import io
 import json
 import os
 import subprocess
@@ -903,7 +904,11 @@ def test_cli_job_loads_no_scipy(tmp_path, mode):
         "bootstrap": ["--mode", "bootstrap", *files, "--q", "0.1",
                       "--bootstrap-b", "20", "--seed", "1"],
     }[mode]
-    unneeded = ["scipy", "numpy.ma"] + ["numpy.random"] * (mode == "select")
+    # the Monte Carlo draws' helper is a threading.Thread: concurrent.futures
+    # took about 7 ms to import, logging among it
+    unneeded = ["scipy", "numpy.ma", "concurrent.futures", "logging"] + ["numpy.random"] * (
+        mode == "select"
+    )
     code = f"""
 import sys
 import funcsel.cli
@@ -927,6 +932,56 @@ if unneeded_modules():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()  # the job printed its report
+
+
+@pytest.fixture(scope="module")
+def wide_files(tmp_path_factory):
+    """The benchmark's ragged input files of seed 3 made wide: its six
+    domains four times over, 200 samples and 12 points a curve, so k = 145."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(inputs, "DOMAINS", inputs.DOMAINS * 4)
+        patch.setattr(inputs, "PREDICTOR_IDS", tuple(f"X{m + 1}" for m in range(24)))
+        patch.setattr(inputs, "SAMPLES", 200)
+        patch.setattr(inputs, "POINTS", 12)
+        directory = tmp_path_factory.mktemp("wide")
+        return inputs.write_csvs(str(directory), inputs.make_dataset(3, True))
+
+
+@pytest.mark.parametrize("mode", ["simulate", "select"])
+def test_same_report_at_one_and_two_blas_threads(tmp_path, wide_files, mode):
+    # simulate draws on a helper thread beside one BLAS thread and beside
+    # two; select at k = 145 is below the k = 253 at which the QR of
+    # [Z | y] moves with the thread count (README, Determinism)
+    argv = {
+        "simulate": ["--mode", "simulate", "--c", "0.4", "--n", "100", "--reps", "10",
+                     "--seed", "3"],
+        "select": ["--mode", "select", "--curves", wide_files["curves"],
+                   "--responses", wide_files["responses"]],
+    }[mode]
+    code = (
+        "import sys\n"
+        "from funcsel import cli, simgen\n"
+        "print(simgen._use_helper(), file=sys.stderr)\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    runs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.jsonl"
+        env = {
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": threads,
+            "PYTHONPATH": str(Path(funcsel.__file__).resolve().parents[1]),
+        }
+        done = subprocess.run(
+            [sys.executable, "-c", code, *argv, "--out", str(out)],
+            env=env, capture_output=True,
+        )
+        assert done.returncode == 0, done.stderr
+        runs[threads] = done.stdout, out.read_bytes(), done.stderr
+    assert runs["1"][:2] == runs["2"][:2]
+    assert runs["1"][1]  # a report was written
+    helper = f"{len(os.sched_getaffinity(0)) >= 2}\n".encode()
+    assert runs["1"][2] == runs["2"][2] == helper
 
 
 @pytest.mark.parametrize("mode", ["select", "simulate", "bootstrap"])
@@ -1178,6 +1233,41 @@ class TestExitCodes:
         code = main(["--mode", "simulate", "--c", c, "--reps", "2", "--n", "60"])
         assert code == 1
         assert "signal strength c must be finite" in capsys.readouterr().err
+
+    def test_closed_stdout_exits_141_quietly(self, monkeypatch, capsys):
+        # the reader of stdout went away, as in `funcsel ... | head -1`: not
+        # a data error, and a later flush must not meet the closed pipe again
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w", encoding="utf-8") as closed_pipe:
+            monkeypatch.setattr(sys, "stdout", closed_pipe)
+            assert main(["--mode", "simulate", "--n", "60", "--reps", "1"]) == 141
+            closed_pipe.write("left in the buffer\n")
+            closed_pipe.flush()  # into os.devnull: no BrokenPipeError
+            monkeypatch.undo()
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("dev_mode", [False, True])
+    def test_closed_stdout_pipe_in_a_process(self, dev_mode):
+        # every write to the pipe fails, its read end being closed already;
+        # the job's few lines reach the pipe only when stdout is flushed. In
+        # Python's development mode an unclosed file or a second failed
+        # flush at exit would print a warning on stderr.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = {**os.environ, "PYTHONPATH": str(Path(funcsel.__file__).resolve().parents[1])}
+        env.pop("PYTHONDEVMODE", None)
+        if dev_mode:
+            env["PYTHONDEVMODE"] = "1"
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "funcsel.cli", "--mode", "simulate", "--n", "60",
+                 "--reps", "1"],
+                env=env, stdout=write_end, stderr=subprocess.PIPE,
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (141, b"")
 
     def test_escaping_linalg_error_is_numerical_error(self, monkeypatch):
         # numpy's LinAlgError subclasses ValueError, the usage-error type

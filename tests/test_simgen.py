@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -19,11 +21,17 @@ from funcsel.simgen import (
     generate_replication,
     run_monte_carlo,
     true_index_set,
+    _draw,
     _draw_curve_params,
     _generate,
 )
+from funcsel.errors import DataError, NumericalError
 
-from oracles import curve_values_reference, generate_replication_reference
+from oracles import (
+    curve_values_reference,
+    generate_replication_reference,
+    monte_carlo_loop,
+)
 
 # points of the composite Simpson oracle of an integral over a domain: it
 # matches the noise-free responses to 6e-12 relative, far inside the tests'
@@ -192,15 +200,16 @@ class TestGenerateReplication:
     @pytest.mark.parametrize("n", [50, 300])
     @pytest.mark.parametrize("c", [0.0, 0.4, 0.8])
     def test_same_bits_through_one_reused_array(self, c, n):
-        # run_monte_carlo writes each replication's training curves, then its
-        # test curves, into one array: nothing of an earlier data set may
-        # reach a later one, also where c = 0 skips the node curves of
-        # predictors 2 and 4
+        # run_monte_carlo draws each data set's curve noise into an array
+        # kept for the run and builds its curves there: nothing of an earlier
+        # data set may reach a later one, also where c = 0 skips the node
+        # curves of predictors 2 and 4. Here every data set goes through one
+        # array, training and test sets alike
         scenario = SimScenario(c=c, n=n, seed=4)
         out = np.empty((NUM_PREDICTORS, n, GRID_SIZE))
         for rep in (0, 1, 7):
             for stream in (rep, rep + 2**32):
-                curves, y, _ = _generate(scenario, stream, out)
+                curves, y, _ = _generate(scenario, *_draw(scenario, stream, out), out)
                 ref_curves, ref_y, _ = generate_replication_reference(scenario, stream)
                 assert np.array_equal(y, ref_y)
                 for m, ((block,), (ref_block,)) in enumerate(
@@ -300,23 +309,30 @@ class TestRunMonteCarlo:
 
     @pytest.mark.parametrize("c", [0.0, 0.4])
     def test_reused_array_equals_fresh_arrays(self, monkeypatch, c):
-        # a replication's test curves overwrite its training curves in the one
-        # array of the run, so they must come after every read of them
+        # data set i + 2 is drawn into data set i's array while data set
+        # i + 1 is used, so every read of data set i must come before; with
+        # the draws on a helper thread and inline
         scenario = SimScenario(c=c, n=100, seed=0)
-        reused = run_monte_carlo(scenario, FIXTURE_RULES, 8)
         generate = simgen._generate
-        monkeypatch.setattr(
-            simgen,
-            "_generate",
-            lambda scenario, stream, out: generate(scenario, stream, np.empty_like(out)),
-        )
-        fresh = run_monte_carlo(scenario, FIXTURE_RULES, 8)
-        for rule, a, b in zip(FIXTURE_RULES, reused, fresh, strict=True):
-            for field in dataclasses.fields(MonteCarloReport):
-                assert getattr(a, field.name) == getattr(b, field.name), (
-                    rule,
-                    field.name,
-                )
+        for helper in (True, False):
+            monkeypatch.setattr(simgen, "_use_helper", lambda: helper)
+            monkeypatch.setattr(simgen, "_generate", generate)
+            reused = run_monte_carlo(scenario, FIXTURE_RULES, 8)
+            monkeypatch.setattr(
+                simgen,
+                "_generate",
+                lambda scenario, params, noise, values: generate(
+                    scenario, params, noise, values.copy()
+                ),
+            )
+            fresh = run_monte_carlo(scenario, FIXTURE_RULES, 8)
+            for rule, a, b in zip(FIXTURE_RULES, reused, fresh, strict=True):
+                for field in dataclasses.fields(MonteCarloReport):
+                    assert getattr(a, field.name) == getattr(b, field.name), (
+                        helper,
+                        rule,
+                        field.name,
+                    )
 
     def test_failed_replication_counts_for_every_rule(self, noise_free):
         scenario = SimScenario(c=0.8, n=300, seed=0)
@@ -338,3 +354,100 @@ class TestRunMonteCarlo:
             run_monte_carlo(scenario, [("bc", 0.05), ("fdr", 0.0)], 1)
         with pytest.raises(ValueError, match="at least one"):
             run_monte_carlo(scenario, [], 1)
+
+
+class TestDrawAhead:
+    """Each data set's draws are made while the one before it is used, on a
+    helper thread where the gate allows it; neither way may move a bit."""
+
+    @pytest.mark.parametrize("helper", [True, False])
+    def test_failing_replications_match_serial_loop(self, monkeypatch, helper):
+        # replication 1's and the last one's training fits raise, and
+        # replication 3's test set: a failed training set's test stream is
+        # drawn and passed over, so the next training set comes from its own
+        # stream, as in the serial loop that never draws it
+        monkeypatch.setattr(simgen, "_use_helper", lambda: helper)
+        scenario = SimScenario(c=0.4, n=100, seed=5)
+        reps = 6
+        failing_fits = {generate_replication(scenario, rep)[1][0] for rep in (1, reps - 1)}
+        failing_test_set = generate_replication(scenario, 3 + 2**32)[1][0]
+        test_all, build_dataset, draw = simgen.test_all, simgen.build_dataset, simgen._draw
+
+        def failing_test_all(design, y):
+            if y[0] in failing_fits:
+                raise NumericalError("rank-deficient design")
+            return test_all(design, y)
+
+        def failing_build_dataset(curves, y, bases):
+            if y[0] == failing_test_set:
+                raise DataError("non-finite value")
+            return build_dataset(curves, y, bases)
+
+        streams, threads = [], []
+
+        def recording_draw(scenario, stream, noise):
+            streams.append(stream)
+            threads.append(threading.current_thread())
+            return draw(scenario, stream, noise)
+
+        monkeypatch.setattr(simgen, "test_all", failing_test_all)
+        monkeypatch.setattr(simgen, "build_dataset", failing_build_dataset)
+        monkeypatch.setattr(simgen, "_draw", recording_draw)
+        reports = run_monte_carlo(scenario, FIXTURE_RULES, reps)
+        assert streams == [s for rep in range(reps) for s in (rep, rep + 2**32)]
+        # data set 0 is drawn on the calling thread, and every later one by
+        # the helper when there is one
+        caller = threading.current_thread()
+        assert threads[0] is caller
+        assert len(set(threads[1:])) == 1
+        assert (threads[1] is caller) is not helper
+        assert reports == monte_carlo_loop(scenario, FIXTURE_RULES, reps)
+        assert {report.failed for report in reports} == {3}
+
+    @pytest.mark.parametrize("where", ["draws", "pipeline"])
+    @pytest.mark.parametrize("helper", [True, False])
+    def test_error_reaches_caller_and_helper_is_joined(self, monkeypatch, helper, where):
+        monkeypatch.setattr(simgen, "_use_helper", lambda: helper)
+        name = "_draw" if where == "draws" else "build_design"
+        original, calls = getattr(simgen, name), []
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) == 4:
+                raise RuntimeError(f"{where} failed")
+            return original(*args)
+
+        monkeypatch.setattr(simgen, name, failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"{where} failed"):
+            run_monte_carlo(SimScenario(c=0.4, n=60, seed=0), [("fdr", 0.05)], 5)
+        assert threading.active_count() == before
+
+    def test_two_runs_at_once(self, monkeypatch):
+        # two runs on threads of their own, each with its helper: four busy
+        # threads on two CPUs, switching as often as the interpreter allows
+        scenarios = [SimScenario(c=0.4, n=100, seed=1), SimScenario(c=0.0, n=120, seed=2)]
+        monkeypatch.setattr(simgen, "_use_helper", lambda: False)
+        serial = [run_monte_carlo(scenario, FIXTURE_RULES, 8) for scenario in scenarios]
+        monkeypatch.setattr(simgen, "_use_helper", lambda: True)
+        results, errors = [None] * len(scenarios), []
+
+        def run(k):
+            try:
+                results[k] = run_monte_carlo(scenarios[k], FIXTURE_RULES, 8)
+            except BaseException as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runners = [threading.Thread(target=run, args=(k,)) for k in range(len(scenarios))]
+            for runner in runners:
+                runner.start()
+            for runner in runners:
+                runner.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(runner.is_alive() for runner in runners)
+        assert errors == []
+        assert results == serial
