@@ -32,9 +32,11 @@ stderr, the exit code and the bytes of the ``--out`` report of each job:
 Three of these jobs, one per mode (``THREAD_PAIR_JOBS``), also run under
 the changed tree with ``OPENBLAS_NUM_THREADS=2`` and are compared in the
 same four parts with the changed tree's run at one thread. A ``simulate``
-job draws each data set on a helper thread at both counts where it may use
-two CPUs, so its pair also checks that the draws beside a threaded BLAS
-move no bit.
+job runs its replications on two workers at both counts where it may use
+two CPUs, so its pair also checks that the workers beside a threaded BLAS
+move no bit. The ``simulate`` one also runs under the changed tree in a
+child restricted to one CPU (``os.sched_setaffinity``, where ``os`` has
+it), so on one worker, and is compared with the run at one thread.
 
 The input CSVs come from ``bench/inputs.py`` and are written, with the
 altered copies, to a temporary directory. Both trees run a job with the same
@@ -331,14 +333,21 @@ def _chunk_bytes(src: Path) -> int:
 
 
 def _run(
-    src: Path, argv: list[str], out: Path, cwd: Path, threads: str = "1"
+    src: Path, argv: list[str], out: Path, cwd: Path, threads: str = "1", one_cpu: bool = False
 ) -> tuple[bytes, ...]:
     """stdout, stderr, exit code and ``--out`` bytes of one job under ``src``
-    at ``threads`` BLAS threads."""
+    at ``threads`` BLAS threads, on one CPU of this process's if ``one_cpu``."""
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+    preexec_fn = None
+    if one_cpu:
+        cpu = min(os.sched_getaffinity(0))
+
+        def preexec_fn() -> None:  # runs in the child, before it starts Python
+            os.sched_setaffinity(0, {cpu})
+
     done = subprocess.run(
         [sys.executable, "-m", "funcsel.cli", *argv, "--out", str(out)],
-        cwd=cwd, env=env, capture_output=True,
+        cwd=cwd, env=env, capture_output=True, preexec_fn=preexec_fn,
     )
     report = out.read_bytes() if out.exists() else b"<no file>"
     out.unlink(missing_ok=True)
@@ -421,7 +430,7 @@ def main(argv: list[str] | None = None) -> int:
         if not (src / "funcsel" / "cli.py").is_file():
             parser.error(f"{src} holds no funcsel/cli.py")
 
-    differ = pairs_differ = 0
+    differ = pairs = pairs_differ = 0
     with tempfile.TemporaryDirectory(prefix="identity_jobs_") as tmp:
         work = Path(tmp)
         files = {
@@ -443,12 +452,19 @@ def main(argv: list[str] | None = None) -> int:
             differ += _print_comparison(name, ("parent", "change"), parent, change)
             if name in THREAD_PAIR_JOBS:
                 two = _run(trees[1], job, work / "report.jsonl", work, threads="2")
+                pairs += 1
                 pairs_differ += _print_comparison(
                     f"{name}, change at OPENBLAS_NUM_THREADS=2 against 1",
                     ("1 thread", "2 threads"), change, two,
                 )
+                if job[1] == "simulate" and hasattr(os, "sched_setaffinity"):
+                    alone = _run(trees[1], job, work / "report.jsonl", work, one_cpu=True)
+                    pairs += 1
+                    pairs_differ += _print_comparison(
+                        f"{name}, change on one CPU against all",
+                        ("all CPUs", "one CPU"), change, alone,
+                    )
     print(f"{len(jobs) - differ} of {len(jobs)} jobs identical")
-    pairs = len(THREAD_PAIR_JOBS)
     print(f"{pairs - pairs_differ} of {pairs} thread pairs identical")
     return 1 if differ or pairs_differ else 0
 

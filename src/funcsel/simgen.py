@@ -11,18 +11,18 @@ and the two noise multipliers are the module constants ``GRID_SIZE``,
 other replication of the same c (the grids, the quadrature nodes and the
 quadrature weights times the coefficient functions) is computed once per c
 and cached, read-only; a data set makes all its draws first, its parameters
-and its noise, and then evaluates the six curve formulas in place. The Monte
-Carlo driver has the curves of every training set of a run written into one
-array and those of every test set into another, so that no replication
-faults the pages of its curves in again.
+and its noise, and then evaluates the six curve formulas in place.
 
 The Monte Carlo driver runs the full smoothing / design / testing pipeline
-once per replication, the replications one after another, and applies any
-number of (method, q) selection rules to the one set of p-values, with one
-report per rule of correct-selection counts, selection frequencies, and
-out-of-sample AMSE. The draws of each data set are made while the data set
-before it is used: on a helper thread when the process may use two CPUs,
-else inline. No bit of a report depends on which.
+once per replication and applies any number of (method, q) selection rules
+to the one set of p-values, with one report per rule of correct-selection
+counts, selection frequencies, and out-of-sample AMSE. Where the process may
+use two CPUs, the calling thread and one helper thread each take the next
+replication and run it whole; else the calling thread runs them all. Each
+worker writes the curves of its training sets, and then of its test sets,
+into one array kept for the run, so that no replication faults the pages of
+its curves in again. Outcomes are kept by replication index and aggregated
+in that order, so no bit of a report depends on which worker ran what.
 
 Randomness follows the seed rule of :mod:`funcsel.seeds`: replication j
 draws from the Philox stream (seed, j) for its training set and
@@ -170,12 +170,6 @@ def _draw_curve_params(rng: np.random.Generator, n: int) -> dict[str, np.ndarray
     }
 
 
-def _quad_rule(lo: float, hi: float, order: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    half = 0.5 * (hi - lo)
-    return 0.5 * (hi + lo) + half * nodes, half * weights
-
-
 @dataclass(frozen=True, eq=False)
 class _PredictorPlan:
     """What one predictor's curves share across replications: its grid, its
@@ -195,11 +189,14 @@ class _PredictorPlan:
 @lru_cache(maxsize=32)
 def _plan(c: float) -> tuple[_PredictorPlan, ...]:
     betas = coefficient_functions(c)
+    # one rule on [-1, 1], scaled to each domain: a leggauss call takes 1.3 ms
+    unit_nodes, unit_weights = np.polynomial.legendre.leggauss(_QUAD_ORDER)
     plans = []
     for m, (lo, hi) in enumerate(DOMAINS):
         grid = np.linspace(lo, hi, GRID_SIZE)
-        nodes, weights = _quad_rule(lo, hi, _QUAD_ORDER)
-        weighted_beta = weights * betas[m](nodes)
+        half = 0.5 * (hi - lo)
+        nodes = 0.5 * (hi + lo) + half * unit_nodes
+        weighted_beta = half * unit_weights * betas[m](nodes)
         for array in (grid, nodes, weighted_beta):
             array.setflags(write=False)
         if not weighted_beta.any():
@@ -266,57 +263,48 @@ def generate_replication(
 
     What does not depend on the draws (the grids, the quadrature nodes and
     the quadrature weights times the coefficient functions) comes from a
-    plan cached per c. Each call first makes every draw of the data set
-    (:func:`_draw`: the curve parameters, the curve noise and the response
-    noise, in the order of the random stream layout), then evaluates the six
-    curve formulas at the grid and, for a nonzero coefficient function, at
-    the nodes, and scales and adds the noise (:func:`_generate`). Of a
-    call's time at n = 300, about 45% is the draws and about a quarter the
-    cos and sin of the (n, GRID_SIZE) and (n, 64) arrays of predictors 0
-    and 3, which the random stream layout and the bits of the reports fix.
+    plan cached per c. Each call first makes every draw of the data set, in
+    the order of the random stream layout: the curve parameters, the curve
+    noise and the response noise. Then it evaluates the six curve formulas
+    at the grid and, for a nonzero coefficient function, at the nodes, and
+    scales and adds the noise. Of a call's time at n = 300, about 45% is the
+    draws and about a quarter the cos and sin of the (n, GRID_SIZE) and
+    (n, 64) arrays of predictors 0 and 3, which the random stream layout and
+    the bits of the reports fix.
 
     Each call writes its curves into a fresh (NUM_PREDICTORS, n, GRID_SIZE)
     array, predictor m's block values being its row m: the draws write the
     curve noise there, and each curve is added to its noise in place.
-    :func:`run_monte_carlo` instead writes every training set of a run into
-    one such array and every test set into another: allocating and freeing
-    the curve arrays for each data set let the C allocator hand their pages
-    back to the system and fault them in again, about 5,800-7,300 minor page
-    faults in a 16-replication run at n = 300, against none with arrays
-    kept for the run.
+    :func:`run_monte_carlo` instead gives each of its workers one such array
+    for the run, which holds each replication's training set and then, once
+    that set is smoothed, its test set: allocating and freeing the curve
+    arrays for each data set let the C allocator hand their pages back to
+    the system and fault them in again, about 5,800-7,300 minor page faults
+    in a 16-replication run at n = 300, against none with arrays kept for
+    the run.
     """
-    values = np.empty((NUM_PREDICTORS, scenario.n, GRID_SIZE))
-    return _generate(scenario, *_draw(scenario, rep_index, values), values)
-
-
-def _draw(
-    scenario: SimScenario, stream: int, noise: np.ndarray
-) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Every draw of the data set of stream ``stream``, in the order of the
-    random stream layout: the curve parameters, which are returned; the curve
-    noise of predictors 0 to 5, written into ``noise``, (NUM_PREDICTORS, n,
-    GRID_SIZE), in one fill that gives the bits of six fills of (n,
-    GRID_SIZE) one after another; and the n response normals, returned
-    unscaled. No call here reaches BLAS, and numpy's fills release the GIL."""
-    rng = rng_for(scenario.seed, stream)
-    params = _draw_curve_params(rng, scenario.n)
-    rng.standard_normal(out=noise)
-    return params, rng.standard_normal(scenario.n)
+    return _generate(scenario, rep_index, np.empty((NUM_PREDICTORS, scenario.n, GRID_SIZE)))
 
 
 def _generate(
-    scenario: SimScenario,
-    params: dict[str, np.ndarray],
-    response_noise: np.ndarray,
-    values: np.ndarray,
+    scenario: SimScenario, stream: int, values: np.ndarray
 ) -> tuple[tuple[tuple[CurveBlock], ...], np.ndarray, SimTruth]:
-    """The data set of what :func:`_draw` drew into ``params``,
-    ``response_noise`` and ``values``. Predictor m's noise in ``values[m]``
-    is scaled in place and its true curves are added in, so ``values[m]``
-    becomes its block's values: noise + curve, which has the bits of
-    curve + noise, as IEEE addition commutes. The responses are
-    ``response_noise``, scaled in place, plus the integrals: a fresh array."""
+    """The data set of stream ``stream``, its curves written into ``values``,
+    (NUM_PREDICTORS, n, GRID_SIZE). The draws come first, in the order of the
+    random stream layout: the curve parameters; the curve noise of predictors
+    0 to 5, into ``values`` in one fill that gives the bits of six fills of
+    (n, GRID_SIZE) one after another; and the n response normals. Predictor
+    m's noise in ``values[m]`` is then scaled in place and its true curves
+    are added in, so ``values[m]`` becomes its block's values: noise + curve,
+    which has the bits of curve + noise, as IEEE addition commutes. The
+    responses are the response normals, scaled in place, plus the integrals:
+    a fresh array."""
     n = scenario.n
+    rng = rng_for(scenario.seed, stream)
+    params = _draw_curve_params(rng, n)
+    rng.standard_normal(out=values)
+    response_noise = rng.standard_normal(n)
+
     plan = _plan(scenario.c)
     # a predictor's curves and the formulas' scratch, at the nodes and, in
     # the same memory, at the grid: each grid curve is read before the nodes'
@@ -344,106 +332,14 @@ def _generate(
 
 
 def _use_helper() -> bool:
-    """Whether :class:`_DrawAhead` draws on a helper thread: only where the
-    process may use two CPUs or more, so that the helper can have a CPU of
-    its own."""
-    return len(os.sched_getaffinity(0)) >= 2
-
-
-class _DrawAhead:
-    """The data sets of a run in stream order (replication 0's training
-    set, its test set, replication 1's training set, ...), each one's draws
-    made while the data set before it is used.
-
-    :meth:`take` requests the draws of the data set after the one it
-    returns, then builds the one it returns. On a helper thread, started by
-    ``with`` when :func:`_use_helper` allows it, those draws run beside the
-    caller's work on the returned data set; otherwise the same calls run
-    inline at the point of the request. The helper runs only :func:`_draw`,
-    so it calls no BLAS. It is stopped and joined on leaving the ``with``,
-    on errors too, and an exception it raises is raised by the next
-    :meth:`take` or :meth:`skip`.
-
-    Training sets draw their curve noise into one array kept for the run,
-    test sets into another. So data set i's array is written again when data
-    set i + 2 is requested, by the :meth:`take` of data set i + 1, and by
-    then data set i has been smoothed into its design and its curves are
-    not read again.
-    """
-
-    def __init__(self, scenario: SimScenario, replications: int):
-        self._scenario = scenario
-        self._count = 2 * replications
-        self._values = np.empty((2, NUM_PREDICTORS, scenario.n, GRID_SIZE))
-        self._drawn: dict[int, tuple[dict[str, np.ndarray], np.ndarray]] = {}
-        self.taken = 0
-        self._helper = None
-        self._error: BaseException | None = None
-        self._stop = False
-
-    def __enter__(self) -> _DrawAhead:
-        # data set 0 is drawn on the calling thread: a process's first Philox
-        # generator takes about 0.8 MB, which on a helper would come from a
-        # malloc arena of the helper's own and stay resident beside the heap
-        self._draw_data_set(0)
-        if _use_helper():
-            self._requested = threading.Semaphore(0)
-            self._ready = threading.Semaphore(1)  # for data set 0
-            self._helper = threading.Thread(target=self._draw_requested, daemon=True)
-            self._helper.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        if self._helper is not None:
-            self._stop = True
-            self._requested.release()
-            self._helper.join()
-
-    def _draw_data_set(self, i: int) -> None:
-        rep, test = divmod(i, 2)
-        stream = rep + test * _TEST_STREAM_OFFSET
-        self._drawn[i] = _draw(self._scenario, stream, self._values[test])
-
-    def _draw_requested(self) -> None:
-        for i in range(1, self._count):
-            self._requested.acquire()
-            if self._stop:
-                return
-            try:
-                self._draw_data_set(i)
-            except BaseException as exc:
-                self._error = exc
-                return
-            finally:
-                self._ready.release()
-
-    def _request(self, i: int) -> None:
-        if i >= self._count:
-            return
-        if self._helper is None:
-            self._draw_data_set(i)
-        else:
-            self._requested.release()
-
-    def _next_draws(self) -> tuple[int, tuple[dict[str, np.ndarray], np.ndarray]]:
-        i = self.taken
-        self.taken += 1
-        self._request(i + 1)
-        if self._helper is not None:
-            if self._error is None:
-                self._ready.acquire()
-            if self._error is not None:
-                raise self._error
-        return i, self._drawn.pop(i)
-
-    def take(self) -> tuple[tuple[tuple[CurveBlock], ...], np.ndarray, SimTruth]:
-        """The next data set, as :func:`generate_replication` returns it."""
-        i, (params, response_noise) = self._next_draws()
-        return _generate(self._scenario, params, response_noise, self._values[i % 2])
-
-    def skip(self) -> None:
-        """Pass over the next data set: its draws are made, and dropped."""
-        self._next_draws()
+    """Whether :func:`run_monte_carlo` runs replications on a helper thread
+    too: only where the process may use two CPUs or more, so that each
+    worker can have a CPU of its own. Where ``os`` has no
+    ``sched_getaffinity`` (macOS, Windows), the machine's CPU count stands
+    in for the process's."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) >= 2
+    return (os.cpu_count() or 1) >= 2
 
 
 def _reduced_prediction(
@@ -457,18 +353,23 @@ def _reduced_prediction(
 
 
 def _run_one_replication(
-    rules: tuple[tuple[str, float], ...], bases, data_sets: _DrawAhead
+    scenario: SimScenario,
+    rules: tuple[tuple[str, float], ...],
+    bases,
+    rep: int,
+    values: np.ndarray,
 ) -> list[tuple[bool, np.ndarray, float]]:
-    """Each rule's (correct, mask, test-set MSE) on the replication whose
-    training set and then test set ``data_sets`` gives next."""
-    curves, y, truth = data_sets.take()
+    """Each rule's (correct, mask, test-set MSE) on replication ``rep``,
+    whose training set and then test set are generated into ``values``."""
+    curves, y, truth = _generate(scenario, rep, values)
     design = build_design(build_dataset(curves, y, bases))
     p_values = test_all(design, y)[1]
     masks = [selection_mask(method, p_values, q) for method, q in rules]
 
     # out-of-sample MSE of the model refit on the selected predictors only,
-    # once per distinct selection
-    curves_test, y_test, _ = data_sets.take()
+    # once per distinct selection; the test set overwrites the training
+    # curves, which the design no longer reads
+    curves_test, y_test, _ = _generate(scenario, rep + _TEST_STREAM_OFFSET, values)
     design_test = build_design(build_dataset(curves_test, y_test, bases))
     block_widths = np.diff([0, *design.block_offsets])
     mse_by_mask = {}
@@ -482,6 +383,56 @@ def _run_one_replication(
             mse_by_mask[key] = float(np.mean((y_test - predicted) ** 2))
         correct = set(np.flatnonzero(mask).tolist()) == truth.true_indices
         outcomes.append((correct, mask, mse_by_mask[key]))
+    return outcomes
+
+
+def _run_replications(
+    scenario: SimScenario,
+    rules: tuple[tuple[str, float], ...],
+    bases,
+    replications: int,
+) -> list[list[tuple[bool, np.ndarray, float]] | None]:
+    """The outcomes of :func:`_run_one_replication` for replications 0 ..
+    replications - 1, in index order, None for a failed replication.
+
+    The calling thread and, where :func:`_use_helper` allows, one helper
+    thread each take the next replication index from one counter and run
+    that replication whole, in a curve array of their own for the run. A
+    replication that raises :class:`NumericalError` or :class:`DataError`
+    is failed; any other exception stops the other worker before its next
+    replication and is raised here, once the helper is joined.
+    """
+    outcomes: list = [None] * replications
+    indices = iter(range(replications))
+    take = threading.Lock()
+    errors: list[BaseException] = []
+    curve_arrays = np.empty((2, NUM_PREDICTORS, scenario.n, GRID_SIZE))
+
+    def work(values: np.ndarray) -> None:
+        try:
+            while not errors:
+                with take:
+                    rep = next(indices, None)
+                if rep is None:
+                    return
+                try:
+                    outcomes[rep] = _run_one_replication(scenario, rules, bases, rep, values)
+                except (NumericalError, DataError):
+                    pass  # left None: counted as failed
+        except BaseException as exc:  # raised on the calling thread below
+            errors.append(exc)
+
+    helper = None
+    if _use_helper():
+        helper = threading.Thread(target=work, args=(curve_arrays[1],), daemon=True)
+        helper.start()
+    try:
+        work(curve_arrays[0])
+    finally:
+        if helper is not None:
+            helper.join()
+    if errors:
+        raise errors[0]
     return outcomes
 
 
@@ -499,13 +450,13 @@ def run_monte_carlo(
     one vector of p-values, and the test-set refit runs once per distinct
     selection. So the reports of several rules cost about one pass, and each
     equals the report of a run with that rule alone. The replications run
-    one after another, in index order, and each data set's draws are made
-    while the data set before it is used: on a helper thread when the
-    process may use two CPUs, else inline (see :class:`_DrawAhead`). Either
-    way every report has the same bits. A replication counts as correct
-    when the selected set equals the true relevant set exactly.
-    Failed replications (numerically degenerate data) are skipped and
-    counted, for every rule; a failed training set's test set is not built.
+    whole, each on one of two workers where the process may use two CPUs,
+    else on the calling thread alone (see :func:`_run_replications`); the
+    outcomes are aggregated in replication order, so either way every report
+    has the same bits. A replication counts as correct when the selected set
+    equals the true relevant set exactly. Failed replications (numerically
+    degenerate data) are skipped and counted, for every rule; a failed
+    training set's test set is not built.
     """
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
@@ -516,14 +467,8 @@ def run_monte_carlo(
         make_uniform_basis(lo, hi, degree=3, num_basis=_NUM_BASIS) for lo, hi in DOMAINS
     )
 
-    succeeded = []
-    with _DrawAhead(scenario, replications) as data_sets:
-        for _ in range(replications):
-            try:
-                succeeded.append(_run_one_replication(rules, bases, data_sets))
-            except (NumericalError, DataError):
-                if data_sets.taken % 2:  # the training set failed
-                    data_sets.skip()
+    outcomes = _run_replications(scenario, rules, bases, replications)
+    succeeded = [out for out in outcomes if out is not None]
     failed = replications - len(succeeded)
     denom = max(len(succeeded), 1)
     reports = []

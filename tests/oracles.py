@@ -85,7 +85,6 @@ from funcsel.simgen import (
     true_index_set,
     _QUAD_ORDER,
     _draw_curve_params,
-    _quad_rule,
 )
 from funcsel.smoothing import CurveBlock
 
@@ -447,6 +446,14 @@ def curve_values_reference(
     raise ValueError(f"predictor index {m} out of range")
 
 
+def quad_rule_reference(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the ``_QUAD_ORDER``-point Gauss-Legendre rule on
+    [lo, hi], with ``leggauss`` called afresh."""
+    nodes, weights = np.polynomial.legendre.leggauss(_QUAD_ORDER)
+    half = 0.5 * (hi - lo)
+    return 0.5 * (hi + lo) + half * nodes, half * weights
+
+
 def generate_replication_reference(
     scenario: SimScenario, rep_index: int
 ) -> tuple[tuple[tuple[CurveBlock], ...], np.ndarray, SimTruth]:
@@ -468,7 +475,7 @@ def generate_replication_reference(
             0.0, simgen.NOISE_X_MULT * signal_range, size=true_on_grid.shape
         )
         curves.append((CurveBlock(grid=grids[m], values=noisy),))
-        nodes, weights = _quad_rule(*DOMAINS[m], _QUAD_ORDER)
+        nodes, weights = quad_rule_reference(*DOMAINS[m])
         integrals += curve_values_reference(params, m, nodes) @ (
             weights * betas[m](nodes)
         )

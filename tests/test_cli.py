@@ -904,7 +904,7 @@ def test_cli_job_loads_no_scipy(tmp_path, mode):
         "bootstrap": ["--mode", "bootstrap", *files, "--q", "0.1",
                       "--bootstrap-b", "20", "--seed", "1"],
     }[mode]
-    # the Monte Carlo draws' helper is a threading.Thread: concurrent.futures
+    # the Monte Carlo helper is a threading.Thread: concurrent.futures
     # took about 7 ms to import, logging among it
     unneeded = ["scipy", "numpy.ma", "concurrent.futures", "logging"] + ["numpy.random"] * (
         mode == "select"
@@ -949,9 +949,10 @@ def wide_files(tmp_path_factory):
 
 @pytest.mark.parametrize("mode", ["simulate", "select"])
 def test_same_report_at_one_and_two_blas_threads(tmp_path, wide_files, mode):
-    # simulate draws on a helper thread beside one BLAS thread and beside
-    # two; select at k = 145 is below the k = 253 at which the QR of
-    # [Z | y] moves with the thread count (README, Determinism)
+    # simulate runs its replications on two workers beside one BLAS thread
+    # and beside two, where it may use two CPUs, and on one worker in a child
+    # restricted to one CPU; select at k = 145 is below the k = 253 at which
+    # the QR of [Z | y] moves with the thread count (README, Determinism)
     argv = {
         "simulate": ["--mode", "simulate", "--c", "0.4", "--n", "100", "--reps", "10",
                      "--seed", "3"],
@@ -964,9 +965,9 @@ def test_same_report_at_one_and_two_blas_threads(tmp_path, wide_files, mode):
         "print(simgen._use_helper(), file=sys.stderr)\n"
         "sys.exit(cli.main(sys.argv[1:]))\n"
     )
-    runs = {}
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}.jsonl"
+
+    def run(name, threads, preexec_fn=None):
+        out = tmp_path / f"{name}.jsonl"
         env = {
             **os.environ,
             "OPENBLAS_NUM_THREADS": threads,
@@ -974,14 +975,24 @@ def test_same_report_at_one_and_two_blas_threads(tmp_path, wide_files, mode):
         }
         done = subprocess.run(
             [sys.executable, "-c", code, *argv, "--out", str(out)],
-            env=env, capture_output=True,
+            env=env, capture_output=True, preexec_fn=preexec_fn,
         )
         assert done.returncode == 0, done.stderr
-        runs[threads] = done.stdout, out.read_bytes(), done.stderr
-    assert runs["1"][:2] == runs["2"][:2]
-    assert runs["1"][1]  # a report was written
-    helper = f"{len(os.sched_getaffinity(0)) >= 2}\n".encode()
-    assert runs["1"][2] == runs["2"][2] == helper
+        return done.stdout, out.read_bytes(), done.stderr
+
+    one, two = run("threads1", "1"), run("threads2", "2")
+    assert one[:2] == two[:2]
+    assert one[1]  # a report was written
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    assert one[2] == two[2] == f"{cpus >= 2}\n".encode()
+    if mode == "simulate" and hasattr(os, "sched_setaffinity"):
+        # the affinity is set in the child alone, before it runs Python
+        cpu = min(os.sched_getaffinity(0))
+        alone = run("one_cpu", "1", lambda: os.sched_setaffinity(0, {cpu}))
+        assert alone == (*one[:2], b"False\n")
 
 
 @pytest.mark.parametrize("mode", ["select", "simulate", "bootstrap"])
@@ -1006,6 +1017,21 @@ def test_clean_job_writes_nothing_to_stderr(tmp_path, mode):
 
 
 class TestRunSimulate:
+    def test_same_report_without_sched_getaffinity(self, tmp_path, monkeypatch, capsys):
+        # macOS and Windows have no os.sched_getaffinity: the CPU count
+        # stands in for the process's CPUs, and the report is Linux's
+        argv = ["--mode", "simulate", "--n", "60", "--reps", "2"]
+        runs = []
+        for name in ("linux", "no_affinity"):
+            if name == "no_affinity":
+                monkeypatch.delattr(os, "sched_getaffinity")
+            out = tmp_path / f"{name}.json"
+            assert main([*argv, "--out", str(out)]) == 0
+            runs.append((capsys.readouterr(), out.read_bytes()))
+        assert runs[0] == runs[1]
+        assert runs[0][1]
+        assert funcsel.simgen._use_helper() is ((os.cpu_count() or 1) >= 2)
+
     def test_smoke_and_determinism(self, tmp_path):
         out1 = tmp_path / "sim1.json"
         out2 = tmp_path / "sim2.json"

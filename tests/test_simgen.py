@@ -1,5 +1,6 @@
 """Synthetic-data generators and the Monte Carlo selection experiment."""
 
+import collections
 import dataclasses
 import json
 import sys
@@ -21,9 +22,9 @@ from funcsel.simgen import (
     generate_replication,
     run_monte_carlo,
     true_index_set,
-    _draw,
     _draw_curve_params,
     _generate,
+    _plan,
 )
 from funcsel.errors import DataError, NumericalError
 
@@ -31,6 +32,7 @@ from oracles import (
     curve_values_reference,
     generate_replication_reference,
     monte_carlo_loop,
+    quad_rule_reference,
 )
 
 # points of the composite Simpson oracle of an integral over a domain: it
@@ -197,19 +199,37 @@ class TestGenerateReplication:
                 assert np.array_equal(block.values, ref_block.values)
                 assert np.array_equal(block.grid, ref_block.grid)
 
+    @pytest.mark.parametrize("c", [0.0, 0.4, -1.5])
+    def test_plan_keeps_its_bits(self, c):
+        # the plan scales one Gauss-Legendre rule to every domain: each array
+        # has the bits of a rule made for that domain afresh
+        betas = coefficient_functions(c)
+        for m, predictor in enumerate(_plan(c)):
+            lo, hi = DOMAINS[m]
+            nodes, weights = quad_rule_reference(lo, hi)
+            weighted_beta = weights * betas[m](nodes)
+            assert np.array_equal(predictor.grid, np.linspace(lo, hi, GRID_SIZE))
+            assert np.array_equal(predictor.nodes, nodes)
+            if weighted_beta.any():
+                assert np.array_equal(predictor.weighted_beta, weighted_beta)
+                assert not predictor.weighted_beta.flags.writeable
+            else:
+                assert predictor.weighted_beta is None
+            assert not predictor.grid.flags.writeable
+            assert not predictor.nodes.flags.writeable
+
     @pytest.mark.parametrize("n", [50, 300])
     @pytest.mark.parametrize("c", [0.0, 0.4, 0.8])
     def test_same_bits_through_one_reused_array(self, c, n):
-        # run_monte_carlo draws each data set's curve noise into an array
-        # kept for the run and builds its curves there: nothing of an earlier
-        # data set may reach a later one, also where c = 0 skips the node
-        # curves of predictors 2 and 4. Here every data set goes through one
-        # array, training and test sets alike
+        # each Monte Carlo worker builds its data sets in one array kept for
+        # the run: nothing of an earlier data set may reach a later one,
+        # also where c = 0 skips the node curves of predictors 2 and 4. Here
+        # every data set goes through one array, training and test sets alike
         scenario = SimScenario(c=c, n=n, seed=4)
         out = np.empty((NUM_PREDICTORS, n, GRID_SIZE))
         for rep in (0, 1, 7):
             for stream in (rep, rep + 2**32):
-                curves, y, _ = _generate(scenario, *_draw(scenario, stream, out), out)
+                curves, y, _ = _generate(scenario, stream, out)
                 ref_curves, ref_y, _ = generate_replication_reference(scenario, stream)
                 assert np.array_equal(y, ref_y)
                 for m, ((block,), (ref_block,)) in enumerate(
@@ -309,9 +329,9 @@ class TestRunMonteCarlo:
 
     @pytest.mark.parametrize("c", [0.0, 0.4])
     def test_reused_array_equals_fresh_arrays(self, monkeypatch, c):
-        # data set i + 2 is drawn into data set i's array while data set
-        # i + 1 is used, so every read of data set i must come before; with
-        # the draws on a helper thread and inline
+        # a replication's test set is generated into the array of its
+        # training set, so every read of the training curves must come
+        # before; with the second worker on and off
         scenario = SimScenario(c=c, n=100, seed=0)
         generate = simgen._generate
         for helper in (True, False):
@@ -321,8 +341,8 @@ class TestRunMonteCarlo:
             monkeypatch.setattr(
                 simgen,
                 "_generate",
-                lambda scenario, params, noise, values: generate(
-                    scenario, params, noise, values.copy()
+                lambda scenario, stream, values: generate(
+                    scenario, stream, np.empty_like(values)
                 ),
             )
             fresh = run_monte_carlo(scenario, FIXTURE_RULES, 8)
@@ -357,21 +377,41 @@ class TestRunMonteCarlo:
 
 
 class TestDrawAhead:
-    """Each data set's draws are made while the one before it is used, on a
-    helper thread where the gate allows it; neither way may move a bit."""
+    """Where the process may use two CPUs, a helper thread runs replications
+    whole beside the calling thread, each drawing its next replication while
+    the other works; neither way may move a bit."""
+
+    @staticmethod
+    def record_data_sets(monkeypatch, helper, meet=True):
+        """Force the second worker on or off, and return the list that gets
+        the (stream, thread) of every data set built. With the second worker
+        on and ``meet``, each worker's first data set waits at a barrier for
+        the other's, so that both workers take a replication."""
+        monkeypatch.setattr(simgen, "_use_helper", lambda: helper)
+        generate, built, met = simgen._generate, [], set()
+        barrier = threading.Barrier(2, timeout=30)
+
+        def recording_generate(scenario, stream, values):
+            thread = threading.current_thread()
+            built.append((stream, thread))
+            if helper and meet and thread not in met:
+                met.add(thread)
+                barrier.wait()
+            return generate(scenario, stream, values)
+
+        monkeypatch.setattr(simgen, "_generate", recording_generate)
+        return built
 
     @pytest.mark.parametrize("helper", [True, False])
     def test_failing_replications_match_serial_loop(self, monkeypatch, helper):
         # replication 1's and the last one's training fits raise, and
         # replication 3's test set: a failed training set's test stream is
-        # drawn and passed over, so the next training set comes from its own
-        # stream, as in the serial loop that never draws it
-        monkeypatch.setattr(simgen, "_use_helper", lambda: helper)
+        # never drawn, as in the serial loop
         scenario = SimScenario(c=0.4, n=100, seed=5)
-        reps = 6
+        reps = 7
         failing_fits = {generate_replication(scenario, rep)[1][0] for rep in (1, reps - 1)}
         failing_test_set = generate_replication(scenario, 3 + 2**32)[1][0]
-        test_all, build_dataset, draw = simgen.test_all, simgen.build_dataset, simgen._draw
+        test_all, build_dataset = simgen.test_all, simgen.build_dataset
 
         def failing_test_all(design, y):
             if y[0] in failing_fits:
@@ -383,49 +423,67 @@ class TestDrawAhead:
                 raise DataError("non-finite value")
             return build_dataset(curves, y, bases)
 
-        streams, threads = [], []
-
-        def recording_draw(scenario, stream, noise):
-            streams.append(stream)
-            threads.append(threading.current_thread())
-            return draw(scenario, stream, noise)
-
+        built = self.record_data_sets(monkeypatch, helper)
         monkeypatch.setattr(simgen, "test_all", failing_test_all)
         monkeypatch.setattr(simgen, "build_dataset", failing_build_dataset)
-        monkeypatch.setattr(simgen, "_draw", recording_draw)
         reports = run_monte_carlo(scenario, FIXTURE_RULES, reps)
-        assert streams == [s for rep in range(reps) for s in (rep, rep + 2**32)]
-        # data set 0 is drawn on the calling thread, and every later one by
-        # the helper when there is one
+        # every training stream once, and the test stream of every
+        # replication whose training set did not fail
+        streams = collections.Counter(stream for stream, _ in built)
+        assert streams == collections.Counter(
+            [*range(reps), *(rep + 2**32 for rep in range(reps) if rep not in (1, reps - 1))]
+        )
+        # a replication runs whole on one worker; both workers ran some
         caller = threading.current_thread()
-        assert threads[0] is caller
-        assert len(set(threads[1:])) == 1
-        assert (threads[1] is caller) is not helper
+        owner = {}
+        for stream, thread in built:
+            assert owner.setdefault(stream % 2**32, thread) is thread
+        workers = set(owner.values())
+        assert caller in workers
+        assert len(workers) == (2 if helper else 1)
         assert reports == monte_carlo_loop(scenario, FIXTURE_RULES, reps)
         assert {report.failed for report in reports} == {3}
+
+    @pytest.mark.parametrize("helper", [True, False])
+    def test_one_replication_matches_serial_loop(self, monkeypatch, helper):
+        # one replication for two workers: one of them finds none to take
+        scenario = SimScenario(c=0.4, n=100, seed=3)
+        built = self.record_data_sets(monkeypatch, helper, meet=False)
+        reports = run_monte_carlo(scenario, FIXTURE_RULES, 1)
+        assert sorted(stream for stream, _ in built) == [0, 2**32]
+        assert reports == monte_carlo_loop(scenario, FIXTURE_RULES, 1)
 
     @pytest.mark.parametrize("where", ["draws", "pipeline"])
     @pytest.mark.parametrize("helper", [True, False])
     def test_error_reaches_caller_and_helper_is_joined(self, monkeypatch, helper, where):
-        monkeypatch.setattr(simgen, "_use_helper", lambda: helper)
-        name = "_draw" if where == "draws" else "build_design"
-        original, calls = getattr(simgen, name), []
+        # an error on either worker, in a data set's draws or in the work on
+        # it, stops the other worker before its next replication, reaches the
+        # caller, and leaves no thread running
+        caller, reps = threading.current_thread(), 30
+        for on_caller in (True, False) if helper else (True,):
+            with pytest.MonkeyPatch.context() as patch:
+                built = self.record_data_sets(patch, helper)
+                name = "_generate" if where == "draws" else "build_design"
+                original, calls = getattr(simgen, name), []
 
-        def failing(*args):
-            calls.append(None)
-            if len(calls) == 4:
-                raise RuntimeError(f"{where} failed")
-            return original(*args)
+                def failing(*args):
+                    if (threading.current_thread() is caller) is on_caller:
+                        calls.append(None)
+                        if len(calls) == 2:  # the worker's first test set
+                            raise RuntimeError(f"{where} failed")
+                    return original(*args)
 
-        monkeypatch.setattr(simgen, name, failing)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match=f"{where} failed"):
-            run_monte_carlo(SimScenario(c=0.4, n=60, seed=0), [("fdr", 0.05)], 5)
-        assert threading.active_count() == before
+                patch.setattr(simgen, name, failing)
+                before = threading.active_count()
+                with pytest.raises(RuntimeError, match=f"{where} failed"):
+                    run_monte_carlo(SimScenario(c=0.4, n=60, seed=0), [("fdr", 0.05)], reps)
+                assert threading.active_count() == before
+                assert len({stream % 2**32 for stream, _ in built}) < reps
 
     def test_two_runs_at_once(self, monkeypatch):
-        # two runs on threads of their own, each with its helper: four busy
-        # threads on two CPUs, switching as often as the interpreter allows
+        # two runs on threads of their own, each with its second worker: four
+        # busy threads on two CPUs, switching as often as the interpreter
+        # allows
         scenarios = [SimScenario(c=0.4, n=100, seed=1), SimScenario(c=0.0, n=120, seed=2)]
         monkeypatch.setattr(simgen, "_use_helper", lambda: False)
         serial = [run_monte_carlo(scenario, FIXTURE_RULES, 8) for scenario in scenarios]
