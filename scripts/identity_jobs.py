@@ -32,11 +32,12 @@ stderr, the exit code and the bytes of the ``--out`` report of each job:
 Three of these jobs, one per mode (``THREAD_PAIR_JOBS``), also run under
 the changed tree with ``OPENBLAS_NUM_THREADS=2`` and are compared in the
 same four parts with the changed tree's run at one thread. A ``simulate``
-job runs its replications on two workers at both counts where it may use
-two CPUs, so its pair also checks that the workers beside a threaded BLAS
-move no bit. The ``simulate`` one also runs under the changed tree in a
+or ``bootstrap`` job runs its replications or resample batches on two
+workers at one thread where it may use two CPUs, and on one worker at two
+threads, so its pair also checks that the second worker moves no bit. The
+``simulate`` and ``bootstrap`` ones also run under the changed tree in a
 child restricted to one CPU (``os.sched_setaffinity``, where ``os`` has
-it), so on one worker, and is compared with the run at one thread.
+it), so on one worker, and are compared with the run at one thread.
 
 The input CSVs come from ``bench/inputs.py`` and are written, with the
 altered copies, to a temporary directory. Both trees run a job with the same
@@ -457,7 +458,7 @@ def main(argv: list[str] | None = None) -> int:
                     f"{name}, change at OPENBLAS_NUM_THREADS=2 against 1",
                     ("1 thread", "2 threads"), change, two,
                 )
-                if job[1] == "simulate" and hasattr(os, "sched_setaffinity"):
+                if job[1] in ("simulate", "bootstrap") and hasattr(os, "sched_setaffinity"):
                     alone = _run(trees[1], job, work / "report.jsonl", work, one_cpu=True)
                     pairs += 1
                     pairs_differ += _print_comparison(

@@ -50,11 +50,19 @@ one. It maps each row of [Z | y] to the first row equal to it, so that a
 resample's distinct rows, not its distinct indices, decide whether its H is
 singular. And it raises :class:`RankDeficiencyError` when R_zz has an
 exactly zero pivot, since then no resample could be fitted.
+
+:func:`bootstrap_counts` draws the batches' row indices in stream order
+and tests them on the workers of :func:`~funcsel.workers.map_on_workers`:
+where :func:`~funcsel.workers.two_workers` allows, the calling thread and
+a helper thread each take the next batch, drawn under one lock, and test
+it with temporaries of their own; the helper's are allocated only when it
+starts. Each batch's selections and failures are integers, and integer
+sums do not depend on their order, so every count is that of one worker.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -65,6 +73,7 @@ from .linmodel import _checked_response
 from .seeds import rng_for
 from .selection import check_method, check_q, selection_mask
 from .smoothing import _invert_lower
+from .workers import map_on_workers
 
 __all__ = [
     "BatchWork",
@@ -97,8 +106,8 @@ OUTER_FLOATS = 2**20
 # M = L_zz^{-1} and G of fit_resamples, and the sum of k_r^2 of V's diagonal
 # blocks. That is 76 resamples at n = 300 and k = 37 in six blocks of 6,
 # where larger batches ran no faster. The counts, their products, H, M and G
-# live in the job's BatchWork; L, V's blocks and the scaled rows are new in
-# each batch
+# live in each worker's BatchWork; L, V's blocks and the scaled rows are new
+# in each batch
 RESAMPLE_FLOATS = 2**19
 
 
@@ -110,7 +119,8 @@ class BatchWork:
     product of the counts with ``SampleQR.outer`` (None when that is None),
     the H's themselves (batch, k+1, k+1), whose strict upper triangles stay
     zero, and the k x k M's and transposed G's. :func:`sample_qr` makes one
-    for each :class:`SampleQR`."""
+    for each :class:`SampleQR`, and :func:`bootstrap_counts` one more for
+    its second worker."""
 
     counts: np.ndarray
     tri: np.ndarray | None
@@ -199,13 +209,20 @@ def sample_qr(design: DesignMatrix, y: np.ndarray) -> SampleQR:
         row_norms2=np.einsum("ij,ij->i", design.values, design.values),
         first_copy=first_copy,
         batch=batch,
-        work=BatchWork(
-            counts=np.empty((batch, n)),
-            tri=None if outer is None else np.empty((batch, rows.size)),
-            h=np.zeros((batch, k + 1, k + 1)),
-            m=np.zeros((batch, k, k)),
-            g_t=np.empty((batch, k, k)),
-        ),
+        work=_batch_work(batch, n, k, outer is not None),
+    )
+
+
+def _batch_work(batch: int, n: int, k: int, outer: bool) -> BatchWork:
+    """Fresh temporaries for batches of up to ``batch`` resamples of n rows
+    of a design of k columns, with room for the lower triangles of the H's
+    when ``outer``."""
+    return BatchWork(
+        counts=np.empty((batch, n)),
+        tri=np.empty((batch, (k + 1) * (k + 2) // 2)) if outer else None,
+        h=np.zeros((batch, k + 1, k + 1)),
+        m=np.zeros((batch, k, k)),
+        g_t=np.empty((batch, k, k)),
     )
 
 
@@ -331,23 +348,35 @@ def bootstrap_counts(
     """How often each predictor is selected over b resamples of the rows,
     and how many resamples failed their fit (a rank-deficient design, or
     no more rows than columns). The resamples draw from the Philox stream
-    keyed (seed, 0). A b below 1, an unknown method, a q outside (0, 1) or
-    a seed that :func:`~funcsel.seeds.check_seed` rejects raises ValueError
+    keyed (seed, 0), in batches of ``SampleQR.batch``. The batches run on
+    two workers where :func:`~funcsel.workers.two_workers` allows, else on
+    the calling thread (see the module docstring); either way the counts
+    are the same. A b below 1, an unknown method, a q outside (0, 1) or a
+    seed that :func:`~funcsel.seeds.check_seed` rejects raises ValueError
     on entry, before any fit."""
     if b < 1:
         raise ValueError(f"b must be >= 1, got {b}")
     check_method(method)
     check_q(q)
     rng = rng_for(seed, 0)
-    selected = np.zeros(design.num_predictors, dtype=int)
     try:
         qr = sample_qr(design, y)
     except NumericalError:
-        return selected, b
-    failed = 0
-    for idx in _resample_indices(rng, design.n, b, qr.batch):
+        return np.zeros(design.num_predictors, dtype=int), b
+
+    def tally(idx: np.ndarray, qr: SampleQR) -> tuple[np.ndarray, int]:
         _, p_values = test_resamples(qr, idx)
         fitted = ~np.isnan(p_values[:, 0])
-        failed += int(np.count_nonzero(~fitted))
-        selected += selection_mask(method, p_values[fitted], q).sum(axis=0)
-    return selected, failed
+        selected = selection_mask(method, p_values[fitted], q).sum(axis=0)
+        return selected, int(np.count_nonzero(~fitted))
+
+    def new_qr() -> SampleQR:  # the same factors, with temporaries of its own
+        work = _batch_work(qr.batch, *design.values.shape, qr.outer is not None)
+        return replace(qr, work=work)
+
+    batches = _resample_indices(rng, design.n, b, qr.batch)
+    tallies = map_on_workers(tally, batches, qr, new_qr)
+    return (
+        np.sum([selected for selected, _ in tallies], axis=0),
+        sum(failed for _, failed in tallies),
+    )

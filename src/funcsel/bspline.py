@@ -51,6 +51,14 @@ class BasisSpec:
             raise ValueError(f"num_basis ({self.num_basis}) must exceed degree ({degree})")
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError(f"domain_lo ({lo}) must be < domain_hi ({hi}), both finite")
+        # below the smallest normal float, the recurrence's divisions by
+        # sums of knot spacings overflow to inf and nan
+        spacing = (hi - lo) / (self.num_basis - degree)
+        if spacing < np.finfo(float).tiny:
+            raise ValueError(
+                f"knot spacing ({hi} - {lo}) / {self.num_basis - degree} = {spacing} "
+                f"is below the smallest normal float, {np.finfo(float).tiny}"
+            )
         interior = np.linspace(lo, hi, self.num_basis - degree + 1)[1:-1]
         knots = (lo,) * (degree + 1) + tuple(interior.tolist()) + (hi,) * (degree + 1)
         if not np.all(np.diff(knots[degree : self.num_basis + 1]) > 0):

@@ -148,7 +148,9 @@ def _bases_for(
     """One basis per predictor, from the flags and the config overrides; an
     override for a predictor absent from the curves file is a usage error.
     The parameter count is checked against n before any basis is built, so
-    that an impossible basis size fails before its knots take memory."""
+    that an impossible basis size fails before its knots take memory. A
+    domain read from the data that cannot hold its basis's knots, such as
+    a range of t narrower than the smallest normal float, is a data error."""
     for name in _OVERRIDES:
         for predictor in getattr(config, f"{name}_overrides"):
             if predictor not in predictor_ids:
@@ -171,10 +173,16 @@ def _bases_for(
         domains.append(domain)
     shapes = [config.basis_of(predictor) for predictor in predictor_ids]
     check_sample_size(n, [num_basis for _, num_basis in shapes])
-    return tuple(
-        make_uniform_basis(lo, hi, degree=degree, num_basis=num_basis)
-        for (lo, hi), (degree, num_basis) in zip(domains, shapes)
-    )
+    bases = []
+    for predictor, (lo, hi), (degree, num_basis) in zip(predictor_ids, domains, shapes):
+        try:
+            bases.append(make_uniform_basis(lo, hi, degree=degree, num_basis=num_basis))
+        except ValueError as exc:
+            if predictor in config.domain_overrides:
+                raise  # the config's domain: a usage error
+            where = f"{config.curves}: predictor {quoted_id(predictor)}"
+            raise DataError(f"{where}: {exc}") from None
+    return tuple(bases)
 
 
 def _selection_pipeline(config: JobConfig):

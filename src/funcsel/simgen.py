@@ -16,8 +16,9 @@ and its noise, and then evaluates the six curve formulas in place.
 The Monte Carlo driver runs the full smoothing / design / testing pipeline
 once per replication and applies any number of (method, q) selection rules
 to the one set of p-values, with one report per rule of correct-selection
-counts, selection frequencies, and out-of-sample AMSE. Where the process may
-use two CPUs, the calling thread and one helper thread each take the next
+counts, selection frequencies, and out-of-sample AMSE. Where
+:func:`funcsel.workers.two_workers` allows (two CPUs, and numpy's BLAS pinned
+to one thread), the calling thread and one helper thread each take the next
 replication and run it whole; else the calling thread runs them all. Each
 worker writes the curves of its training sets, and then of its test sets,
 into one array kept for the run, so that no replication faults the pages of
@@ -33,8 +34,6 @@ of how many replications run.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -48,6 +47,7 @@ from .inference import test_all
 from .seeds import check_seed, rng_for
 from .selection import check_method, check_q, selection_mask
 from .smoothing import CurveBlock, build_dataset
+from .workers import map_on_workers
 
 __all__ = [
     "NUM_PREDICTORS",
@@ -331,17 +331,6 @@ def _generate(
     return tuple(curves), integrals, truth
 
 
-def _use_helper() -> bool:
-    """Whether :func:`run_monte_carlo` runs replications on a helper thread
-    too: only where the process may use two CPUs or more, so that each
-    worker can have a CPU of its own. Where ``os`` has no
-    ``sched_getaffinity`` (macOS, Windows), the machine's CPU count stands
-    in for the process's."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0)) >= 2
-    return (os.cpu_count() or 1) >= 2
-
-
 def _reduced_prediction(
     z_train: np.ndarray,
     y_train: np.ndarray,
@@ -386,56 +375,6 @@ def _run_one_replication(
     return outcomes
 
 
-def _run_replications(
-    scenario: SimScenario,
-    rules: tuple[tuple[str, float], ...],
-    bases,
-    replications: int,
-) -> list[list[tuple[bool, np.ndarray, float]] | None]:
-    """The outcomes of :func:`_run_one_replication` for replications 0 ..
-    replications - 1, in index order, None for a failed replication.
-
-    The calling thread and, where :func:`_use_helper` allows, one helper
-    thread each take the next replication index from one counter and run
-    that replication whole, in a curve array of their own for the run. A
-    replication that raises :class:`NumericalError` or :class:`DataError`
-    is failed; any other exception stops the other worker before its next
-    replication and is raised here, once the helper is joined.
-    """
-    outcomes: list = [None] * replications
-    indices = iter(range(replications))
-    take = threading.Lock()
-    errors: list[BaseException] = []
-    curve_arrays = np.empty((2, NUM_PREDICTORS, scenario.n, GRID_SIZE))
-
-    def work(values: np.ndarray) -> None:
-        try:
-            while not errors:
-                with take:
-                    rep = next(indices, None)
-                if rep is None:
-                    return
-                try:
-                    outcomes[rep] = _run_one_replication(scenario, rules, bases, rep, values)
-                except (NumericalError, DataError):
-                    pass  # left None: counted as failed
-        except BaseException as exc:  # raised on the calling thread below
-            errors.append(exc)
-
-    helper = None
-    if _use_helper():
-        helper = threading.Thread(target=work, args=(curve_arrays[1],), daemon=True)
-        helper.start()
-    try:
-        work(curve_arrays[0])
-    finally:
-        if helper is not None:
-            helper.join()
-    if errors:
-        raise errors[0]
-    return outcomes
-
-
 def run_monte_carlo(
     scenario: SimScenario,
     rules: Sequence[tuple[str, float]],
@@ -450,10 +389,11 @@ def run_monte_carlo(
     one vector of p-values, and the test-set refit runs once per distinct
     selection. So the reports of several rules cost about one pass, and each
     equals the report of a run with that rule alone. The replications run
-    whole, each on one of two workers where the process may use two CPUs,
-    else on the calling thread alone (see :func:`_run_replications`); the
-    outcomes are aggregated in replication order, so either way every report
-    has the same bits. A replication counts as correct when the selected set
+    whole, each on one of two workers where
+    :func:`~funcsel.workers.two_workers` allows, else on the calling thread
+    alone (see :func:`~funcsel.workers.map_on_workers`); the outcomes are
+    aggregated in replication order, so either way every report has the
+    same bits. A replication counts as correct when the selected set
     equals the true relevant set exactly. Failed replications (numerically
     degenerate data) are skipped and counted, for every rule; a failed
     training set's test set is not built.
@@ -467,7 +407,20 @@ def run_monte_carlo(
         make_uniform_basis(lo, hi, degree=3, num_basis=_NUM_BASIS) for lo, hi in DOMAINS
     )
 
-    outcomes = _run_replications(scenario, rules, bases, replications)
+    def run(rep: int, values: np.ndarray) -> list[tuple[bool, np.ndarray, float]] | None:
+        try:
+            return _run_one_replication(scenario, rules, bases, rep, values)
+        except (NumericalError, DataError):
+            return None  # counted as failed
+
+    # one curve array per worker for the run, in one allocation: two arrays
+    # of half the size let the C allocator trim its heap after each run and
+    # fault the pages in again, about 400 minor faults a 16-replication run
+    # at n = 300 against 4
+    curve_arrays = np.empty((2, NUM_PREDICTORS, scenario.n, GRID_SIZE))
+    outcomes = map_on_workers(
+        run, range(replications), curve_arrays[0], lambda: curve_arrays[1]
+    )
     succeeded = [out for out in outcomes if out is not None]
     failed = replications - len(succeeded)
     denom = max(len(succeeded), 1)

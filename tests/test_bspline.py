@@ -97,8 +97,11 @@ class TestBasisSpecValidation:
             ((0.0, 1.0, -1, 2), r"degree must be >= 0, got -1"),
             ((0.0, 1.0, 2, 2), r"num_basis \(2\) must exceed degree \(2\)"),
             ((1.0, 1.0, 1, 2), r"domain_lo \(1.0\) must be < domain_hi \(1.0\)"),
+            # knots closer than the smallest normal float overflow the
+            # recurrence's divisions; at that spacing they do not
+            ((0.0, 1e-310, 3, 5), r"knot spacing \(1e-310 - 0.0\) / 2 = 5e-311 is below"),
         ],
-        ids=["negative_degree", "too_few_functions", "empty_domain"],
+        ids=["negative_degree", "too_few_functions", "empty_domain", "subnormal_spacing"],
     )
     def test_degree_size_and_domain(self, args, message):
         with pytest.raises(ValueError, match=message):

@@ -53,10 +53,11 @@ def write_responses(path, pairs):
             handle.write(f"{sample},{y}\n")
 
 
-def small_files(directory):
-    """Curves and responses of 12 samples and one predictor on 8 points."""
+def small_files(directory, t_max=1.0):
+    """Curves and responses of 12 samples and one predictor on 8 points of
+    [0, t_max]."""
     rng = np.random.default_rng(34)
-    grid = np.linspace(0.0, 1.0, 8)
+    grid = np.linspace(0.0, t_max, 8)
     paths = {"curves": directory / "c.csv", "responses": directory / "r.csv"}
     write_curves(
         paths["curves"],
@@ -378,6 +379,23 @@ class TestIngest:
         assert code == 2
         err = capsys.readouterr().err
         assert f"data error: {curves_path}: every point of predictor 'w' has t = 0.5" in err
+
+    def test_subnormal_domain_is_data_error(self, tmp_path):
+        # t in [0, 1e-310]: knots 5e-311 apart made the basis recurrence
+        # overflow, so numpy's RuntimeWarnings reached stderr before exit 3,
+        # "SVD did not converge"
+        paths = small_files(tmp_path, t_max=1e-310)
+        argv = ["--mode", "select", "--curves", str(paths["curves"]),
+                "--responses", str(paths["responses"]), "--basis-size", "5"]
+        env = {**os.environ, "PYTHONPATH": str(Path(funcsel.__file__).resolve().parents[1])}
+        result = subprocess.run(
+            [sys.executable, "-m", "funcsel.cli", *argv], env=env, capture_output=True, text=True
+        )
+        assert result.returncode == 2
+        assert result.stderr == (
+            f"data error: {paths['curves']}: predictor 'p0': knot spacing (1e-310 - 0.0) / 2"
+            f" = 5e-311 is below the smallest normal float, {np.finfo(float).tiny}\n"
+        )
 
 
 def _append(path, lines):
@@ -904,8 +922,8 @@ def test_cli_job_loads_no_scipy(tmp_path, mode):
         "bootstrap": ["--mode", "bootstrap", *files, "--q", "0.1",
                       "--bootstrap-b", "20", "--seed", "1"],
     }[mode]
-    # the Monte Carlo helper is a threading.Thread: concurrent.futures
-    # took about 7 ms to import, logging among it
+    # the second worker of simulate and bootstrap is a threading.Thread:
+    # concurrent.futures took about 7 ms to import, logging among it
     unneeded = ["scipy", "numpy.ma", "concurrent.futures", "logging"] + ["numpy.random"] * (
         mode == "select"
     )
@@ -947,22 +965,25 @@ def wide_files(tmp_path_factory):
         return inputs.write_csvs(str(directory), inputs.make_dataset(3, True))
 
 
-@pytest.mark.parametrize("mode", ["simulate", "select"])
-def test_same_report_at_one_and_two_blas_threads(tmp_path, wide_files, mode):
-    # simulate runs its replications on two workers beside one BLAS thread
-    # and beside two, where it may use two CPUs, and on one worker in a child
-    # restricted to one CPU; select at k = 145 is below the k = 253 at which
-    # the QR of [Z | y] moves with the thread count (README, Determinism)
+@pytest.mark.parametrize("mode", ["simulate", "select", "bootstrap"])
+def test_same_report_at_one_and_two_blas_threads(tmp_path, wide_files, sim_files, mode):
+    # simulate's replications and bootstrap's batches run on two workers
+    # beside one BLAS thread, where the process may use two CPUs, and on one
+    # worker beside two BLAS threads and in a child restricted to one CPU;
+    # select at k = 145 is below the k = 253 at which the QR of [Z | y]
+    # moves with the thread count (README, Determinism)
     argv = {
         "simulate": ["--mode", "simulate", "--c", "0.4", "--n", "100", "--reps", "10",
                      "--seed", "3"],
         "select": ["--mode", "select", "--curves", wide_files["curves"],
                    "--responses", wide_files["responses"]],
+        "bootstrap": ["--mode", "bootstrap", "--curves", sim_files[0],
+                      "--responses", sim_files[1], "--bootstrap-b", "200", "--seed", "3"],
     }[mode]
     code = (
         "import sys\n"
-        "from funcsel import cli, simgen\n"
-        "print(simgen._use_helper(), file=sys.stderr)\n"
+        "from funcsel import cli, workers\n"
+        "print(workers.two_workers(), file=sys.stderr)\n"
         "sys.exit(cli.main(sys.argv[1:]))\n"
     )
 
@@ -987,8 +1008,9 @@ def test_same_report_at_one_and_two_blas_threads(tmp_path, wide_files, mode):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    assert one[2] == two[2] == f"{cpus >= 2}\n".encode()
-    if mode == "simulate" and hasattr(os, "sched_setaffinity"):
+    assert one[2] == f"{cpus >= 2}\n".encode()
+    assert two[2] == b"False\n"
+    if mode != "select" and hasattr(os, "sched_setaffinity"):
         # the affinity is set in the child alone, before it runs Python
         cpu = min(os.sched_getaffinity(0))
         alone = run("one_cpu", "1", lambda: os.sched_setaffinity(0, {cpu}))
@@ -1019,7 +1041,9 @@ def test_clean_job_writes_nothing_to_stderr(tmp_path, mode):
 class TestRunSimulate:
     def test_same_report_without_sched_getaffinity(self, tmp_path, monkeypatch, capsys):
         # macOS and Windows have no os.sched_getaffinity: the CPU count
-        # stands in for the process's CPUs, and the report is Linux's
+        # stands in for the process's CPUs, and the report is Linux's. BLAS
+        # is pinned, so that the CPU count decides the second worker
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         argv = ["--mode", "simulate", "--n", "60", "--reps", "2"]
         runs = []
         for name in ("linux", "no_affinity"):
@@ -1030,7 +1054,7 @@ class TestRunSimulate:
             runs.append((capsys.readouterr(), out.read_bytes()))
         assert runs[0] == runs[1]
         assert runs[0][1]
-        assert funcsel.simgen._use_helper() is ((os.cpu_count() or 1) >= 2)
+        assert funcsel.workers.two_workers() is ((os.cpu_count() or 1) >= 2)
 
     def test_smoke_and_determinism(self, tmp_path):
         out1 = tmp_path / "sim1.json"

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from funcsel import simgen
+from funcsel import simgen, workers
 from funcsel.seeds import rng_for
 from funcsel.simgen import (
     DOMAINS,
@@ -335,7 +335,7 @@ class TestRunMonteCarlo:
         scenario = SimScenario(c=c, n=100, seed=0)
         generate = simgen._generate
         for helper in (True, False):
-            monkeypatch.setattr(simgen, "_use_helper", lambda: helper)
+            monkeypatch.setattr(workers, "two_workers", lambda: helper)
             monkeypatch.setattr(simgen, "_generate", generate)
             reused = run_monte_carlo(scenario, FIXTURE_RULES, 8)
             monkeypatch.setattr(
@@ -377,9 +377,9 @@ class TestRunMonteCarlo:
 
 
 class TestDrawAhead:
-    """Where the process may use two CPUs, a helper thread runs replications
-    whole beside the calling thread, each drawing its next replication while
-    the other works; neither way may move a bit."""
+    """Where :func:`funcsel.workers.two_workers` allows, a helper thread runs
+    replications whole beside the calling thread, each drawing its next
+    replication while the other works; neither way may move a bit."""
 
     @staticmethod
     def record_data_sets(monkeypatch, helper, meet=True):
@@ -387,7 +387,7 @@ class TestDrawAhead:
         the (stream, thread) of every data set built. With the second worker
         on and ``meet``, each worker's first data set waits at a barrier for
         the other's, so that both workers take a replication."""
-        monkeypatch.setattr(simgen, "_use_helper", lambda: helper)
+        monkeypatch.setattr(workers, "two_workers", lambda: helper)
         generate, built, met = simgen._generate, [], set()
         barrier = threading.Barrier(2, timeout=30)
 
@@ -485,9 +485,9 @@ class TestDrawAhead:
         # busy threads on two CPUs, switching as often as the interpreter
         # allows
         scenarios = [SimScenario(c=0.4, n=100, seed=1), SimScenario(c=0.0, n=120, seed=2)]
-        monkeypatch.setattr(simgen, "_use_helper", lambda: False)
+        monkeypatch.setattr(workers, "two_workers", lambda: False)
         serial = [run_monte_carlo(scenario, FIXTURE_RULES, 8) for scenario in scenarios]
-        monkeypatch.setattr(simgen, "_use_helper", lambda: True)
+        monkeypatch.setattr(workers, "two_workers", lambda: True)
         results, errors = [None] * len(scenarios), []
 
         def run(k):
